@@ -206,7 +206,7 @@ def _run_nsga(use_niching: bool):
         constrained = params.get("constrained", problem.constraints is not None)
         if use_niching:
             return nsga.run_nsga3(problem, ga, constrained=constrained)
-        return nsga.run_nsga2(problem, ga)
+        return nsga.run_nsga2(problem, ga, constrained=constrained)
 
     return runner
 
@@ -345,27 +345,17 @@ def run_experiment(source, force: bool = False, parallel_cells: int = 1) -> Path
              for problem in config.problems
              for seed in config.seeds]
 
-    def execute(cell):
-        spec, problem, seed = cell
-        cell_dir = out / spec.label / problem / f"seed{seed}"
-        try:
-            return _run_cell(config, spec, problem, seed, cell_dir), None
-        except Exception as err:  # noqa: BLE001 - marker + continue
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            (cell_dir / "FAILED").write_text(traceback.format_exc())
-            return None, (cell, err)
-
+    task = _CellTask(config, out)
     reports, failures = [], []
     if parallel_cells > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=parallel_cells) as pool:
-            for report, failure in pool.map(_CellTask(config, out), cells):
-                (reports if report else failures).append(report or failure)
+            outcomes = list(pool.map(task, cells))
     else:
-        for cell in cells:
-            report, failure = execute(cell)
-            (reports if report else failures).append(report or failure)
+        outcomes = map(task, cells)
+    for report, failure in outcomes:
+        (reports if report else failures).append(report or failure)
 
     write_metric_csv(reports, out / "metrics.csv")
     if failures:
@@ -375,7 +365,7 @@ def run_experiment(source, force: bool = False, parallel_cells: int = 1) -> Path
 
 
 class _CellTask:
-    """Picklable cell executor for --parallel-cells."""
+    """Cell executor; picklable, so --parallel-cells can ship it to workers."""
 
     def __init__(self, config: ExperimentConfig, out: Path):
         self.config = config

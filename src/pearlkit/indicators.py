@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import bisect
 import csv
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -256,8 +255,3 @@ def read_metric_csv(path) -> list[MetricReport]:
         for row in rows
     ]
 
-
-def write_metric_json(reports, path):
-    with open(path, "w") as handle:
-        json.dump([asdict(r) for r in reports], handle, indent=2)
-        handle.write("\n")

@@ -54,10 +54,9 @@ class Population:
     generation: int = 0
 
 
-def _selection_order(pop: list[Solution], relation: str,
-                     dirs: Optional[ReferenceDirectionSet]) -> list[int]:
+def _selection_order(pop: list[Solution], constrained: bool) -> list[int]:
     """Indices ordered best-first: by front, then density inside each front."""
-    fronts = non_dominated_sort(pop, relation=relation)
+    fronts = non_dominated_sort(pop, "constrained" if constrained else "objectives")
     order: list[int] = []
     for front in fronts:
         objs = np.array([pop[i].obj for i in front])
@@ -84,32 +83,30 @@ def _variation(parents: list[Solution], cfg: GAConfig, problem: ProblemSpec,
     return out
 
 
-def _survivors_nsga2(pool: list[Solution], n: int) -> list[Solution]:
-    fronts = non_dominated_sort(pool, relation="objectives")
+def _fill_fronts(pool: list[Solution], n: int,
+                 constrained: bool) -> tuple[list[int], list[int]]:
+    """Whole fronts that fit into ``n`` slots, best first, and the first
+    front that does not fit (empty when every front fits)."""
     chosen: list[int] = []
-    for front in fronts:
-        if len(chosen) + len(front) <= n:
-            chosen.extend(front)
-            continue
-        objs = np.array([pool[i].obj for i in front])
-        ranked = crowding_rank(objs).order
-        chosen.extend(front[i] for i in ranked[: n - len(chosen)])
-        break
+    for front in non_dominated_sort(pool, "constrained" if constrained else "objectives"):
+        if len(chosen) + len(front) > n:
+            return chosen, front
+        chosen.extend(front)
+    return chosen, []
+
+
+def _survivors_nsga2(pool: list[Solution], n: int,
+                     constrained: bool = False) -> list[Solution]:
+    chosen, last = _fill_fronts(pool, n, constrained)
+    if last and len(chosen) < n:
+        ranked = crowding_rank(np.array([pool[i].obj for i in last])).order
+        chosen.extend(last[i] for i in ranked[: n - len(chosen)])
     return [pool[i] for i in chosen]
 
 
 def _survivors_nsga3(pool: list[Solution], n: int, dirs: ReferenceDirectionSet,
                      constrained: bool) -> list[Solution]:
-    relation = "constrained" if constrained else "objectives"
-    fronts = non_dominated_sort(pool, relation=relation)
-    chosen: list[int] = []
-    last: list[int] = []
-    for front in fronts:
-        if len(chosen) + len(front) <= n:
-            chosen.extend(front)
-        else:
-            last = front
-            break
+    chosen, last = _fill_fronts(pool, n, constrained)
     need = n - len(chosen)
     if need == 0 or not last:
         return [pool[i] for i in chosen]
@@ -140,10 +137,12 @@ def _survivors_nsga3(pool: list[Solution], n: int, dirs: ReferenceDirectionSet,
 
 
 def nsga2_step(pop: Population, cfg: GAConfig, problem: ProblemSpec,
-               rng: np.random.Generator, evaluator=None) -> Population:
-    """One generation: ES variation, merge with parents, crowded selection."""
+               rng: np.random.Generator, evaluator=None,
+               constrained: bool = False) -> Population:
+    """One generation: ES variation, merge with parents, crowded selection;
+    constrained dominance optional."""
     return _step(pop, cfg, problem, rng, evaluator, use_niching=False,
-                 dirs=None, constrained=False)
+                 dirs=None, constrained=constrained)
 
 
 def nsga3_step(pop: Population, cfg: GAConfig, problem: ProblemSpec,
@@ -155,8 +154,7 @@ def nsga3_step(pop: Population, cfg: GAConfig, problem: ProblemSpec,
 
 
 def _step(pop, cfg, problem, rng, evaluator, use_niching, dirs, constrained):
-    relation = "constrained" if constrained else "objectives"
-    order = _selection_order(pop.members, relation, dirs)
+    order = _selection_order(pop.members, constrained)
     parents = [pop.members[i] for i in order[: cfg.mu]]
     offspring_x = _variation(parents, cfg, problem, rng)
     offspring = [evaluator(x) if evaluator else _plain_eval(problem, x)
@@ -165,7 +163,7 @@ def _step(pop, cfg, problem, rng, evaluator, use_niching, dirs, constrained):
     if use_niching:
         survivors = _survivors_nsga3(pool, cfg.pop_size, dirs, constrained)
     else:
-        survivors = _survivors_nsga2(pool, cfg.pop_size)
+        survivors = _survivors_nsga2(pool, cfg.pop_size, constrained)
     return Population(members=survivors, generation=pop.generation + 1)
 
 
@@ -210,15 +208,16 @@ def run_nsga(problem: ProblemSpec, cfg: GAConfig, *, use_niching: bool,
             pop = nsga3_step(pop, cfg, problem, dirs, constrained, rng,
                              evaluator=logged_eval)
         else:
-            pop = nsga2_step(pop, cfg, problem, rng, evaluator=logged_eval)
+            pop = nsga2_step(pop, cfg, problem, rng, evaluator=logged_eval,
+                             constrained=constrained)
 
     return RunResult(front=best_front(everything), log=log, config=asdict(cfg),
                      wall_time=time.perf_counter() - start,
                      n_evaluations=len(log))
 
 
-def run_nsga2(problem: ProblemSpec, cfg: GAConfig) -> RunResult:
-    return run_nsga(problem, cfg, use_niching=False)
+def run_nsga2(problem: ProblemSpec, cfg: GAConfig, constrained: bool = False) -> RunResult:
+    return run_nsga(problem, cfg, use_niching=False, constrained=constrained)
 
 
 def run_nsga3(problem: ProblemSpec, cfg: GAConfig, constrained: bool = False,

@@ -3,12 +3,17 @@
 Objective vectors are handled in maximization sense throughout this module:
 benchmark problems that minimize are negated at ingestion and un-negated
 again at the reporting boundary.
+
+Two dominance relations exist: ``"objectives"`` (plain dominance) and
+``"constrained"`` (feasibility first, after Deb et al., IEEE TEC 2002).
+``dominates`` and ``constrained_dominates`` are their scalar forms; one
+array kernel, ``_dominance``, serves both the sort and the archive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -88,62 +93,53 @@ def constrained_dominates(a: Solution, b: Solution) -> bool:
     return dominates(a.obj, b.obj)
 
 
-Relation = Union[str, Callable[[Solution, Solution], bool]]
+def _constrained(relation: str) -> bool:
+    if relation not in ("objectives", "constrained"):
+        raise ValueError(f"unknown dominance relation: {relation!r}")
+    return relation == "constrained"
 
 
-def _domination_matrix(pop: Sequence[Solution], relation: Relation) -> np.ndarray:
-    """D[i, j] is True when pop[i] dominates pop[j] under ``relation``."""
-    n = len(pop)
-    if relation in ("objectives", "plain", dominates):
-        objs = np.array([s.obj for s in pop], dtype=float)
-        ge = np.all(objs[:, None, :] >= objs[None, :, :], axis=2)
-        gt = np.any(objs[:, None, :] > objs[None, :, :], axis=2)
-        return ge & gt
-    if relation in ("constrained", constrained_dominates):
-        objs = np.array([s.obj for s in pop], dtype=float)
-        cv = np.array([s.cv for s in pop], dtype=float)
-        feas = cv == 0.0
-        ge = np.all(objs[:, None, :] >= objs[None, :, :], axis=2)
-        gt = np.any(objs[:, None, :] > objs[None, :, :], axis=2)
-        plain = ge & gt
-        d = np.zeros((n, n), dtype=bool)
-        fi = feas[:, None]
-        fj = feas[None, :]
-        d |= fi & ~fj
-        d |= (~fi & ~fj) & (cv[:, None] < cv[None, :])
-        d |= (fi & fj) & plain
-        return d
-    # generic callable relation
-    d = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                d[i, j] = relation(pop[i], pop[j])
-    return d
+def _dominance(a_obj: np.ndarray, a_cv: np.ndarray, b_obj: np.ndarray,
+               b_cv: np.ndarray, constrained: bool) -> np.ndarray:
+    """D[i, j] is True when point i of ``a`` dominates point j of ``b``.
+
+    Plain dominance on the objective rows, or, when ``constrained``, the
+    rules of ``constrained_dominates``: feasible beats infeasible, the lower
+    ``cv`` wins between two infeasible points, and plain dominance decides
+    between two feasible ones.
+    """
+    plain = (np.all(a_obj[:, None, :] >= b_obj[None, :, :], axis=2)
+             & np.any(a_obj[:, None, :] > b_obj[None, :, :], axis=2))
+    if not constrained:
+        return plain
+    a_feas = (a_cv == 0.0)[:, None]
+    b_feas = (b_cv == 0.0)[None, :]
+    lower_cv = a_cv[:, None] < b_cv[None, :]
+    return np.where(a_feas & b_feas, plain, a_feas | (~b_feas & lower_cv))
 
 
 def non_dominated_sort(
-    pop: Sequence[Solution], relation: Relation = "objectives"
+    pop: Sequence[Solution], relation: str = "objectives"
 ) -> list[list[int]]:
     """Sort a population into non-domination fronts (indices, best front first).
 
     Front 0 contains the solutions dominated by nobody; each later front is
     non-dominated once earlier fronts are removed.  Every index appears in
-    exactly one front.
+    exactly one front.  ``relation`` is ``"objectives"`` or ``"constrained"``.
     """
     if len(pop) == 0:
         raise ValueError("cannot sort an empty population")
-    d = _domination_matrix(pop, relation)
-    dominated_count = d.sum(axis=0).astype(int)
+    obj = np.array([s.obj for s in pop], dtype=float)
+    cv = np.array([s.cv for s in pop], dtype=float)
+    d = _dominance(obj, cv, obj, cv, _constrained(relation))
+    dominated_count = d.sum(axis=0)
     fronts: list[list[int]] = []
     remaining = np.ones(len(pop), dtype=bool)
     while remaining.any():
         current = np.flatnonzero(remaining & (dominated_count == 0))
-        if current.size == 0:  # cyclic relation; only possible for bad callables
-            raise ValueError("dominance relation produced a cycle")
         fronts.append(current.tolist())
         remaining[current] = False
-        dominated_count -= d[current].sum(axis=0).astype(int)
+        dominated_count -= d[current].sum(axis=0)
     return fronts
 
 
@@ -212,25 +208,20 @@ class ParetoArchive:
 
     The archive is the per-worker memory used by the rank-based reward
     engines.  ``capacity=None`` gives an unbounded archive (used by the
-    envelope variant, where the archive only serves reporting).  The
-    dominance relation is configurable so that constrained variants can keep
-    feasibility inside the buffer ordering.
+    envelope variant, where the archive only serves reporting).
+    ``relation`` is ``"objectives"`` (plain dominance) or ``"constrained"``
+    (feasibility folded into dominance, as in ``constrained_dominates``), so
+    that constrained variants keep feasibility inside the buffer ordering.
+    Both tests go through the same array kernel as ``non_dominated_sort``.
     """
 
-    def __init__(self, capacity: Optional[int] = None, relation: Relation = "objectives"):
+    def __init__(self, capacity: Optional[int] = None, relation: str = "objectives"):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be a positive integer or None")
         self.capacity = capacity
         self.relation = relation
+        self._is_constrained = _constrained(relation)
         self.members: list[Solution] = []
-        if relation in ("objectives", "plain"):
-            self._rel = lambda a, b: dominates(a.obj, b.obj)
-        elif relation == "constrained":
-            self._rel = constrained_dominates
-        elif callable(relation):
-            self._rel = relation
-        else:
-            raise ValueError(f"unknown dominance relation: {relation!r}")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -238,22 +229,31 @@ class ParetoArchive:
     def objectives(self) -> np.ndarray:
         return np.array([m.obj for m in self.members], dtype=float)
 
-    def _rejects(self, sol: Solution) -> bool:
-        # Rejected when dominated by a member, or when it duplicates a member
-        # it does not itself beat (clone flooding guard).
-        for m in self.members:
-            if self._rel(m, sol):
-                return True
-            if np.array_equal(m.obj, sol.obj) and not self._rel(sol, m):
-                return True
-        return False
+    def _admit(self, sol: Solution) -> bool:
+        """Append ``sol`` after dropping the members it dominates.
+
+        ``sol`` is rejected (False, archive untouched) when a member
+        dominates it, or when it duplicates the objectives of a member it
+        does not itself beat (clone flooding guard).
+        """
+        if self.members:
+            obj = self.objectives()
+            cv = np.array([m.cv for m in self.members])
+            s_obj, s_cv = sol.obj[None, :], np.array([sol.cv])
+            beaten = _dominance(obj, cv, s_obj, s_cv, self._is_constrained)[:, 0]
+            beats = _dominance(s_obj, s_cv, obj, cv, self._is_constrained)[0]
+            twin = np.all(obj == sol.obj, axis=1)
+            if np.any(beaten | (twin & ~beats)):
+                return False
+            if beats.any():
+                self.members = [m for m, out in zip(self.members, beats) if not out]
+        self.members.append(sol)
+        return True
 
     def add(self, sol: Solution) -> bool:
         """Dominance-only insert (no ranking). Returns True if kept."""
-        if self._rejects(sol):
+        if not self._admit(sol):
             return False
-        self.members = [m for m in self.members if not self._rel(sol, m)]
-        self.members.append(sol)
         if self.capacity is not None and len(self.members) > self.capacity:
             raise RuntimeError("bounded archive overflow: use insert() with a ranker")
         return True
@@ -269,14 +269,9 @@ class ParetoArchive:
         members, and the rank of ``sol`` is returned.  A returned rank equal
         to or beyond the capacity means the solution was evicted right away.
         """
-        if self._rejects(sol):
+        if not self._admit(sol):
             return None
-        self.members = [m for m in self.members if not self._rel(sol, m)]
-        self.members.append(sol)
         order = np.asarray(ranker(self.objectives()).order, dtype=int)
         pos = int(np.flatnonzero(order == len(self.members) - 1)[0])
-        ordered = [self.members[i] for i in order]
-        if self.capacity is not None:
-            ordered = ordered[: self.capacity]
-        self.members = ordered
+        self.members = [self.members[i] for i in order[: self.capacity]]
         return pos

@@ -159,17 +159,6 @@ def squash(z: np.ndarray, kind: str = "logistic") -> np.ndarray:
     raise ValueError(f"unknown squash kind: {kind!r}")
 
 
-def squash_log_jacobian(actions: np.ndarray, kind: str = "logistic") -> np.ndarray:
-    """Log-density correction of the box map (probability ratios in the
-    update use the pre-squash Gaussian densities, which is exact because the
-    correction does not depend on the policy parameters)."""
-    if kind == "logistic":
-        return np.sum(np.log(actions * (1.0 - actions)), axis=1)
-    if kind == "clip":
-        return np.full(len(actions), actions.shape[1] * np.log(2.0))
-    raise ValueError(f"unknown squash kind: {kind!r}")
-
-
 @dataclass
 class RolloutBatch:
     """One batch of transitions: n_steps x ncores single-step episodes."""
@@ -179,7 +168,6 @@ class RolloutBatch:
     pre_squash: np.ndarray     # (B, act) Gaussian samples before squashing
     rewards: np.ndarray        # (B,) scaled rewards used for the update
     raw_rewards: np.ndarray    # (B,) engine rewards as logged
-    log_probs: np.ndarray      # (B,) action log-probabilities (with jacobian)
     gauss_log_probs: np.ndarray  # (B,) pre-squash Gaussian log-densities
     values: np.ndarray         # (B,) value predictions at collection time
 
@@ -319,7 +307,7 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
     n = cfg.n_steps
     latent_dim = cfg.resolved_latent_dim(problem)
     obs_rows, act_rows, z_rows = [], [], []
-    raw_rewards, logp_rows, gauss_rows, value_rows = [], [], [], []
+    raw_rewards, gauss_rows, value_rows = [], [], []
     scales = []
     step = step_offset
     for worker in workers:
@@ -331,7 +319,6 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
         actions = squash(z, cfg.squash)
         assert np.all((actions >= 0.0) & (actions <= 1.0)), "action left the unit box"
         gauss_logp = gaussian_log_prob(z, mean, log_std)
-        logp = gauss_logp + squash_log_jacobian(actions, cfg.squash)
         values = policy.value(obs)
         scale = float(getattr(worker.engine, "reward_scale", 1.0))
         for t in range(n):
@@ -357,7 +344,6 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
         obs_rows.append(obs)
         act_rows.append(actions)
         z_rows.append(z)
-        logp_rows.append(logp)
         gauss_rows.append(gauss_logp)
         value_rows.append(values)
         scales.append(np.full(n, scale))
@@ -368,7 +354,6 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
         pre_squash=np.vstack(z_rows),
         rewards=raw / np.concatenate(scales),
         raw_rewards=raw,
-        log_probs=np.concatenate(logp_rows),
         gauss_log_probs=np.concatenate(gauss_rows),
         values=np.concatenate(value_rows),
     )

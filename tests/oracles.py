@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from pearlkit.pareto import constrained_dominates, dominates
+
 
 def brute_force_dominates_max(a, b):
     """Maximization-sense dominance by explicit componentwise loop."""
@@ -23,6 +25,56 @@ def brute_force_front_indices(objs, dominates_fn):
         if not any(dominates_fn(objs[j], objs[i]) for j in range(len(objs)) if j != i):
             front.append(i)
     return front
+
+
+class OracleArchive:
+    """Scalar reference for ``ParetoArchive``: one relation call per member.
+
+    ``relation`` is ``"objectives"`` (plain dominance on ``obj``) or
+    ``"constrained"`` (feasibility first, then lower ``cv``, then plain).
+    ``add`` and ``insert`` return what the library's methods return and
+    leave the members in the same order.
+    """
+
+    def __init__(self, capacity=None, relation="objectives"):
+        self.capacity = capacity
+        if relation == "objectives":
+            self.rel = lambda a, b: dominates(a.obj, b.obj)
+        elif relation == "constrained":
+            self.rel = constrained_dominates
+        else:
+            raise ValueError(relation)
+        self.members = []
+
+    def _rejects(self, sol):
+        # dominated by a member, or a duplicate of a member it does not beat
+        for m in self.members:
+            if self.rel(m, sol):
+                return True
+            if list(m.obj) == list(sol.obj) and not self.rel(sol, m):
+                return True
+        return False
+
+    def _admit(self, sol):
+        if self._rejects(sol):
+            return False
+        self.members = [m for m in self.members if not self.rel(sol, m)]
+        self.members.append(sol)
+        return True
+
+    def add(self, sol):
+        kept = self._admit(sol)
+        if self.capacity is not None and len(self.members) > self.capacity:
+            raise RuntimeError("bounded archive overflow")
+        return kept
+
+    def insert(self, sol, ranker):
+        if not self._admit(sol):
+            return None
+        order = [int(i) for i in ranker(np.array([m.obj for m in self.members])).order]
+        pos = order.index(len(self.members) - 1)
+        self.members = [self.members[i] for i in order][: self.capacity]
+        return pos
 
 
 def monte_carlo_hypervolume(front, ref, n_samples, seed=0, chunk=2_000_000):
@@ -44,9 +96,16 @@ def monte_carlo_hypervolume(front, ref, n_samples, seed=0, chunk=2_000_000):
     while remaining > 0:
         m = min(chunk, remaining)
         pts = rng.uniform(lo, ref, size=(m, len(ref)))
+        cols = np.ascontiguousarray(pts.T)  # one contiguous row per objective
         dominated = np.zeros(m, dtype=bool)
+        hit = np.empty(m, dtype=bool)
+        ge = np.empty(m, dtype=bool)
         for p in front:
-            dominated |= np.all(pts >= p, axis=1)
+            np.greater_equal(cols[0], p[0], out=hit)
+            for k in range(1, len(p)):
+                np.greater_equal(cols[k], p[k], out=ge)
+                hit &= ge
+            dominated |= hit
         hits += int(dominated.sum())
         remaining -= m
     p_hat = hits / n_samples

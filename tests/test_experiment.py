@@ -96,6 +96,25 @@ class TestRun:
         assert (cell / "evaluations.csv").read_bytes() == first
         assert (cell / "front.csv").read_bytes() == first_front
 
+    def test_parallel_cells_match_sequential_bytes(self, tmp_path):
+        path, config = small_config(tmp_path, algorithms=[
+            {"name": "pearl-nds", "ranker": "crowding", "kappa": 8},
+            {"name": "nsga2", "lambda_": 8}])
+        sequential = run_experiment(path)
+        config["output_dir"] = str(tmp_path / "parallel")
+        path.write_text(json.dumps(config))
+        parallel = run_experiment(path, parallel_cells=2)
+        files = sorted(p.relative_to(sequential) for p in sequential.rglob("*.csv"))
+        assert len(files) == 1 + 2 * 2 * 2  # metrics + (evaluations, front) per cell
+        for rel in files:
+            assert (parallel / rel).read_bytes() == (sequential / rel).read_bytes(), rel
+        for summary in sequential.rglob("summary.json"):
+            a = json.loads(summary.read_text())
+            b = json.loads((parallel / summary.relative_to(sequential)).read_text())
+            a.pop("wall_time"), b.pop("wall_time")
+            a.pop("config"), b.pop("config")
+            assert a == b
+
     def test_failure_marker_preserves_other_cells(self, tmp_path, monkeypatch):
         path, _ = small_config(tmp_path, seeds=[0, 1, 2])
         import pearlkit.experiment as exp

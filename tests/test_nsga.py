@@ -86,6 +86,22 @@ class TestSteps:
             for i in expected:
                 assert tuple(pool[i].obj) in survivor_objs
 
+    def test_constrained_nsga2_keeps_feasible_member_first(self):
+        # infeasible members plainly dominate the single feasible one; with
+        # constrained domination the feasible member must lead the survivors
+        problem = get_problem("c2dtlz2")
+        cfg = GAConfig(lambda_=4, mu=4, pop_size=4, mutpb=0.0, cxpb=0.0)
+        members = [
+            make_solution(np.full(problem.n_x, 0.1 * (i + 1)), [0.1 * i, 0.1], [0.5 + 0.1 * i])
+            for i in range(3)
+        ]
+        members.insert(2, make_solution(np.full(problem.n_x, 0.9), [2.0, 2.0], [-1.0]))
+        by_x = {tuple(m.x): m for m in members}
+        nxt = nsga2_step(Population(members=members), cfg, problem,
+                         np.random.default_rng(0), evaluator=lambda x: by_x[tuple(x)],
+                         constrained=True)
+        assert nxt.members[0].feasible
+
     def test_elitism_no_regression(self):
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=12, mu=12, pop_size=12)
@@ -169,6 +185,13 @@ class TestRuns:
         problem = get_problem("c2dtlz2")
         cfg = GAConfig(lambda_=16, mu=16, pop_size=16, budget=800, seed=2)
         result = run_nsga3(problem, cfg, constrained=True)
+        assert result.front
+        assert all(m.feasible for m in result.front)
+
+    def test_constrained_nsga2_run_reports_feasible_front(self):
+        problem = get_problem("c2dtlz2")
+        cfg = GAConfig(lambda_=16, mu=16, pop_size=16, budget=800, seed=2)
+        result = run_nsga2(problem, cfg, constrained=True)
         assert result.front
         assert all(m.feasible for m in result.front)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pearlkit.density import crowding_rank
 from pearlkit.pareto import (
@@ -11,7 +13,7 @@ from pearlkit.pareto import (
     non_dominated_sort,
 )
 
-from oracles import brute_force_dominates_max, brute_force_front_indices
+from oracles import OracleArchive, brute_force_dominates_max, brute_force_front_indices
 
 
 def sol(obj, cv=0.0, g=None):
@@ -223,3 +225,37 @@ class TestParetoArchive:
         rank = archive.insert(sol((1, 2)), crowding_rank)
         assert rank == 0
         assert archive.members[0].feasible
+
+
+# Integer-grid objectives and a few violation levels, so duplicates, ties and
+# feasible/infeasible twins turn up often.
+_point = st.tuples(
+    st.lists(st.integers(0, 3), min_size=2, max_size=2),
+    st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+)
+
+
+class TestArchiveMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(relation=st.sampled_from(["objectives", "constrained"]),
+           capacity=st.one_of(st.none(), st.integers(1, 8)),
+           points=st.lists(_point, min_size=1, max_size=40))
+    def test_insert_and_add_match_scalar_oracle(self, relation, capacity, points):
+        archive = ParetoArchive(capacity=capacity, relation=relation)
+        oracle = OracleArchive(capacity=capacity, relation=relation)
+        for obj, cv in points:
+            s = sol(obj, cv=cv)
+            if capacity is None:
+                assert archive.add(s) == oracle.add(s)
+            else:
+                assert archive.insert(s, crowding_rank) == oracle.insert(s, crowding_rank)
+            assert [id(m) for m in archive.members] == [id(m) for m in oracle.members]
+
+            members = archive.members
+            if capacity is not None:
+                assert len(members) <= capacity
+            for a in members:
+                for b in members:
+                    assert a is b or not oracle.rel(a, b)
+            if relation == "constrained" and any(m.feasible for m in members):
+                assert all(m.feasible for m in members)

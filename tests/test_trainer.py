@@ -183,7 +183,7 @@ class TestUpdate:
             batch = RolloutBatch(
                 observations=obs, actions=squash(z), pre_squash=z,
                 rewards=np.full(16, constant), raw_rewards=np.full(16, constant),
-                log_probs=logp, gauss_log_probs=logp,
+                gauss_log_probs=logp,
                 values=policy.value(obs),
             )
             update(policy, batch, cfg, rng)
@@ -202,7 +202,7 @@ class TestUpdate:
         batch = RolloutBatch(
             observations=obs, actions=squash(z), pre_squash=z,
             rewards=np.array([np.nan, 0.0, 0.0, 0.0]),
-            raw_rewards=np.zeros(4), log_probs=logp, gauss_log_probs=logp,
+            raw_rewards=np.zeros(4), gauss_log_probs=logp,
             values=np.zeros(4),
         )
         before = policy.learning_rate
