@@ -41,6 +41,24 @@ class DensityRank:
     scores: np.ndarray
 
 
+def best_first(f: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``f`` in best-first order: the one tie-break
+    rule of every rank.
+
+    Rows sort ascending by ``keys[0]``, ties by ``keys[1]`` and so on, then
+    lexicographically on the rows of ``f``, then by index (the sort is
+    stable).  Negate a key to prefer larger values.
+    """
+    return np.lexsort(tuple(f.T[::-1]) + keys[::-1])
+
+
+def minmax_normalize(f: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Map ``f`` componentwise from ``[lo, hi]`` to ``[0, 1]``; a degenerate
+    range (``hi <= lo``) maps to 0."""
+    span = hi - lo
+    return np.where(span > 0, (f - lo) / np.where(span > 0, span, 1.0), 0.0)
+
+
 def crowding_rank(front) -> DensityRank:
     """Rank a mutually non-dominated set by crowding distance, best first.
 
@@ -56,17 +74,12 @@ def crowding_rank(front) -> DensityRank:
         raise ValueError("crowding_rank needs a non-empty front")
     dist = np.zeros(n)
     for j in range(m):
-        idx = sorted(range(n), key=lambda i: (f[i, j], tuple(f[i])))
-        dist[idx[0]] = math.inf
-        dist[idx[-1]] = math.inf
+        idx = best_first(f, f[:, j])
+        dist[idx[[0, -1]]] = math.inf
         span = f[idx[-1], j] - f[idx[0], j]
-        if span <= 0:
-            continue
-        for pos in range(1, n - 1):
-            if not math.isinf(dist[idx[pos]]):
-                dist[idx[pos]] += (f[idx[pos + 1], j] - f[idx[pos - 1], j]) / span
-    order = sorted(range(n), key=lambda i: (-dist[i], -float(f[i].sum()), tuple(f[i])))
-    return DensityRank(order=np.asarray(order, dtype=int), scores=dist)
+        if span > 0:  # boundary points stay infinite: inf + finite is inf
+            dist[idx[1:-1]] += (f[idx[2:], j] - f[idx[:-2], j]) / span
+    return DensityRank(order=best_first(f, -dist, -f.sum(axis=1)), scores=dist)
 
 
 def associate(normalized: np.ndarray, dirs: ReferenceDirectionSet):
@@ -96,19 +109,11 @@ def niching_rank(front, dirs: ReferenceDirectionSet) -> DensityRank:
     distance and then lexicographically on the objective vector.
     """
     f = np.atleast_2d(np.asarray(front, dtype=float))
-    n = f.shape[0]
-    if n == 0:
+    if len(f) == 0:
         raise ValueError("niching_rank needs a non-empty front")
-    lo = f.min(axis=0)
-    hi = f.max(axis=0)
-    span = hi - lo
-    normalized = np.where(span > 0, (f - lo) / np.where(span > 0, span, 1.0), 0.0)
-    niche, dist = associate(normalized, dirs)
+    niche, dist = associate(minmax_normalize(f, f.min(axis=0), f.max(axis=0)), dirs)
     counts = np.bincount(niche, minlength=len(dirs.directions))
-    order = sorted(
-        range(n), key=lambda i: (counts[niche[i]], dist[i], tuple(f[i]))
-    )
-    return DensityRank(order=np.asarray(order, dtype=int), scores=dist)
+    return DensityRank(order=best_first(f, counts[niche], dist), scores=dist)
 
 
 def das_dennis(n_obj: int, divisions: int) -> ReferenceDirectionSet:

@@ -16,6 +16,7 @@ from typing import Mapping
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .density import best_first
 from .pareto import non_dominated_mask
 
 
@@ -199,8 +200,7 @@ def entropy_select(front, k: int) -> np.ndarray:
     else:
         weights = np.full(n_obj, 1.0 / n_obj)
     scores = p @ weights
-    order = sorted(range(m), key=lambda i: (scores[i], tuple(distinct[i])))
-    return np.asarray([int(first_index[i]) for i in order[:k]])
+    return first_index[best_first(distinct, scores)[:k]]
 
 
 @dataclass

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .density import ReferenceDirectionSet, associate, crowding_rank, das_dennis, default_divisions
+from .density import (ReferenceDirectionSet, associate, best_first, crowding_rank, das_dennis,
+                      default_divisions, minmax_normalize)
 from .pareto import Solution, best_front, non_dominated_sort
 from .problems import ProblemSpec, evaluate
 from .rewards import make_solution
@@ -111,28 +112,20 @@ def _survivors_nsga3(pool: list[Solution], n: int, dirs: ReferenceDirectionSet,
     if need == 0 or not last:
         return [pool[i] for i in chosen]
 
+    start = len(chosen)
     considered = chosen + last
     objs = np.array([pool[i].obj for i in considered])
-    lo, hi = objs.min(axis=0), objs.max(axis=0)
-    span = np.where(hi - lo > 0, hi - lo, 1.0)
-    normalized = np.where(hi - lo > 0, (objs - lo) / span, 0.0)
-    niche, dist = associate(normalized, dirs)
-    counts = np.bincount(niche[: len(chosen)], minlength=len(dirs.directions))
+    niche, dist = associate(minmax_normalize(objs, objs.min(axis=0), objs.max(axis=0)), dirs)
+    counts = np.bincount(niche[:start], minlength=len(dirs.directions))
 
-    # deterministic niche filling: among the least-filled niches that still
-    # have candidates, take the candidate closest to its direction
-    available = list(range(len(chosen), len(considered)))
-    while need > 0 and available:
-        active = {int(niche[c]) for c in available}
-        min_count = min(counts[a] for a in active)
-        pick = min(
-            (c for c in available if counts[niche[c]] == min_count),
-            key=lambda c: (dist[c], tuple(pool[considered[c]].obj)),
-        )
-        chosen.append(considered[pick])
-        counts[niche[pick]] += 1
-        available.remove(pick)
-        need -= 1
+    # deterministic niche filling: each pick is the best-first candidate
+    # (closest to its direction) among those of the least-filled niches
+    candidates = start + best_first(objs[start:], dist[start:])
+    for _ in range(need):  # need < len(last), so candidates never run out
+        pick = np.argmin(counts[niche[candidates]])
+        chosen.append(considered[candidates[pick]])
+        counts[niche[candidates[pick]]] += 1
+        candidates = np.delete(candidates, pick)
     return [pool[i] for i in chosen]
 
 

@@ -54,32 +54,30 @@ class ProblemSpec:
 
 @dataclass
 class EvaluationRecord:
-    """One problem evaluation: inputs, raw outputs, and a monotone index."""
+    """One problem evaluation: inputs and raw outputs."""
 
     x: np.ndarray
     objectives: np.ndarray  # minimization sense, raw
     constraints: np.ndarray
-    index: int
 
 
-def evaluate(problem: ProblemSpec, x, index: int = 0) -> EvaluationRecord:
+def evaluate(problem: ProblemSpec, x) -> EvaluationRecord:
     """Evaluate a problem at a point of its box.
 
-    The evaluation index is a per-worker monotone counter supplied by the
-    caller; the function itself is pure.  Points outside the box (beyond a
-    1e-9 slack) are a usage error: optimizers clamp before calling.
+    The function is pure.  Points outside the box (beyond a 1e-9 slack) and
+    points with a NaN coordinate are a usage error: optimizers clamp before
+    calling.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n_x,):
         raise ValueError(f"{problem.name} expects {problem.n_x} decision variables")
-    if np.any(x < problem.lower - 1e-9) or np.any(x > problem.upper + 1e-9):
+    if not np.all((x >= problem.lower - 1e-9) & (x <= problem.upper + 1e-9)):
         raise ValueError(f"point outside the box of {problem.name}")
     f = problem.objectives(x)
     g = (problem.constraints(x, f) if problem.constraints is not None
          else np.empty(0))
     return EvaluationRecord(x=x, objectives=np.asarray(f, dtype=float),
-                            constraints=np.atleast_1d(np.asarray(g, dtype=float)),
-                            index=index)
+                            constraints=np.atleast_1d(np.asarray(g, dtype=float)))
 
 
 def reference_front(problem: ProblemSpec, n_points: int) -> np.ndarray:

@@ -28,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .density import DensityRank, ReferenceDirectionSet, crowding_rank, das_dennis, default_divisions, niching_rank
+from .density import (DensityRank, ReferenceDirectionSet, best_first, crowding_rank, das_dennis,
+                      default_divisions, minmax_normalize, niching_rank)
 from .pareto import FEASIBILITY_TOL, ParetoArchive, Solution
 
 
@@ -170,11 +171,11 @@ class RunningBounds:
             np.maximum(self.hi, v, out=self.hi)
 
     def normalize(self, v: np.ndarray) -> np.ndarray:
-        """Min-max map to [0, 1]; degenerate ranges collapse to 0."""
+        """Min-max map of a vector, or of a matrix of stacked vectors, to
+        [0, 1]; degenerate ranges collapse to 0."""
         if self.lo is None:
             return np.zeros_like(np.asarray(v, dtype=float))
-        span = self.hi - self.lo
-        return np.where(span > 0, (v - self.lo) / np.where(span > 0, span, 1.0), 0.0)
+        return minmax_normalize(v, self.lo, self.hi)
 
 
 @dataclass
@@ -283,10 +284,8 @@ class PearlEpsilon(_RankedEngine):
         self.bounds = RunningBounds()
 
     def _ranker(self, objs: np.ndarray) -> DensityRank:
-        normalized = np.vstack([self.bounds.normalize(o) for o in objs])
-        fitness = epsilon_fitness(normalized, self.nu)
-        order = sorted(range(len(objs)), key=lambda i: (-fitness[i], tuple(objs[i])))
-        return DensityRank(order=np.asarray(order, dtype=int), scores=fitness)
+        fitness = epsilon_fitness(self.bounds.normalize(objs), self.nu)
+        return DensityRank(order=best_first(objs, -fitness), scores=fitness)
 
     def score(self, sol: Solution) -> RewardOutcome:
         self.bounds.update(sol.obj)

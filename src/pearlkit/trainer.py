@@ -317,14 +317,13 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
         std = np.exp(log_std)
         z = mean + std * worker.rng.standard_normal((n, policy.act_dim))
         actions = squash(z, cfg.squash)
-        assert np.all((actions >= 0.0) & (actions <= 1.0)), "action left the unit box"
         gauss_logp = gaussian_log_prob(z, mean, log_std)
         values = policy.value(obs)
         scale = float(getattr(worker.engine, "reward_scale", 1.0))
         for t in range(n):
             x = actions[t]
             try:
-                record = evaluate(problem, x, index=worker.eval_count)
+                record = evaluate(problem, x)
                 sol = solution_builder(record)
                 outcome = worker.engine.score(sol)
                 f, g, cv = record.objectives, record.constraints, sol.cv

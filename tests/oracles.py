@@ -133,6 +133,98 @@ def crowding_distances_direct(front):
     return dist
 
 
+def crowding_rank_scalar(front):
+    """Crowding order and distances with tuple-key sorts.
+
+    Returns ``(order, distances)``: best first by larger distance, then larger
+    objective sum, then lexicographically smaller objective vector, then index.
+    """
+    f = [tuple(map(float, row)) for row in front]
+    dist = crowding_distances_direct(f)
+    order = sorted(range(len(f)), key=lambda i: (-dist[i], -float(np.sum(f[i])), f[i]))
+    return np.asarray(order, dtype=int), np.asarray(dist)
+
+
+def minmax_scalar(row, lo, hi):
+    """Min-max map of one vector, coordinate by coordinate; a degenerate
+    range maps to 0."""
+    return np.array([(v - a) / (b - a) if b - a > 0 else 0.0
+                     for v, a, b in zip(row, lo, hi)])
+
+
+def niching_rank_scalar(front, dirs):
+    """Niching order and perpendicular distances with a tuple-key sort.
+
+    Best first by smaller niche count, then smaller distance, then
+    lexicographically smaller objective vector, then index.
+    """
+    from pearlkit.density import associate
+
+    f = np.atleast_2d(np.asarray(front, dtype=float))
+    lo, hi = f.min(axis=0), f.max(axis=0)
+    normalized = np.vstack([minmax_scalar(row, lo, hi) for row in f])
+    niche, dist = associate(normalized, dirs)
+    counts = [0] * len(dirs.directions)
+    for k in niche:
+        counts[k] += 1
+    order = sorted(range(len(f)), key=lambda i: (counts[niche[i]], dist[i], tuple(f[i])))
+    return np.asarray(order, dtype=int), dist
+
+
+def epsilon_rank_scalar(objs, lo, hi, nu):
+    """PearlEpsilon's order and fitness: rows normalized one at a time by the
+    running bounds, best first by larger fitness, then lexicographically."""
+    from pearlkit.rewards import epsilon_fitness
+
+    objs = np.atleast_2d(np.asarray(objs, dtype=float))
+    normalized = np.vstack([minmax_scalar(row, lo, hi) for row in objs])
+    fitness = epsilon_fitness(normalized, nu)
+    order = sorted(range(len(objs)), key=lambda i: (-fitness[i], tuple(objs[i])))
+    return np.asarray(order, dtype=int), fitness
+
+
+def nsga3_survivors_scalar(pool, n, dirs, constrained):
+    """NSGA-III survivors with the niche fill written as repeated ``min`` calls.
+
+    Whole fronts are taken while they fit; from the first front that does not
+    fit, each pick is, among the least-filled niches that still have
+    candidates, the candidate closest to its direction, then the
+    lexicographically smaller objective vector, then the lower index.
+    """
+    from pearlkit.density import associate
+    from pearlkit.pareto import non_dominated_sort
+
+    chosen, last = [], []
+    for front in non_dominated_sort(pool, "constrained" if constrained else "objectives"):
+        if len(chosen) + len(front) > n:
+            last = front
+            break
+        chosen.extend(front)
+    need = n - len(chosen)
+    if need == 0 or not last:
+        return [pool[i] for i in chosen]
+    considered = chosen + last
+    objs = np.array([pool[i].obj for i in considered])
+    lo, hi = objs.min(axis=0), objs.max(axis=0)
+    normalized = np.vstack([minmax_scalar(row, lo, hi) for row in objs])
+    niche, dist = associate(normalized, dirs)
+    counts = [0] * len(dirs.directions)
+    for k in niche[: len(chosen)]:
+        counts[k] += 1
+    available = list(range(len(chosen), len(considered)))
+    while need > 0 and available:
+        min_count = min(counts[niche[c]] for c in available)
+        pick = min(
+            (c for c in available if counts[niche[c]] == min_count),
+            key=lambda c: (dist[c], tuple(objs[c])),
+        )
+        chosen.append(considered[pick])
+        counts[niche[pick]] += 1
+        available.remove(pick)
+        need -= 1
+    return [pool[i] for i in chosen]
+
+
 def finite_difference_gradient(fn, params, h=1e-6):
     """Central finite differences of a scalar function of a parameter dict."""
     grads = {}

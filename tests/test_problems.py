@@ -37,10 +37,8 @@ class TestEvaluate:
             evaluate(problem, np.full(12, 1.5))
         with pytest.raises(ValueError):
             evaluate(problem, np.full(11, 0.5))
-
-    def test_index_passthrough(self):
-        problem = get_problem("ctp1")
-        assert evaluate(problem, np.array([0.5, 0.5]), index=41).index == 41
+        with pytest.raises(ValueError):
+            evaluate(problem, np.full(12, np.nan))
 
     def test_all_problems_finite_on_random_points(self):
         rng = np.random.default_rng(1)

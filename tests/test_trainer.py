@@ -140,6 +140,22 @@ class TestRollout:
         assert batch.raw_rewards[1] == -8.0  # full archive penalty
         assert np.isnan(log[1].f).all()
 
+    def test_nan_action_flagged_not_fatal(self, monkeypatch):
+        import pearlkit.trainer as trainer_module
+        from pearlkit.rewards import make_solution
+
+        cfg = TrainerConfig(n_steps=3, ncores=1, hidden=8)
+        problem = get_problem("dtlz2")
+        workers = self.make_workers(1, kappa=8)
+        policy = PolicyState(obs_dim=12, act_dim=12, cfg=cfg,
+                             rng=np.random.default_rng(0))
+        monkeypatch.setattr(trainer_module, "squash", lambda z, kind: np.full_like(z, np.nan))
+        log = []
+        batch = rollout(policy, workers, problem, cfg,
+                        lambda r: make_solution(r.x, r.objectives, r.constraints), log=log)
+        assert batch.raw_rewards.tolist() == [-8.0, -8.0, -8.0]
+        assert all(np.isnan(row.f).all() for row in log)
+
     def test_envelope_rays_constant_within_batch_resampled_across(self):
         cfg = TrainerConfig(n_steps=8, ncores=2, hidden=8)
         problem = get_problem("dtlz2")
