@@ -56,7 +56,7 @@ def dtlz6_front() -> np.ndarray:
         x[0] = t  # second position variable is irrelevant on the curve
         rows.append(dtlz6_objectives(x))
     front = np.asarray(rows)
-    return front[non_dominated_mask(front, sense="min")]
+    return front[non_dominated_mask(front)]
 
 
 def dtlz7_front() -> np.ndarray:
@@ -73,7 +73,7 @@ def dtlz7_front() -> np.ndarray:
     spot[0], spot[1] = 0.2, 0.2
     assert np.allclose(dtlz7_objectives(spot), front[np.argmin(
         np.abs(front[:, 0] - 0.2) + np.abs(front[:, 1] - 0.2))], atol=1e-6)
-    front = front[non_dominated_mask(front, sense="min")]
+    front = front[non_dominated_mask(front)]
     order = np.lexsort(front.T[::-1])
     return subsample(front[order], N_STORE)
 
@@ -108,7 +108,7 @@ def ctp_front(constraint, f2_bounds, n_columns=2000) -> np.ndarray:
                 lo = mid
         rows.append((f1, hi))
     front = np.asarray(rows)
-    front = front[non_dominated_mask(front, sense="min")]
+    front = front[non_dominated_mask(front)]
     order = np.argsort(front[:, 0])
     return subsample(front[order], N_STORE)
 

@@ -283,7 +283,6 @@ def _cell_metrics(run_id: str, label: str, problem: ProblemSpec,
     return MetricReport(
         run_id=run_id, algorithm=label, problem=problem.name,
         hv=hv, gd=gd_v, igd=igd_v, eps=eps_v,
-        i_c=len(front), c_metric=1.0 if len(front) else 0.0,
     ).validate()
 
 
@@ -306,8 +305,7 @@ def _run_cell(config: ExperimentConfig, spec: AlgorithmSpec, problem_name: str,
         "n_evaluations": result.n_evaluations,
         "front_size": len(result.front),
         "metrics": {"hv": report.hv, "gd": report.gd, "igd": report.igd,
-                    "eps": report.eps, "i_c": report.i_c,
-                    "c_metric": report.c_metric},
+                    "eps": report.eps},
     }
     with open(cell_dir / "summary.json", "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
@@ -461,7 +459,7 @@ def compare(run_dirs, alpha: float = 0.05) -> list[ComparisonResult]:
                         f"missing front.csv for {a}/{problem_name}/seed{seed}")
                 fronts[a] = load_front_csv(path)
             pool = np.vstack([f for f in fronts.values() if len(f)])
-            combined = pool[non_dominated_mask(pool, sense="min")]
+            combined = pool[non_dominated_mask(pool)]
             cardinality = cardinality_metrics(fronts)
             for a in algorithms:
                 front = fronts[a]

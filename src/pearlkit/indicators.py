@@ -149,11 +149,11 @@ def cardinality_metrics(fronts_by_algorithm: Mapping[str, np.ndarray]):
     pool = []
     for name, front in fronts_by_algorithm.items():
         f = _distinct_rows(np.asarray(front, dtype=float))
-        f = f[non_dominated_mask(f, sense="min")]
+        f = f[non_dominated_mask(f)]
         own[name] = f
         pool.append(f)
     union = np.vstack(pool)
-    combined = _distinct_rows(union[non_dominated_mask(union, sense="min")])
+    combined = _distinct_rows(union[non_dominated_mask(union)])
     tree = cKDTree(combined)
     out = {}
     for name, f in own.items():
@@ -214,20 +214,14 @@ class MetricReport:
     gd: float
     igd: float
     eps: float
-    i_c: int
-    c_metric: float
 
     def validate(self):
         if self.hv < 0:
             raise ValueError("hypervolume must be nonnegative")
-        if not (0.0 <= self.c_metric <= 1.0):
-            raise ValueError("c_metric must lie in [0, 1]")
-        if self.i_c < 0:
-            raise ValueError("i_c must be a nonnegative integer")
         return self
 
 
-METRIC_FIELDS = ["run_id", "algorithm", "problem", "hv", "gd", "igd", "eps", "i_c", "c_metric"]
+METRIC_FIELDS = ["run_id", "algorithm", "problem", "hv", "gd", "igd", "eps"]
 
 
 def write_metric_csv(reports, path):
@@ -239,7 +233,6 @@ def write_metric_csv(reports, path):
                 report.run_id, report.algorithm, report.problem,
                 repr(float(report.hv)), repr(float(report.gd)),
                 repr(float(report.igd)), repr(float(report.eps)),
-                int(report.i_c), repr(float(report.c_metric)),
             ])
 
 
@@ -250,7 +243,7 @@ def read_metric_csv(path) -> list[MetricReport]:
         MetricReport(
             run_id=row["run_id"], algorithm=row["algorithm"], problem=row["problem"],
             hv=float(row["hv"]), gd=float(row["gd"]), igd=float(row["igd"]),
-            eps=float(row["eps"]), i_c=int(row["i_c"]), c_metric=float(row["c_metric"]),
+            eps=float(row["eps"]),
         )
         for row in rows
     ]

@@ -6,7 +6,9 @@ probability ``mutpb``, both clamped to the box.  Survivor selection merges
 parents and offspring, sorts by non-domination, and resolves the last
 partial front by crowding (NSGA-II) or reference-direction niching
 (NSGA-III).  The reported front is the non-dominated set of every
-evaluation ever made, not just the final population.
+evaluation ever made, not just the final population.  A failed evaluation
+is logged with NaN objectives and left out of the population, as in the
+trainer, so the population may shrink.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ import numpy as np
 from .density import (ReferenceDirectionSet, associate, best_first, crowding_rank, das_dennis,
                       default_divisions, minmax_normalize)
 from .pareto import Solution, best_front, non_dominated_sort
-from .problems import ProblemSpec, evaluate
-from .rewards import make_solution
-from .trainer import EvalLogRow, RunResult
+from .problems import ProblemSpec
+from .trainer import EvalLogRow, RunResult, evaluate_solution, log_row
 
 
 @dataclass
@@ -150,19 +151,16 @@ def _step(pop, cfg, problem, rng, evaluator, use_niching, dirs, constrained):
     order = _selection_order(pop.members, constrained)
     parents = [pop.members[i] for i in order[: cfg.mu]]
     offspring_x = _variation(parents, cfg, problem, rng)
-    offspring = [evaluator(x) if evaluator else _plain_eval(problem, x)
-                 for x in offspring_x]
-    pool = pop.members + offspring
+    if evaluator is None:  # unlogged: the step is the offspring's index
+        evaluated = [evaluate_solution(problem, x, i) for i, x in enumerate(offspring_x)]
+    else:
+        evaluated = [evaluator(x) for x in offspring_x]
+    pool = pop.members + [sol for sol in evaluated if sol is not None]
     if use_niching:
         survivors = _survivors_nsga3(pool, cfg.pop_size, dirs, constrained)
     else:
         survivors = _survivors_nsga2(pool, cfg.pop_size, constrained)
     return Population(members=survivors, generation=pop.generation + 1)
-
-
-def _plain_eval(problem: ProblemSpec, x: np.ndarray) -> Solution:
-    record = evaluate(problem, x)
-    return make_solution(record.x, record.objectives, record.constraints)
 
 
 def run_nsga(problem: ProblemSpec, cfg: GAConfig, *, use_niching: bool,
@@ -184,17 +182,16 @@ def run_nsga(problem: ProblemSpec, cfg: GAConfig, *, use_niching: bool,
     log: list[EvalLogRow] = []
     everything: list[Solution] = []
 
-    def logged_eval(x: np.ndarray) -> Solution:
-        sol = _plain_eval(problem, x)
-        log.append(EvalLogRow(step=len(log), worker=0, x=sol.x.copy(),
-                              f=-sol.obj, g=sol.g.copy(), cv=sol.cv,
-                              reward=float("nan")))
-        everything.append(sol)
+    def logged_eval(x: np.ndarray) -> Optional[Solution]:
+        sol = evaluate_solution(problem, x, len(log))
+        log.append(log_row(len(log), 0, x, sol, float("nan"), problem))
+        if sol is not None:
+            everything.append(sol)
         return sol
 
     initial = [logged_eval(rng.uniform(problem.lower, problem.upper))
                for _ in range(cfg.pop_size)]
-    pop = Population(members=initial)
+    pop = Population(members=[sol for sol in initial if sol is not None])
     generations = (cfg.budget - cfg.pop_size) // cfg.lambda_
     for _ in range(generations):
         if use_niching:

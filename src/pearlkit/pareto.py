@@ -143,8 +143,8 @@ def non_dominated_sort(
     return fronts
 
 
-def non_dominated_mask(points: np.ndarray, sense: str = "min") -> np.ndarray:
-    """Boolean mask of the non-dominated rows of ``points``.
+def non_dominated_mask(points: np.ndarray) -> np.ndarray:
+    """Boolean mask of the non-dominated rows of ``points`` (minimization).
 
     Vectorized filter meant for large sets (merged run histories).  Duplicate
     rows are all kept: equal vectors do not dominate each other.
@@ -152,10 +152,6 @@ def non_dominated_mask(points: np.ndarray, sense: str = "min") -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array")
-    if sense == "max":
-        pts = -pts
-    elif sense != "min":
-        raise ValueError("sense must be 'min' or 'max'")
     n = pts.shape[0]
     mask = np.zeros(n, dtype=bool)
     if n == 0:
@@ -192,7 +188,7 @@ def best_front(solutions: Sequence[Solution]) -> list[Solution]:
     else:
         pool = [s for s in solutions if s.cv == cv.min()]
     objs = np.array([s.obj for s in pool])
-    mask = non_dominated_mask(-objs, sense="min")
+    mask = non_dominated_mask(-objs)
     seen: set = set()
     front = []
     for s, keep in zip(pool, mask):

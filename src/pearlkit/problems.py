@@ -36,6 +36,8 @@ class ProblemSpec:
     nadir: np.ndarray = field(default_factory=lambda: np.array([3.0, 3.0, 3.0]))
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
+    # counted once, at the box centre, when the spec is built
+    n_constraints: int = field(init=False, default=0)
 
     def __post_init__(self):
         if self.lower is None:
@@ -43,13 +45,9 @@ class ProblemSpec:
         if self.upper is None:
             self.upper = np.ones(self.n_x)
         self.nadir = np.asarray(self.nadir, dtype=float)
-
-    @property
-    def n_constraints(self) -> int:
-        if self.constraints is None:
-            return 0
-        probe = 0.5 * (self.lower + self.upper)
-        return len(self.constraints(probe, self.objectives(probe)))
+        if self.constraints is not None:
+            probe = 0.5 * (self.lower + self.upper)
+            self.n_constraints = len(self.constraints(probe, self.objectives(probe)))
 
 
 @dataclass
@@ -280,7 +278,7 @@ def c3dtlz4_front(n_points: int) -> np.ndarray:
     y = sphere_front(max(n_points, 8))
     v = y**2 / 4.0 + (np.sum(y**2, axis=1, keepdims=True) - y**2)
     f = y / np.sqrt(np.min(v, axis=1))[:, None]
-    f = f[non_dominated_mask(f, sense="min")]
+    f = f[non_dominated_mask(f)]
     return _subsample(f, n_points)
 
 

@@ -10,10 +10,10 @@ Everything runs in float64 numpy so that gradients can be checked against
 finite differences exactly.
 
 Workers are independent-state objects: each owns its reward engine, its
-archive, its RNG stream, and its evaluation counter.  They are stepped
-inside the rollout loop (problem evaluation is pure, so this matches the
-fork-join model without the process overhead) and parameters are published
-to them immutably between batches.
+archive, and its RNG stream.  They are stepped inside the rollout loop
+(problem evaluation is pure, so this matches the fork-join model without
+the process overhead) and parameters are published to them immutably
+between batches.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .pareto import Solution, best_front
 from .problems import ProblemSpec, evaluate
-from .rewards import RewardOutcome, make_solution
+from .rewards import make_solution
 
 logger = logging.getLogger(__name__)
 
@@ -111,18 +111,11 @@ class PolicyState:
 
     def policy_heads(self, obs: np.ndarray):
         """Action mean (pre-squash) and clamped per-dimension log-std."""
-        p = self.params
-        h1 = np.tanh(obs @ p["pW1"] + p["pb1"])
-        h2 = np.tanh(h1 @ p["pW2"] + p["pb2"])
-        mean = h2 @ p["pW3"] + p["pb3"]
-        log_std = np.clip(p["log_std"], LOG_STD_MIN, LOG_STD_MAX)
-        return mean, log_std
+        mean = forward(self.params, "p", obs)[2]
+        return mean, np.clip(self.params["log_std"], LOG_STD_MIN, LOG_STD_MAX)
 
     def value(self, obs: np.ndarray) -> np.ndarray:
-        p = self.params
-        h1 = np.tanh(obs @ p["vW1"] + p["vb1"])
-        h2 = np.tanh(h1 @ p["vW2"] + p["vb2"])
-        return (h2 @ p["vW3"] + p["vb3"])[:, 0]
+        return forward(self.params, "v", obs)[2][:, 0]
 
     def adam_step(self, grads: dict):
         self.adam_steps += 1
@@ -139,6 +132,14 @@ class PolicyState:
         for key, value in self.params.items():
             if not np.all(np.isfinite(value)):
                 raise FloatingPointError(f"non-finite parameter {key}")
+
+
+def forward(params: dict, prefix: str, obs: np.ndarray):
+    """The two-tanh-layer network whose weights start with ``prefix``
+    (``"p"`` policy, ``"v"`` value): hidden activations and linear output."""
+    h1 = np.tanh(obs @ params[prefix + "W1"] + params[prefix + "b1"])
+    h2 = np.tanh(h1 @ params[prefix + "W2"] + params[prefix + "b2"])
+    return h1, h2, h2 @ params[prefix + "W3"] + params[prefix + "b3"]
 
 
 def gaussian_log_prob(z: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
@@ -183,6 +184,32 @@ class EvalLogRow:
     reward: float
 
 
+def log_row(step: int, worker: int, x: np.ndarray, sol: Optional[Solution],
+            reward: float, problem: ProblemSpec) -> EvalLogRow:
+    """The log row of one evaluation; a failed one (``sol`` None) has NaN
+    objectives, constraints and violation."""
+    if sol is None:
+        return EvalLogRow(step=step, worker=worker, x=x.copy(),
+                          f=np.full(problem.n_obj, np.nan),
+                          g=np.full(problem.n_constraints, np.nan),
+                          cv=np.nan, reward=reward)
+    return EvalLogRow(step=step, worker=worker, x=x.copy(), f=-sol.obj, g=sol.g,
+                      cv=sol.cv, reward=reward)
+
+
+def evaluate_solution(problem: ProblemSpec, x: np.ndarray, step: int) -> Optional[Solution]:
+    """Evaluate ``x`` and build its Solution; None, with a logged warning,
+    when either step raises.  Trainer and NSGA share this failure policy: a
+    failed evaluation is logged with NaN objectives and otherwise skipped."""
+    try:
+        record = evaluate(problem, x)
+        return make_solution(record.x, record.objectives, record.constraints)
+    except Exception:  # noqa: BLE001 - flagged, never aborts the run
+        logger.warning("evaluation of %s failed at step %d", problem.name, step,
+                       exc_info=True)
+        return None
+
+
 @dataclass
 class RunResult:
     """Merged outcome of one training or baseline run."""
@@ -195,13 +222,12 @@ class RunResult:
 
 
 class Worker:
-    """One rollout worker: engine + RNG stream + evaluation counter."""
+    """One rollout worker: engine + RNG stream."""
 
     def __init__(self, index: int, engine, rng: np.random.Generator):
         self.index = index
         self.engine = engine
         self.rng = rng
-        self.eval_count = 0
 
 
 def loss_and_grad(policy: PolicyState, obs, z, gauss_logp_old, adv, returns,
@@ -216,10 +242,7 @@ def loss_and_grad(policy: PolicyState, obs, z, gauss_logp_old, adv, returns,
     B = obs.shape[0]
     grads = {k: np.zeros_like(v) for k, v in p.items()}
 
-    # policy network forward
-    a1 = obs @ p["pW1"] + p["pb1"]; h1 = np.tanh(a1)
-    a2 = h1 @ p["pW2"] + p["pb2"]; h2 = np.tanh(a2)
-    mean = h2 @ p["pW3"] + p["pb3"]
+    h1, h2, mean = forward(p, "p", obs)
     log_std = np.clip(p["log_std"], LOG_STD_MIN, LOG_STD_MAX)
     inv_var = np.exp(-2.0 * log_std)
 
@@ -259,9 +282,8 @@ def loss_and_grad(policy: PolicyState, obs, z, gauss_logp_old, adv, returns,
     grads["pb1"] = dh1.sum(axis=0)
 
     # value network
-    va1 = obs @ p["vW1"] + p["vb1"]; vh1 = np.tanh(va1)
-    va2 = vh1 @ p["vW2"] + p["vb2"]; vh2 = np.tanh(va2)
-    values = (vh2 @ p["vW3"] + p["vb3"])[:, 0]
+    vh1, vh2, v_out = forward(p, "v", obs)
+    values = v_out[:, 0]
     err = values - returns
     value_loss = float(np.mean(err**2))
     dv = (2.0 * cfg.value_coef / B) * err
@@ -297,12 +319,13 @@ def _worker_observations(worker: Worker, n: int, latent_dim: int,
 
 
 def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
-            cfg: TrainerConfig, solution_builder: Callable[[np.ndarray], Solution],
-            log: Optional[list] = None, step_offset: int = 0) -> RolloutBatch:
+            cfg: TrainerConfig, log: Optional[list] = None, step_offset: int = 0) -> RolloutBatch:
     """Collect one batch: every worker draws n_steps actions and scores them.
 
     A failed problem evaluation never aborts the batch: the sample is paid
-    the full archive penalty and flagged in the log with NaN objectives.
+    the full archive penalty and flagged in the log with NaN objectives.  An
+    exception from the engine is a program or configuration error and
+    propagates.
     """
     n = cfg.n_steps
     latent_dim = cfg.resolved_latent_dim(problem)
@@ -320,25 +343,12 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
         gauss_logp = gaussian_log_prob(z, mean, log_std)
         values = policy.value(obs)
         scale = float(getattr(worker.engine, "reward_scale", 1.0))
-        for t in range(n):
-            x = actions[t]
-            try:
-                record = evaluate(problem, x)
-                sol = solution_builder(record)
-                outcome = worker.engine.score(sol)
-                f, g, cv = record.objectives, record.constraints, sol.cv
-            except Exception:  # noqa: BLE001 - flagged, never aborts the batch
-                logger.warning("evaluation failed at worker %d step %d",
-                               worker.index, worker.eval_count, exc_info=True)
-                outcome = RewardOutcome(reward=-scale, feasible=False, archived=False)
-                f = np.full(problem.n_obj, np.nan)
-                g = np.full(problem.n_constraints, np.nan)
-                cv = np.nan
-            worker.eval_count += 1
-            raw_rewards.append(outcome.reward)
+        for x in actions:
+            sol = evaluate_solution(problem, x, step)
+            reward = worker.engine.score(sol).reward if sol is not None else -scale
+            raw_rewards.append(reward)
             if log is not None:
-                log.append(EvalLogRow(step=step, worker=worker.index, x=x.copy(),
-                                      f=f, g=g, cv=cv, reward=outcome.reward))
+                log.append(log_row(step, worker.index, x, sol, reward, problem))
             step += 1
         obs_rows.append(obs)
         act_rows.append(actions)
@@ -397,8 +407,7 @@ def merged_front(workers: list[Worker]) -> list[Solution]:
 
 
 def train(problem: ProblemSpec, engine_factory: Callable[[], object],
-          cfg: TrainerConfig,
-          solution_builder: Optional[Callable] = None) -> RunResult:
+          cfg: TrainerConfig) -> RunResult:
     """Alternate rollout and update until the evaluation budget is spent.
 
     ``engine_factory`` builds one fresh reward engine per worker.  Returns
@@ -417,9 +426,6 @@ def train(problem: ProblemSpec, engine_factory: Callable[[], object],
                rng=np.random.Generator(np.random.PCG64(streams[2 + i])))
         for i in range(cfg.ncores)
     ]
-    if solution_builder is None:
-        solution_builder = lambda rec: make_solution(  # noqa: E731
-            rec.x, rec.objectives, rec.constraints)
     # ray-conditioned engines know their observation suffix only after the
     # first resample; probe with a throwaway stream
     probe = engine_factory()
@@ -434,8 +440,8 @@ def train(problem: ProblemSpec, engine_factory: Callable[[], object],
     log: list[EvalLogRow] = []
     n_updates = cfg.budget // cfg.batch_size()
     for round_index in range(n_updates):
-        batch = rollout(policy, workers, problem, cfg, solution_builder,
-                        log=log, step_offset=round_index * cfg.batch_size())
+        batch = rollout(policy, workers, problem, cfg, log=log,
+                        step_offset=round_index * cfg.batch_size())
         update(policy, batch, cfg, shuffle_rng)
     return RunResult(
         front=merged_front(workers),

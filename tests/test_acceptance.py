@@ -138,7 +138,7 @@ def test_criterion_07_hypervolume_monte_carlo_oracle():
         raw = rng.random((40, n_obj)) * 2.0
         from pearlkit.pareto import non_dominated_mask
 
-        front = raw[non_dominated_mask(raw, sense="min")][:20]
+        front = raw[non_dominated_mask(raw)][:20]
         ref = np.full(n_obj, 2.2)
         exact = hypervolume(front, ref)
         estimate, stderr = monte_carlo_hypervolume(front, ref, 10_000_000,

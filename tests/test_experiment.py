@@ -133,6 +133,25 @@ class TestRun:
         assert (out / "pearl-nds-crowding" / "ctp1" / "seed1" / "FAILED").exists()
         assert len(read_metric_csv(out / "metrics.csv")) == 2
 
+    def test_engine_error_fails_the_cell(self, tmp_path):
+        # two gammas for c2dtlz2's single constraint: a configuration error
+        # the engine raises on, not a failed evaluation to flag and skip
+        path, _ = small_config(tmp_path, problems="c2dtlz2", seeds=[0], algorithms=[
+            {"name": "c-pearl", "mode": "distance-cl", "gammas": [1.0, 2.0]}])
+        with pytest.raises(RuntimeError, match="1 cell"):
+            run_experiment(path)
+        failed = tmp_path / "out" / "c-pearl-distance-cl" / "c2dtlz2" / "seed0" / "FAILED"
+        assert "ValueError: weights must match the constraint vector length" \
+            in failed.read_text()
+
+    def test_cell_metrics_carry_no_cardinality_columns(self, tmp_path):
+        path, _ = small_config(tmp_path, seeds=[0])
+        out = run_experiment(path)
+        header = (out / "metrics.csv").read_text().splitlines()[0]
+        assert header == "run_id,algorithm,problem,hv,gd,igd,eps"
+        (summary,) = out.rglob("summary.json")
+        assert sorted(json.loads(summary.read_text())["metrics"]) == ["eps", "gd", "hv", "igd"]
+
     def test_output_root_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PEARLKIT_OUTPUT_ROOT", str(tmp_path / "root"))
         path, _ = small_config(tmp_path, output_dir="relative-run")

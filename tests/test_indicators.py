@@ -21,7 +21,7 @@ def random_min_front(rng, n_points, n_obj):
     pts = rng.random((n_points * 4, n_obj)) * 2.0
     from pearlkit.pareto import non_dominated_mask
 
-    pts = pts[non_dominated_mask(pts, sense="min")]
+    pts = pts[non_dominated_mask(pts)]
     return pts[:n_points]
 
 
@@ -183,8 +183,8 @@ class TestEntropySelect:
 class TestMetricCsv:
     def test_round_trip(self, tmp_path):
         reports = [
-            MetricReport("a-p-seed0", "a", "p", 26.5, 0.01, 0.02, 0.1, 12, 0.75).validate(),
-            MetricReport("b-p-seed0", "b", "p", 25.0, 0.02, 0.05, 0.2, 3, 0.25).validate(),
+            MetricReport("a-p-seed0", "a", "p", 26.5, 0.01, 0.02, 0.1).validate(),
+            MetricReport("b-p-seed0", "b", "p", 25.0, 0.02, 0.05, 0.2).validate(),
         ]
         path = tmp_path / "metrics.csv"
         write_metric_csv(reports, path)
@@ -193,6 +193,4 @@ class TestMetricCsv:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MetricReport("r", "a", "p", -1.0, 0, 0, 0, 0, 0.0).validate()
-        with pytest.raises(ValueError):
-            MetricReport("r", "a", "p", 1.0, 0, 0, 0, 0, 1.5).validate()
+            MetricReport("r", "a", "p", -1.0, 0, 0, 0).validate()

@@ -12,7 +12,7 @@ from pearlkit.nsga import (
     run_nsga3,
 )
 from pearlkit.pareto import dominates
-from pearlkit.problems import get_problem
+from pearlkit.problems import ProblemSpec, dtlz2_objectives, get_problem
 from pearlkit.rewards import make_solution
 
 from oracles import brute_force_front_indices, brute_force_dominates_max
@@ -223,3 +223,35 @@ class TestRuns:
             GAConfig(mutpb=1.5).validate()
         with pytest.raises(ValueError):
             GAConfig(mu=64, lambda_=32).validate()
+
+
+class TestFailedEvaluations:
+    @staticmethod
+    def flaky_problem(limit):
+        def objectives(x):
+            if x[0] > limit:
+                raise RuntimeError("simulator run failed")
+            return dtlz2_objectives(x)
+
+        return ProblemSpec("flaky-dtlz2", 12, 3, objectives, nadir=[3, 3, 3])
+
+    @pytest.mark.parametrize("run", [run_nsga2, run_nsga3])
+    def test_failures_logged_as_nan_and_skipped(self, run):
+        problem = self.flaky_problem(0.7)
+        cfg = GAConfig(lambda_=16, mu=16, pop_size=16, budget=400, seed=1)
+        result = run(problem, cfg)
+        assert [row.step for row in result.log] == list(range(400))
+        failed = [row.step for row in result.log if np.isnan(row.f).all()]
+        assert failed == [row.step for row in result.log if row.x[0] > 0.7]
+        assert failed
+        for row in result.log:
+            assert np.isnan(row.cv) == (row.step in failed)
+            assert np.isnan(row.f).any() == (row.step in failed)
+        assert result.front
+        assert all(np.isfinite(m.obj).all() and m.x[0] <= 0.7 for m in result.front)
+
+    def test_every_initial_evaluation_failing_is_an_error(self):
+        problem = self.flaky_problem(-1.0)
+        cfg = GAConfig(lambda_=8, mu=8, pop_size=8, budget=64, seed=0)
+        with pytest.raises(ValueError, match="empty population"):
+            run_nsga2(problem, cfg)

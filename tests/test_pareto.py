@@ -150,7 +150,7 @@ class TestNonDominatedMask:
         rng = np.random.default_rng(29)
         for _ in range(100):
             pts = rng.integers(0, 6, size=(rng.integers(1, 40), 3)).astype(float)
-            mask = non_dominated_mask(pts, sense="min")
+            mask = non_dominated_mask(pts)
             expected = brute_force_front_indices(
                 -pts, brute_force_dominates_max)  # min == max on negated values
             assert sorted(np.flatnonzero(mask)) == expected
@@ -208,7 +208,7 @@ class TestParetoArchive:
         for _ in range(200):
             archive.add(sol(rng.random(2) * 4))
         objs = archive.objectives()
-        assert non_dominated_mask(-objs, sense="min").all()
+        assert non_dominated_mask(-objs).all()
 
     def test_constrained_relation_feasible_displaces_infeasible(self):
         archive = ParetoArchive(capacity=4, relation="constrained")

@@ -124,7 +124,7 @@ class TestReferenceFronts:
     def test_all_fronts_mutually_non_dominated(self):
         for name, problem in PROBLEMS.items():
             front = reference_front(problem, 500)
-            assert non_dominated_mask(front, sense="min").all(), name
+            assert non_dominated_mask(front).all(), name
 
     def test_dtlz7_disconnected_regions(self):
         front = reference_front(get_problem("dtlz7"), 800)

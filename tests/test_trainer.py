@@ -96,10 +96,7 @@ class TestRollout:
         workers = self.make_workers(8)
         policy = PolicyState(obs_dim=12, act_dim=12, cfg=cfg,
                              rng=np.random.default_rng(0))
-        from pearlkit.rewards import make_solution
-
-        batch = rollout(policy, workers, problem, cfg,
-                        lambda r: make_solution(r.x, r.objectives, r.constraints))
+        batch = rollout(policy, workers, problem, cfg)
         assert len(batch.rewards) == 256
         assert batch.observations.shape == (256, 12)
         assert np.all((batch.actions >= 0) & (batch.actions <= 1))
@@ -111,14 +108,14 @@ class TestRollout:
         workers = self.make_workers(2)
         policy = PolicyState(obs_dim=1, act_dim=12, cfg=cfg,
                              rng=np.random.default_rng(0))
-        from pearlkit.rewards import make_solution
-
-        batch = rollout(policy, workers, problem, cfg,
-                        lambda r: make_solution(r.x, r.objectives, r.constraints))
+        batch = rollout(policy, workers, problem, cfg)
         assert batch.observations.shape == (8, 1)
         assert np.all(batch.observations == 1.0)
 
-    def test_evaluation_failure_flagged_not_fatal(self):
+    def test_evaluation_failure_flagged_not_fatal(self, monkeypatch):
+        import pearlkit.trainer as trainer_module
+        from pearlkit.rewards import make_solution
+
         cfg = TrainerConfig(n_steps=4, ncores=1, hidden=8)
         problem = get_problem("dtlz2")
         workers = self.make_workers(1, kappa=8)
@@ -126,23 +123,22 @@ class TestRollout:
                              rng=np.random.default_rng(0))
         calls = {"n": 0}
 
-        def exploding_builder(record):
+        def exploding_make_solution(*args):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("synthetic failure")
-            from pearlkit.rewards import make_solution
+            return make_solution(*args)
 
-            return make_solution(record.x, record.objectives, record.constraints)
-
+        monkeypatch.setattr(trainer_module, "make_solution", exploding_make_solution)
         log = []
-        batch = rollout(policy, workers, problem, cfg, exploding_builder, log=log)
+        batch = rollout(policy, workers, problem, cfg, log=log)
         assert len(batch.rewards) == 4
         assert batch.raw_rewards[1] == -8.0  # full archive penalty
-        assert np.isnan(log[1].f).all()
+        assert np.isnan(log[1].f).all() and np.isnan(log[1].cv)
+        assert all(np.isfinite(row.f).all() for i, row in enumerate(log) if i != 1)
 
     def test_nan_action_flagged_not_fatal(self, monkeypatch):
         import pearlkit.trainer as trainer_module
-        from pearlkit.rewards import make_solution
 
         cfg = TrainerConfig(n_steps=3, ncores=1, hidden=8)
         problem = get_problem("dtlz2")
@@ -151,8 +147,7 @@ class TestRollout:
                              rng=np.random.default_rng(0))
         monkeypatch.setattr(trainer_module, "squash", lambda z, kind: np.full_like(z, np.nan))
         log = []
-        batch = rollout(policy, workers, problem, cfg,
-                        lambda r: make_solution(r.x, r.objectives, r.constraints), log=log)
+        batch = rollout(policy, workers, problem, cfg, log=log)
         assert batch.raw_rewards.tolist() == [-8.0, -8.0, -8.0]
         assert all(np.isnan(row.f).all() for row in log)
 
@@ -167,11 +162,8 @@ class TestRollout:
         ]
         policy = PolicyState(obs_dim=15, act_dim=12, cfg=cfg,
                              rng=np.random.default_rng(0))
-        from pearlkit.rewards import make_solution
-
-        builder = lambda r: make_solution(r.x, r.objectives, r.constraints)  # noqa: E731
-        first = rollout(policy, workers, problem, cfg, builder)
-        second = rollout(policy, workers, problem, cfg, builder)
+        first = rollout(policy, workers, problem, cfg)
+        second = rollout(policy, workers, problem, cfg)
         for batch in (first, second):
             rays = batch.observations[:, 12:].reshape(2, 8, 3)
             for w in range(2):
