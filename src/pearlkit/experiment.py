@@ -148,7 +148,7 @@ def _inner_engine(problem: ProblemSpec, params: dict):
     inner_params.setdefault("kappa", params.get("kappa", 64))
     if "ranker" in params:
         inner_params.setdefault("ranker", params["ranker"])
-    return ALGORITHMS[name].engine(problem, inner_params)
+    return _ENGINES[name](problem, inner_params)
 
 
 def _pearl_e_engine(problem: ProblemSpec, params: dict):
@@ -185,46 +185,32 @@ def _c_pearl_engine(problem: ProblemSpec, params: dict):
                                  weights=params.get("gammas"))
 
 
-def _run_pearl(engine_builder):
-    def runner(problem: ProblemSpec, config: ExperimentConfig, seed: int,
-               params: dict) -> RunResult:
-        cfg = _trainer_config(config, seed, params)
-        return train(problem, lambda: engine_builder(problem, params), cfg)
-
-    return runner
-
-
-def _run_nsga(use_niching: bool):
-    def runner(problem: ProblemSpec, config: ExperimentConfig, seed: int,
-               params: dict) -> RunResult:
-        ga = nsga.GAConfig(
-            lambda_=params.get("lambda_", 32), mu=params.get("mu", params.get("lambda_", 32)),
-            mutpb=params.get("mutpb", 0.3), cxpb=params.get("cxpb", 0.65),
-            pop_size=params.get("pop_size", params.get("lambda_", 32)),
-            budget=config.budget, seed=seed,
-        )
-        constrained = params.get("constrained", problem.constraints is not None)
-        if use_niching:
-            return nsga.run_nsga3(problem, ga, constrained=constrained)
-        return nsga.run_nsga2(problem, ga, constrained=constrained)
-
-    return runner
-
-
-@dataclass
-class _Variant:
-    engine: Optional[callable]
-    run: callable
-
-
-ALGORITHMS = {
-    "pearl-e": _Variant(_pearl_e_engine, _run_pearl(_pearl_e_engine)),
-    "pearl-eps": _Variant(_pearl_eps_engine, _run_pearl(_pearl_eps_engine)),
-    "pearl-nds": _Variant(_pearl_nds_engine, _run_pearl(_pearl_nds_engine)),
-    "c-pearl": _Variant(_c_pearl_engine, _run_pearl(_c_pearl_engine)),
-    "nsga2": _Variant(None, _run_nsga(use_niching=False)),
-    "nsga3": _Variant(None, _run_nsga(use_niching=True)),
+_ENGINES = {
+    "pearl-e": _pearl_e_engine,
+    "pearl-eps": _pearl_eps_engine,
+    "pearl-nds": _pearl_nds_engine,
+    "c-pearl": _c_pearl_engine,
 }
+_NSGA_RUNS = {"nsga2": nsga.run_nsga2, "nsga3": nsga.run_nsga3}
+ALGORITHMS = (*_ENGINES, *_NSGA_RUNS)
+
+
+def _run_pearl(engine, problem: ProblemSpec, config: ExperimentConfig, seed: int,
+               params: dict) -> RunResult:
+    cfg = _trainer_config(config, seed, params)
+    return train(problem, lambda: engine(problem, params), cfg)
+
+
+def _run_nsga(run, problem: ProblemSpec, config: ExperimentConfig, seed: int,
+              params: dict) -> RunResult:
+    ga = nsga.GAConfig(
+        lambda_=params.get("lambda_", 32), mu=params.get("mu", params.get("lambda_", 32)),
+        mutpb=params.get("mutpb", 0.3), cxpb=params.get("cxpb", 0.65),
+        pop_size=params.get("pop_size", params.get("lambda_", 32)),
+        budget=config.budget, seed=seed,
+    )
+    constrained = params.get("constrained", problem.constraints is not None)
+    return run(problem, ga, constrained=constrained)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +275,10 @@ def _cell_metrics(run_id: str, label: str, problem: ProblemSpec,
 def _run_cell(config: ExperimentConfig, spec: AlgorithmSpec, problem_name: str,
               seed: int, cell_dir: Path) -> MetricReport:
     problem = get_problem(problem_name)
-    result = ALGORITHMS[spec.name].run(problem, config, seed, spec.params)
+    if spec.name in _ENGINES:
+        result = _run_pearl(_ENGINES[spec.name], problem, config, seed, spec.params)
+    else:
+        result = _run_nsga(_NSGA_RUNS[spec.name], problem, config, seed, spec.params)
     cell_dir.mkdir(parents=True, exist_ok=True)
     write_evaluations_csv(result, problem, cell_dir / "evaluations.csv")
     write_front_csv(result, problem, cell_dir / "front.csv")

@@ -50,12 +50,6 @@ class GAConfig:
         return self
 
 
-@dataclass
-class Population:
-    members: list[Solution]
-    generation: int = 0
-
-
 def _selection_order(pop: list[Solution], constrained: bool) -> list[int]:
     """Indices ordered best-first: by front, then density inside each front."""
     fronts = non_dominated_sort(pop, "constrained" if constrained else "objectives")
@@ -130,43 +124,33 @@ def _survivors_nsga3(pool: list[Solution], n: int, dirs: ReferenceDirectionSet,
     return [pool[i] for i in chosen]
 
 
-def nsga2_step(pop: Population, cfg: GAConfig, problem: ProblemSpec,
-               rng: np.random.Generator, evaluator=None,
-               constrained: bool = False) -> Population:
-    """One generation: ES variation, merge with parents, crowded selection;
-    constrained dominance optional."""
-    return _step(pop, cfg, problem, rng, evaluator, use_niching=False,
-                 dirs=None, constrained=constrained)
+def _offspring(pop: list[Solution], cfg: GAConfig, problem: ProblemSpec,
+               rng: np.random.Generator, evaluator, constrained: bool) -> list[Solution]:
+    """One generation's evaluated offspring; failed evaluations are left out."""
+    order = _selection_order(pop, constrained)
+    parents = [pop[i] for i in order[: cfg.mu]]
+    evaluated = [evaluator(x) for x in _variation(parents, cfg, problem, rng)]
+    return [sol for sol in evaluated if sol is not None]
 
 
-def nsga3_step(pop: Population, cfg: GAConfig, problem: ProblemSpec,
-               dirs: ReferenceDirectionSet, constrained: bool,
-               rng: np.random.Generator, evaluator=None) -> Population:
-    """One generation with niching selection; constrained dominance optional."""
-    return _step(pop, cfg, problem, rng, evaluator, use_niching=True,
-                 dirs=dirs, constrained=constrained)
+def nsga2_step(pop: list[Solution], cfg: GAConfig, problem: ProblemSpec,
+               rng: np.random.Generator, evaluator, constrained: bool) -> list[Solution]:
+    """One generation: ES variation, merge with parents, crowded selection."""
+    pool = pop + _offspring(pop, cfg, problem, rng, evaluator, constrained)
+    return _survivors_nsga2(pool, cfg.pop_size, constrained)
 
 
-def _step(pop, cfg, problem, rng, evaluator, use_niching, dirs, constrained):
-    order = _selection_order(pop.members, constrained)
-    parents = [pop.members[i] for i in order[: cfg.mu]]
-    offspring_x = _variation(parents, cfg, problem, rng)
-    if evaluator is None:  # unlogged: the step is the offspring's index
-        evaluated = [evaluate_solution(problem, x, i) for i, x in enumerate(offspring_x)]
-    else:
-        evaluated = [evaluator(x) for x in offspring_x]
-    pool = pop.members + [sol for sol in evaluated if sol is not None]
-    if use_niching:
-        survivors = _survivors_nsga3(pool, cfg.pop_size, dirs, constrained)
-    else:
-        survivors = _survivors_nsga2(pool, cfg.pop_size, constrained)
-    return Population(members=survivors, generation=pop.generation + 1)
+def nsga3_step(pop: list[Solution], cfg: GAConfig, problem: ProblemSpec,
+               rng: np.random.Generator, evaluator, constrained: bool,
+               dirs: ReferenceDirectionSet) -> list[Solution]:
+    """One generation: ES variation, merge with parents, niching selection."""
+    pool = pop + _offspring(pop, cfg, problem, rng, evaluator, constrained)
+    return _survivors_nsga3(pool, cfg.pop_size, dirs, constrained)
 
 
-def run_nsga(problem: ProblemSpec, cfg: GAConfig, *, use_niching: bool,
-             constrained: bool = False,
-             dirs: Optional[ReferenceDirectionSet] = None) -> RunResult:
-    """Full generational run under a shared evaluation budget.
+def _run(problem: ProblemSpec, cfg: GAConfig, step) -> RunResult:
+    """Full generational run under a shared evaluation budget;
+    ``step(pop, rng, evaluator)`` makes one generation.
 
     The initial population counts against the budget; the returned front is
     the (feasibility-first) non-dominated set over all evaluations.
@@ -176,9 +160,6 @@ def run_nsga(problem: ProblemSpec, cfg: GAConfig, *, use_niching: bool,
         raise ValueError("budget must cover the initial population and one generation")
     start = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    if use_niching and dirs is None:
-        dirs = das_dennis(problem.n_obj, default_divisions(problem.n_obj, cfg.pop_size))
-
     log: list[EvalLogRow] = []
     everything: list[Solution] = []
 
@@ -191,15 +172,9 @@ def run_nsga(problem: ProblemSpec, cfg: GAConfig, *, use_niching: bool,
 
     initial = [logged_eval(rng.uniform(problem.lower, problem.upper))
                for _ in range(cfg.pop_size)]
-    pop = Population(members=[sol for sol in initial if sol is not None])
-    generations = (cfg.budget - cfg.pop_size) // cfg.lambda_
-    for _ in range(generations):
-        if use_niching:
-            pop = nsga3_step(pop, cfg, problem, dirs, constrained, rng,
-                             evaluator=logged_eval)
-        else:
-            pop = nsga2_step(pop, cfg, problem, rng, evaluator=logged_eval,
-                             constrained=constrained)
+    pop = [sol for sol in initial if sol is not None]
+    for _ in range((cfg.budget - cfg.pop_size) // cfg.lambda_):
+        pop = step(pop, rng, logged_eval)
 
     return RunResult(front=best_front(everything), log=log, config=asdict(cfg),
                      wall_time=time.perf_counter() - start,
@@ -207,9 +182,13 @@ def run_nsga(problem: ProblemSpec, cfg: GAConfig, *, use_niching: bool,
 
 
 def run_nsga2(problem: ProblemSpec, cfg: GAConfig, constrained: bool = False) -> RunResult:
-    return run_nsga(problem, cfg, use_niching=False, constrained=constrained)
+    return _run(problem, cfg, lambda pop, rng, evaluator: nsga2_step(
+        pop, cfg, problem, rng, evaluator, constrained))
 
 
 def run_nsga3(problem: ProblemSpec, cfg: GAConfig, constrained: bool = False,
               dirs: Optional[ReferenceDirectionSet] = None) -> RunResult:
-    return run_nsga(problem, cfg, use_niching=True, constrained=constrained, dirs=dirs)
+    if dirs is None:
+        dirs = das_dennis(problem.n_obj, default_divisions(problem.n_obj, cfg.pop_size))
+    return _run(problem, cfg, lambda pop, rng, evaluator: nsga3_step(
+        pop, cfg, problem, rng, evaluator, constrained, dirs))

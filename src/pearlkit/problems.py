@@ -36,8 +36,8 @@ class ProblemSpec:
     nadir: np.ndarray = field(default_factory=lambda: np.array([3.0, 3.0, 3.0]))
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
-    # counted once, at the box centre, when the spec is built
-    n_constraints: int = field(init=False, default=0)
+    # length of the constraint vector; positive exactly when constraints is set
+    n_constraints: int = 0
 
     def __post_init__(self):
         if self.lower is None:
@@ -45,9 +45,9 @@ class ProblemSpec:
         if self.upper is None:
             self.upper = np.ones(self.n_x)
         self.nadir = np.asarray(self.nadir, dtype=float)
-        if self.constraints is not None:
-            probe = 0.5 * (self.lower + self.upper)
-            self.n_constraints = len(self.constraints(probe, self.objectives(probe)))
+        if (self.constraints is not None) != (self.n_constraints > 0):
+            raise ValueError(f"{self.name}: constraints need a positive n_constraints "
+                             "and a positive n_constraints needs constraints")
 
 
 @dataclass
@@ -74,8 +74,11 @@ def evaluate(problem: ProblemSpec, x) -> EvaluationRecord:
     f = problem.objectives(x)
     g = (problem.constraints(x, f) if problem.constraints is not None
          else np.empty(0))
-    return EvaluationRecord(x=x, objectives=np.asarray(f, dtype=float),
-                            constraints=np.atleast_1d(np.asarray(g, dtype=float)))
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    if g.shape != (problem.n_constraints,):
+        raise ValueError(f"{problem.name} declares {problem.n_constraints} constraints, "
+                         f"got {g.size}")
+    return EvaluationRecord(x=x, objectives=np.asarray(f, dtype=float), constraints=g)
 
 
 def reference_front(problem: ProblemSpec, n_points: int) -> np.ndarray:
@@ -303,17 +306,18 @@ def _registry() -> dict[str, ProblemSpec]:
     add(ProblemSpec("dtlz7", 12, 3, dtlz7_objectives,
                     front_file="dtlz7_front.csv", nadir=[3, 3, 7]))
     add(ProblemSpec("c2dtlz2", 7, 3, dtlz2_objectives,
-                    constraints=lambda x, f: c2dtlz2_constraint(f),
+                    constraints=lambda x, f: c2dtlz2_constraint(f), n_constraints=1,
                     front=c2dtlz2_front, nadir=[3, 3, 3]))
     add(ProblemSpec("c3dtlz4", 7, 3, dtlz4_objectives,
-                    constraints=lambda x, f: c3dtlz4_constraint(f),
+                    constraints=lambda x, f: c3dtlz4_constraint(f), n_constraints=3,
                     front=c3dtlz4_front, nadir=[3, 3, 3]))
     add(ProblemSpec("ctp1", 2, 2, ctp1_objectives,
-                    constraints=lambda x, f: ctp1_constraint(f),
+                    constraints=lambda x, f: ctp1_constraint(f), n_constraints=2,
                     front_file="ctp1_front.csv", nadir=[3, 3]))
     for name, params in _CTP_PARAMS.items():
         add(ProblemSpec(name, 2, 2, _ctp_objectives,
                         constraints=(lambda p: (lambda x, f: ctp_constraint(f, *p)))(params),
+                        n_constraints=1,
                         front_file=f"{name}_front.csv", nadir=[3, 3]))
     return problems
 

@@ -142,6 +142,20 @@ def forward(params: dict, prefix: str, obs: np.ndarray):
     return h1, h2, h2 @ params[prefix + "W3"] + params[prefix + "b3"]
 
 
+def backward(params: dict, prefix: str, obs: np.ndarray, h1: np.ndarray, h2: np.ndarray,
+             d_out: np.ndarray, grads: dict):
+    """Write into ``grads`` the weight gradients of ``forward(params, prefix,
+    obs)`` (hidden activations ``h1``, ``h2``) given the output gradient."""
+    grads[prefix + "W3"] = h2.T @ d_out
+    grads[prefix + "b3"] = d_out.sum(axis=0)
+    dh2 = d_out @ params[prefix + "W3"].T * (1.0 - h2**2)
+    grads[prefix + "W2"] = h1.T @ dh2
+    grads[prefix + "b2"] = dh2.sum(axis=0)
+    dh1 = dh2 @ params[prefix + "W2"].T * (1.0 - h1**2)
+    grads[prefix + "W1"] = obs.T @ dh1
+    grads[prefix + "b1"] = dh1.sum(axis=0)
+
+
 def gaussian_log_prob(z: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     std = np.exp(log_std)
     return np.sum(-0.5 * ((z - mean) / std) ** 2 - log_std - _HALF_LOG_2PI, axis=1)
@@ -271,15 +285,7 @@ def loss_and_grad(policy: PolicyState, obs, z, gauss_logp_old, adv, returns,
     d_log_std -= cfg.entropy_coef
     grads["log_std"] = np.where(std_mask, d_log_std, 0.0)
 
-    # backprop the policy trunk
-    grads["pW3"] = h2.T @ d_mean
-    grads["pb3"] = d_mean.sum(axis=0)
-    dh2 = d_mean @ p["pW3"].T * (1.0 - h2**2)
-    grads["pW2"] = h1.T @ dh2
-    grads["pb2"] = dh2.sum(axis=0)
-    dh1 = dh2 @ p["pW2"].T * (1.0 - h1**2)
-    grads["pW1"] = obs.T @ dh1
-    grads["pb1"] = dh1.sum(axis=0)
+    backward(p, "p", obs, h1, h2, d_mean, grads)
 
     # value network
     vh1, vh2, v_out = forward(p, "v", obs)
@@ -287,14 +293,7 @@ def loss_and_grad(policy: PolicyState, obs, z, gauss_logp_old, adv, returns,
     err = values - returns
     value_loss = float(np.mean(err**2))
     dv = (2.0 * cfg.value_coef / B) * err
-    grads["vW3"] = vh2.T @ dv[:, None]
-    grads["vb3"] = np.array([dv.sum()])
-    dvh2 = dv[:, None] @ p["vW3"].T.reshape(1, -1) * (1.0 - vh2**2)
-    grads["vW2"] = vh1.T @ dvh2
-    grads["vb2"] = dvh2.sum(axis=0)
-    dvh1 = dvh2 @ p["vW2"].T * (1.0 - vh1**2)
-    grads["vW1"] = obs.T @ dvh1
-    grads["vb1"] = dvh1.sum(axis=0)
+    backward(p, "v", obs, vh1, vh2, dv[:, None], grads)
 
     loss = policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
     info = {"policy_loss": policy_loss, "value_loss": value_loss, "entropy": entropy}
@@ -319,8 +318,9 @@ def _worker_observations(worker: Worker, n: int, latent_dim: int,
 
 
 def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
-            cfg: TrainerConfig, log: Optional[list] = None, step_offset: int = 0) -> RolloutBatch:
-    """Collect one batch: every worker draws n_steps actions and scores them.
+            cfg: TrainerConfig, log: list) -> RolloutBatch:
+    """Collect one batch: every worker draws n_steps actions and scores them,
+    appending one row per evaluation to ``log``; steps count from ``len(log)``.
 
     A failed problem evaluation never aborts the batch: the sample is paid
     the full archive penalty and flagged in the log with NaN objectives.  An
@@ -332,7 +332,6 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
     obs_rows, act_rows, z_rows = [], [], []
     raw_rewards, gauss_rows, value_rows = [], [], []
     scales = []
-    step = step_offset
     for worker in workers:
         worker.engine.resample(worker.rng)
         obs = _worker_observations(worker, n, latent_dim, cfg)
@@ -344,12 +343,10 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
         values = policy.value(obs)
         scale = float(getattr(worker.engine, "reward_scale", 1.0))
         for x in actions:
-            sol = evaluate_solution(problem, x, step)
+            sol = evaluate_solution(problem, x, len(log))
             reward = worker.engine.score(sol).reward if sol is not None else -scale
             raw_rewards.append(reward)
-            if log is not None:
-                log.append(log_row(step, worker.index, x, sol, reward, problem))
-            step += 1
+            log.append(log_row(len(log), worker.index, x, sol, reward, problem))
         obs_rows.append(obs)
         act_rows.append(actions)
         z_rows.append(z)
@@ -439,9 +436,8 @@ def train(problem: ProblemSpec, engine_factory: Callable[[], object],
 
     log: list[EvalLogRow] = []
     n_updates = cfg.budget // cfg.batch_size()
-    for round_index in range(n_updates):
-        batch = rollout(policy, workers, problem, cfg, log=log,
-                        step_offset=round_index * cfg.batch_size())
+    for _ in range(n_updates):
+        batch = rollout(policy, workers, problem, cfg, log)
         update(policy, batch, cfg, shuffle_rng)
     return RunResult(
         front=merged_front(workers),

@@ -12,7 +12,8 @@ from pearlkit.experiment import (
     run_experiment,
     write_comparison,
 )
-from pearlkit.indicators import read_metric_csv
+from pearlkit.indicators import hypervolume, read_metric_csv
+from pearlkit.problems import get_problem
 
 
 def small_config(tmp_path, **overrides):
@@ -187,6 +188,29 @@ class TestCompare:
         cmp_dir = write_comparison(results, tmp_path / "cmp")
         assert (cmp_dir / "comparison_ctp1.csv").exists()
         assert (cmp_dir / "significance_ctp1.csv").exists()
+
+    def test_table_agrees_with_metrics_recomputed_from_fronts(self, tmp_path):
+        out = self.run_two_algorithms(tmp_path)
+        res = compare([out])[0]
+        nadir = get_problem("ctp1").nadir
+        recomputed = {a: {"hv": [], "gd": [], "igd": [], "eps": []} for a in res.algorithms}
+        for seed in res.seeds:
+            fronts = {a: load_front_csv(out / a / "ctp1" / f"seed{seed}" / "front.csv")
+                      for a in res.algorithms}
+            pool = np.vstack(list(fronts.values()))
+            dominated = [any(np.all(q <= p) and np.any(q < p) for q in pool) for p in pool]
+            union = pool[~np.array(dominated)]
+            for a, front in fronts.items():
+                dist = np.linalg.norm(front[:, None, :] - union[None, :, :], axis=2)
+                shifts = np.max(front[:, None, :] - union[None, :, :], axis=2)
+                recomputed[a]["hv"].append(hypervolume(front, nadir))
+                recomputed[a]["gd"].append(dist.min(axis=1).mean())
+                recomputed[a]["igd"].append(dist.min(axis=0).mean())
+                recomputed[a]["eps"].append(shifts.min(axis=0).max())
+        for a in res.algorithms:
+            for metric, values in recomputed[a].items():
+                assert res.table[a][metric][0] == pytest.approx(np.mean(values), rel=1e-12,
+                                                                abs=1e-15), (a, metric)
 
     def test_identical_algorithms_not_significant(self, tmp_path):
         # the same variant under two labels: identical seeds, identical runs

@@ -4,7 +4,6 @@ import pytest
 from pearlkit.density import das_dennis
 from pearlkit.nsga import (
     GAConfig,
-    Population,
     _survivors_nsga3,
     nsga2_step,
     nsga3_step,
@@ -12,22 +11,22 @@ from pearlkit.nsga import (
     run_nsga3,
 )
 from pearlkit.pareto import dominates
-from pearlkit.problems import ProblemSpec, dtlz2_objectives, get_problem
+from pearlkit.problems import (ProblemSpec, c2dtlz2_constraint, dtlz2_objectives,
+                               get_problem)
 from pearlkit.rewards import make_solution
+from pearlkit.trainer import evaluate_solution
 
 from oracles import brute_force_front_indices, brute_force_dominates_max
 
 
 def initial_population(problem, n, seed=0):
     rng = np.random.default_rng(seed)
-    members = []
-    for _ in range(n):
-        x = rng.uniform(problem.lower, problem.upper)
-        from pearlkit.problems import evaluate
+    return [evaluate_solution(problem, rng.uniform(problem.lower, problem.upper), 0)
+            for _ in range(n)]
 
-        rec = evaluate(problem, x)
-        members.append(make_solution(rec.x, rec.objectives, rec.constraints))
-    return Population(members=members)
+
+def unlogged(problem):
+    return lambda x: evaluate_solution(problem, x, 0)
 
 
 class TestSteps:
@@ -36,19 +35,18 @@ class TestSteps:
         cfg = GAConfig(lambda_=16, mu=16, pop_size=16, budget=10_000)
         pop = initial_population(problem, 16)
         rng = np.random.default_rng(1)
-        nxt = nsga2_step(pop, cfg, problem, rng)
-        assert len(nxt.members) == 16
-        assert nxt.generation == 1
+        nxt = nsga2_step(pop, cfg, problem, rng, unlogged(problem), False)
+        assert len(nxt) == 16
 
     def test_no_variation_degenerate(self):
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=8, mu=8, pop_size=8, mutpb=0.0, cxpb=0.0)
         pop = initial_population(problem, 8, seed=2)
         rng = np.random.default_rng(2)
-        nxt = nsga2_step(pop, cfg, problem, rng)
+        nxt = nsga2_step(pop, cfg, problem, rng, unlogged(problem), False)
         # offspring are copies; survivors must come from the original set
-        originals = {tuple(m.x) for m in pop.members}
-        assert all(tuple(m.x) in originals for m in nxt.members)
+        originals = {tuple(m.x) for m in pop}
+        assert all(tuple(m.x) in originals for m in nxt)
 
     def test_offspring_stay_in_box(self):
         problem = get_problem("ctp1")
@@ -56,8 +54,8 @@ class TestSteps:
         pop = initial_population(problem, 32, seed=3)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            pop = nsga2_step(pop, cfg, problem, rng)
-            for m in pop.members:
+            pop = nsga2_step(pop, cfg, problem, rng, unlogged(problem), False)
+            for m in pop:
                 assert np.all(m.x >= problem.lower - 1e-12)
                 assert np.all(m.x <= problem.upper + 1e-12)
 
@@ -70,19 +68,16 @@ class TestSteps:
         offspring_pool = []
 
         def capture(x):
-            from pearlkit.problems import evaluate
-
-            rec = evaluate(problem, x)
-            sol = make_solution(rec.x, rec.objectives, rec.constraints)
+            sol = evaluate_solution(problem, x, 0)
             offspring_pool.append(sol)
             return sol
 
-        nxt = nsga2_step(pop, cfg, problem, rng, evaluator=capture)
-        pool = pop.members + offspring_pool
+        nxt = nsga2_step(pop, cfg, problem, rng, capture, False)
+        pool = pop + offspring_pool
         objs = [m.obj for m in pool]
         expected = brute_force_front_indices(objs, brute_force_dominates_max)
         if len(expected) <= cfg.pop_size:
-            survivor_objs = {tuple(m.obj) for m in nxt.members}
+            survivor_objs = {tuple(m.obj) for m in nxt}
             for i in expected:
                 assert tuple(pool[i].obj) in survivor_objs
 
@@ -97,10 +92,9 @@ class TestSteps:
         ]
         members.insert(2, make_solution(np.full(problem.n_x, 0.9), [2.0, 2.0], [-1.0]))
         by_x = {tuple(m.x): m for m in members}
-        nxt = nsga2_step(Population(members=members), cfg, problem,
-                         np.random.default_rng(0), evaluator=lambda x: by_x[tuple(x)],
-                         constrained=True)
-        assert nxt.members[0].feasible
+        nxt = nsga2_step(members, cfg, problem, np.random.default_rng(0),
+                         lambda x: by_x[tuple(x)], True)
+        assert nxt[0].feasible
 
     def test_elitism_no_regression(self):
         problem = get_problem("dtlz2")
@@ -108,10 +102,10 @@ class TestSteps:
         pop = initial_population(problem, 12, seed=5)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            before = [m for m in pop.members]
-            pop = nsga2_step(pop, cfg, problem, rng)
+            before = list(pop)
+            pop = nsga2_step(pop, cfg, problem, rng, unlogged(problem), False)
             # every survivor front-0 member is non-dominated vs old population
-            for m in pop.members:
+            for m in pop:
                 dominated_by_old = any(dominates(o.obj, m.obj) for o in before)
                 if not dominated_by_old:
                     break
@@ -125,9 +119,11 @@ class TestNsga3:
         cfg = GAConfig(lambda_=12, mu=12, pop_size=12)
         dirs = das_dennis(3, 4)
         pop = initial_population(problem, 12, seed=6)
-        a = nsga3_step(pop, cfg, problem, dirs, False, np.random.default_rng(9))
-        b = nsga3_step(pop, cfg, problem, dirs, True, np.random.default_rng(9))
-        assert [tuple(m.obj) for m in a.members] == [tuple(m.obj) for m in b.members]
+        a = nsga3_step(pop, cfg, problem, np.random.default_rng(9), unlogged(problem),
+                       False, dirs)
+        b = nsga3_step(pop, cfg, problem, np.random.default_rng(9), unlogged(problem),
+                       True, dirs)
+        assert [tuple(m.obj) for m in a] == [tuple(m.obj) for m in b]
 
     def test_single_feasible_survives(self):
         cfg = GAConfig(lambda_=4, mu=4, pop_size=4)
@@ -201,12 +197,12 @@ class TestRuns:
         rng = np.random.default_rng(3)
         pop = initial_population(problem, 12, seed=3)
         dirs = das_dennis(3, 4)
-        seen_feasible = any(m.feasible for m in pop.members)
+        seen_feasible = any(m.feasible for m in pop)
         for _ in range(40):
-            pop = nsga3_step(pop, cfg, problem, dirs, True, rng)
+            pop = nsga3_step(pop, cfg, problem, rng, unlogged(problem), True, dirs)
             if seen_feasible:
-                assert any(m.feasible for m in pop.members)
-            seen_feasible = seen_feasible or any(m.feasible for m in pop.members)
+                assert any(m.feasible for m in pop)
+            seen_feasible = seen_feasible or any(m.feasible for m in pop)
         assert seen_feasible
 
     def test_determinism(self):
@@ -249,6 +245,28 @@ class TestFailedEvaluations:
             assert np.isnan(row.f).any() == (row.step in failed)
         assert result.front
         assert all(np.isfinite(m.obj).all() and m.x[0] <= 0.7 for m in result.front)
+
+    def test_constrained_spec_failing_at_centre_runs(self):
+        # the objective fails around the box centre; declaring the constraint
+        # count means building the spec evaluates nothing
+        def objectives(x):
+            if 0.4 <= x[0] <= 0.6:
+                raise RuntimeError("simulator run failed")
+            return dtlz2_objectives(x)
+
+        problem = ProblemSpec("flaky-c2dtlz2", 7, 3, objectives,
+                              constraints=lambda x, f: c2dtlz2_constraint(f),
+                              n_constraints=1, nadir=[3, 3, 3])
+        cfg = GAConfig(lambda_=16, mu=16, pop_size=16, budget=400, seed=1)
+        result = run_nsga2(problem, cfg, constrained=True)
+        assert [row.step for row in result.log] == list(range(400))
+        failed = [row.step for row in result.log if np.isnan(row.f).all()]
+        assert failed == [row.step for row in result.log if 0.4 <= row.x[0] <= 0.6]
+        assert failed
+        for row in result.log:
+            assert row.g.shape == (1,)
+            assert np.isnan(row.g).all() == (row.step in failed)
+        assert result.front
 
     def test_every_initial_evaluation_failing_is_an_error(self):
         problem = self.flaky_problem(-1.0)

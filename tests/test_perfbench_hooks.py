@@ -1,0 +1,37 @@
+"""The benchmark's tracer still finds every package name it hooks.
+
+``perfbench/tracing.py`` wraps module functions and class methods of
+``pearlkit`` by name; a refactor that renames or removes one of them, or
+that calls a hooked function through a reference bound at import, would
+otherwise only show up under ``perfbench/run.py --trace 1``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+from tracing import Tracer
+from pearlkit.nsga import GAConfig, run_nsga2, run_nsga3
+from pearlkit.problems import get_problem
+
+tracer = Tracer().install()
+cfg = GAConfig(lambda_=8, mu=8, pop_size=8, budget=8 + 3 * 8)
+run_nsga2(get_problem("ctp1"), cfg, constrained=True)
+run_nsga3(get_problem("c2dtlz2"), cfg, constrained=True)
+generation = tracer.layers.index("nsga.generation")
+spans = sum(1 for span in tracer.spans if span[0] == generation)
+assert spans == 6, spans
+"""
+
+
+def test_tracer_installs_and_records_generations():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave perfbench/ untouched
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT / "perfbench", env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -7,7 +7,9 @@ from pearlkit.pareto import non_dominated_mask
 from pearlkit.problems import (
     PROBLEMS,
     _CTP_PARAMS,
+    ProblemSpec,
     ctp1_constraint,
+    ctp1_objectives,
     ctp_constraint,
     evaluate,
     get_problem,
@@ -183,3 +185,21 @@ class TestRegistry:
         assert get_problem("ctp1").n_x == 2
         assert get_problem("dtlz7").nadir.tolist() == [3.0, 3.0, 7.0]
         assert get_problem("ctp2").nadir.tolist() == [3.0, 3.0]
+
+
+class TestConstraintCount:
+    def test_constraints_and_count_declared_together(self):
+        with pytest.raises(ValueError):
+            ProblemSpec("ctp1-uncounted", 2, 2, ctp1_objectives,
+                        constraints=lambda x, f: ctp1_constraint(f), nadir=[3, 3])
+        with pytest.raises(ValueError):
+            ProblemSpec("ctp1-no-constraints", 2, 2, ctp1_objectives,
+                        n_constraints=2, nadir=[3, 3])
+
+    def test_wrong_length_constraint_vector_is_error(self):
+        # ctp1 returns two constraint values; this spec declares one
+        problem = ProblemSpec("ctp1-misdeclared", 2, 2, ctp1_objectives,
+                              constraints=lambda x, f: ctp1_constraint(f),
+                              n_constraints=1, nadir=[3, 3])
+        with pytest.raises(ValueError, match="declares 1 constraints"):
+            evaluate(problem, np.full(2, 0.5))

@@ -96,7 +96,7 @@ class TestRollout:
         workers = self.make_workers(8)
         policy = PolicyState(obs_dim=12, act_dim=12, cfg=cfg,
                              rng=np.random.default_rng(0))
-        batch = rollout(policy, workers, problem, cfg)
+        batch = rollout(policy, workers, problem, cfg, [])
         assert len(batch.rewards) == 256
         assert batch.observations.shape == (256, 12)
         assert np.all((batch.actions >= 0) & (batch.actions <= 1))
@@ -108,7 +108,7 @@ class TestRollout:
         workers = self.make_workers(2)
         policy = PolicyState(obs_dim=1, act_dim=12, cfg=cfg,
                              rng=np.random.default_rng(0))
-        batch = rollout(policy, workers, problem, cfg)
+        batch = rollout(policy, workers, problem, cfg, [])
         assert batch.observations.shape == (8, 1)
         assert np.all(batch.observations == 1.0)
 
@@ -162,8 +162,8 @@ class TestRollout:
         ]
         policy = PolicyState(obs_dim=15, act_dim=12, cfg=cfg,
                              rng=np.random.default_rng(0))
-        first = rollout(policy, workers, problem, cfg)
-        second = rollout(policy, workers, problem, cfg)
+        first = rollout(policy, workers, problem, cfg, [])
+        second = rollout(policy, workers, problem, cfg, [])
         for batch in (first, second):
             rays = batch.observations[:, 12:].reshape(2, 8, 3)
             for w in range(2):
