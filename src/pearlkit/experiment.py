@@ -105,6 +105,11 @@ def load_config(source) -> ExperimentConfig:
             raise ConfigError(
                 f"key 'algorithms': unknown variant {name!r} (known: {sorted(ALGORITHMS)})")
         params = {k: v for k, v in entry.items() if k not in ("name", "label")}
+        if name == "c-pearl":
+            for key, known in (("inner", _INNER_ENGINES), ("mode", _C_PEARL_MODES)):
+                if key in params and params[key] not in known:
+                    raise ConfigError(f"key '{key}': unknown c-pearl {key} "
+                                      f"{params[key]!r} (known: {list(known)})")
         algorithms.append(AlgorithmSpec(name=name, params=params,
                                         label=entry.get("label", "")))
     labels = [a.label for a in algorithms]
@@ -178,8 +183,6 @@ def _c_pearl_engine(problem: ProblemSpec, params: dict):
     if mode in ("crowding2", "niching2"):
         return PearlNds(kappa=kappa, ranker=mode.removesuffix("2"),
                         n_obj=problem.n_obj, constrained=True)
-    if mode != "distance-cl":
-        raise ConfigError(f"key 'mode': unknown constrained mode {mode!r}")
     inner = _inner_engine(problem, params)
     return CurriculumConstrained(inner, bonus=params.get("M"),
                                  weights=params.get("gammas"))
@@ -191,6 +194,8 @@ _ENGINES = {
     "pearl-nds": _pearl_nds_engine,
     "c-pearl": _c_pearl_engine,
 }
+_INNER_ENGINES = ("pearl-e", "pearl-eps", "pearl-nds")
+_C_PEARL_MODES = ("distance-cl", "crowding2", "niching2")
 _NSGA_RUNS = {"nsga2": nsga.run_nsga2, "nsga3": nsga.run_nsga3}
 ALGORITHMS = (*_ENGINES, *_NSGA_RUNS)
 

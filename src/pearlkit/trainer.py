@@ -82,32 +82,47 @@ class TrainerConfig:
 
 
 class PolicyState:
-    """Network parameters plus optimizer moments and a step counter."""
+    """Network parameters plus optimizer moments and a step counter.
+
+    The parameters live in one float64 vector, ``flat``; the Adam moments
+    ``m`` and ``v`` and every gradient are vectors with the same layout.
+    ``params`` names the weight matrices and biases as reshaped views of
+    ``flat``, and ``views`` gives the same names for any such vector.
+    """
 
     def __init__(self, obs_dim: int, act_dim: int, cfg: TrainerConfig,
-                 rng: np.random.Generator, init_log_std: Optional[float] = None):
+                 rng: np.random.Generator, init_log_std: float = -0.75):
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         h = cfg.hidden
         def dense(n_in, n_out, scale=1.0):
             return rng.normal(0.0, scale / np.sqrt(n_in), size=(n_in, n_out))
 
-        self.params = {
+        arrays = {
             "pW1": dense(obs_dim, h), "pb1": np.zeros(h),
             "pW2": dense(h, h), "pb2": np.zeros(h),
             "pW3": dense(h, act_dim, scale=0.01), "pb3": np.zeros(act_dim),
-            "log_std": np.full(act_dim, float(
-                init_log_std if init_log_std is not None
-                else (cfg.init_log_std if cfg.init_log_std is not None else -0.75))),
+            "log_std": np.full(act_dim, float(init_log_std)),
             "vW1": dense(obs_dim, h), "vb1": np.zeros(h),
             "vW2": dense(h, h), "vb2": np.zeros(h),
             "vW3": dense(h, 1, scale=0.01), "vb3": np.zeros(1),
         }
-        self.m = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self._layout = []
+        start = 0
+        for key, value in arrays.items():
+            self._layout.append((key, slice(start, start + value.size), value.shape))
+            start += value.size
+        self.flat = np.concatenate([value.ravel() for value in arrays.values()])
+        self.params = self.views(self.flat)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
         self.adam_steps = 0
         self.updates = 0
         self.learning_rate = cfg.learning_rate
+
+    def views(self, flat: np.ndarray) -> dict:
+        """Named reshaped views of a vector laid out like ``self.flat``."""
+        return {key: flat[part].reshape(shape) for key, part, shape in self._layout}
 
     def policy_heads(self, obs: np.ndarray):
         """Action mean (pre-squash) and clamped per-dimension log-std."""
@@ -117,21 +132,21 @@ class PolicyState:
     def value(self, obs: np.ndarray) -> np.ndarray:
         return forward(self.params, "v", obs)[2][:, 0]
 
-    def adam_step(self, grads: dict):
+    def adam_step(self, grad: np.ndarray):
+        """One Adam step on every parameter from the flat gradient ``grad``."""
         self.adam_steps += 1
         t = self.adam_steps
-        lr = self.learning_rate
-        for key, g in grads.items():
-            self.m[key] = _ADAM_BETA1 * self.m[key] + (1 - _ADAM_BETA1) * g
-            self.v[key] = _ADAM_BETA2 * self.v[key] + (1 - _ADAM_BETA2) * g * g
-            m_hat = self.m[key] / (1 - _ADAM_BETA1**t)
-            v_hat = self.v[key] / (1 - _ADAM_BETA2**t)
-            self.params[key] -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        self.m = _ADAM_BETA1 * self.m + (1 - _ADAM_BETA1) * grad
+        self.v = _ADAM_BETA2 * self.v + (1 - _ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1 - _ADAM_BETA1**t)
+        v_hat = self.v / (1 - _ADAM_BETA2**t)
+        self.flat -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
     def check_finite(self):
-        for key, value in self.params.items():
-            if not np.all(np.isfinite(value)):
-                raise FloatingPointError(f"non-finite parameter {key}")
+        if not np.isfinite(self.flat).all():
+            key = next(key for key, value in self.views(self.flat).items()
+                       if not np.isfinite(value).all())
+            raise FloatingPointError(f"non-finite parameter {key}")
 
 
 def forward(params: dict, prefix: str, obs: np.ndarray):
@@ -144,16 +159,17 @@ def forward(params: dict, prefix: str, obs: np.ndarray):
 
 def backward(params: dict, prefix: str, obs: np.ndarray, h1: np.ndarray, h2: np.ndarray,
              d_out: np.ndarray, grads: dict):
-    """Write into ``grads`` the weight gradients of ``forward(params, prefix,
-    obs)`` (hidden activations ``h1``, ``h2``) given the output gradient."""
-    grads[prefix + "W3"] = h2.T @ d_out
-    grads[prefix + "b3"] = d_out.sum(axis=0)
+    """Write into the named gradient views ``grads`` the weight gradients of
+    ``forward(params, prefix, obs)`` (hidden activations ``h1``, ``h2``)
+    given the output gradient."""
+    grads[prefix + "W3"][...] = h2.T @ d_out
+    grads[prefix + "b3"][...] = d_out.sum(axis=0)
     dh2 = d_out @ params[prefix + "W3"].T * (1.0 - h2**2)
-    grads[prefix + "W2"] = h1.T @ dh2
-    grads[prefix + "b2"] = dh2.sum(axis=0)
+    grads[prefix + "W2"][...] = h1.T @ dh2
+    grads[prefix + "b2"][...] = dh2.sum(axis=0)
     dh1 = dh2 @ params[prefix + "W2"].T * (1.0 - h1**2)
-    grads[prefix + "W1"] = obs.T @ dh1
-    grads[prefix + "b1"] = dh1.sum(axis=0)
+    grads[prefix + "W1"][...] = obs.T @ dh1
+    grads[prefix + "b1"][...] = dh1.sum(axis=0)
 
 
 def gaussian_log_prob(z: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
@@ -246,7 +262,8 @@ class Worker:
 
 def loss_and_grad(policy: PolicyState, obs, z, gauss_logp_old, adv, returns,
                   cfg: TrainerConfig):
-    """Total loss (clip surrogate + value MSE - entropy bonus) and gradients.
+    """Total loss (clip surrogate + value MSE - entropy bonus), its gradient
+    as a fresh vector laid out like ``policy.flat``, and the loss terms.
 
     Advantages and returns are collection-time constants.  The squash
     jacobian is policy-independent given the action, so probability ratios
@@ -254,7 +271,8 @@ def loss_and_grad(policy: PolicyState, obs, z, gauss_logp_old, adv, returns,
     """
     p = policy.params
     B = obs.shape[0]
-    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    grad = np.zeros(policy.flat.size)
+    grads = policy.views(grad)
 
     h1, h2, mean = forward(p, "p", obs)
     log_std = np.clip(p["log_std"], LOG_STD_MIN, LOG_STD_MAX)
@@ -283,7 +301,7 @@ def loss_and_grad(policy: PolicyState, obs, z, gauss_logp_old, adv, returns,
     # entropy bonus: H = sum_d (log_std_d + (1 + log 2 pi) / 2)
     entropy = float(np.sum(log_std) + policy.act_dim * 0.5 * (1.0 + np.log(2 * np.pi)))
     d_log_std -= cfg.entropy_coef
-    grads["log_std"] = np.where(std_mask, d_log_std, 0.0)
+    grads["log_std"][...] = np.where(std_mask, d_log_std, 0.0)
 
     backward(p, "p", obs, h1, h2, d_mean, grads)
 
@@ -297,7 +315,7 @@ def loss_and_grad(policy: PolicyState, obs, z, gauss_logp_old, adv, returns,
 
     loss = policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
     info = {"policy_loss": policy_loss, "value_loss": value_loss, "entropy": entropy}
-    return loss, grads, info
+    return loss, grad, info
 
 
 def _worker_observations(worker: Worker, n: int, latent_dim: int,
@@ -322,16 +340,17 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
     """Collect one batch: every worker draws n_steps actions and scores them,
     appending one row per evaluation to ``log``; steps count from ``len(log)``.
 
-    A failed problem evaluation never aborts the batch: the sample is paid
-    the full archive penalty and flagged in the log with NaN objectives.  An
-    exception from the engine is a program or configuration error and
-    propagates.
+    A failed problem evaluation never aborts the batch: it is flagged in the
+    log with NaN objectives and paid the lower of ``-reward_scale`` and the
+    lowest valid reward of the batch, so no failure out-earns a valid
+    sample.  An exception from the engine is a program or configuration
+    error and propagates.
     """
     n = cfg.n_steps
     latent_dim = cfg.resolved_latent_dim(problem)
     obs_rows, act_rows, z_rows = [], [], []
     raw_rewards, gauss_rows, value_rows = [], [], []
-    scales = []
+    scales, failed = [], []
     for worker in workers:
         worker.engine.resample(worker.rng)
         obs = _worker_observations(worker, n, latent_dim, cfg)
@@ -346,6 +365,7 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
             sol = evaluate_solution(problem, x, len(log))
             reward = worker.engine.score(sol).reward if sol is not None else -scale
             raw_rewards.append(reward)
+            failed.append(sol is None)
             log.append(log_row(len(log), worker.index, x, sol, reward, problem))
         obs_rows.append(obs)
         act_rows.append(actions)
@@ -354,6 +374,12 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
         value_rows.append(values)
         scales.append(np.full(n, scale))
     raw = np.asarray(raw_rewards)
+    failed = np.asarray(failed)
+    if failed.any() and not failed.all():
+        raw[failed] = np.minimum(raw[failed], raw[~failed].min())
+        batch_log = log[len(log) - len(raw):]
+        for i in np.flatnonzero(failed):
+            batch_log[i].reward = float(raw[i])
     return RolloutBatch(
         observations=np.vstack(obs_rows),
         actions=np.vstack(act_rows),
@@ -383,7 +409,7 @@ def update(policy: PolicyState, batch: RolloutBatch, cfg: TrainerConfig,
         for chunk in np.array_split(perm, n_mb):
             if len(chunk) == 0:
                 continue
-            loss, grads, _ = loss_and_grad(
+            loss, grad, _ = loss_and_grad(
                 policy, batch.observations[chunk], batch.pre_squash[chunk],
                 batch.gauss_log_probs[chunk], adv[chunk], returns[chunk], cfg)
             if not np.isfinite(loss):
@@ -391,7 +417,7 @@ def update(policy: PolicyState, batch: RolloutBatch, cfg: TrainerConfig,
                 logger.warning("non-finite loss; skipping minibatch and halving "
                                "learning rate to %g", policy.learning_rate)
                 continue
-            policy.adam_step(grads)
+            policy.adam_step(grad)
     policy.check_finite()
     policy.updates += 1
     return policy

@@ -225,6 +225,17 @@ def nsga3_survivors_scalar(pool, n, dirs, constrained):
     return [pool[i] for i in chosen]
 
 
+def adam_reference(params, m, v, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step on dicts of named arrays, one key at a time; updates
+    ``params`` in place and ``m``/``v`` by key."""
+    for key, g in grads.items():
+        m[key] = beta1 * m[key] + (1 - beta1) * g
+        v[key] = beta2 * v[key] + (1 - beta2) * g * g
+        m_hat = m[key] / (1 - beta1**t)
+        v_hat = v[key] / (1 - beta2**t)
+        params[key] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def finite_difference_gradient(fn, params, h=1e-6):
     """Central finite differences of a scalar function of a parameter dict."""
     grads = {}

@@ -195,7 +195,7 @@ def test_criterion_09_gradients_match_finite_differences():
         # off-policy log-probs held away from the clip kinks
         logp_old = gaussian_log_prob(z, mean, log_std) + rng.uniform(
             0.05, 0.1, size=6) * rng.choice([-1.0, 1.0], size=6)
-        _, grads, _ = loss_and_grad(policy, obs, z, logp_old, adv, returns, cfg)
+        grads = policy.views(loss_and_grad(policy, obs, z, logp_old, adv, returns, cfg)[1])
 
         def loss_fn(params):
             saved = policy.params

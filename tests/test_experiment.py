@@ -65,6 +65,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="label"):
             load_config(path)
 
+    @pytest.mark.parametrize("key,value", [("inner", "nsga2"), ("inner", "c-pearl"),
+                                           ("mode", "penalty")])
+    def test_c_pearl_inner_and_mode_validated(self, tmp_path, key, value):
+        path, _ = small_config(tmp_path, algorithms=[{"name": "c-pearl", key: value}])
+        with pytest.raises(ConfigError, match=f"key '{key}'.*{value}"):
+            load_config(path)
+
 
 class TestRun:
     def test_outputs_per_cell(self, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from pearlkit.pareto import dominates
 from pearlkit.problems import get_problem
 from pearlkit.rewards import PearlEnvelope, PearlEpsilon, PearlNds
 from pearlkit.trainer import (
+    LOG_STD_MIN,
     PolicyState,
     TrainerConfig,
     Worker,
@@ -17,7 +20,7 @@ from pearlkit.trainer import (
     update,
 )
 
-from oracles import finite_difference_gradient
+from oracles import adam_reference, finite_difference_gradient
 
 
 def toy_batch(rng, obs_dim, act_dim, n):
@@ -41,7 +44,8 @@ class TestGradients:
             mean, log_std = policy.policy_heads(obs)
             logp_old = gaussian_log_prob(z, mean, log_std) + rng.uniform(
                 0.05, 0.1, size=6) * rng.choice([-1.0, 1.0], size=6)
-            loss, grads, _ = loss_and_grad(policy, obs, z, logp_old, adv, returns, cfg)
+            loss, grad, _ = loss_and_grad(policy, obs, z, logp_old, adv, returns, cfg)
+            grads = policy.views(grad)
 
             def loss_fn(params):
                 saved = policy.params
@@ -64,7 +68,7 @@ class TestGradients:
         mean, log_std = policy.policy_heads(obs)
         logp = gaussian_log_prob(z, mean, log_std)
         adv = np.zeros(8)
-        _, grads, _ = loss_and_grad(policy, obs, z, logp, adv, returns, cfg)
+        grads = policy.views(loss_and_grad(policy, obs, z, logp, adv, returns, cfg)[1])
         for key in ("pW1", "pb1", "pW2", "pb2", "pW3", "pb3", "log_std"):
             assert np.allclose(grads[key], 0.0), key
         assert np.any(grads["vW3"] != 0.0)
@@ -76,7 +80,7 @@ class TestGradients:
         obs, z, _, adv, returns = toy_batch(rng, 2, 2, 8)
         mean, log_std = policy.policy_heads(obs)
         logp = gaussian_log_prob(z, mean, log_std)  # ratio is exactly 1
-        _, grads, _ = loss_and_grad(policy, obs, z, logp, adv, returns, cfg)
+        grads = policy.views(loss_and_grad(policy, obs, z, logp, adv, returns, cfg)[1])
         for key in ("pW1", "pb1", "pW2", "pb2", "pW3", "pb3", "log_std"):
             assert np.allclose(grads[key], 0.0), key
 
@@ -174,6 +178,41 @@ class TestRollout:
         assert not np.allclose(first.observations[0, :12], first.observations[1, :12])
 
 
+class TestFailureReward:
+    @staticmethod
+    def flaky(name):
+        problem = get_problem(name)
+
+        def objectives(x):
+            if x[0] > 0.7:
+                raise RuntimeError("simulator run failed")
+            return problem.objectives(x)
+
+        return dataclasses.replace(problem, name=f"flaky-{name}", objectives=objectives)
+
+    @pytest.mark.parametrize("engine,params,problem", [
+        ("pearl-e", {"lambda": 0.0}, "dtlz7"),
+        ("pearl-eps", {"kappa": 8}, "dtlz7"),
+        ("pearl-nds", {"kappa": 8}, "dtlz7"),
+        ("c-pearl", {"kappa": 8}, "c2dtlz2"),
+    ])
+    def test_failed_evaluation_never_out_earns_a_valid_one(self, engine, params, problem):
+        from pearlkit.experiment import _ENGINES
+
+        problem = self.flaky(problem)
+        cfg = TrainerConfig(n_steps=8, ncores=2, budget=64, hidden=8, seed=2)
+        result = train(problem, lambda: _ENGINES[engine](problem, params), cfg)
+        failures = 0
+        for start in range(0, len(result.log), cfg.batch_size()):
+            rows = result.log[start:start + cfg.batch_size()]
+            failed = [row.reward for row in rows if np.isnan(row.cv)]
+            valid = [row.reward for row in rows if not np.isnan(row.cv)]
+            failures += len(failed)
+            if failed and valid:
+                assert min(valid) >= max(failed), (start, min(valid), max(failed))
+        assert failures > 0
+
+
 class TestUpdate:
     def test_value_head_converges_on_constant_reward(self):
         cfg = TrainerConfig(n_steps=8, ncores=2, hidden=16, learning_rate=1e-2,
@@ -197,6 +236,28 @@ class TestUpdate:
             update(policy, batch, cfg, rng)
         assert abs(float(policy.value(obs[:1])[0]) - constant) < 1e-2
 
+    def test_flat_adam_matches_per_key_reference(self):
+        cfg = TrainerConfig(hidden=6, learning_rate=1e-2)
+        rng = np.random.default_rng(8)
+        policy = PolicyState(obs_dim=3, act_dim=2, cfg=cfg, rng=rng)
+        policy.params["log_std"][0] = LOG_STD_MIN  # clamped: its gradient is zero
+        params = {k: p.copy() for k, p in policy.params.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        for t in range(1, 51):
+            grad = rng.normal(size=policy.flat.size) * (rng.random(policy.flat.size) > 0.3)
+            grads = policy.views(grad)
+            grads["log_std"][0] = 0.0
+            adam_reference(params, m, v, {k: g.copy() for k, g in grads.items()}, t,
+                           cfg.learning_rate)
+            policy.adam_step(grad)
+        for key, value in policy.params.items():
+            assert np.shares_memory(value, policy.flat), key
+            assert np.array_equal(value, params[key]), key
+            assert np.array_equal(policy.views(policy.m)[key], m[key]), key
+            assert np.array_equal(policy.views(policy.v)[key], v[key]), key
+        assert policy.params["log_std"][0] == LOG_STD_MIN
+
     def test_nan_guard_halves_learning_rate(self):
         cfg = TrainerConfig(hidden=8, n_steps=4, ncores=1)
         rng = np.random.default_rng(6)
@@ -217,6 +278,9 @@ class TestUpdate:
         update(policy, batch, cfg, rng)
         assert policy.learning_rate < before
         policy.check_finite()
+        policy.params["vW2"][3, 1] = np.nan
+        with pytest.raises(FloatingPointError, match="vW2"):
+            policy.check_finite()
 
 
 class TestTrain:
