@@ -13,8 +13,7 @@ import numpy as np
 from pearlkit import GAConfig, get_problem, hypervolume, run_nsga2, run_nsga3
 
 problem = get_problem("dtlz2")
-cfg = GAConfig(lambda_=32, mu=32, pop_size=32, budget=4096, seed=0,
-               mutpb=0.3, cxpb=0.65)
+cfg = GAConfig(lambda_=32, budget=4096, seed=0, mutpb=0.3, cxpb=0.65)
 
 for name, runner in (("NSGA-II", run_nsga2), ("NSGA-III", run_nsga3)):
     result = runner(problem, cfg)
@@ -23,10 +22,9 @@ for name, runner in (("NSGA-II", run_nsga2), ("NSGA-III", run_nsga3)):
           f"front {len(front)} points, "
           f"HV {hypervolume(front, problem.nadir):.3f}")
 
-# The constrained variant folds feasibility into the dominance relation.
+# On a constrained problem, feasibility is folded into the dominance relation.
 problem = get_problem("c2-dtlz2")
-result = run_nsga3(problem, GAConfig(lambda_=32, mu=32, pop_size=32,
-                                     budget=4096, seed=0), constrained=True)
+result = run_nsga3(problem, GAConfig(lambda_=32, budget=4096, seed=0))
 front = np.array([-s.obj for s in result.front])
 print(f"\nconstrained NSGA-III on c2-dtlz2: {len(front)} feasible front points, "
       f"HV {hypervolume(front, problem.nadir):.3f}")

@@ -17,7 +17,7 @@ import json
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -67,8 +67,8 @@ class ExperimentConfig:
     budget: int
     seeds: list[int]
     output_dir: str
-    n_steps: int = 32
-    ncores: int = 8
+    n_steps: int
+    ncores: int
     raw: dict = field(default_factory=dict)
 
 
@@ -77,7 +77,11 @@ def _as_list(value):
 
 
 def load_config(source) -> ExperimentConfig:
-    """Parse and validate an experiment config (path or dict)."""
+    """Parse and validate an experiment config (path or dict).
+
+    Each algorithm entry is built once per problem, so a key that nothing
+    reads or a value its constructor rejects fails here, not in every cell.
+    """
     if isinstance(source, (str, Path)):
         with open(source) as handle:
             raw = json.load(handle)
@@ -105,11 +109,6 @@ def load_config(source) -> ExperimentConfig:
             raise ConfigError(
                 f"key 'algorithms': unknown variant {name!r} (known: {sorted(ALGORITHMS)})")
         params = {k: v for k, v in entry.items() if k not in ("name", "label")}
-        if name == "c-pearl":
-            for key, known in (("inner", _INNER_ENGINES), ("mode", _C_PEARL_MODES)):
-                if key in params and params[key] not in known:
-                    raise ConfigError(f"key '{key}': unknown c-pearl {key} "
-                                      f"{params[key]!r} (known: {list(known)})")
         algorithms.append(AlgorithmSpec(name=name, params=params,
                                         label=entry.get("label", "")))
     labels = [a.label for a in algorithms]
@@ -125,67 +124,60 @@ def load_config(source) -> ExperimentConfig:
     output_dir = raw.get("output_dir")
     if not output_dir:
         raise ConfigError("key 'output_dir' is required")
-    return ExperimentConfig(
+    config = ExperimentConfig(
         version=CONFIG_VERSION, problems=[str(p) for p in problems],
         algorithms=algorithms, budget=int(budget),
         seeds=[int(s) for s in seeds], output_dir=str(output_dir),
-        n_steps=int(raw.get("n_steps", 32)), ncores=int(raw.get("ncores", 8)),
+        n_steps=int(raw.get("n_steps", TrainerConfig.n_steps)),
+        ncores=int(raw.get("ncores", TrainerConfig.ncores)),
         raw=raw,
     )
+    for spec in algorithms:
+        for problem in config.problems:
+            try:
+                _cell_run(config, spec, get_problem(problem), config.seeds[0])
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"{spec.name} entry {spec.label!r} on {problem}: {err}") from None
+    return config
 
 
 # ---------------------------------------------------------------------------
-# Algorithm variants
+# Algorithm variants: each key of an entry is a parameter of the constructor
+# it names, which holds the default and the validity check.
 # ---------------------------------------------------------------------------
 
-def _trainer_config(config: ExperimentConfig, seed: int, params: dict) -> TrainerConfig:
-    keys = ("learning_rate", "clip_ratio", "entropy_coef", "value_coef",
-            "epochs", "minibatches", "hidden", "init_log_std", "observation",
-            "latent_dim", "squash", "normalize_advantages")
-    overrides = {k: params[k] for k in keys if k in params}
-    return TrainerConfig(n_steps=config.n_steps, ncores=config.ncores,
-                         budget=config.budget, seed=seed, **overrides)
-
-
-def _inner_engine(problem: ProblemSpec, params: dict):
-    name = params.get("inner", "pearl-nds")
-    inner_params = dict(params.get("inner_params", {}))
-    inner_params.setdefault("kappa", params.get("kappa", 64))
-    if "ranker" in params:
-        inner_params.setdefault("ranker", params["ranker"])
-    return _ENGINES[name](problem, inner_params)
+_TRAINER_KEYS = ({f.name for f in fields(TrainerConfig)}
+                 - {"n_steps", "ncores", "budget", "seed"})
 
 
 def _pearl_e_engine(problem: ProblemSpec, params: dict):
-    return PearlEnvelope(
-        n_obj=problem.n_obj,
-        alpha=params.get("alpha", 1.0),
-        lambda_=params.get("lambda", 1.0),
-        uniformity=params.get("uniformity", "cos"),
-        normalized_obj=params.get("normalized_obj", False),
-        n_rays=params.get("n_rays", 1),
-    )
+    params = {("lambda_" if k == "lambda" else k): v for k, v in params.items()}
+    return PearlEnvelope(n_obj=problem.n_obj, **params)
 
 
 def _pearl_eps_engine(problem: ProblemSpec, params: dict):
-    return PearlEpsilon(kappa=params.get("kappa", 64), nu=params.get("nu", 0.05))
+    return PearlEpsilon(**params)
 
 
 def _pearl_nds_engine(problem: ProblemSpec, params: dict):
-    return PearlNds(kappa=params.get("kappa", 64),
-                    ranker=params.get("ranker", "crowding"),
-                    n_obj=problem.n_obj)
+    return PearlNds(n_obj=problem.n_obj, **params)
 
 
 def _c_pearl_engine(problem: ProblemSpec, params: dict):
-    mode = params.get("mode", "distance-cl")
-    kappa = params.get("kappa", 64)
+    params = dict(params)
+    mode = params.pop("mode", "distance-cl")
     if mode in ("crowding2", "niching2"):
-        return PearlNds(kappa=kappa, ranker=mode.removesuffix("2"),
-                        n_obj=problem.n_obj, constrained=True)
-    inner = _inner_engine(problem, params)
-    return CurriculumConstrained(inner, bonus=params.get("M"),
-                                 weights=params.get("gammas"))
+        return PearlNds(ranker=mode.removesuffix("2"), n_obj=problem.n_obj,
+                        constrained=True, **params)
+    if mode != "distance-cl":
+        raise ConfigError(f"key 'mode': unknown c-pearl mode {mode!r} "
+                          "(known: ['distance-cl', 'crowding2', 'niching2'])")
+    inner = params.pop("inner", "pearl-nds")
+    known = [name for name in _ENGINES if name != "c-pearl"]
+    if inner not in known:
+        raise ConfigError(f"key 'inner': unknown c-pearl inner {inner!r} (known: {known})")
+    wrapper = {key: params.pop(key) for key in ("M", "gammas") if key in params}
+    return CurriculumConstrained(_ENGINES[inner](problem, params), **wrapper)
 
 
 _ENGINES = {
@@ -194,28 +186,25 @@ _ENGINES = {
     "pearl-nds": _pearl_nds_engine,
     "c-pearl": _c_pearl_engine,
 }
-_INNER_ENGINES = ("pearl-e", "pearl-eps", "pearl-nds")
-_C_PEARL_MODES = ("distance-cl", "crowding2", "niching2")
 _NSGA_RUNS = {"nsga2": nsga.run_nsga2, "nsga3": nsga.run_nsga3}
 ALGORITHMS = (*_ENGINES, *_NSGA_RUNS)
 
 
-def _run_pearl(engine, problem: ProblemSpec, config: ExperimentConfig, seed: int,
-               params: dict) -> RunResult:
-    cfg = _trainer_config(config, seed, params)
-    return train(problem, lambda: engine(problem, params), cfg)
-
-
-def _run_nsga(run, problem: ProblemSpec, config: ExperimentConfig, seed: int,
-              params: dict) -> RunResult:
-    ga = nsga.GAConfig(
-        lambda_=params.get("lambda_", 32), mu=params.get("mu", params.get("lambda_", 32)),
-        mutpb=params.get("mutpb", 0.3), cxpb=params.get("cxpb", 0.65),
-        pop_size=params.get("pop_size", params.get("lambda_", 32)),
-        budget=config.budget, seed=seed,
-    )
-    constrained = params.get("constrained", problem.constraints is not None)
-    return run(problem, ga, constrained=constrained)
+def _cell_run(config: ExperimentConfig, spec: AlgorithmSpec, problem: ProblemSpec,
+              seed: int):
+    """Build one cell's algorithm from its config entry; returns the call that
+    runs it.  Building draws no RNG and writes nothing."""
+    params = dict(spec.params)
+    if spec.name in _NSGA_RUNS:
+        constrained = params.pop("constrained", None)
+        ga = nsga.GAConfig(budget=config.budget, seed=seed, **params).validate()
+        return lambda: _NSGA_RUNS[spec.name](problem, ga, constrained=constrained)
+    trainer = {key: params.pop(key) for key in _TRAINER_KEYS & params.keys()}
+    cfg = TrainerConfig(n_steps=config.n_steps, ncores=config.ncores, budget=config.budget,
+                        seed=seed, **trainer).validate()
+    build = _ENGINES[spec.name]
+    build(problem, params)
+    return lambda: train(problem, lambda: build(problem, params), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +252,8 @@ def load_front_csv(path) -> np.ndarray:
 
 def _cell_metrics(run_id: str, label: str, problem: ProblemSpec,
                   result: RunResult) -> MetricReport:
-    front = np.array([-s.obj for s in result.front])
+    # an infeasible set is no front: it scores hv 0 and no distances
+    front = np.array([-s.obj for s in result.front if s.feasible])
     hv = hypervolume(front, problem.nadir) if len(front) else 0.0
     try:
         ref = reference_front(problem, 1000)
@@ -280,10 +270,7 @@ def _cell_metrics(run_id: str, label: str, problem: ProblemSpec,
 def _run_cell(config: ExperimentConfig, spec: AlgorithmSpec, problem_name: str,
               seed: int, cell_dir: Path) -> MetricReport:
     problem = get_problem(problem_name)
-    if spec.name in _ENGINES:
-        result = _run_pearl(_ENGINES[spec.name], problem, config, seed, spec.params)
-    else:
-        result = _run_nsga(_NSGA_RUNS[spec.name], problem, config, seed, spec.params)
+    result = _cell_run(config, spec, problem, seed)()
     cell_dir.mkdir(parents=True, exist_ok=True)
     write_evaluations_csv(result, problem, cell_dir / "evaluations.csv")
     write_front_csv(result, problem, cell_dir / "front.csv")

@@ -28,17 +28,22 @@ from .trainer import EvalLogRow, RunResult, evaluate_solution, log_row
 
 @dataclass
 class GAConfig:
-    """Generational settings; defaults follow the 32-individual setup."""
+    """Generational settings; defaults follow the 32-individual setup, and
+    ``mu`` (parents) and ``pop_size`` (survivors) default to ``lambda_``."""
 
     lambda_: int = 32
-    mu: int = 32
+    mu: Optional[int] = None
     mutpb: float = 0.3
     cxpb: float = 0.65
-    pop_size: int = 32
+    pop_size: Optional[int] = None
     budget: int = 10_000
     seed: int = 0
     blend_alpha: float = 0.5
     sigma_fraction: float = 0.1  # mutation sigma as a fraction of box width
+
+    def __post_init__(self):
+        self.mu = self.lambda_ if self.mu is None else self.mu
+        self.pop_size = self.lambda_ if self.pop_size is None else self.pop_size
 
     def validate(self):
         if not (0.0 <= self.mutpb <= 1.0 and 0.0 <= self.cxpb <= 1.0):
@@ -47,12 +52,14 @@ class GAConfig:
             raise ValueError("mu must not exceed lambda_")
         if self.pop_size < 2:
             raise ValueError("population must hold at least 2 individuals")
+        if self.budget < self.pop_size + self.lambda_:
+            raise ValueError("budget must cover the initial population and one generation")
         return self
 
 
 def _selection_order(pop: list[Solution], constrained: bool) -> list[int]:
     """Indices ordered best-first: by front, then density inside each front."""
-    fronts = non_dominated_sort(pop, "constrained" if constrained else "objectives")
+    fronts = non_dominated_sort(pop, constrained)
     order: list[int] = []
     for front in fronts:
         objs = np.array([pop[i].obj for i in front])
@@ -84,7 +91,7 @@ def _fill_fronts(pool: list[Solution], n: int,
     """Whole fronts that fit into ``n`` slots, best first, and the first
     front that does not fit (empty when every front fits)."""
     chosen: list[int] = []
-    for front in non_dominated_sort(pool, "constrained" if constrained else "objectives"):
+    for front in non_dominated_sort(pool, constrained):
         if len(chosen) + len(front) > n:
             return chosen, front
         chosen.extend(front)
@@ -148,16 +155,17 @@ def nsga3_step(pop: list[Solution], cfg: GAConfig, problem: ProblemSpec,
     return _survivors_nsga3(pool, cfg.pop_size, dirs, constrained)
 
 
-def _run(problem: ProblemSpec, cfg: GAConfig, step) -> RunResult:
+def _run(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool], step) -> RunResult:
     """Full generational run under a shared evaluation budget;
-    ``step(pop, rng, evaluator)`` makes one generation.
+    ``step(pop, rng, evaluator, constrained)`` makes one generation.
 
-    The initial population counts against the budget; the returned front is
-    the (feasibility-first) non-dominated set over all evaluations.
+    ``constrained`` defaults to whether the problem has constraints.  The
+    initial population counts against the budget; the returned front is the
+    (feasibility-first) non-dominated set over all evaluations.
     """
     cfg.validate()
-    if cfg.budget < cfg.pop_size + cfg.lambda_:
-        raise ValueError("budget must cover the initial population and one generation")
+    if constrained is None:
+        constrained = problem.n_constraints > 0
     start = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     log: list[EvalLogRow] = []
@@ -174,21 +182,22 @@ def _run(problem: ProblemSpec, cfg: GAConfig, step) -> RunResult:
                for _ in range(cfg.pop_size)]
     pop = [sol for sol in initial if sol is not None]
     for _ in range((cfg.budget - cfg.pop_size) // cfg.lambda_):
-        pop = step(pop, rng, logged_eval)
+        pop = step(pop, rng, logged_eval, constrained)
 
     return RunResult(front=best_front(everything), log=log, config=asdict(cfg),
                      wall_time=time.perf_counter() - start,
                      n_evaluations=len(log))
 
 
-def run_nsga2(problem: ProblemSpec, cfg: GAConfig, constrained: bool = False) -> RunResult:
-    return _run(problem, cfg, lambda pop, rng, evaluator: nsga2_step(
+def run_nsga2(problem: ProblemSpec, cfg: GAConfig,
+              constrained: Optional[bool] = None) -> RunResult:
+    return _run(problem, cfg, constrained, lambda pop, rng, evaluator, constrained: nsga2_step(
         pop, cfg, problem, rng, evaluator, constrained))
 
 
-def run_nsga3(problem: ProblemSpec, cfg: GAConfig, constrained: bool = False,
+def run_nsga3(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool] = None,
               dirs: Optional[ReferenceDirectionSet] = None) -> RunResult:
     if dirs is None:
         dirs = das_dennis(problem.n_obj, default_divisions(problem.n_obj, cfg.pop_size))
-    return _run(problem, cfg, lambda pop, rng, evaluator: nsga3_step(
+    return _run(problem, cfg, constrained, lambda pop, rng, evaluator, constrained: nsga3_step(
         pop, cfg, problem, rng, evaluator, constrained, dirs))

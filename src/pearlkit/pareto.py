@@ -4,8 +4,8 @@ Objective vectors are handled in maximization sense throughout this module:
 benchmark problems that minimize are negated at ingestion and un-negated
 again at the reporting boundary.
 
-Two dominance relations exist: ``"objectives"`` (plain dominance) and
-``"constrained"`` (feasibility first, after Deb et al., IEEE TEC 2002).
+Two dominance relations exist: plain dominance on the objectives and, with
+``constrained=True``, feasibility first (after Deb et al., IEEE TEC 2002).
 ``dominates`` and ``constrained_dominates`` are their scalar forms; one
 array kernel, ``_dominance``, serves both the sort and the archive.
 """
@@ -93,12 +93,6 @@ def constrained_dominates(a: Solution, b: Solution) -> bool:
     return dominates(a.obj, b.obj)
 
 
-def _constrained(relation: str) -> bool:
-    if relation not in ("objectives", "constrained"):
-        raise ValueError(f"unknown dominance relation: {relation!r}")
-    return relation == "constrained"
-
-
 def _dominance(a_obj: np.ndarray, a_cv: np.ndarray, b_obj: np.ndarray,
                b_cv: np.ndarray, constrained: bool) -> np.ndarray:
     """D[i, j] is True when point i of ``a`` dominates point j of ``b``.
@@ -118,20 +112,19 @@ def _dominance(a_obj: np.ndarray, a_cv: np.ndarray, b_obj: np.ndarray,
     return np.where(a_feas & b_feas, plain, a_feas | (~b_feas & lower_cv))
 
 
-def non_dominated_sort(
-    pop: Sequence[Solution], relation: str = "objectives"
-) -> list[list[int]]:
+def non_dominated_sort(pop: Sequence[Solution], constrained: bool = False) -> list[list[int]]:
     """Sort a population into non-domination fronts (indices, best front first).
 
     Front 0 contains the solutions dominated by nobody; each later front is
     non-dominated once earlier fronts are removed.  Every index appears in
-    exactly one front.  ``relation`` is ``"objectives"`` or ``"constrained"``.
+    exactly one front.  ``constrained`` folds feasibility into dominance, as
+    in ``constrained_dominates``.
     """
     if len(pop) == 0:
         raise ValueError("cannot sort an empty population")
     obj = np.array([s.obj for s in pop], dtype=float)
     cv = np.array([s.cv for s in pop], dtype=float)
-    d = _dominance(obj, cv, obj, cv, _constrained(relation))
+    d = _dominance(obj, cv, obj, cv, constrained)
     dominated_count = d.sum(axis=0)
     fronts: list[list[int]] = []
     remaining = np.ones(len(pop), dtype=bool)
@@ -205,18 +198,17 @@ class ParetoArchive:
     The archive is the per-worker memory used by the rank-based reward
     engines.  ``capacity=None`` gives an unbounded archive (used by the
     envelope variant, where the archive only serves reporting).
-    ``relation`` is ``"objectives"`` (plain dominance) or ``"constrained"``
-    (feasibility folded into dominance, as in ``constrained_dominates``), so
-    that constrained variants keep feasibility inside the buffer ordering.
+    ``constrained=True`` folds feasibility into dominance, as in
+    ``constrained_dominates``, so that constrained variants keep feasibility
+    inside the buffer ordering.
     Both tests go through the same array kernel as ``non_dominated_sort``.
     """
 
-    def __init__(self, capacity: Optional[int] = None, relation: str = "objectives"):
+    def __init__(self, capacity: Optional[int] = None, constrained: bool = False):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be a positive integer or None")
         self.capacity = capacity
-        self.relation = relation
-        self._is_constrained = _constrained(relation)
+        self.constrained = constrained
         self.members: list[Solution] = []
 
     def __len__(self) -> int:
@@ -236,8 +228,8 @@ class ParetoArchive:
             obj = self.objectives()
             cv = np.array([m.cv for m in self.members])
             s_obj, s_cv = sol.obj[None, :], np.array([sol.cv])
-            beaten = _dominance(obj, cv, s_obj, s_cv, self._is_constrained)[:, 0]
-            beats = _dominance(s_obj, s_cv, obj, cv, self._is_constrained)[0]
+            beaten = _dominance(obj, cv, s_obj, s_cv, self.constrained)[:, 0]
+            beats = _dominance(s_obj, s_cv, obj, cv, self.constrained)[0]
             twin = np.all(obj == sol.obj, axis=1)
             if np.any(beaten | (twin & ~beats)):
                 return False

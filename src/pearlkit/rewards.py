@@ -28,9 +28,11 @@ from typing import Optional
 
 import numpy as np
 
-from .density import (DensityRank, ReferenceDirectionSet, best_first, crowding_rank, das_dennis,
-                      default_divisions, minmax_normalize, niching_rank)
+from .density import (DensityRank, best_first, crowding_rank, das_dennis, default_divisions,
+                      minmax_normalize, niching_rank)
 from .pareto import FEASIBILITY_TOL, ParetoArchive, Solution
+
+KAPPA = 64  # default archive size of the rank engines
 
 
 def constraint_violation(values, limits=None, weights=None) -> float:
@@ -243,12 +245,12 @@ class _RankedEngine:
 
     default_log_std = -0.75
 
-    def __init__(self, kappa: int, relation: str = "objectives"):
+    def __init__(self, kappa: int, constrained: bool = False):
         if kappa < 1:
             raise ValueError("kappa must be a positive integer")
         self.kappa = int(kappa)
         self.reward_scale = float(kappa)
-        self.archive = ParetoArchive(capacity=self.kappa, relation=relation)
+        self.archive = ParetoArchive(capacity=self.kappa, constrained=constrained)
 
     def observation(self) -> np.ndarray:
         # rank engines contribute nothing to the policy observation
@@ -276,7 +278,7 @@ class PearlEpsilon(_RankedEngine):
     lexicographically on the raw objective vector.
     """
 
-    def __init__(self, kappa: int, nu: float = 0.05):
+    def __init__(self, kappa: int = KAPPA, nu: float = 0.05):
         super().__init__(kappa)
         if nu <= 0:
             raise ValueError("nu must be positive")
@@ -300,22 +302,19 @@ class PearlNds(_RankedEngine):
     single feasible solution displaces every infeasible one.
     """
 
-    def __init__(self, kappa: int, ranker: str = "crowding",
-                 dirs: Optional[ReferenceDirectionSet] = None, n_obj: Optional[int] = None,
-                 constrained: bool = False):
-        super().__init__(kappa, relation="constrained" if constrained else "objectives")
+    def __init__(self, kappa: int = KAPPA, ranker: str = "crowding",
+                 n_obj: Optional[int] = None, constrained: bool = False):
+        super().__init__(kappa, constrained)
         if ranker == "crowding":
             self._rank_fn = crowding_rank
         elif ranker == "niching":
-            if dirs is None:
-                if n_obj is None:
-                    raise ValueError("niching needs reference directions or n_obj")
-                dirs = das_dennis(n_obj, default_divisions(n_obj, kappa))
+            if n_obj is None:
+                raise ValueError("niching needs n_obj")
+            dirs = das_dennis(n_obj, default_divisions(n_obj, kappa))
             self._rank_fn = partial(niching_rank, dirs=dirs)
         else:
             raise ValueError(f"unknown ranker: {ranker!r}")
         self.ranker_name = ranker
-        self.dirs = dirs
 
     def _ranker(self, objs: np.ndarray) -> DensityRank:
         return self._rank_fn(objs)
@@ -324,28 +323,28 @@ class PearlNds(_RankedEngine):
 class CurriculumConstrained:
     """Two-stage constrained engine: reach feasibility first, then rank.
 
-    Infeasible solutions earn ``-(sum_i gamma_i * phi_i) - bonus`` and never
-    touch the archive; feasible ones are forwarded to the inner engine.  With
-    ``bonus`` at least the inner buffer size, every infeasible reward sits
-    strictly below every feasible one.
+    Infeasible solutions earn ``-(sum_i gammas_i * phi_i) - M`` and never
+    touch the archive; feasible ones are forwarded to the inner engine.  The
+    bonus gap ``M`` defaults to the inner buffer size ``kappa``; with ``M``
+    at least that size, every infeasible reward sits strictly below every
+    feasible one.
     """
 
-    def __init__(self, inner, bonus: Optional[float] = None,
-                 limits=None, weights=None):
+    def __init__(self, inner, M: Optional[float] = None, limits=None, gammas=None):
         self.inner = inner
-        if bonus is None:
+        if M is None:
             if not hasattr(inner, "kappa"):
-                raise ValueError("bonus must be given explicitly for this inner engine")
-            bonus = float(inner.kappa)
-        if bonus < 0:
-            raise ValueError("bonus must be nonnegative")
-        self.bonus = float(bonus)
+                raise ValueError("M must be given explicitly for this inner engine")
+            M = float(inner.kappa)
+        if M < 0:
+            raise ValueError("M must be nonnegative")
+        self.M = float(M)
         self.limits = limits
-        self.weights = weights
+        self.gammas = gammas
         self.reward_scale = (
-            float(inner.reward_scale) if inner.reward_scale != 1.0 else max(1.0, self.bonus)
+            float(inner.reward_scale) if inner.reward_scale != 1.0 else max(1.0, self.M)
         )
-        self.default_log_std = getattr(inner, "default_log_std", -0.75)
+        self.default_log_std = inner.default_log_std
 
     @property
     def archive(self) -> ParetoArchive:
@@ -360,8 +359,8 @@ class CurriculumConstrained:
     def score(self, sol: Solution) -> RewardOutcome:
         if sol.feasible:
             return self.inner.score(sol)
-        cv = constraint_violation(sol.g, self.limits, self.weights)
-        return RewardOutcome(reward=-cv - self.bonus, feasible=False, archived=False)
+        cv = constraint_violation(sol.g, self.limits, self.gammas)
+        return RewardOutcome(reward=-cv - self.M, feasible=False, archived=False)
 
 
 def make_solution(x, objectives_min, constraints=(), limits=None, weights=None) -> Solution:

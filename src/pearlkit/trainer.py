@@ -73,11 +73,16 @@ class TrainerConfig:
     def batch_size(self) -> int:
         return self.n_steps * self.ncores
 
+    def validate(self):
+        if self.budget < self.batch_size():
+            raise ValueError("budget must cover at least one batch of evaluations")
+        if self.observation not in ("latent", "token"):
+            raise ValueError("observation must be 'latent' or 'token'")
+        return self
+
     def resolved_latent_dim(self, problem: ProblemSpec) -> int:
         if self.observation == "token":
             return 1
-        if self.observation != "latent":
-            raise ValueError("observation must be 'latent' or 'token'")
         return self.latent_dim if self.latent_dim is not None else problem.n_x
 
 
@@ -91,7 +96,7 @@ class PolicyState:
     """
 
     def __init__(self, obs_dim: int, act_dim: int, cfg: TrainerConfig,
-                 rng: np.random.Generator, init_log_std: float = -0.75):
+                 rng: np.random.Generator, init_log_std: float):
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         h = cfg.hidden
@@ -360,7 +365,7 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
         actions = squash(z, cfg.squash)
         gauss_logp = gaussian_log_prob(z, mean, log_std)
         values = policy.value(obs)
-        scale = float(getattr(worker.engine, "reward_scale", 1.0))
+        scale = float(worker.engine.reward_scale)
         for x in actions:
             sol = evaluate_solution(problem, x, len(log))
             reward = worker.engine.score(sol).reward if sol is not None else -scale
@@ -437,8 +442,7 @@ def train(problem: ProblemSpec, engine_factory: Callable[[], object],
     the merged non-dominated front across the worker archives together with
     the complete evaluation history.
     """
-    if cfg.budget < cfg.batch_size():
-        raise ValueError("budget must cover at least one batch of evaluations")
+    cfg.validate()
     start = time.perf_counter()
     seed_seq = np.random.SeedSequence(cfg.seed)
     streams = seed_seq.spawn(cfg.ncores + 2)
@@ -454,9 +458,7 @@ def train(problem: ProblemSpec, engine_factory: Callable[[], object],
     probe = engine_factory()
     probe.resample(np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0])))
     obs_dim = cfg.resolved_latent_dim(problem) + len(probe.observation())
-    init_log_std = cfg.init_log_std
-    if init_log_std is None:
-        init_log_std = getattr(probe, "default_log_std", -0.75)
+    init_log_std = probe.default_log_std if cfg.init_log_std is None else cfg.init_log_std
     policy = PolicyState(obs_dim=obs_dim, act_dim=problem.n_x, cfg=cfg,
                          rng=init_rng, init_log_std=init_log_std)
 

@@ -30,20 +30,18 @@ def brute_force_front_indices(objs, dominates_fn):
 class OracleArchive:
     """Scalar reference for ``ParetoArchive``: one relation call per member.
 
-    ``relation`` is ``"objectives"`` (plain dominance on ``obj``) or
-    ``"constrained"`` (feasibility first, then lower ``cv``, then plain).
+    Plain dominance on ``obj``, or with ``constrained`` feasibility first,
+    then lower ``cv``, then plain.
     ``add`` and ``insert`` return what the library's methods return and
     leave the members in the same order.
     """
 
-    def __init__(self, capacity=None, relation="objectives"):
+    def __init__(self, capacity=None, constrained=False):
         self.capacity = capacity
-        if relation == "objectives":
-            self.rel = lambda a, b: dominates(a.obj, b.obj)
-        elif relation == "constrained":
+        if constrained:
             self.rel = constrained_dominates
         else:
-            raise ValueError(relation)
+            self.rel = lambda a, b: dominates(a.obj, b.obj)
         self.members = []
 
     def _rejects(self, sol):
@@ -195,7 +193,7 @@ def nsga3_survivors_scalar(pool, n, dirs, constrained):
     from pearlkit.pareto import non_dominated_sort
 
     chosen, last = [], []
-    for front in non_dominated_sort(pool, "constrained" if constrained else "objectives"):
+    for front in non_dominated_sort(pool, constrained):
         if len(chosen) + len(front) > n:
             last = front
             break

@@ -80,8 +80,7 @@ def test_criterion_02_dtlz7_pearl_envelope():
 def test_criterion_03_dtlz2_nsga3_baseline():
     problem = get_problem("dtlz2")
     results = [
-        run_nsga3(problem, GAConfig(lambda_=32, mu=32, pop_size=32,
-                                    budget=10_000, seed=seed))
+        run_nsga3(problem, GAConfig(lambda_=32, budget=10_000, seed=seed))
         for seed in SEEDS
     ]
     median, values = _median_hv(problem, results)
@@ -165,11 +164,11 @@ def test_criterion_08_sorting_matches_exhaustive_oracle():
                      g=np.array([c]) if c > 0 else np.empty(0), cv=c)
             for o, c in zip(objs, cvs)
         ]
-        plain = sorted(non_dominated_sort(pop, "objectives")[0])
+        plain = sorted(non_dominated_sort(pop)[0])
         expected = brute_force_front_indices(objs, brute_force_dominates_max)
         assert plain == expected, f"plain relation diverged on trial {trial}"
 
-        constrained = sorted(non_dominated_sort(pop, "constrained")[0])
+        constrained = sorted(non_dominated_sort(pop, constrained=True)[0])
         expected_c = [
             i for i in range(n)
             if not any(constrained_dominates(pop[j], pop[i])

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +74,37 @@ class TestConfig:
         path, _ = small_config(tmp_path, algorithms=[{"name": "c-pearl", key: value}])
         with pytest.raises(ConfigError, match=f"key '{key}'.*{value}"):
             load_config(path)
+
+    @pytest.mark.parametrize("entry,key", [
+        ({"name": "pearl-nds", "kapa": 8}, "'kapa'"),
+        ({"name": "nsga3", "lamda_": 8}, "'lamda_'"),
+        ({"name": "pearl-e", "lr": 1e-3}, "'lr'"),
+        ({"name": "nsga2", "learning_rate": 1e-3}, "'learning_rate'"),
+        ({"name": "c-pearl", "mode": "crowding2", "inner": "pearl-eps"}, "'inner'"),
+        ({"name": "c-pearl", "mode": "crowding2", "gammas": [1.0, 1.0]}, "'gammas'"),
+        ({"name": "c-pearl", "mode": "crowding2", "M": 64}, "'M'"),
+        ({"name": "c-pearl", "inner": "pearl-e"}, "M must be given"),
+        ({"name": "pearl-nds", "ranker": "crowdin"}, "ranker: 'crowdin'"),
+        ({"name": "nsga2", "mutpb": 2.0}, "mutpb"),
+    ])
+    def test_keys_nothing_reads_are_rejected_at_load(self, tmp_path, entry, key):
+        path, _ = small_config(tmp_path, algorithms=[entry])
+        with pytest.raises(ConfigError, match=f"{entry['name']}.*{re.escape(key)}"):
+            load_config(path)
+
+    @pytest.mark.parametrize("entry", [{"name": "pearl-nds", "kappa": 8},
+                                       {"name": "nsga2", "lambda_": 8}])
+    def test_budget_below_one_round_rejected_at_load(self, tmp_path, entry):
+        # one trainer batch is n_steps x ncores = 16; NSGA needs 8 + 8
+        path, _ = small_config(tmp_path, algorithms=[entry], budget=15)
+        with pytest.raises(ConfigError, match="budget"):
+            load_config(path)
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (example,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        config = load_config(json.loads(example))
+        assert [spec.label for spec in config.algorithms] == ["pearl-nds-crowding", "nsga3"]
 
 
 class TestRun:
@@ -151,6 +185,24 @@ class TestRun:
         failed = tmp_path / "out" / "c-pearl-distance-cl" / "c2dtlz2" / "seed0" / "FAILED"
         assert "ValueError: weights must match the constraint vector length" \
             in failed.read_text()
+
+    def test_infeasible_front_scores_no_hypervolume(self, tmp_path, monkeypatch):
+        import pearlkit.experiment as exp
+
+        never_feasible = dataclasses.replace(
+            get_problem("c2dtlz2"), name="never-feasible",
+            constraints=lambda x, f: np.array([1.0]))
+        monkeypatch.setattr(exp, "get_problem", lambda name: never_feasible)
+        path, _ = small_config(tmp_path, problems="never-feasible", seeds=[0],
+                               algorithms=[{"name": "nsga2", "lambda_": 8}])
+        out = run_experiment(path)
+        (report,) = read_metric_csv(out / "metrics.csv")
+        assert report.hv == 0.0
+        assert np.isnan([report.gd, report.igd, report.eps]).all()
+        summary = json.loads((out / "nsga2" / "never-feasible" / "seed0" /
+                              "summary.json").read_text())
+        assert summary["metrics"]["hv"] == 0.0
+        assert summary["front_size"] > 0
 
     def test_cell_metrics_carry_no_cardinality_columns(self, tmp_path):
         path, _ = small_config(tmp_path, seeds=[0])

@@ -32,7 +32,7 @@ def unlogged(problem):
 class TestSteps:
     def test_population_size_preserved(self):
         problem = get_problem("dtlz2")
-        cfg = GAConfig(lambda_=16, mu=16, pop_size=16, budget=10_000)
+        cfg = GAConfig(lambda_=16, budget=10_000)
         pop = initial_population(problem, 16)
         rng = np.random.default_rng(1)
         nxt = nsga2_step(pop, cfg, problem, rng, unlogged(problem), False)
@@ -40,7 +40,7 @@ class TestSteps:
 
     def test_no_variation_degenerate(self):
         problem = get_problem("dtlz2")
-        cfg = GAConfig(lambda_=8, mu=8, pop_size=8, mutpb=0.0, cxpb=0.0)
+        cfg = GAConfig(lambda_=8, mutpb=0.0, cxpb=0.0)
         pop = initial_population(problem, 8, seed=2)
         rng = np.random.default_rng(2)
         nxt = nsga2_step(pop, cfg, problem, rng, unlogged(problem), False)
@@ -50,7 +50,7 @@ class TestSteps:
 
     def test_offspring_stay_in_box(self):
         problem = get_problem("ctp1")
-        cfg = GAConfig(lambda_=32, mu=32, pop_size=32, mutpb=1.0, cxpb=1.0)
+        cfg = GAConfig(lambda_=32, mutpb=1.0, cxpb=1.0)
         pop = initial_population(problem, 32, seed=3)
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -61,7 +61,7 @@ class TestSteps:
 
     def test_survivor_front_zero_matches_brute_force(self):
         problem = get_problem("dtlz2")
-        cfg = GAConfig(lambda_=10, mu=10, pop_size=10)
+        cfg = GAConfig(lambda_=10)
         pop = initial_population(problem, 10, seed=4)
         rng = np.random.default_rng(4)
         # reconstruct the merged pool by intercepting the step
@@ -85,7 +85,7 @@ class TestSteps:
         # infeasible members plainly dominate the single feasible one; with
         # constrained domination the feasible member must lead the survivors
         problem = get_problem("c2dtlz2")
-        cfg = GAConfig(lambda_=4, mu=4, pop_size=4, mutpb=0.0, cxpb=0.0)
+        cfg = GAConfig(lambda_=4, mutpb=0.0, cxpb=0.0)
         members = [
             make_solution(np.full(problem.n_x, 0.1 * (i + 1)), [0.1 * i, 0.1], [0.5 + 0.1 * i])
             for i in range(3)
@@ -98,7 +98,7 @@ class TestSteps:
 
     def test_elitism_no_regression(self):
         problem = get_problem("dtlz2")
-        cfg = GAConfig(lambda_=12, mu=12, pop_size=12)
+        cfg = GAConfig(lambda_=12)
         pop = initial_population(problem, 12, seed=5)
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -116,7 +116,7 @@ class TestSteps:
 class TestNsga3:
     def test_all_feasible_matches_unconstrained(self):
         problem = get_problem("dtlz2")  # no constraints at all
-        cfg = GAConfig(lambda_=12, mu=12, pop_size=12)
+        cfg = GAConfig(lambda_=12)
         dirs = das_dennis(3, 4)
         pop = initial_population(problem, 12, seed=6)
         a = nsga3_step(pop, cfg, problem, np.random.default_rng(9), unlogged(problem),
@@ -126,7 +126,7 @@ class TestNsga3:
         assert [tuple(m.obj) for m in a] == [tuple(m.obj) for m in b]
 
     def test_single_feasible_survives(self):
-        cfg = GAConfig(lambda_=4, mu=4, pop_size=4)
+        cfg = GAConfig(lambda_=4)
         feasible = make_solution(np.full(2, 0.5), [2.0, 2.0], [-1.0])
         infeasible = [
             make_solution(np.full(2, 0.2), [0.1 * i, 0.1], [0.5 + 0.1 * i])
@@ -160,7 +160,7 @@ class TestNsga3:
 class TestRuns:
     def test_run_respects_budget_and_logs(self):
         problem = get_problem("dtlz2")
-        cfg = GAConfig(lambda_=16, mu=16, pop_size=16, budget=200, seed=0)
+        cfg = GAConfig(lambda_=16, budget=200, seed=0)
         result = run_nsga2(problem, cfg)
         assert result.n_evaluations == 16 + 11 * 16
         assert result.n_evaluations <= 200
@@ -169,7 +169,7 @@ class TestRuns:
 
     def test_all_time_front_mutually_non_dominated(self):
         problem = get_problem("dtlz2")
-        cfg = GAConfig(lambda_=16, mu=16, pop_size=16, budget=400, seed=1)
+        cfg = GAConfig(lambda_=16, budget=400, seed=1)
         result = run_nsga3(problem, cfg)
         assert result.front
         for a in result.front:
@@ -179,21 +179,21 @@ class TestRuns:
 
     def test_constrained_run_keeps_feasible_members(self):
         problem = get_problem("c2dtlz2")
-        cfg = GAConfig(lambda_=16, mu=16, pop_size=16, budget=800, seed=2)
+        cfg = GAConfig(lambda_=16, budget=800, seed=2)
         result = run_nsga3(problem, cfg, constrained=True)
         assert result.front
         assert all(m.feasible for m in result.front)
 
     def test_constrained_nsga2_run_reports_feasible_front(self):
         problem = get_problem("c2dtlz2")
-        cfg = GAConfig(lambda_=16, mu=16, pop_size=16, budget=800, seed=2)
+        cfg = GAConfig(lambda_=16, budget=800, seed=2)
         result = run_nsga2(problem, cfg, constrained=True)
         assert result.front
         assert all(m.feasible for m in result.front)
 
     def test_feasibility_never_lost_once_found(self):
         problem = get_problem("c2dtlz2")
-        cfg = GAConfig(lambda_=12, mu=12, pop_size=12, budget=2000, seed=3)
+        cfg = GAConfig(lambda_=12, budget=2000, seed=3)
         rng = np.random.default_rng(3)
         pop = initial_population(problem, 12, seed=3)
         dirs = das_dennis(3, 4)
@@ -207,7 +207,7 @@ class TestRuns:
 
     def test_determinism(self):
         problem = get_problem("ctp1")
-        cfg = GAConfig(lambda_=8, mu=8, pop_size=8, budget=100, seed=11)
+        cfg = GAConfig(lambda_=8, budget=100, seed=11)
         a = run_nsga3(problem, cfg, constrained=True)
         b = run_nsga3(problem, cfg, constrained=True)
         assert len(a.log) == len(b.log)
@@ -219,6 +219,21 @@ class TestRuns:
             GAConfig(mutpb=1.5).validate()
         with pytest.raises(ValueError):
             GAConfig(mu=64, lambda_=32).validate()
+        with pytest.raises(ValueError, match="budget"):
+            GAConfig(lambda_=8, budget=15).validate()
+
+    def test_mu_and_pop_size_default_to_lambda(self):
+        cfg = GAConfig(lambda_=64)
+        assert cfg.mu == cfg.pop_size == 64
+
+    def test_constrained_defaults_to_problem_having_constraints(self):
+        problem = get_problem("c2dtlz2")
+        cfg = GAConfig(lambda_=8, budget=8 + 4 * 8, seed=0)
+        default = run_nsga3(problem, cfg)
+        explicit = run_nsga3(problem, cfg, constrained=True)
+        assert len(default.log) == len(explicit.log)
+        for ra, rb in zip(default.log, explicit.log):
+            assert np.array_equal(ra.x, rb.x)
 
 
 class TestFailedEvaluations:
@@ -234,7 +249,7 @@ class TestFailedEvaluations:
     @pytest.mark.parametrize("run", [run_nsga2, run_nsga3])
     def test_failures_logged_as_nan_and_skipped(self, run):
         problem = self.flaky_problem(0.7)
-        cfg = GAConfig(lambda_=16, mu=16, pop_size=16, budget=400, seed=1)
+        cfg = GAConfig(lambda_=16, budget=400, seed=1)
         result = run(problem, cfg)
         assert [row.step for row in result.log] == list(range(400))
         failed = [row.step for row in result.log if np.isnan(row.f).all()]
@@ -257,7 +272,7 @@ class TestFailedEvaluations:
         problem = ProblemSpec("flaky-c2dtlz2", 7, 3, objectives,
                               constraints=lambda x, f: c2dtlz2_constraint(f),
                               n_constraints=1, nadir=[3, 3, 3])
-        cfg = GAConfig(lambda_=16, mu=16, pop_size=16, budget=400, seed=1)
+        cfg = GAConfig(lambda_=16, budget=400, seed=1)
         result = run_nsga2(problem, cfg, constrained=True)
         assert [row.step for row in result.log] == list(range(400))
         failed = [row.step for row in result.log if np.isnan(row.f).all()]
@@ -270,6 +285,6 @@ class TestFailedEvaluations:
 
     def test_every_initial_evaluation_failing_is_an_error(self):
         problem = self.flaky_problem(-1.0)
-        cfg = GAConfig(lambda_=8, mu=8, pop_size=8, budget=64, seed=0)
+        cfg = GAConfig(lambda_=8, budget=64, seed=0)
         with pytest.raises(ValueError, match="empty population"):
             run_nsga2(problem, cfg)

@@ -130,7 +130,7 @@ class TestNonDominatedSort:
                 i for i in range(n)
                 if not any(cdom(j, i) for j in range(n) if j != i)
             ]
-            assert sorted(non_dominated_sort(cpop, "constrained")[0]) == expected_c
+            assert sorted(non_dominated_sort(cpop, constrained=True)[0]) == expected_c
 
     def test_later_fronts_are_nested_brute_force(self):
         rng = np.random.default_rng(23)
@@ -211,7 +211,7 @@ class TestParetoArchive:
         assert non_dominated_mask(-objs).all()
 
     def test_constrained_relation_feasible_displaces_infeasible(self):
-        archive = ParetoArchive(capacity=4, relation="constrained")
+        archive = ParetoArchive(capacity=4, constrained=True)
         archive.insert(sol((5, 5), cv=0.4), crowding_rank)
         archive.insert(sol((6, 6), cv=0.2), crowding_rank)
         rank = archive.insert(sol((0, 0)), crowding_rank)
@@ -220,7 +220,7 @@ class TestParetoArchive:
         assert archive.members[0].feasible
 
     def test_feasible_duplicate_replaces_infeasible_twin(self):
-        archive = ParetoArchive(capacity=4, relation="constrained")
+        archive = ParetoArchive(capacity=4, constrained=True)
         archive.insert(sol((1, 2), cv=0.3), crowding_rank)
         rank = archive.insert(sol((1, 2)), crowding_rank)
         assert rank == 0
@@ -237,12 +237,12 @@ _point = st.tuples(
 
 class TestArchiveMatchesOracle:
     @settings(max_examples=150, deadline=None)
-    @given(relation=st.sampled_from(["objectives", "constrained"]),
+    @given(constrained=st.booleans(),
            capacity=st.one_of(st.none(), st.integers(1, 8)),
            points=st.lists(_point, min_size=1, max_size=40))
-    def test_insert_and_add_match_scalar_oracle(self, relation, capacity, points):
-        archive = ParetoArchive(capacity=capacity, relation=relation)
-        oracle = OracleArchive(capacity=capacity, relation=relation)
+    def test_insert_and_add_match_scalar_oracle(self, constrained, capacity, points):
+        archive = ParetoArchive(capacity=capacity, constrained=constrained)
+        oracle = OracleArchive(capacity=capacity, constrained=constrained)
         for obj, cv in points:
             s = sol(obj, cv=cv)
             if capacity is None:
@@ -257,5 +257,5 @@ class TestArchiveMatchesOracle:
             for a in members:
                 for b in members:
                     assert a is b or not oracle.rel(a, b)
-            if relation == "constrained" and any(m.feasible for m in members):
+            if constrained and any(m.feasible for m in members):
                 assert all(m.feasible for m in members)

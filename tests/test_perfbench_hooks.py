@@ -19,7 +19,7 @@ from pearlkit.nsga import GAConfig, run_nsga2, run_nsga3
 from pearlkit.problems import get_problem
 
 tracer = Tracer().install()
-cfg = GAConfig(lambda_=8, mu=8, pop_size=8, budget=8 + 3 * 8)
+cfg = GAConfig(lambda_=8, budget=8 + 3 * 8)
 run_nsga2(get_problem("ctp1"), cfg, constrained=True)
 run_nsga3(get_problem("c2dtlz2"), cfg, constrained=True)
 generation = tracer.layers.index("nsga.generation")

@@ -38,7 +38,7 @@ class TestGradients:
                             value_coef=0.5)
         rng = np.random.default_rng(0)
         for trial in range(20):
-            policy = PolicyState(obs_dim=3, act_dim=2, cfg=cfg, rng=rng)
+            policy = PolicyState(obs_dim=3, act_dim=2, cfg=cfg, rng=rng, init_log_std=-0.75)
             # keep parameters away from the clip kinks for differentiability
             obs, z, logp_old, adv, returns = toy_batch(rng, 3, 2, 6)
             mean, log_std = policy.policy_heads(obs)
@@ -63,7 +63,7 @@ class TestGradients:
     def test_zero_advantage_leaves_policy_untouched_without_entropy(self):
         cfg = TrainerConfig(hidden=8, entropy_coef=0.0)
         rng = np.random.default_rng(1)
-        policy = PolicyState(obs_dim=2, act_dim=3, cfg=cfg, rng=rng)
+        policy = PolicyState(obs_dim=2, act_dim=3, cfg=cfg, rng=rng, init_log_std=-0.75)
         obs, z, _, _, returns = toy_batch(rng, 2, 3, 8)
         mean, log_std = policy.policy_heads(obs)
         logp = gaussian_log_prob(z, mean, log_std)
@@ -76,7 +76,7 @@ class TestGradients:
     def test_zero_clip_ratio_gives_zero_policy_gradient_on_policy(self):
         cfg = TrainerConfig(hidden=8, clip_ratio=0.0, entropy_coef=0.0)
         rng = np.random.default_rng(2)
-        policy = PolicyState(obs_dim=2, act_dim=2, cfg=cfg, rng=rng)
+        policy = PolicyState(obs_dim=2, act_dim=2, cfg=cfg, rng=rng, init_log_std=-0.75)
         obs, z, _, adv, returns = toy_batch(rng, 2, 2, 8)
         mean, log_std = policy.policy_heads(obs)
         logp = gaussian_log_prob(z, mean, log_std)  # ratio is exactly 1
@@ -99,7 +99,7 @@ class TestRollout:
         problem = get_problem("dtlz2")
         workers = self.make_workers(8)
         policy = PolicyState(obs_dim=12, act_dim=12, cfg=cfg,
-                             rng=np.random.default_rng(0))
+                             rng=np.random.default_rng(0), init_log_std=-0.75)
         batch = rollout(policy, workers, problem, cfg, [])
         assert len(batch.rewards) == 256
         assert batch.observations.shape == (256, 12)
@@ -111,7 +111,7 @@ class TestRollout:
         problem = get_problem("dtlz2")
         workers = self.make_workers(2)
         policy = PolicyState(obs_dim=1, act_dim=12, cfg=cfg,
-                             rng=np.random.default_rng(0))
+                             rng=np.random.default_rng(0), init_log_std=-0.75)
         batch = rollout(policy, workers, problem, cfg, [])
         assert batch.observations.shape == (8, 1)
         assert np.all(batch.observations == 1.0)
@@ -124,7 +124,7 @@ class TestRollout:
         problem = get_problem("dtlz2")
         workers = self.make_workers(1, kappa=8)
         policy = PolicyState(obs_dim=12, act_dim=12, cfg=cfg,
-                             rng=np.random.default_rng(0))
+                             rng=np.random.default_rng(0), init_log_std=-0.75)
         calls = {"n": 0}
 
         def exploding_make_solution(*args):
@@ -148,7 +148,7 @@ class TestRollout:
         problem = get_problem("dtlz2")
         workers = self.make_workers(1, kappa=8)
         policy = PolicyState(obs_dim=12, act_dim=12, cfg=cfg,
-                             rng=np.random.default_rng(0))
+                             rng=np.random.default_rng(0), init_log_std=-0.75)
         monkeypatch.setattr(trainer_module, "squash", lambda z, kind: np.full_like(z, np.nan))
         log = []
         batch = rollout(policy, workers, problem, cfg, log=log)
@@ -165,7 +165,7 @@ class TestRollout:
             for i in range(2)
         ]
         policy = PolicyState(obs_dim=15, act_dim=12, cfg=cfg,
-                             rng=np.random.default_rng(0))
+                             rng=np.random.default_rng(0), init_log_std=-0.75)
         first = rollout(policy, workers, problem, cfg, [])
         second = rollout(policy, workers, problem, cfg, [])
         for batch in (first, second):
@@ -218,7 +218,7 @@ class TestUpdate:
         cfg = TrainerConfig(n_steps=8, ncores=2, hidden=16, learning_rate=1e-2,
                             entropy_coef=0.0)
         rng = np.random.default_rng(5)
-        policy = PolicyState(obs_dim=1, act_dim=2, cfg=cfg, rng=rng)
+        policy = PolicyState(obs_dim=1, act_dim=2, cfg=cfg, rng=rng, init_log_std=-0.75)
         constant = 0.25
         obs = np.ones((16, 1))
         for step in range(50):
@@ -239,7 +239,7 @@ class TestUpdate:
     def test_flat_adam_matches_per_key_reference(self):
         cfg = TrainerConfig(hidden=6, learning_rate=1e-2)
         rng = np.random.default_rng(8)
-        policy = PolicyState(obs_dim=3, act_dim=2, cfg=cfg, rng=rng)
+        policy = PolicyState(obs_dim=3, act_dim=2, cfg=cfg, rng=rng, init_log_std=-0.75)
         policy.params["log_std"][0] = LOG_STD_MIN  # clamped: its gradient is zero
         params = {k: p.copy() for k, p in policy.params.items()}
         m = {k: np.zeros_like(p) for k, p in params.items()}
@@ -261,7 +261,7 @@ class TestUpdate:
     def test_nan_guard_halves_learning_rate(self):
         cfg = TrainerConfig(hidden=8, n_steps=4, ncores=1)
         rng = np.random.default_rng(6)
-        policy = PolicyState(obs_dim=1, act_dim=2, cfg=cfg, rng=rng)
+        policy = PolicyState(obs_dim=1, act_dim=2, cfg=cfg, rng=rng, init_log_std=-0.75)
         from pearlkit.trainer import RolloutBatch
 
         z = rng.normal(size=(4, 2))
