@@ -18,6 +18,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -135,7 +136,9 @@ def load_config(source) -> ExperimentConfig:
     for spec in algorithms:
         for problem in config.problems:
             try:
-                _cell_run(config, spec, get_problem(problem), config.seeds[0])
+                _, make_engine = _cell_run(config, spec, get_problem(problem), config.seeds[0])
+                if make_engine:
+                    make_engine()
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"{spec.name} entry {spec.label!r} on {problem}: {err}") from None
     return config
@@ -151,6 +154,8 @@ _TRAINER_KEYS = ({f.name for f in fields(TrainerConfig)}
 
 
 def _pearl_e_engine(problem: ProblemSpec, params: dict):
+    if "lambda_" in params:
+        raise ConfigError("key 'lambda_': pearl-e spells it 'lambda'")
     params = {("lambda_" if k == "lambda" else k): v for k, v in params.items()}
     return PearlEnvelope(n_obj=problem.n_obj, **params)
 
@@ -160,7 +165,7 @@ def _pearl_eps_engine(problem: ProblemSpec, params: dict):
 
 
 def _pearl_nds_engine(problem: ProblemSpec, params: dict):
-    return PearlNds(n_obj=problem.n_obj, **params)
+    return PearlNds(n_obj=problem.n_obj, constrained=False, **params)
 
 
 def _c_pearl_engine(problem: ProblemSpec, params: dict):
@@ -192,19 +197,19 @@ ALGORITHMS = (*_ENGINES, *_NSGA_RUNS)
 
 def _cell_run(config: ExperimentConfig, spec: AlgorithmSpec, problem: ProblemSpec,
               seed: int):
-    """Build one cell's algorithm from its config entry; returns the call that
-    runs it.  Building draws no RNG and writes nothing."""
+    """Build and validate one cell's settings from its config entry.  Returns
+    the call that runs the cell and the engine factory it trains with (None
+    for NSGA).  Neither draws RNG nor writes anything."""
     params = dict(spec.params)
     if spec.name in _NSGA_RUNS:
         constrained = params.pop("constrained", None)
         ga = nsga.GAConfig(budget=config.budget, seed=seed, **params).validate()
-        return lambda: _NSGA_RUNS[spec.name](problem, ga, constrained=constrained)
+        return (lambda: _NSGA_RUNS[spec.name](problem, ga, constrained=constrained)), None
     trainer = {key: params.pop(key) for key in _TRAINER_KEYS & params.keys()}
     cfg = TrainerConfig(n_steps=config.n_steps, ncores=config.ncores, budget=config.budget,
                         seed=seed, **trainer).validate()
-    build = _ENGINES[spec.name]
-    build(problem, params)
-    return lambda: train(problem, lambda: build(problem, params), cfg)
+    make_engine = partial(_ENGINES[spec.name], problem, params)
+    return (lambda: train(problem, make_engine, cfg)), make_engine
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +275,8 @@ def _cell_metrics(run_id: str, label: str, problem: ProblemSpec,
 def _run_cell(config: ExperimentConfig, spec: AlgorithmSpec, problem_name: str,
               seed: int, cell_dir: Path) -> MetricReport:
     problem = get_problem(problem_name)
-    result = _cell_run(config, spec, problem, seed)()
+    run, _ = _cell_run(config, spec, problem, seed)
+    result = run()
     cell_dir.mkdir(parents=True, exist_ok=True)
     write_evaluations_csv(result, problem, cell_dir / "evaluations.csv")
     write_front_csv(result, problem, cell_dir / "front.csv")

@@ -38,8 +38,6 @@ class GAConfig:
     pop_size: Optional[int] = None
     budget: int = 10_000
     seed: int = 0
-    blend_alpha: float = 0.5
-    sigma_fraction: float = 0.1  # mutation sigma as a fraction of box width
 
     def __post_init__(self):
         self.mu = self.lambda_ if self.mu is None else self.mu
@@ -68,17 +66,21 @@ def _selection_order(pop: list[Solution], constrained: bool) -> list[int]:
     return order
 
 
+BLEND_ALPHA = 0.5  # blend crossover draws gamma from [-alpha, 1 + alpha]
+SIGMA_FRACTION = 0.1  # mutation sigma as a fraction of box width
+
+
 def _variation(parents: list[Solution], cfg: GAConfig, problem: ProblemSpec,
                rng: np.random.Generator) -> list[np.ndarray]:
     """lambda_ offspring decision vectors from the parent pool."""
     lo, hi = problem.lower, problem.upper
-    sigma = cfg.sigma_fraction * (hi - lo)
+    sigma = SIGMA_FRACTION * (hi - lo)
     out = []
     for _ in range(cfg.lambda_):
         i, j = rng.integers(0, len(parents), size=2)
         child = parents[i].x.copy()
         if rng.random() < cfg.cxpb:
-            gamma = (1.0 + 2.0 * cfg.blend_alpha) * rng.random(problem.n_x) - cfg.blend_alpha
+            gamma = (1.0 + 2.0 * BLEND_ALPHA) * rng.random(problem.n_x) - BLEND_ALPHA
             child = (1.0 - gamma) * parents[i].x + gamma * parents[j].x
         if rng.random() < cfg.mutpb:
             child = child + rng.normal(0.0, sigma)

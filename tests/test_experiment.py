@@ -86,6 +86,11 @@ class TestConfig:
         ({"name": "c-pearl", "inner": "pearl-e"}, "M must be given"),
         ({"name": "pearl-nds", "ranker": "crowdin"}, "ranker: 'crowdin'"),
         ({"name": "nsga2", "mutpb": 2.0}, "mutpb"),
+        ({"name": "pearl-e", "lambda": 2.0, "lambda_": 3.0}, "'lambda_'"),
+        ({"name": "pearl-nds", "constrained": True}, "'constrained'"),
+        ({"name": "c-pearl", "constrained": True}, "'constrained'"),
+        ({"name": "c-pearl", "mode": "crowding2", "constrained": True}, "'constrained'"),
+        ({"name": "nsga2", "blend_alpha": 0.3}, "'blend_alpha'"),
     ])
     def test_keys_nothing_reads_are_rejected_at_load(self, tmp_path, entry, key):
         path, _ = small_config(tmp_path, algorithms=[entry])
