@@ -6,8 +6,9 @@ again at the reporting boundary.
 
 Two dominance relations exist: plain dominance on the objectives and, with
 ``constrained=True``, feasibility first (after Deb et al., IEEE TEC 2002).
-``dominates`` and ``constrained_dominates`` are their scalar forms; one
-array kernel, ``_dominance``, serves both the sort and the archive.
+``dominates`` and ``constrained_dominates`` are their scalar forms;
+``_dominance`` is their array form for the sort, and ``ParetoArchive``
+compares one candidate against all its members in a single broadcast.
 """
 
 from __future__ import annotations
@@ -201,7 +202,14 @@ class ParetoArchive:
     ``constrained=True`` folds feasibility into dominance, as in
     ``constrained_dominates``, so that constrained variants keep feasibility
     inside the buffer ordering.
-    Both tests go through the same array kernel as ``non_dominated_sort``.
+
+    Members are stored as arrays: row ``i < n`` of ``_obj`` and entry ``i``
+    of ``_cv`` hold the objectives and violation of ``members[i]``, where
+    ``n = len(archive)``.  Every change (compaction on eviction, append,
+    reorder and truncation on a ranked insert) is applied to the arrays and
+    to ``members`` together, so the two stay in step; ``members`` serves
+    reporting only.  The arrays start with ``capacity + 1`` rows (room for
+    one candidate beyond a full archive) and double when full.
     """
 
     def __init__(self, capacity: Optional[int] = None, constrained: bool = False):
@@ -210,31 +218,57 @@ class ParetoArchive:
         self.capacity = capacity
         self.constrained = constrained
         self.members: list[Solution] = []
+        self._obj = np.empty((0, 0))
+        self._cv = np.empty(0)
 
     def __len__(self) -> int:
         return len(self.members)
 
     def objectives(self) -> np.ndarray:
-        return np.array([m.obj for m in self.members], dtype=float)
+        return self._obj[:len(self.members)].copy()
+
+    def _grow(self, n_obj: int):
+        n = len(self.members)
+        rows = max(2 * n, 16 if self.capacity is None else self.capacity + 1)
+        obj, cv = np.empty((rows, n_obj)), np.empty(rows)
+        if n:
+            obj[:n], cv[:n] = self._obj[:n], self._cv[:n]
+        self._obj, self._cv = obj, cv
 
     def _admit(self, sol: Solution) -> bool:
         """Append ``sol`` after dropping the members it dominates.
 
         ``sol`` is rejected (False, archive untouched) when a member
         dominates it, or when it duplicates the objectives of a member it
-        does not itself beat (clone flooding guard).
+        does not itself beat (clone flooding guard).  One comparison of
+        ``sol`` against all members decides both.
         """
-        if self.members:
-            obj = self.objectives()
-            cv = np.array([m.cv for m in self.members])
-            s_obj, s_cv = sol.obj[None, :], np.array([sol.cv])
-            beaten = _dominance(obj, cv, s_obj, s_cv, self.constrained)[:, 0]
-            beats = _dominance(s_obj, s_cv, obj, cv, self.constrained)[0]
-            twin = np.all(obj == sol.obj, axis=1)
-            if np.any(beaten | (twin & ~beats)):
-                return False
-            if beats.any():
-                self.members = [m for m, out in zip(self.members, beats) if not out]
+        n = len(self.members)
+        if n == len(self._obj):
+            self._grow(sol.obj.size)
+        obj, cv = self._obj[:n], self._cv[:n]
+        ge = (obj >= sol.obj).all(axis=1)  # dominates sol, or is its twin
+        le = (obj <= sol.obj).all(axis=1)  # dominated by sol, or is its twin
+        if self.constrained and sol.cv > 0:
+            # only the violation orders infeasible points; a twin of equal
+            # violation is a duplicate
+            reject = (cv < sol.cv) | ((cv == sol.cv) & ge & le)
+            evict = cv > sol.cv
+        elif self.constrained:
+            feasible = cv == 0.0
+            reject = feasible & ge
+            evict = ~feasible | le
+        else:
+            reject, evict = ge, le
+        if reject.any():
+            return False
+        if evict.any():
+            keep = ~evict
+            n = int(keep.sum())
+            self._obj[:n], self._cv[:n] = obj[keep], cv[keep]
+            for i in np.flatnonzero(evict)[::-1].tolist():
+                del self.members[i]
+        self._obj[n], self._cv[n] = sol.obj, sol.cv
         self.members.append(sol)
         return True
 
@@ -252,14 +286,18 @@ class ParetoArchive:
         Members dominated by ``sol`` are dropped; if ``sol`` is itself
         dominated the archive is left untouched and None is returned.
         Otherwise the new member set is ordered by ``ranker`` (a callable on
-        the stacked objective vectors returning an object with a best-first
+        the stacked objective vectors, passed as a view of the archive's own
+        rows that it must not modify, returning an object with a best-first
         ``order``), the archive is truncated to its ``capacity`` best-ranked
         members, and the rank of ``sol`` is returned.  A returned rank equal
         to or beyond the capacity means the solution was evicted right away.
         """
         if not self._admit(sol):
             return None
-        order = np.asarray(ranker(self.objectives()).order, dtype=int)
-        pos = int(np.flatnonzero(order == len(self.members) - 1)[0])
-        self.members = [self.members[i] for i in order[: self.capacity]]
+        n = len(self.members)
+        order = np.asarray(ranker(self._obj[:n]).order, dtype=int)
+        pos = int(np.flatnonzero(order == n - 1)[0])
+        kept = order[: self.capacity]
+        self._obj[: len(kept)], self._cv[: len(kept)] = self._obj[kept], self._cv[kept]
+        self.members = [self.members[i] for i in kept.tolist()]
         return pos

@@ -74,10 +74,15 @@ class TrainerConfig:
         return self.n_steps * self.ncores
 
     def validate(self):
+        for key in ("n_steps", "ncores"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be a positive integer")
         if self.budget < self.batch_size():
             raise ValueError("budget must cover at least one batch of evaluations")
         if self.observation not in ("latent", "token"):
             raise ValueError("observation must be 'latent' or 'token'")
+        if self.squash not in ("clip", "logistic"):
+            raise ValueError(f"squash must be 'clip' or 'logistic', not {self.squash!r}")
         return self
 
     def resolved_latent_dim(self, problem: ProblemSpec) -> int:

@@ -105,6 +105,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="budget"):
             load_config(path)
 
+    @pytest.mark.parametrize("overrides,key", [
+        ({"algorithms": [{"name": "pearl-nds", "squash": "tanh"}]}, "squash"),
+        ({"n_steps": 0}, "n_steps"),
+        ({"ncores": 0}, "ncores"),
+    ])
+    def test_trainer_settings_validated_at_load(self, tmp_path, overrides, key):
+        path, _ = small_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
     def test_readme_example_loads(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         (example,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)

@@ -259,3 +259,44 @@ class TestArchiveMatchesOracle:
                     assert a is b or not oracle.rel(a, b)
             if constrained and any(m.feasible for m in members):
                 assert all(m.feasible for m in members)
+
+
+# Three objectives on a 0..6 grid and a few violation levels.  A run opens
+# with points of the plane a + b + c = 9, whose 37 points form an antichain,
+# so the archive's arrays grow past their first allocation; it goes on with
+# points from the whole grid, where one point of a higher level evicts many
+# members at once.
+def _grid_points(objectives):
+    return st.tuples(st.sampled_from(objectives), st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0]))
+
+
+_GRID = [[a, b, c] for a in range(7) for b in range(7) for c in range(7)]
+_points3 = st.builds(
+    lambda head, tail: head + tail,
+    st.lists(_grid_points([p for p in _GRID if sum(p) == 9]), min_size=20, max_size=60),
+    st.lists(_grid_points(_GRID), min_size=1, max_size=60),
+)
+
+
+class TestArchiveArraysMatchOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(constrained=st.booleans(),
+           capacity=st.one_of(st.none(), st.integers(1, 40)),
+           points=_points3)
+    def test_arrays_stay_in_step_with_members(self, constrained, capacity, points):
+        archive = ParetoArchive(capacity=capacity, constrained=constrained)
+        oracle = OracleArchive(capacity=capacity, constrained=constrained)
+        for obj, cv in points:
+            s = sol(obj, cv=cv)
+            if capacity is None:
+                assert archive.add(s) == oracle.add(s)
+            else:
+                assert archive.insert(s, crowding_rank) == oracle.insert(s, crowding_rank)
+            assert [id(m) for m in archive.members] == [id(m) for m in oracle.members]
+
+            objs = archive.objectives()
+            np.testing.assert_array_equal(objs, np.array([m.obj for m in archive.members]))
+            assert archive._cv[:len(archive)].tolist() == [m.cv for m in archive.members]
+            objs += 1.0
+            np.testing.assert_array_equal(archive.objectives(),
+                                          np.array([m.obj for m in archive.members]))
