@@ -255,6 +255,16 @@ def load_front_csv(path) -> np.ndarray:
     return np.asarray(rows[1:], dtype=float)
 
 
+def _load_feasible_front(front_path: Path) -> np.ndarray:
+    """A cell's ``front.csv``, emptied when its ``summary.json`` counts no feasible member."""
+    summary_path = front_path.with_name("summary.json")
+    summary = json.loads(summary_path.read_text())
+    if "feasible_front_size" not in summary:
+        raise ValueError(f"{summary_path} has no 'feasible_front_size'")
+    front = load_front_csv(front_path)
+    return front if summary["feasible_front_size"] else front[:0]
+
+
 def _cell_metrics(run_id: str, label: str, problem: ProblemSpec,
                   result: RunResult) -> MetricReport:
     # an infeasible set is no front: it scores hv 0 and no distances
@@ -291,6 +301,7 @@ def _run_cell(config: ExperimentConfig, spec: AlgorithmSpec, problem_name: str,
         "wall_time": result.wall_time,
         "n_evaluations": result.n_evaluations,
         "front_size": len(result.front),
+        "feasible_front_size": sum(s.feasible for s in result.front),
         "metrics": {"hv": report.hv, "gd": report.gd, "igd": report.igd,
                     "eps": report.eps},
     }
@@ -393,8 +404,9 @@ def compare(run_dirs, alpha: float = 0.05) -> list[ComparisonResult]:
 
     Hypervolumes come straight from the metric CSVs; the binary indicators
     are recomputed against the combined per-seed reference front built from
-    the stored merged-front files (no problem re-evaluation).  Statistics
-    run on the hypervolume matrix when at least two seeds are shared.
+    the stored merged-front files (no problem re-evaluation), where a front
+    with no feasible member counts as empty.  Statistics run on the
+    hypervolume matrix when at least two seeds are shared.
     """
     run_dirs = [Path(d) for d in run_dirs]
     reports = []
@@ -444,8 +456,8 @@ def compare(run_dirs, alpha: float = 0.05) -> list[ComparisonResult]:
                 if path is None:
                     raise FileNotFoundError(
                         f"missing front.csv for {a}/{problem_name}/seed{seed}")
-                fronts[a] = load_front_csv(path)
-            pool = np.vstack([f for f in fronts.values() if len(f)])
+                fronts[a] = _load_feasible_front(path)
+            pool = np.vstack(list(fronts.values()))
             combined = pool[non_dominated_mask(pool)]
             cardinality = cardinality_metrics(fronts)
             for a in algorithms:

@@ -130,10 +130,6 @@ def additive_epsilon(front, reference) -> float:
     return float(np.max(np.min(shifts, axis=0)))
 
 
-def _distinct_rows(points: np.ndarray) -> np.ndarray:
-    return np.unique(np.atleast_2d(points), axis=0)
-
-
 def cardinality_metrics(fronts_by_algorithm: Mapping[str, np.ndarray]):
     """Survival of each algorithm's points in the combined reference front.
 
@@ -146,14 +142,11 @@ def cardinality_metrics(fronts_by_algorithm: Mapping[str, np.ndarray]):
     if not fronts_by_algorithm:
         raise ValueError("need at least one algorithm")
     own = {}
-    pool = []
     for name, front in fronts_by_algorithm.items():
-        f = _distinct_rows(np.asarray(front, dtype=float))
-        f = f[non_dominated_mask(f)]
-        own[name] = f
-        pool.append(f)
-    union = np.vstack(pool)
-    combined = _distinct_rows(union[non_dominated_mask(union)])
+        f = np.atleast_2d(np.asarray(front, dtype=float))
+        own[name] = f[non_dominated_mask(f)]
+    union = np.vstack(list(own.values()))
+    combined = union[non_dominated_mask(union)]
     tree = cKDTree(combined)
     out = {}
     for name, f in own.items():

@@ -22,6 +22,8 @@ import numpy as np
 # as satisfied so boundary noise does not flip feasibility.
 FEASIBILITY_TOL = 1e-12
 
+_BLOCK = 128  # rows per block of the sweep in ``non_dominated_mask``
+
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     """True if objective vector ``a`` dominates ``b`` (maximization sense).
@@ -138,59 +140,49 @@ def non_dominated_sort(pop: Sequence[Solution], constrained: bool = False) -> li
 
 
 def non_dominated_mask(points: np.ndarray) -> np.ndarray:
-    """Boolean mask of the non-dominated rows of ``points`` (minimization).
+    """Mask of the first occurrence of each distinct non-dominated row of
+    ``points`` (minimization).
 
-    Vectorized filter meant for large sets (merged run histories).  Duplicate
-    rows are all kept: equal vectors do not dominate each other.
+    The distinct rows are swept in lexicographic order, where only an earlier
+    row can dominate a later one (Kung, Luccio & Preparata, J. ACM 1975), and
+    an earlier distinct row dominates exactly when it is no worse in every
+    column after the first.  Each block of ``_BLOCK`` rows is compared with
+    the rows kept so far and, through the strict upper triangle, with itself.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array")
-    n = pts.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    if n == 0:
-        return mask
-    order = np.lexsort(pts.T[::-1])
-    kept = np.empty((n, pts.shape[1]))
-    n_kept = 0
-    for i in order:
-        p = pts[i]
-        if n_kept:
-            view = kept[:n_kept]
-            dom = np.all(view <= p, axis=1) & np.any(view < p, axis=1)
-            if bool(dom.any()):
-                continue
-        mask[i] = True
-        kept[n_kept] = p
-        n_kept += 1
+    rows, first = np.unique(pts, axis=0, return_index=True)
+    # one row per column, so that comparisons reduce over the (fast) first axis
+    tail = np.ascontiguousarray(rows[:, 1:].T)
+    keep = np.zeros(len(rows), dtype=bool)
+    later = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), k=1)
+    for start in range(0, len(rows), _BLOCK):
+        block = tail[:, start:start + _BLOCK]
+        n = block.shape[1]
+        kept = tail[:, :start][:, keep[:start]]
+        within = (block[:, :, None] <= block[:, None, :]).all(axis=0) & later[:n, :n]
+        across = (kept[:, :, None] <= block[:, None, :]).all(axis=0)
+        keep[start:start + n] = ~(within.any(axis=0) | across.any(axis=0))
+    mask = np.zeros(len(pts), dtype=bool)
+    mask[first[keep]] = True
     return mask
 
 
 def best_front(solutions: Sequence[Solution]) -> list[Solution]:
     """Feasibility-first non-dominated subset of a large solution set.
 
-    Equivalent to front 0 of the constrained sort but vectorized: when any
-    feasible solution exists the front is the plain non-dominated set of the
-    feasible ones, otherwise it is the least-violating group.  Duplicate
-    objective vectors are collapsed to their first occurrence.
+    The non-dominated subset, by objectives alone, of the feasible solutions
+    when any exist (front 0 of the constrained sort), else of the group of
+    least violation (not front 0, where equal violations tie).  Each distinct
+    objective vector appears once, at its first occurrence, in input order.
     """
     if not solutions:
         return []
+    obj = np.array([s.obj for s in solutions])
     cv = np.array([s.cv for s in solutions])
-    if np.any(cv == 0.0):
-        pool = [s for s in solutions if s.cv == 0.0]
-    else:
-        pool = [s for s in solutions if s.cv == cv.min()]
-    objs = np.array([s.obj for s in pool])
-    mask = non_dominated_mask(-objs)
-    seen: set = set()
-    front = []
-    for s, keep in zip(pool, mask):
-        key = tuple(s.obj)
-        if keep and key not in seen:
-            seen.add(key)
-            front.append(s)
-    return front
+    pool = np.flatnonzero(cv == cv.min())  # cv >= 0: the feasible ones if any
+    return [solutions[i] for i in pool[non_dominated_mask(-obj[pool])].tolist()]
 
 
 class ParetoArchive:

@@ -330,7 +330,7 @@ class CurriculumConstrained:
     feasible one.
     """
 
-    def __init__(self, inner, M: Optional[float] = None, limits=None, gammas=None):
+    def __init__(self, inner, M: Optional[float] = None, gammas=None):
         self.inner = inner
         if M is None:
             if not hasattr(inner, "kappa"):
@@ -339,7 +339,6 @@ class CurriculumConstrained:
         if M < 0:
             raise ValueError("M must be nonnegative")
         self.M = float(M)
-        self.limits = limits
         self.gammas = gammas
         self.reward_scale = (
             float(inner.reward_scale) if inner.reward_scale != 1.0 else max(1.0, self.M)
@@ -359,7 +358,7 @@ class CurriculumConstrained:
     def score(self, sol: Solution) -> RewardOutcome:
         if sol.feasible:
             return self.inner.score(sol)
-        cv = constraint_violation(sol.g, self.limits, self.gammas)
+        cv = constraint_violation(sol.g, weights=self.gammas)
         return RewardOutcome(reward=-cv - self.M, feasible=False, archived=False)
 
 

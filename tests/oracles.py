@@ -27,6 +27,40 @@ def brute_force_front_indices(objs, dominates_fn):
     return front
 
 
+def non_dominated_mask_scalar(points):
+    """Scalar reference for ``non_dominated_mask`` (minimization).
+
+    One dominance check of each point against the points kept so far, in
+    lexicographic order; then, in input order, only the first occurrence of
+    each non-dominated row stays (``0.0`` and ``-0.0`` are one value).
+    """
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    mask = np.zeros(n, dtype=bool)
+    if n == 0:
+        return mask
+    order = np.lexsort(pts.T[::-1])
+    kept = np.empty((n, pts.shape[1]))
+    n_kept = 0
+    for i in order:
+        p = pts[i]
+        if n_kept:
+            view = kept[:n_kept]
+            dom = np.all(view <= p, axis=1) & np.any(view < p, axis=1)
+            if bool(dom.any()):
+                continue
+        mask[i] = True
+        kept[n_kept] = p
+        n_kept += 1
+    seen = set()
+    for i in range(n):
+        key = tuple(pts[i].tolist())
+        if mask[i] and key in seen:
+            mask[i] = False
+        seen.add(key)
+    return mask
+
+
 class OracleArchive:
     """Scalar reference for ``ParetoArchive``: one relation call per member.
 

@@ -218,6 +218,7 @@ class TestRun:
                               "summary.json").read_text())
         assert summary["metrics"]["hv"] == 0.0
         assert summary["front_size"] > 0
+        assert summary["feasible_front_size"] == 0
 
     def test_cell_metrics_carry_no_cardinality_columns(self, tmp_path):
         path, _ = small_config(tmp_path, seeds=[0])
@@ -273,7 +274,7 @@ class TestCompare:
                       for a in res.algorithms}
             pool = np.vstack(list(fronts.values()))
             dominated = [any(np.all(q <= p) and np.any(q < p) for q in pool) for p in pool]
-            union = pool[~np.array(dominated)]
+            union = np.unique(pool[~np.array(dominated)], axis=0)
             for a, front in fronts.items():
                 dist = np.linalg.norm(front[:, None, :] - union[None, :, :], axis=2)
                 shifts = np.max(front[:, None, :] - union[None, :, :], axis=2)
@@ -307,6 +308,39 @@ class TestCompare:
         res = compare([out])[0]
         assert res.friedman is None
         assert res.warnings
+
+    def test_infeasible_front_is_skipped(self, tmp_path, monkeypatch):
+        import pearlkit.experiment as exp
+
+        c2dtlz2 = get_problem("c2dtlz2")
+        never_feasible = dataclasses.replace(c2dtlz2, constraints=lambda x, f: np.array([1.0]))
+        runs = []
+        for label, problem in (("feasible", c2dtlz2), ("infeasible", never_feasible)):
+            monkeypatch.setattr(exp, "get_problem", lambda name, p=problem: p)
+            (tmp_path / label).mkdir()
+            path, _ = small_config(tmp_path / label, problems="c2dtlz2", seeds=[0, 1],
+                                   algorithms=[{"name": "nsga2", "lambda_": 8, "label": label}])
+            runs.append(run_experiment(path))
+        for seed in (0, 1):
+            summary = json.loads((runs[0] / "feasible" / "c2dtlz2" / f"seed{seed}" /
+                                  "summary.json").read_text())
+            assert summary["feasible_front_size"] == summary["front_size"] > 0
+        res = compare(runs)[0]
+        assert res.algorithms == ["feasible", "infeasible"]
+        # the feasible fronts alone make the combined front
+        assert {m: res.table["feasible"][m][0] for m in ("gd", "igd", "eps", "c_metric")} \
+            == {"gd": 0.0, "igd": 0.0, "eps": 0.0, "c_metric": 1.0}
+        assert np.isnan([res.table["infeasible"][m][0] for m in ("gd", "igd", "eps")]).all()
+        assert res.table["infeasible"]["i_c"][0] == 0
+
+    def test_summary_without_feasible_count_is_named(self, tmp_path):
+        out = self.run_two_algorithms(tmp_path, seeds=(0,))
+        summary_path = out / "nsga2" / "ctp1" / "seed0" / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        del summary["feasible_front_size"]
+        summary_path.write_text(json.dumps(summary))
+        with pytest.raises(ValueError, match=re.escape(str(summary_path))):
+            compare([out])
 
     def test_mismatched_seeds_error_lists_missing_cells(self, tmp_path):
         out_a = self.run_two_algorithms(tmp_path, seeds=(0, 1))

@@ -7,13 +7,19 @@ from pearlkit.density import crowding_rank
 from pearlkit.pareto import (
     ParetoArchive,
     Solution,
+    best_front,
     constrained_dominates,
     dominates,
     non_dominated_mask,
     non_dominated_sort,
 )
 
-from oracles import OracleArchive, brute_force_dominates_max, brute_force_front_indices
+from oracles import (
+    OracleArchive,
+    brute_force_dominates_max,
+    brute_force_front_indices,
+    non_dominated_mask_scalar,
+)
 
 
 def sol(obj, cv=0.0, g=None):
@@ -145,6 +151,24 @@ class TestNonDominatedSort:
             remaining = [i for i in remaining if i not in front]
 
 
+def first_occurrences(indices, rows):
+    """The indices whose row has not appeared at an earlier index."""
+    seen, out = set(), []
+    for i in indices:
+        key = tuple(np.asarray(rows[i]).tolist())
+        if key not in seen:
+            seen.add(key)
+            out.append(i)
+    return out
+
+
+# Rows on a small integer grid, with zeros of either sign, so that ties,
+# duplicates and 0.0/-0.0 twins turn up often.
+_grid_rows = st.integers(1, 4).flatmap(lambda m: st.lists(
+    st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0]), min_size=m, max_size=m),
+    max_size=300).map(lambda rows: np.array(rows, dtype=float).reshape(-1, m)))
+
+
 class TestNonDominatedMask:
     def test_matches_brute_force_min_sense(self):
         rng = np.random.default_rng(29)
@@ -153,11 +177,26 @@ class TestNonDominatedMask:
             mask = non_dominated_mask(pts)
             expected = brute_force_front_indices(
                 -pts, brute_force_dominates_max)  # min == max on negated values
-            assert sorted(np.flatnonzero(mask)) == expected
+            assert np.flatnonzero(mask).tolist() == first_occurrences(expected, pts)
 
-    def test_duplicates_all_kept(self):
+    def test_duplicates_keep_first_occurrence(self):
         pts = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 3.0]])
-        assert non_dominated_mask(pts).tolist() == [True, True, False]
+        assert non_dominated_mask(pts).tolist() == [True, False, False]
+
+    @settings(max_examples=300, deadline=None)
+    @given(pts=_grid_rows)
+    def test_matches_scalar_oracle(self, pts):
+        assert np.array_equal(non_dominated_mask(pts), non_dominated_mask_scalar(pts))
+
+    def test_sweep_across_blocks(self):
+        # 300 mutually non-dominated rows over three blocks, copies of some of
+        # them, and a dominated row that sorts first in the second block, so
+        # only rows of the first block dominate it
+        t = np.arange(300) / 300
+        line = np.column_stack([t, 1.0 - t])
+        pts = np.vstack([line, line[::7], [[127.5 / 300, 1.0]]])
+        assert np.array_equal(non_dominated_mask(pts), non_dominated_mask_scalar(pts))
+        assert np.flatnonzero(non_dominated_mask(pts)).tolist() == list(range(300))
 
 
 class TestParetoArchive:
@@ -300,3 +339,27 @@ class TestArchiveArraysMatchOracle:
             objs += 1.0
             np.testing.assert_array_equal(archive.objectives(),
                                           np.array([m.obj for m in archive.members]))
+
+
+class TestBestFront:
+    @settings(max_examples=150, deadline=None)
+    @given(points=st.lists(_point, min_size=1, max_size=60))
+    def test_feasible_case_is_distinct_front_zero(self, points):
+        pop = [sol(obj, cv=cv) for obj, cv in points] + [sol((0, 0))]
+        front0 = sorted(non_dominated_sort(pop, constrained=True)[0])
+        expected = first_occurrences(front0, [s.obj for s in pop])
+        assert [id(s) for s in best_front(pop)] == [id(pop[i]) for i in expected]
+
+    @settings(max_examples=150, deadline=None)
+    @given(points=st.lists(_point, min_size=1, max_size=60))
+    def test_infeasible_case_is_distinct_front_of_least_violation(self, points):
+        pop = [sol(obj, cv=cv + 0.25) for obj, cv in points]
+        least = min(s.cv for s in pop)
+        group = [i for i, s in enumerate(pop) if s.cv == least]
+        front = [group[k] for k in brute_force_front_indices(
+            [pop[i].obj for i in group], brute_force_dominates_max)]
+        expected = first_occurrences(front, [s.obj for s in pop])
+        assert [id(s) for s in best_front(pop)] == [id(pop[i]) for i in expected]
+
+    def test_empty(self):
+        assert best_front([]) == []
