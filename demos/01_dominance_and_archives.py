@@ -2,9 +2,10 @@
 Dominance relations and bounded Pareto archives
 ===============================================
 
-The building blocks: pairwise dominance in maximization sense, constrained
-dominance with feasibility taking precedence, non-dominated sorting, and the
-bounded archive that the reward engines use as per-worker memory.
+The building blocks: pairwise dominance (every objective is minimized),
+constrained dominance with feasibility taking precedence, non-dominated
+sorting, and the bounded archive that the reward engines use as per-worker
+memory.
 """
 
 import numpy as np
@@ -18,30 +19,30 @@ from pearlkit import (
     non_dominated_sort,
 )
 
-# Plain dominance: at least as good everywhere, strictly better somewhere.
-print(dominates((2, 3), (1, 2)))   # True
+# Plain dominance: no larger everywhere, strictly smaller somewhere.
+print(dominates((1, 2), (2, 3)))   # True
 print(dominates((1, 2), (1, 2)))   # False: equal vectors never dominate
 print(dominates((3, 1), (1, 3)))   # False: incomparable trade-off
 
 # Constrained dominance: any feasible solution beats any infeasible one,
 # and between infeasible solutions the smaller violation wins.
-feasible = Solution(x=np.zeros(2), obj=np.array([0.0, 0.0]))
-infeasible = Solution(x=np.zeros(2), obj=np.array([9.0, 9.0]),
+feasible = Solution(x=np.zeros(2), f=np.array([9.0, 9.0]))
+infeasible = Solution(x=np.zeros(2), f=np.array([0.0, 0.0]),
                       g=np.array([0.4]), cv=0.16)
 print(constrained_dominates(feasible, infeasible))  # True despite worse objectives
 
 # Non-dominated sorting peels a population into fronts.
-population = [Solution(x=np.zeros(1), obj=np.array(o, dtype=float))
-              for o in [(1, 1), (2, 2), (0, 3), (3, 0), (0.5, 0.5)]]
+population = [Solution(x=np.zeros(1), f=np.array(f, dtype=float))
+              for f in [(2, 2), (1, 1), (3, 0), (0, 3), (2.5, 2.5)]]
 for depth, front in enumerate(non_dominated_sort(population)):
-    print(f"front {depth}:", [tuple(population[i].obj) for i in front])
+    print(f"front {depth}:", [tuple(population[i].f) for i in front])
 
 # The bounded archive keeps at most kappa mutually non-dominated members,
 # ranked by a density measure; inserting returns the candidate's rank.
 archive = ParetoArchive(capacity=4)
 rng = np.random.default_rng(0)
 for _ in range(200):
-    candidate = Solution(x=rng.random(2), obj=rng.random(2) * 4)
+    candidate = Solution(x=rng.random(2), f=rng.random(2) * 4)
     archive.insert(candidate, crowding_rank)
 print("archive size:", len(archive))
 print("archive objectives:\n", np.round(archive.objectives(), 3))

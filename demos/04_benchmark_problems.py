@@ -19,14 +19,14 @@ for name, spec in PROBLEMS.items():
 # A dtlz2 evaluation: with the distance variables at 0.5 the point lies
 # exactly on the unit-sphere front.
 problem = get_problem("dtlz2")
-record = evaluate(problem, np.full(12, 0.5))
-print("\ndtlz2 midpoint objectives:", np.round(record.objectives, 6))
-print("sum of squares:", float(np.sum(record.objectives**2)))
+f, _ = evaluate(problem, np.full(12, 0.5))
+print("\ndtlz2 midpoint objectives:", np.round(f, 6))
+print("sum of squares:", float(np.sum(f**2)))
 
 # Constrained problems report violation-positive raw constraint values.
 c2 = get_problem("c2-dtlz2")
-record = evaluate(c2, np.full(7, 0.5))
-print("\nc2-dtlz2 constraint at the sphere midpoint:", record.constraints,
+_, g = evaluate(c2, np.full(7, 0.5))
+print("\nc2-dtlz2 constraint at the sphere midpoint:", g,
       "(<= 0 means feasible)")
 
 # Reference fronts: analytic generators for the sphere/curve families,

@@ -25,7 +25,7 @@ problem = get_problem("dtlz2")
 cfg = TrainerConfig(n_steps=32, ncores=8, budget=4096, seed=0)
 result = train(problem, lambda: PearlNds(kappa=64, ranker="crowding"), cfg)
 
-front = np.array([-s.obj for s in result.front])  # back to minimization sense
+front = np.array([s.f for s in result.front])  # objectives as evaluated
 print(f"evaluations: {result.n_evaluations}, merged front: {len(front)} points")
 print(f"hypervolume vs nadir {problem.nadir.tolist()}: "
       f"{hypervolume(front, problem.nadir):.3f}")
@@ -43,7 +43,7 @@ cfg = TrainerConfig(n_steps=32, ncores=8, budget=4096, seed=0)
 result = train(problem,
                lambda: CurriculumConstrained(PearlNds(kappa=64, ranker="crowding")),
                cfg)
-front = np.array([-s.obj for s in result.front])
+front = np.array([s.f for s in result.front])
 feasible_share = np.mean([row.cv == 0.0 for row in result.log])
 print(f"\nctp1: {len(front)} feasible front points, "
       f"hypervolume {hypervolume(front, problem.nadir):.3f}, "

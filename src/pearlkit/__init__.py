@@ -37,7 +37,6 @@ from .rewards import (
     sample_preferences,
 )
 from .problems import (
-    EvaluationRecord,
     PROBLEMS,
     ProblemSpec,
     evaluate,
@@ -68,7 +67,7 @@ __all__ = [
     "CurriculumConstrained", "PearlEnvelope", "PearlEpsilon", "PearlNds",
     "RewardOutcome", "constraint_violation", "make_solution",
     "pearl_e_reward", "sample_preferences",
-    "EvaluationRecord", "PROBLEMS", "ProblemSpec", "evaluate", "get_problem",
+    "PROBLEMS", "ProblemSpec", "evaluate", "get_problem",
     "reference_front",
     "RunResult", "TrainerConfig", "train",
     "GAConfig", "run_nsga2", "run_nsga3",

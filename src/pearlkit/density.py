@@ -4,7 +4,8 @@ Two rankers order the members of a Pareto archive: crowding distance
 (neighbor-gap based) and reference-direction niching (association counts
 against a simplex lattice of directions).  Both are pure functions of the
 stacked objective vectors and break ties deterministically so that runs
-reproduce under a fixed seed.
+reproduce under a fixed seed.  Objectives are minimized, as everywhere in
+the package.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def crowding_rank(front) -> DensityRank:
     Boundary points of every objective get infinite distance; an interior
     point accumulates, per objective, the gap between its two neighbors
     normalized by that objective's range.  Larger distance ranks better.
-    Ties break on larger objective sum, then lexicographically on the
+    Ties break on smaller objective sum, then lexicographically on the
     objective vector, so the order is a pure function of the set.
     """
     f = np.atleast_2d(np.asarray(front, dtype=float))
@@ -79,7 +80,7 @@ def crowding_rank(front) -> DensityRank:
         span = f[idx[-1], j] - f[idx[0], j]
         if span > 0:  # boundary points stay infinite: inf + finite is inf
             dist[idx[1:-1]] += (f[idx[2:], j] - f[idx[:-2], j]) / span
-    return DensityRank(order=best_first(f, -dist, -f.sum(axis=1)), scores=dist)
+    return DensityRank(order=best_first(f, -dist, f.sum(axis=1)), scores=dist)
 
 
 def associate(normalized: np.ndarray, dirs: ReferenceDirectionSet):

@@ -244,7 +244,7 @@ def write_front_csv(result: RunResult, problem: ProblemSpec, path: Path):
         writer = csv.writer(handle)
         writer.writerow([f"f{i + 1}" for i in range(problem.n_obj)])
         for sol in result.front:
-            writer.writerow([_fmt(v) for v in -sol.obj])
+            writer.writerow([_fmt(v) for v in sol.f])
 
 
 def load_front_csv(path) -> np.ndarray:
@@ -268,7 +268,7 @@ def _load_feasible_front(front_path: Path) -> np.ndarray:
 def _cell_metrics(run_id: str, label: str, problem: ProblemSpec,
                   result: RunResult) -> MetricReport:
     # an infeasible set is no front: it scores hv 0 and no distances
-    front = np.array([-s.obj for s in result.front if s.feasible])
+    front = np.array([s.f for s in result.front if s.feasible])
     hv = hypervolume(front, problem.nadir) if len(front) else 0.0
     try:
         ref = reference_front(problem, 1000)

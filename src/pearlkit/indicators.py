@@ -1,8 +1,7 @@
 """Multi-objective quality indicators and best-solution selection.
 
-All metrics operate in minimization sense on raw objective values: the
-maximization-sense internals of the reward engines are un-negated at the
-reporting boundary before anything here is called.
+All metrics minimize, on objective values exactly as the problems return
+them, the same sense as every other module.
 """
 
 from __future__ import annotations
@@ -126,7 +125,9 @@ def additive_epsilon(front, reference) -> float:
     z = np.atleast_2d(np.asarray(reference, dtype=float))
     if f.size == 0 or z.size == 0:
         raise ValueError("additive_epsilon needs non-empty sets")
-    shifts = np.max(f[:, None, :] - z[None, :, :], axis=2)  # (front, ref)
+    shifts = f[:, None, 0] - z[None, :, 0]  # (front, ref), one objective at a time
+    for k in range(1, f.shape[1]):
+        np.maximum(shifts, f[:, None, k] - z[None, :, k], out=shifts)
     return float(np.max(np.min(shifts, axis=0)))
 
 
@@ -137,7 +138,8 @@ def cardinality_metrics(fronts_by_algorithm: Mapping[str, np.ndarray]):
     algorithm's (distinct) points.  For each algorithm, ``i_c`` counts its
     distinct non-dominated points that appear in Z (1e-9 tolerance) and
     ``c_metric`` is that count divided by the size of its own non-dominated
-    set.  Returns ``{name: (i_c, c_metric)}``.
+    set, NaN for an empty front (as gd, igd and eps are in ``compare``).
+    Returns ``{name: (i_c, c_metric)}``.
     """
     if not fronts_by_algorithm:
         raise ValueError("need at least one algorithm")
@@ -151,7 +153,7 @@ def cardinality_metrics(fronts_by_algorithm: Mapping[str, np.ndarray]):
     out = {}
     for name, f in own.items():
         if len(f) == 0:
-            out[name] = (0, 0.0)
+            out[name] = (0, float("nan"))
             continue
         dist, _ = tree.query(f, p=np.inf)
         i_c = int(np.sum(dist <= 1e-9))

@@ -60,7 +60,7 @@ def _selection_order(pop: list[Solution], constrained: bool) -> list[int]:
     fronts = non_dominated_sort(pop, constrained)
     order: list[int] = []
     for front in fronts:
-        objs = np.array([pop[i].obj for i in front])
+        objs = np.array([pop[i].f for i in front])
         ranked = crowding_rank(objs).order
         order.extend(front[i] for i in ranked)
     return order
@@ -104,7 +104,7 @@ def _survivors_nsga2(pool: list[Solution], n: int,
                      constrained: bool = False) -> list[Solution]:
     chosen, last = _fill_fronts(pool, n, constrained)
     if last and len(chosen) < n:
-        ranked = crowding_rank(np.array([pool[i].obj for i in last])).order
+        ranked = crowding_rank(np.array([pool[i].f for i in last])).order
         chosen.extend(last[i] for i in ranked[: n - len(chosen)])
     return [pool[i] for i in chosen]
 
@@ -118,7 +118,7 @@ def _survivors_nsga3(pool: list[Solution], n: int, dirs: ReferenceDirectionSet,
 
     start = len(chosen)
     considered = chosen + last
-    objs = np.array([pool[i].obj for i in considered])
+    objs = np.array([pool[i].f for i in considered])
     niche, dist = associate(minmax_normalize(objs, objs.min(axis=0), objs.max(axis=0)), dirs)
     counts = np.bincount(niche[:start], minlength=len(dirs.directions))
 

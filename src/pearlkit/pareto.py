@@ -1,8 +1,7 @@
 """Dominance relations, non-dominated sorting, and bounded Pareto archives.
 
-Objective vectors are handled in maximization sense throughout this module:
-benchmark problems that minimize are negated at ingestion and un-negated
-again at the reporting boundary.
+Every objective is minimized, and objective vectors are stored exactly as
+the problem returns them.
 
 Two dominance relations exist: plain dominance on the objectives and, with
 ``constrained=True``, feasibility first (after Deb et al., IEEE TEC 2002).
@@ -26,16 +25,16 @@ _BLOCK = 128  # rows per block of the sweep in ``non_dominated_mask``
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """True if objective vector ``a`` dominates ``b`` (maximization sense).
+    """True if objective vector ``a`` dominates ``b`` (minimization).
 
-    ``a`` dominates ``b`` when it is at least as good in every component and
-    strictly better in at least one.  Equal vectors never dominate.
+    ``a`` dominates ``b`` when it is no larger in every component and
+    strictly smaller in at least one.  Equal vectors never dominate.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"objective vectors differ in length: {a.shape} vs {b.shape}")
-    return bool(np.all(a >= b) and np.any(a > b))
+    return bool(np.all(a <= b) and np.any(a < b))
 
 
 @dataclass
@@ -46,8 +45,8 @@ class Solution:
     ----------
     x : ndarray
         Decision vector inside the problem's box.
-    obj : ndarray
-        Objective vector in maximization sense (length >= 2, all finite).
+    f : ndarray
+        Objective vector as evaluated, minimized (length >= 2, all finite).
     g : ndarray
         Raw constraint values, violation-positive (g_i > 0 means violated).
     cv : float
@@ -55,17 +54,17 @@ class Solution:
     """
 
     x: np.ndarray
-    obj: np.ndarray
+    f: np.ndarray
     g: np.ndarray = field(default_factory=lambda: np.empty(0))
     cv: float = 0.0
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
-        self.obj = np.asarray(self.obj, dtype=float)
+        self.f = np.asarray(self.f, dtype=float)
         self.g = np.asarray(self.g, dtype=float)
-        if self.obj.ndim != 1 or self.obj.size < 2:
+        if self.f.ndim != 1 or self.f.size < 2:
             raise ValueError("objective vector must be 1-D with at least 2 entries")
-        if not np.all(np.isfinite(self.obj)):
+        if not np.all(np.isfinite(self.f)):
             raise ValueError("objective vector contains non-finite entries")
         if self.cv < 0:
             raise ValueError("constraint violation must be nonnegative")
@@ -93,10 +92,10 @@ def constrained_dominates(a: Solution, b: Solution) -> bool:
         return False
     if not a.feasible:
         return a.cv < b.cv
-    return dominates(a.obj, b.obj)
+    return dominates(a.f, b.f)
 
 
-def _dominance(a_obj: np.ndarray, a_cv: np.ndarray, b_obj: np.ndarray,
+def _dominance(a_f: np.ndarray, a_cv: np.ndarray, b_f: np.ndarray,
                b_cv: np.ndarray, constrained: bool) -> np.ndarray:
     """D[i, j] is True when point i of ``a`` dominates point j of ``b``.
 
@@ -105,8 +104,8 @@ def _dominance(a_obj: np.ndarray, a_cv: np.ndarray, b_obj: np.ndarray,
     ``cv`` wins between two infeasible points, and plain dominance decides
     between two feasible ones.
     """
-    plain = (np.all(a_obj[:, None, :] >= b_obj[None, :, :], axis=2)
-             & np.any(a_obj[:, None, :] > b_obj[None, :, :], axis=2))
+    plain = (np.all(a_f[:, None, :] <= b_f[None, :, :], axis=2)
+             & np.any(a_f[:, None, :] < b_f[None, :, :], axis=2))
     if not constrained:
         return plain
     a_feas = (a_cv == 0.0)[:, None]
@@ -125,9 +124,9 @@ def non_dominated_sort(pop: Sequence[Solution], constrained: bool = False) -> li
     """
     if len(pop) == 0:
         raise ValueError("cannot sort an empty population")
-    obj = np.array([s.obj for s in pop], dtype=float)
+    f = np.array([s.f for s in pop], dtype=float)
     cv = np.array([s.cv for s in pop], dtype=float)
-    d = _dominance(obj, cv, obj, cv, constrained)
+    d = _dominance(f, cv, f, cv, constrained)
     dominated_count = d.sum(axis=0)
     fronts: list[list[int]] = []
     remaining = np.ones(len(pop), dtype=bool)
@@ -141,7 +140,7 @@ def non_dominated_sort(pop: Sequence[Solution], constrained: bool = False) -> li
 
 def non_dominated_mask(points: np.ndarray) -> np.ndarray:
     """Mask of the first occurrence of each distinct non-dominated row of
-    ``points`` (minimization).
+    ``points``.
 
     The distinct rows are swept in lexicographic order, where only an earlier
     row can dominate a later one (Kung, Luccio & Preparata, J. ACM 1975), and
@@ -179,10 +178,10 @@ def best_front(solutions: Sequence[Solution]) -> list[Solution]:
     """
     if not solutions:
         return []
-    obj = np.array([s.obj for s in solutions])
+    f = np.array([s.f for s in solutions])
     cv = np.array([s.cv for s in solutions])
     pool = np.flatnonzero(cv == cv.min())  # cv >= 0: the feasible ones if any
-    return [solutions[i] for i in pool[non_dominated_mask(-obj[pool])].tolist()]
+    return [solutions[i] for i in pool[non_dominated_mask(f[pool])].tolist()]
 
 
 class ParetoArchive:
@@ -195,7 +194,7 @@ class ParetoArchive:
     ``constrained_dominates``, so that constrained variants keep feasibility
     inside the buffer ordering.
 
-    Members are stored as arrays: row ``i < n`` of ``_obj`` and entry ``i``
+    Members are stored as arrays: row ``i < n`` of ``_f`` and entry ``i``
     of ``_cv`` hold the objectives and violation of ``members[i]``, where
     ``n = len(archive)``.  Every change (compaction on eviction, append,
     reorder and truncation on a ranked insert) is applied to the arrays and
@@ -210,22 +209,22 @@ class ParetoArchive:
         self.capacity = capacity
         self.constrained = constrained
         self.members: list[Solution] = []
-        self._obj = np.empty((0, 0))
+        self._f = np.empty((0, 0))
         self._cv = np.empty(0)
 
     def __len__(self) -> int:
         return len(self.members)
 
     def objectives(self) -> np.ndarray:
-        return self._obj[:len(self.members)].copy()
+        return self._f[:len(self.members)].copy()
 
     def _grow(self, n_obj: int):
         n = len(self.members)
         rows = max(2 * n, 16 if self.capacity is None else self.capacity + 1)
-        obj, cv = np.empty((rows, n_obj)), np.empty(rows)
+        f, cv = np.empty((rows, n_obj)), np.empty(rows)
         if n:
-            obj[:n], cv[:n] = self._obj[:n], self._cv[:n]
-        self._obj, self._cv = obj, cv
+            f[:n], cv[:n] = self._f[:n], self._cv[:n]
+        self._f, self._cv = f, cv
 
     def _admit(self, sol: Solution) -> bool:
         """Append ``sol`` after dropping the members it dominates.
@@ -236,31 +235,31 @@ class ParetoArchive:
         ``sol`` against all members decides both.
         """
         n = len(self.members)
-        if n == len(self._obj):
-            self._grow(sol.obj.size)
-        obj, cv = self._obj[:n], self._cv[:n]
-        ge = (obj >= sol.obj).all(axis=1)  # dominates sol, or is its twin
-        le = (obj <= sol.obj).all(axis=1)  # dominated by sol, or is its twin
+        if n == len(self._f):
+            self._grow(sol.f.size)
+        f, cv = self._f[:n], self._cv[:n]
+        le = (f <= sol.f).all(axis=1)  # dominates sol, or is its twin
+        ge = (f >= sol.f).all(axis=1)  # dominated by sol, or is its twin
         if self.constrained and sol.cv > 0:
             # only the violation orders infeasible points; a twin of equal
             # violation is a duplicate
-            reject = (cv < sol.cv) | ((cv == sol.cv) & ge & le)
+            reject = (cv < sol.cv) | ((cv == sol.cv) & le & ge)
             evict = cv > sol.cv
         elif self.constrained:
             feasible = cv == 0.0
-            reject = feasible & ge
-            evict = ~feasible | le
+            reject = feasible & le
+            evict = ~feasible | ge
         else:
-            reject, evict = ge, le
+            reject, evict = le, ge
         if reject.any():
             return False
         if evict.any():
             keep = ~evict
             n = int(keep.sum())
-            self._obj[:n], self._cv[:n] = obj[keep], cv[keep]
+            self._f[:n], self._cv[:n] = f[keep], cv[keep]
             for i in np.flatnonzero(evict)[::-1].tolist():
                 del self.members[i]
-        self._obj[n], self._cv[n] = sol.obj, sol.cv
+        self._f[n], self._cv[n] = sol.f, sol.cv
         self.members.append(sol)
         return True
 
@@ -287,9 +286,9 @@ class ParetoArchive:
         if not self._admit(sol):
             return None
         n = len(self.members)
-        order = np.asarray(ranker(self._obj[:n]).order, dtype=int)
+        order = np.asarray(ranker(self._f[:n]).order, dtype=int)
         pos = int(np.flatnonzero(order == n - 1)[0])
         kept = order[: self.capacity]
-        self._obj[: len(kept)], self._cv[: len(kept)] = self._obj[kept], self._cv[kept]
+        self._f[: len(kept)], self._cv[: len(kept)] = self._f[kept], self._cv[kept]
         self.members = [self.members[i] for i in kept.tolist()]
         return pos

@@ -50,17 +50,9 @@ class ProblemSpec:
                              "and a positive n_constraints needs constraints")
 
 
-@dataclass
-class EvaluationRecord:
-    """One problem evaluation: inputs and raw outputs."""
-
-    x: np.ndarray
-    objectives: np.ndarray  # minimization sense, raw
-    constraints: np.ndarray
-
-
-def evaluate(problem: ProblemSpec, x) -> EvaluationRecord:
-    """Evaluate a problem at a point of its box.
+def evaluate(problem: ProblemSpec, x) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a problem at a point of its box: the objectives ``f`` (to be
+    minimized) and the violation-positive constraint values ``g``.
 
     The function is pure.  Points outside the box (beyond a 1e-9 slack) and
     points with a NaN coordinate are a usage error: optimizers clamp before
@@ -78,7 +70,7 @@ def evaluate(problem: ProblemSpec, x) -> EvaluationRecord:
     if g.shape != (problem.n_constraints,):
         raise ValueError(f"{problem.name} declares {problem.n_constraints} constraints, "
                          f"got {g.size}")
-    return EvaluationRecord(x=x, objectives=np.asarray(f, dtype=float), constraints=g)
+    return np.asarray(f, dtype=float), g
 
 
 def reference_front(problem: ProblemSpec, n_points: int) -> np.ndarray:

@@ -144,14 +144,15 @@ def pearl_e_reward(r, rays, lambda_: float, uniformity: str = "cos") -> float:
 
 
 def epsilon_fitness(normalized: np.ndarray, nu: float) -> np.ndarray:
-    """Indicator-based fitness of every member of a set (maximization sense).
+    """Indicator-based fitness of every member of a set.
 
-    ``F(x) = sum_{y != x} -exp(-I(y, x) / nu)`` where ``I(y, x)`` is the
-    smallest shift that makes ``y`` weakly dominate ``x``.  Higher fitness
-    means the member is less threatened by the rest of the set.
+    ``F(x) = sum_{y != x} -exp(-I(y, x) / nu)`` where
+    ``I(y, x) = max_k (y_k - x_k)`` is the smallest shift that makes ``y``
+    weakly dominate ``x``.  Higher fitness means the member is less
+    threatened by the rest of the set.
     """
     f = np.atleast_2d(np.asarray(normalized, dtype=float))
-    ind = np.max(f[None, :, :] - f[:, None, :], axis=2)  # ind[y, x] = I(y, x)
+    ind = np.max(f[:, None, :] - f[None, :, :], axis=2)  # ind[y, x] = I(y, x)
     contrib = np.exp(-ind / nu)
     return -(contrib.sum(axis=0) - 1.0)  # drop the self term exp(0)
 
@@ -196,6 +197,12 @@ class PearlEnvelope:
     non-dominated solutions encountered, for reporting.  ``resample`` must
     be called before the first ``score`` and is meant to run at batch
     boundaries (one ray set per rollout segment).
+
+    The engine scalarizes the reward ``r = -f``, the negated costs, or with
+    ``normalized_obj`` that reward min-max normalized by the running bounds.
+    The ``kl`` uniformity term is 0 whenever every cost is nonnegative
+    (``w * r`` then has no positive mass), as on every shipped problem,
+    unless ``normalized_obj`` is set.
     """
 
     reward_scale = 1.0
@@ -233,8 +240,10 @@ class PearlEnvelope:
     def score(self, sol: Solution) -> RewardOutcome:
         if self.rays is None:
             raise RuntimeError("resample() must run before scoring")
-        self.bounds.update(sol.obj)
-        r = self.bounds.normalize(sol.obj) if self.normalized_obj else sol.obj
+        r = -sol.f  # a cost becomes a reward
+        self.bounds.update(r)
+        if self.normalized_obj:
+            r = self.bounds.normalize(r)
         reward = pearl_e_reward(r, self.rays, self.lambda_, self.uniformity)
         archived = self.archive.add(sol)
         return RewardOutcome(reward=reward, feasible=sol.feasible, archived=archived)
@@ -290,7 +299,7 @@ class PearlEpsilon(_RankedEngine):
         return DensityRank(order=best_first(objs, -fitness), scores=fitness)
 
     def score(self, sol: Solution) -> RewardOutcome:
-        self.bounds.update(sol.obj)
+        self.bounds.update(sol.f)
         return super().score(sol)
 
 
@@ -362,17 +371,15 @@ class CurriculumConstrained:
         return RewardOutcome(reward=-cv - self.M, feasible=False, archived=False)
 
 
-def make_solution(x, objectives_min, constraints=(), limits=None, weights=None) -> Solution:
-    """Build a Solution from a minimization-sense evaluation.
+def make_solution(x, f, constraints=(), limits=None, weights=None) -> Solution:
+    """Build a Solution from an evaluation: objectives ``f`` are stored as
+    given (minimized), constraints as violation-positive ``g``.
 
-    Objectives are negated into the internal maximization sense.  With
-    ``limits`` the constraint entries are raw metric values compared against
-    their limits; the stored ``g`` is then the violation-positive excess
-    ``value - limit`` while the scalar violation keeps the relative scaling.
+    With ``limits`` the constraints are raw values compared against their
+    limits; the stored ``g`` is then the violation-positive excess
+    ``value - limit``, while the scalar violation keeps the relative scaling.
     """
     v = np.atleast_1d(np.asarray(constraints, dtype=float)) if np.size(constraints) else np.empty(0)
     cv = constraint_violation(v, limits, weights) if v.size else 0.0
     g = v if limits is None else v - np.atleast_1d(np.asarray(limits, dtype=float))
-    return Solution(x=np.asarray(x, dtype=float),
-                    obj=-np.asarray(objectives_min, dtype=float),
-                    g=g, cv=cv)
+    return Solution(x=np.asarray(x, dtype=float), f=f, g=g, cv=cv)

@@ -233,7 +233,7 @@ def log_row(step: int, worker: int, x: np.ndarray, sol: Optional[Solution],
                           f=np.full(problem.n_obj, np.nan),
                           g=np.full(problem.n_constraints, np.nan),
                           cv=np.nan, reward=reward)
-    return EvalLogRow(step=step, worker=worker, x=x.copy(), f=-sol.obj, g=sol.g,
+    return EvalLogRow(step=step, worker=worker, x=x.copy(), f=sol.f, g=sol.g,
                       cv=sol.cv, reward=reward)
 
 
@@ -242,8 +242,8 @@ def evaluate_solution(problem: ProblemSpec, x: np.ndarray, step: int) -> Optiona
     when either step raises.  Trainer and NSGA share this failure policy: a
     failed evaluation is logged with NaN objectives and otherwise skipped."""
     try:
-        record = evaluate(problem, x)
-        return make_solution(record.x, record.objectives, record.constraints)
+        f, g = evaluate(problem, x)
+        return make_solution(x, f, g)
     except Exception:  # noqa: BLE001 - flagged, never aborts the run
         logger.warning("evaluation of %s failed at step %d", problem.name, step,
                        exc_info=True)

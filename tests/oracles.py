@@ -11,10 +11,10 @@ import numpy as np
 from pearlkit.pareto import constrained_dominates, dominates
 
 
-def brute_force_dominates_max(a, b):
-    """Maximization-sense dominance by explicit componentwise loop."""
-    at_least_as_good = all(x >= y for x, y in zip(a, b))
-    strictly_better = any(x > y for x, y in zip(a, b))
+def brute_force_dominates(a, b):
+    """Dominance (minimization) by explicit componentwise loop."""
+    at_least_as_good = all(x <= y for x, y in zip(a, b))
+    strictly_better = any(x < y for x, y in zip(a, b))
     return at_least_as_good and strictly_better
 
 
@@ -64,7 +64,7 @@ def non_dominated_mask_scalar(points):
 class OracleArchive:
     """Scalar reference for ``ParetoArchive``: one relation call per member.
 
-    Plain dominance on ``obj``, or with ``constrained`` feasibility first,
+    Plain dominance on ``f``, or with ``constrained`` feasibility first,
     then lower ``cv``, then plain.
     ``add`` and ``insert`` return what the library's methods return and
     leave the members in the same order.
@@ -75,7 +75,7 @@ class OracleArchive:
         if constrained:
             self.rel = constrained_dominates
         else:
-            self.rel = lambda a, b: dominates(a.obj, b.obj)
+            self.rel = lambda a, b: dominates(a.f, b.f)
         self.members = []
 
     def _rejects(self, sol):
@@ -83,7 +83,7 @@ class OracleArchive:
         for m in self.members:
             if self.rel(m, sol):
                 return True
-            if list(m.obj) == list(sol.obj) and not self.rel(sol, m):
+            if list(m.f) == list(sol.f) and not self.rel(sol, m):
                 return True
         return False
 
@@ -103,7 +103,7 @@ class OracleArchive:
     def insert(self, sol, ranker):
         if not self._admit(sol):
             return None
-        order = [int(i) for i in ranker(np.array([m.obj for m in self.members])).order]
+        order = [int(i) for i in ranker(np.array([m.f for m in self.members])).order]
         pos = order.index(len(self.members) - 1)
         self.members = [self.members[i] for i in order][: self.capacity]
         return pos
@@ -168,12 +168,12 @@ def crowding_distances_direct(front):
 def crowding_rank_scalar(front):
     """Crowding order and distances with tuple-key sorts.
 
-    Returns ``(order, distances)``: best first by larger distance, then larger
+    Returns ``(order, distances)``: best first by larger distance, then smaller
     objective sum, then lexicographically smaller objective vector, then index.
     """
     f = [tuple(map(float, row)) for row in front]
     dist = crowding_distances_direct(f)
-    order = sorted(range(len(f)), key=lambda i: (-dist[i], -float(np.sum(f[i])), f[i]))
+    order = sorted(range(len(f)), key=lambda i: (-dist[i], float(np.sum(f[i])), f[i]))
     return np.asarray(order, dtype=int), np.asarray(dist)
 
 
@@ -236,7 +236,7 @@ def nsga3_survivors_scalar(pool, n, dirs, constrained):
     if need == 0 or not last:
         return [pool[i] for i in chosen]
     considered = chosen + last
-    objs = np.array([pool[i].obj for i in considered])
+    objs = np.array([pool[i].f for i in considered])
     lo, hi = objs.min(axis=0), objs.max(axis=0)
     normalized = np.vstack([minmax_scalar(row, lo, hi) for row in objs])
     niche, dist = associate(normalized, dirs)

@@ -27,7 +27,7 @@ from pearlkit.stats import friedman
 from pearlkit.trainer import PolicyState, TrainerConfig, gaussian_log_prob, loss_and_grad, train
 
 from oracles import (
-    brute_force_dominates_max,
+    brute_force_dominates,
     brute_force_front_indices,
     finite_difference_gradient,
     monte_carlo_hypervolume,
@@ -45,7 +45,7 @@ def _report(criterion, passed, detail):
 def _median_hv(problem, results):
     values = []
     for result in results:
-        front = np.array([-s.obj for s in result.front])
+        front = np.array([s.f for s in result.front])
         values.append(hypervolume(front, problem.nadir))
     return float(np.median(values)), values
 
@@ -160,12 +160,12 @@ def test_criterion_08_sorting_matches_exhaustive_oracle():
         objs = rng.integers(0, 5, size=(n, 3)).astype(float)
         cvs = np.where(rng.random(n) < 0.5, 0.0, np.round(rng.random(n), 2))
         pop = [
-            Solution(x=np.zeros(1), obj=o,
+            Solution(x=np.zeros(1), f=o,
                      g=np.array([c]) if c > 0 else np.empty(0), cv=c)
             for o, c in zip(objs, cvs)
         ]
         plain = sorted(non_dominated_sort(pop)[0])
-        expected = brute_force_front_indices(objs, brute_force_dominates_max)
+        expected = brute_force_front_indices(objs, brute_force_dominates)
         assert plain == expected, f"plain relation diverged on trial {trial}"
 
         constrained = sorted(non_dominated_sort(pop, constrained=True)[0])

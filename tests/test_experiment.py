@@ -333,6 +333,20 @@ class TestCompare:
         assert np.isnan([res.table["infeasible"][m][0] for m in ("gd", "igd", "eps")]).all()
         assert res.table["infeasible"]["i_c"][0] == 0
 
+    def test_seed_without_feasible_front_scores_nan_c_metric(self, tmp_path):
+        # one seed whose front counts no feasible member makes every binary
+        # indicator of that algorithm NaN, c_metric as well as gd, igd and eps
+        out = self.run_two_algorithms(tmp_path)
+        summary_path = out / "nsga2" / "ctp1" / "seed1" / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        summary["feasible_front_size"] = 0
+        summary_path.write_text(json.dumps(summary))
+        res = compare([out])[0]
+        assert np.isnan([res.table["nsga2"][m][0]
+                         for m in ("gd", "igd", "eps", "c_metric")]).all()
+        assert np.isfinite([res.table["pearl-nds-crowding"][m][0]
+                            for m in ("gd", "igd", "eps", "i_c", "c_metric")]).all()
+
     def test_summary_without_feasible_count_is_named(self, tmp_path):
         out = self.run_two_algorithms(tmp_path, seeds=(0,))
         summary_path = out / "nsga2" / "ctp1" / "seed0" / "summary.json"

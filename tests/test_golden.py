@@ -20,8 +20,12 @@ CELLS = {
         "4f69bac5ad494efd958b6808ce1c021427a5166e53f4ba176b2cddaa1913d0d4"),
     "pearl-eps-dtlz2": (
         {"name": "pearl-eps"}, "dtlz2",
-        "5b3d2e026ad1c392a8612a56c91056091e2f7a6b1b6b6c2d8840535fcc8befa4",
-        "e6c0c8c28ffbf0da4538b04afabdc4fff38b403edad331bf26f1855acfb04238"),
+        "0f48b1e52982b725feb9c4dddc725337837b39de54d9d208364fd40ff4c27ad5",
+        "fcc39e57f3314d24caaf65e99650aae8ba65ccda0c714c2ca020fc1fc8040415"),
+    "pearl-nds-niching-dtlz2": (
+        {"name": "pearl-nds", "ranker": "niching"}, "dtlz2",
+        "9714938659abfc8514e3bcfe38a7eb06e975dae1310c7b8615ecbe34771ac05a",
+        "6f49adf1aba5ccc518577c910cd33a981566087c77572b1203d033296d7aef53"),
     "pearl-e-dtlz7": (
         {"name": "pearl-e"}, "dtlz7",
         "6b5019aefde6faea086c805f9e2e1a0bba27f7202cb10b3b14d66847fb8d526f",
@@ -32,8 +36,8 @@ CELLS = {
         "88942adff4e8f68a2204501a1d516f0198efd1965c58c09ddbef4f9b5a1d1953"),
     "nsga3-c2dtlz2": (
         {"name": "nsga3"}, "c2dtlz2",
-        "05beeb077007cce1de1cf806da82b3fa04596e6bfd22a3d950b350436df38fc2",
-        "ff395c16d8f26dda2a3c573717b27f2cc9a459b910c797cf45c5fbbaf32f98c8"),
+        "1d3d7a84d28deb49ddaffed6c55ab3fd62e3fcc4e588b106df53c7e2cdbc069d",
+        "f197f9005b35711c9909719c2bcd6ca15ad5e237f7cde42d9758b56d14c915d3"),
     "nsga2-dtlz2": (
         {"name": "nsga2"}, "dtlz2",
         "f80b8c9c1c0a972d4f4bfadb690f2944259686be641b2894ba0e17a7344fee41",

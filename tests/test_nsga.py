@@ -16,7 +16,7 @@ from pearlkit.problems import (ProblemSpec, c2dtlz2_constraint, dtlz2_objectives
 from pearlkit.rewards import make_solution
 from pearlkit.trainer import evaluate_solution
 
-from oracles import brute_force_front_indices, brute_force_dominates_max
+from oracles import brute_force_dominates, brute_force_front_indices
 
 
 def initial_population(problem, n, seed=0):
@@ -74,12 +74,12 @@ class TestSteps:
 
         nxt = nsga2_step(pop, cfg, problem, rng, capture, False)
         pool = pop + offspring_pool
-        objs = [m.obj for m in pool]
-        expected = brute_force_front_indices(objs, brute_force_dominates_max)
+        objs = [m.f for m in pool]
+        expected = brute_force_front_indices(objs, brute_force_dominates)
         if len(expected) <= cfg.pop_size:
-            survivor_objs = {tuple(m.obj) for m in nxt}
+            survivor_objs = {tuple(m.f) for m in nxt}
             for i in expected:
-                assert tuple(pool[i].obj) in survivor_objs
+                assert tuple(pool[i].f) in survivor_objs
 
     def test_constrained_nsga2_keeps_feasible_member_first(self):
         # infeasible members plainly dominate the single feasible one; with
@@ -106,7 +106,7 @@ class TestSteps:
             pop = nsga2_step(pop, cfg, problem, rng, unlogged(problem), False)
             # every survivor front-0 member is non-dominated vs old population
             for m in pop:
-                dominated_by_old = any(dominates(o.obj, m.obj) for o in before)
+                dominated_by_old = any(dominates(o.f, m.f) for o in before)
                 if not dominated_by_old:
                     break
             else:
@@ -123,7 +123,7 @@ class TestNsga3:
                        False, dirs)
         b = nsga3_step(pop, cfg, problem, np.random.default_rng(9), unlogged(problem),
                        True, dirs)
-        assert [tuple(m.obj) for m in a] == [tuple(m.obj) for m in b]
+        assert [tuple(m.f) for m in a] == [tuple(m.f) for m in b]
 
     def test_single_feasible_survives(self):
         cfg = GAConfig(lambda_=4)
@@ -153,8 +153,18 @@ class TestNsga3:
         # dominated pairs... construct explicitly via the helper
         pool = chosen + last
         survivors = _survivors_nsga3(pool, 3, dirs, False)
-        objs = {tuple(-m.obj) for m in survivors}
+        objs = {tuple(m.f) for m in survivors}
         assert (0.90, 0.10) in objs
+
+    def test_niche_fill_associates_minimized_objectives(self):
+        # one front of four points, normalized to themselves: (0.1, 0.5) lies
+        # near the f2 axis and (0.5, 0.2) near the f1 axis; on the mirrored
+        # rows 1 - f both would join the middle direction instead
+        pool = [make_solution(np.zeros(1), f, ())
+                for f in [(0.0, 1.0), (1.0, 0.0), (0.1, 0.5), (0.5, 0.2)]]
+        survivors = _survivors_nsga3(pool, 3, das_dennis(2, 2), False)
+        # both axis niches hold one survivor; the closer candidate wins
+        assert [tuple(m.f) for m in survivors] == [(0.0, 1.0), (1.0, 0.0), (0.1, 0.5)]
 
 
 class TestRuns:
@@ -175,7 +185,7 @@ class TestRuns:
         for a in result.front:
             for b in result.front:
                 if a is not b:
-                    assert not dominates(a.obj, b.obj)
+                    assert not dominates(a.f, b.f)
 
     def test_constrained_run_keeps_feasible_members(self):
         problem = get_problem("c2dtlz2")
@@ -259,7 +269,7 @@ class TestFailedEvaluations:
             assert np.isnan(row.cv) == (row.step in failed)
             assert np.isnan(row.f).any() == (row.step in failed)
         assert result.front
-        assert all(np.isfinite(m.obj).all() and m.x[0] <= 0.7 for m in result.front)
+        assert all(np.isfinite(m.f).all() and m.x[0] <= 0.7 for m in result.front)
 
     def test_constrained_spec_failing_at_centre_runs(self):
         # the objective fails around the box centre; declaring the constraint

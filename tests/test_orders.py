@@ -75,7 +75,7 @@ class TestOrdersMatchScalarOracles:
            n=st.integers(1, 23), divisions=st.integers(1, 4),
            constrained=st.booleans())
     def test_nsga3_survivors(self, f, cv, n, divisions, constrained):
-        pool = [make_solution(np.zeros(1), -row, [c] if constrained else ())
+        pool = [make_solution(np.zeros(1), row, [c] if constrained else ())
                 for row, c in zip(f, cv)]
         n = min(n, len(pool) - 1)
         dirs = das_dennis(f.shape[1], divisions)

@@ -16,22 +16,22 @@ from pearlkit.pareto import (
 
 from oracles import (
     OracleArchive,
-    brute_force_dominates_max,
+    brute_force_dominates,
     brute_force_front_indices,
     non_dominated_mask_scalar,
 )
 
 
-def sol(obj, cv=0.0, g=None):
-    obj = np.asarray(obj, dtype=float)
+def sol(f, cv=0.0, g=None):
+    f = np.asarray(f, dtype=float)
     if g is None:
         g = np.array([cv]) if cv > 0 else np.empty(0)
-    return Solution(x=np.zeros(2), obj=obj, g=np.asarray(g, dtype=float), cv=cv)
+    return Solution(x=np.zeros(2), f=f, g=np.asarray(g, dtype=float), cv=cv)
 
 
 class TestDominates:
     def test_strict_improvement(self):
-        assert dominates((2, 3), (1, 2))
+        assert dominates((1, 2), (2, 3))
 
     def test_equal_vectors_never_dominate(self):
         assert not dominates((1, 2), (1, 2))
@@ -56,19 +56,19 @@ class TestDominates:
         rng = np.random.default_rng(11)
         for _ in range(300):
             a, b = rng.integers(0, 4, size=(2, 3)).astype(float)
-            assert dominates(a, b) == brute_force_dominates_max(a, b)
+            assert dominates(a, b) == brute_force_dominates(a, b)
 
 
 class TestConstrainedDominates:
     def test_feasible_beats_infeasible(self):
-        assert constrained_dominates(sol((0, 0)), sol((5, 5), cv=0.5))
+        assert constrained_dominates(sol((5, 5)), sol((0, 0), cv=0.5))
 
     def test_larger_violation_cannot_dominate(self):
-        assert not constrained_dominates(sol((9, 9), cv=0.2), sol((0, 0), cv=0.1))
+        assert not constrained_dominates(sol((0, 0), cv=0.2), sol((9, 9), cv=0.1))
         assert constrained_dominates(sol((9, 9), cv=0.1), sol((0, 0), cv=0.2))
 
     def test_feasible_pair_reduces_to_plain_dominance(self):
-        assert constrained_dominates(sol((2, 2)), sol((1, 1)))
+        assert constrained_dominates(sol((1, 1)), sol((2, 2)))
         rng = np.random.default_rng(3)
         for _ in range(200):
             a, b = rng.normal(size=(2, 3))
@@ -78,24 +78,24 @@ class TestConstrainedDominates:
 class TestSolutionInvariants:
     def test_cv_zero_requires_satisfied_constraints(self):
         with pytest.raises(ValueError):
-            Solution(x=np.zeros(1), obj=np.array([1.0, 2.0]), g=np.array([0.5]), cv=0.0)
+            Solution(x=np.zeros(1), f=np.array([1.0, 2.0]), g=np.array([0.5]), cv=0.0)
 
     def test_positive_cv_requires_a_violation(self):
         with pytest.raises(ValueError):
-            Solution(x=np.zeros(1), obj=np.array([1.0, 2.0]), g=np.array([-1.0]), cv=0.3)
+            Solution(x=np.zeros(1), f=np.array([1.0, 2.0]), g=np.array([-1.0]), cv=0.3)
 
     def test_negative_cv_rejected(self):
         with pytest.raises(ValueError):
-            Solution(x=np.zeros(1), obj=np.array([1.0, 2.0]), cv=-1.0)
+            Solution(x=np.zeros(1), f=np.array([1.0, 2.0]), cv=-1.0)
 
     def test_non_finite_objectives_rejected(self):
         with pytest.raises(ValueError):
-            Solution(x=np.zeros(1), obj=np.array([np.inf, 0.0]))
+            Solution(x=np.zeros(1), f=np.array([np.inf, 0.0]))
 
 
 class TestNonDominatedSort:
     def test_three_point_example(self):
-        pop = [sol((1, 1)), sol((2, 2)), sol((0, 3))]
+        pop = [sol((2, 2)), sol((1, 1)), sol((3, 0))]
         fronts = non_dominated_sort(pop)
         assert fronts == [[1, 2], [0]]
 
@@ -123,7 +123,7 @@ class TestNonDominatedSort:
             n = int(rng.integers(1, 13))
             objs = rng.integers(0, 5, size=(n, 3)).astype(float)
             pop = [sol(o) for o in objs]
-            expected = brute_force_front_indices(objs, brute_force_dominates_max)
+            expected = brute_force_front_indices(objs, brute_force_dominates)
             assert sorted(non_dominated_sort(pop)[0]) == expected
 
             cvs = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
@@ -146,7 +146,7 @@ class TestNonDominatedSort:
         remaining = list(range(12))
         for front in fronts:
             expected = [remaining[i] for i in brute_force_front_indices(
-                [objs[i] for i in remaining], brute_force_dominates_max)]
+                [objs[i] for i in remaining], brute_force_dominates)]
             assert sorted(front) == sorted(expected)
             remaining = [i for i in remaining if i not in front]
 
@@ -175,8 +175,7 @@ class TestNonDominatedMask:
         for _ in range(100):
             pts = rng.integers(0, 6, size=(rng.integers(1, 40), 3)).astype(float)
             mask = non_dominated_mask(pts)
-            expected = brute_force_front_indices(
-                -pts, brute_force_dominates_max)  # min == max on negated values
+            expected = brute_force_front_indices(pts, brute_force_dominates)
             assert np.flatnonzero(mask).tolist() == first_occurrences(expected, pts)
 
     def test_duplicates_keep_first_occurrence(self):
@@ -202,16 +201,16 @@ class TestNonDominatedMask:
 class TestParetoArchive:
     def test_dominating_insert_into_singleton(self):
         archive = ParetoArchive(capacity=4)
-        archive.insert(sol((1, 1)), crowding_rank)
-        rank = archive.insert(sol((2, 2)), crowding_rank)
+        archive.insert(sol((2, 2)), crowding_rank)
+        rank = archive.insert(sol((1, 1)), crowding_rank)
         assert rank == 0
         assert len(archive) == 1
-        assert archive.members[0].obj.tolist() == [2.0, 2.0]
+        assert archive.members[0].f.tolist() == [1.0, 1.0]
 
     def test_dominated_insert_rejected(self):
         archive = ParetoArchive(capacity=4)
-        archive.insert(sol((2, 2)), crowding_rank)
-        assert archive.insert(sol((1, 1)), crowding_rank) is None
+        archive.insert(sol((1, 1)), crowding_rank)
+        assert archive.insert(sol((2, 2)), crowding_rank) is None
         assert len(archive) == 1
 
     def test_interior_point_evicted_at_capacity(self):
@@ -221,7 +220,7 @@ class TestParetoArchive:
         rank = archive.insert(sol((1, 1)), crowding_rank)
         assert rank == 2
         assert len(archive) == 2
-        kept = sorted(tuple(m.obj) for m in archive.members)
+        kept = sorted(tuple(m.f) for m in archive.members)
         assert kept == [(0.0, 2.0), (2.0, 0.0)]
 
     def test_duplicate_objectives_rejected(self):
@@ -239,7 +238,7 @@ class TestParetoArchive:
             for i, a in enumerate(archive.members):
                 for j, b in enumerate(archive.members):
                     if i != j:
-                        assert not dominates(a.obj, b.obj)
+                        assert not dominates(a.f, b.f)
 
     def test_unbounded_add(self):
         archive = ParetoArchive(capacity=None)
@@ -247,7 +246,7 @@ class TestParetoArchive:
         for _ in range(200):
             archive.add(sol(rng.random(2) * 4))
         objs = archive.objectives()
-        assert non_dominated_mask(-objs).all()
+        assert non_dominated_mask(objs).all()
 
     def test_constrained_relation_feasible_displaces_infeasible(self):
         archive = ParetoArchive(capacity=4, constrained=True)
@@ -282,8 +281,8 @@ class TestArchiveMatchesOracle:
     def test_insert_and_add_match_scalar_oracle(self, constrained, capacity, points):
         archive = ParetoArchive(capacity=capacity, constrained=constrained)
         oracle = OracleArchive(capacity=capacity, constrained=constrained)
-        for obj, cv in points:
-            s = sol(obj, cv=cv)
+        for f, cv in points:
+            s = sol(f, cv=cv)
             if capacity is None:
                 assert archive.add(s) == oracle.add(s)
             else:
@@ -325,8 +324,8 @@ class TestArchiveArraysMatchOracle:
     def test_arrays_stay_in_step_with_members(self, constrained, capacity, points):
         archive = ParetoArchive(capacity=capacity, constrained=constrained)
         oracle = OracleArchive(capacity=capacity, constrained=constrained)
-        for obj, cv in points:
-            s = sol(obj, cv=cv)
+        for f, cv in points:
+            s = sol(f, cv=cv)
             if capacity is None:
                 assert archive.add(s) == oracle.add(s)
             else:
@@ -334,31 +333,31 @@ class TestArchiveArraysMatchOracle:
             assert [id(m) for m in archive.members] == [id(m) for m in oracle.members]
 
             objs = archive.objectives()
-            np.testing.assert_array_equal(objs, np.array([m.obj for m in archive.members]))
+            np.testing.assert_array_equal(objs, np.array([m.f for m in archive.members]))
             assert archive._cv[:len(archive)].tolist() == [m.cv for m in archive.members]
             objs += 1.0
             np.testing.assert_array_equal(archive.objectives(),
-                                          np.array([m.obj for m in archive.members]))
+                                          np.array([m.f for m in archive.members]))
 
 
 class TestBestFront:
     @settings(max_examples=150, deadline=None)
     @given(points=st.lists(_point, min_size=1, max_size=60))
     def test_feasible_case_is_distinct_front_zero(self, points):
-        pop = [sol(obj, cv=cv) for obj, cv in points] + [sol((0, 0))]
+        pop = [sol(f, cv=cv) for f, cv in points] + [sol((3, 3))]
         front0 = sorted(non_dominated_sort(pop, constrained=True)[0])
-        expected = first_occurrences(front0, [s.obj for s in pop])
+        expected = first_occurrences(front0, [s.f for s in pop])
         assert [id(s) for s in best_front(pop)] == [id(pop[i]) for i in expected]
 
     @settings(max_examples=150, deadline=None)
     @given(points=st.lists(_point, min_size=1, max_size=60))
     def test_infeasible_case_is_distinct_front_of_least_violation(self, points):
-        pop = [sol(obj, cv=cv + 0.25) for obj, cv in points]
+        pop = [sol(f, cv=cv + 0.25) for f, cv in points]
         least = min(s.cv for s in pop)
         group = [i for i, s in enumerate(pop) if s.cv == least]
         front = [group[k] for k in brute_force_front_indices(
-            [pop[i].obj for i in group], brute_force_dominates_max)]
-        expected = first_occurrences(front, [s.obj for s in pop])
+            [pop[i].f for i in group], brute_force_dominates)]
+        expected = first_occurrences(front, [s.f for s in pop])
         assert [id(s) for s in best_front(pop)] == [id(pop[i]) for i in expected]
 
     def test_empty(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pearlkit.density import das_dennis, niching_rank
 from pearlkit.pareto import Solution
 from pearlkit.rewards import (
     CurriculumConstrained,
@@ -19,10 +20,8 @@ from pearlkit.rewards import (
 )
 
 
-def sol(obj, g=None, limits=None, weights=None):
-    # objectives given directly in maximization sense
-    return make_solution(np.zeros(2), -np.asarray(obj, dtype=float),
-                         constraints=g if g is not None else (),
+def sol(f, g=None, limits=None, weights=None):
+    return make_solution(np.zeros(2), f, constraints=g if g is not None else (),
                          limits=limits, weights=weights)
 
 
@@ -123,8 +122,8 @@ class TestEpsilonEngine:
 
     def test_dominated_gets_full_penalty(self):
         engine = PearlEpsilon(kappa=8, nu=0.05)
-        engine.score(sol((2, 2)))
-        out = engine.score(sol((1, 1)))
+        engine.score(sol((1, 1)))
+        out = engine.score(sol((2, 2)))
         assert out.reward == -8.0
         assert not out.archived
         assert len(engine.archive) == 1
@@ -158,9 +157,9 @@ class TestNdsEngine:
 
     def test_dominating_candidate_gets_rank_zero(self):
         engine = PearlNds(kappa=4, ranker="crowding")
-        engine.score(sol((1, 1)))
-        engine.score(sol((0, 2)))
-        out = engine.score(sol((3, 3)))
+        engine.score(sol((3, 3)))
+        engine.score(sol((4, 2)))
+        out = engine.score(sol((1, 1)))
         assert out.reward == 0.0
         assert len(engine.archive) == 1
 
@@ -180,12 +179,24 @@ class TestNdsEngine:
                 out = engine.score(sol(rng.random(3) * 4))
                 assert out.reward in {-5.0} | {-float(k) for k in range(size_before + 1)}
 
+    def test_niching_ranks_minimized_rows(self):
+        # kappa 3 gives the directions (0, 1), (0.5, 0.5), (1, 0); associated
+        # as minimized, the two inner points join the axis directions, where
+        # the mirrored rows 1 - f would put both on the middle one
+        front = np.array([(0.0, 1.0), (1.0, 0.0), (0.1, 0.5), (0.5, 0.1)])
+        engine = PearlNds(kappa=3, ranker="niching", n_obj=2)
+        rewards = [engine.score(sol(f)).reward for f in front]
+        order = niching_rank(front, das_dennis(2, 2)).order.tolist()
+        assert order == [0, 1, 2, 3]
+        assert rewards == [0.0, -1.0, -2.0, -3.0]
+        assert [tuple(m.f) for m in engine.archive.members] == [tuple(f) for f in front[:3]]
+
     def test_monotone_in_dominance_crowding_two_objectives(self):
         rng = np.random.default_rng(23)
         for _ in range(400):
             base = [sol(v) for v in rng.random((4, 2)) * 4]
             s2 = rng.random(2) * 4
-            s1 = s2 + rng.random(2) * 0.5 + 1e-6  # strictly dominates s2
+            s1 = s2 - rng.random(2) * 0.5 - 1e-6  # strictly dominates s2
             rewards = []
             for candidate in (s1, s2):
                 engine = PearlNds(kappa=4, ranker="crowding")
@@ -200,8 +211,8 @@ class TestNdsEngine:
         # dominating one stays interior; crowding then ranks the dominated
         # candidate higher.  This pins that known behavior of the NSGA-style
         # density measure rather than hiding it.
-        base = [sol((3.0, 2.9, 3.8)), sol((3.7, 0.4, 1.4))]
-        s1, s2 = (3.2, 1.4, 1.45), (3.1, 1.3, 1.2)  # s1 dominates s2
+        base = [sol((2.0, 2.1, 1.2)), sol((1.3, 4.6, 3.6))]
+        s1, s2 = (1.8, 3.6, 3.55), (1.9, 3.7, 3.8)  # s1 dominates s2
         rewards = []
         for candidate in (s1, s2):
             engine = PearlNds(kappa=4, ranker="crowding")
@@ -269,15 +280,15 @@ class TestCurriculumConstrained:
 
     def test_rank2_infeasible_vs_feasible_archive(self):
         engine = PearlNds(kappa=4, ranker="crowding", constrained=True)
-        engine.score(sol((1, 1)))
-        out = engine.score(sol((5, 5), g=[0.4]))
+        engine.score(sol((5, 5)))
+        out = engine.score(sol((1, 1), g=[0.4]))
         assert out.reward == -4.0
         assert not out.archived
 
     def test_rank2_tracks_least_violating_before_feasibility(self):
         engine = PearlNds(kappa=4, ranker="crowding", constrained=True)
-        assert engine.score(sol((1, 1), g=[0.9])).reward == 0.0
-        assert engine.score(sol((0, 0), g=[0.5])).reward == 0.0
+        assert engine.score(sol((0, 0), g=[0.9])).reward == 0.0
+        assert engine.score(sol((1, 1), g=[0.5])).reward == 0.0
         assert len(engine.archive) == 1
         assert engine.archive.members[0].cv == pytest.approx(0.25)
 
@@ -309,7 +320,8 @@ class TestEnvelopeEngine:
         engine.score(sol((0, 0)))
         engine.score(sol((4, 2)))
         out = engine.score(sol((2, 1)))
-        assert out.reward == pytest.approx(0.5)  # normalized profile (0.5, 0.5)
+        # rewards -f span [-4, 0] x [-2, 0]: normalized profile (0.5, 0.5)
+        assert out.reward == pytest.approx(0.5)
 
     def test_observation_is_ray_vector(self):
         engine = PearlEnvelope(n_obj=3, n_rays=2)
@@ -318,9 +330,9 @@ class TestEnvelopeEngine:
 
 
 class TestMakeSolution:
-    def test_negates_objectives(self):
+    def test_keeps_objectives_as_evaluated(self):
         s = make_solution([0.1, 0.2], [1.0, -2.0])
-        assert s.obj.tolist() == [-1.0, 2.0]
+        assert s.f.tolist() == [1.0, -2.0]
 
     def test_limit_based_constraints_store_excess(self):
         s = make_solution([0.1], [1.0, 2.0], constraints=[1320.0], limits=[1200.0])

@@ -319,7 +319,7 @@ class TestTrain:
         for a in result.front:
             for b in result.front:
                 if a is not b:
-                    assert not dominates(a.obj, b.obj)
+                    assert not dominates(a.f, b.f)
 
     def test_epsilon_engine_trains(self):
         cfg = TrainerConfig(n_steps=8, ncores=2, budget=96, hidden=8, seed=4)
