@@ -31,10 +31,12 @@ print(f"hypervolume vs nadir {problem.nadir.tolist()}: "
       f"{hypervolume(front, problem.nadir):.3f}")
 print(f"wall time: {result.wall_time:.1f}s")
 
-# The evaluation log carries every sample: step, worker, x, f, g, cv, reward.
-row = result.log[-1]
-print("\nlast log row: step", row.step, "worker", row.worker,
-      "reward", round(row.reward, 3))
+# The evaluation log holds every sample as array rows (row i is step i):
+# worker, X, F, G, cv, reward.
+log = result.log
+last = len(log) - 1
+print("\nlast log row: step", last, "worker", log.worker[last],
+      "reward", round(log.reward[last], 3))
 
 # Constrained problems wrap the engine in the curriculum handler: the policy
 # first learns to reach feasibility, then optimizes inside it.
@@ -44,7 +46,7 @@ result = train(problem,
                lambda: CurriculumConstrained(PearlNds(kappa=64, ranker="crowding")),
                cfg)
 front = np.array([s.f for s in result.front])
-feasible_share = np.mean([row.cv == 0.0 for row in result.log])
+feasible_share = np.mean(result.log.cv == 0.0)
 print(f"\nctp1: {len(front)} feasible front points, "
       f"hypervolume {hypervolume(front, problem.nadir):.3f}, "
       f"{feasible_share:.0%} of samples feasible")

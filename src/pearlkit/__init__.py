@@ -43,7 +43,7 @@ from .problems import (
     get_problem,
     reference_front,
 )
-from .trainer import RunResult, TrainerConfig, train
+from .trainer import EvaluationLog, RunResult, TrainerConfig, train
 from .nsga import GAConfig, run_nsga2, run_nsga3
 from .indicators import (
     MetricReport,
@@ -69,7 +69,7 @@ __all__ = [
     "pearl_e_reward", "sample_preferences",
     "PROBLEMS", "ProblemSpec", "evaluate", "get_problem",
     "reference_front",
-    "RunResult", "TrainerConfig", "train",
+    "EvaluationLog", "RunResult", "TrainerConfig", "train",
     "GAConfig", "run_nsga2", "run_nsga3",
     "MetricReport", "additive_epsilon", "cardinality_metrics",
     "entropy_select", "gd", "hypervolume", "igd",

@@ -220,23 +220,28 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+_CSV_CHUNK_ROWS = 1024  # bounds the Python floats alive while writing
+
+
 def write_evaluations_csv(result: RunResult, problem: ProblemSpec, path: Path):
-    n_g = problem.n_constraints
+    """One line per log row, each value as ``repr(float)``, written a chunk
+    of rows at a time; the bytes are those ``csv.writer`` would write."""
+    log = result.log
     header = (["step", "worker"]
               + [f"x{i + 1}" for i in range(problem.n_x)]
               + [f"f{i + 1}" for i in range(problem.n_obj)]
-              + [f"g{i + 1}" for i in range(n_g)]
+              + [f"g{i + 1}" for i in range(problem.n_constraints)]
               + ["cv", "reward"])
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in result.log:
-            writer.writerow(
-                [row.step, row.worker]
-                + [_fmt(v) for v in row.x]
-                + [_fmt(v) for v in row.f]
-                + [_fmt(v) for v in row.g]
-                + [_fmt(row.cv), _fmt(row.reward)])
+        handle.write(",".join(header) + "\r\n")
+        for start in range(0, len(log), _CSV_CHUNK_ROWS):
+            rows = slice(start, min(start + _CSV_CHUNK_ROWS, len(log)))
+            values = np.hstack([log.X[rows], log.F[rows], log.G[rows],
+                                log.cv[rows, None], log.reward[rows, None]]).tolist()
+            handle.writelines(
+                f"{step},{worker}," + ",".join(map(repr, row)) + "\r\n"
+                for step, worker, row in zip(range(rows.start, rows.stop),
+                                             log.worker[rows].tolist(), values))
 
 
 def write_front_csv(result: RunResult, problem: ProblemSpec, path: Path):

@@ -23,7 +23,7 @@ from .density import (ReferenceDirectionSet, associate, best_first, crowding_ran
                       default_divisions, minmax_normalize)
 from .pareto import Solution, best_front, non_dominated_sort
 from .problems import ProblemSpec
-from .trainer import EvalLogRow, RunResult, evaluate_solution, log_row
+from .trainer import EvaluationLog, RunResult, evaluate_solution
 
 
 @dataclass
@@ -170,12 +170,13 @@ def _run(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool], step)
         constrained = problem.n_constraints > 0
     start = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    log: list[EvalLogRow] = []
+    generations = (cfg.budget - cfg.pop_size) // cfg.lambda_
+    log = EvaluationLog(cfg.pop_size + generations * cfg.lambda_, problem)
     everything: list[Solution] = []
 
     def logged_eval(x: np.ndarray) -> Optional[Solution]:
         sol = evaluate_solution(problem, x, len(log))
-        log.append(log_row(len(log), 0, x, sol, float("nan"), problem))
+        log.record(0, x, sol, np.nan)
         if sol is not None:
             everything.append(sol)
         return sol
@@ -183,7 +184,7 @@ def _run(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool], step)
     initial = [logged_eval(rng.uniform(problem.lower, problem.upper))
                for _ in range(cfg.pop_size)]
     pop = [sol for sol in initial if sol is not None]
-    for _ in range((cfg.budget - cfg.pop_size) // cfg.lambda_):
+    for _ in range(generations):
         pop = step(pop, rng, logged_eval, constrained)
 
     return RunResult(front=best_front(everything), log=log, config=asdict(cfg),

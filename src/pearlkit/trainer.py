@@ -127,7 +127,6 @@ class PolicyState:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.adam_steps = 0
-        self.updates = 0
         self.learning_rate = cfg.learning_rate
 
     def views(self, flat: np.ndarray) -> dict:
@@ -187,7 +186,7 @@ def gaussian_log_prob(z: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> n
     return np.sum(-0.5 * ((z - mean) / std) ** 2 - log_std - _HALF_LOG_2PI, axis=1)
 
 
-def squash(z: np.ndarray, kind: str = "logistic") -> np.ndarray:
+def squash(z: np.ndarray, kind: str) -> np.ndarray:
     """Map Gaussian samples onto the unit box.
 
     ``logistic`` is the smooth open-box map; ``clip`` maps [-1, 1] linearly
@@ -213,28 +212,38 @@ class RolloutBatch:
     values: np.ndarray         # (B,) value predictions at collection time
 
 
-@dataclass
-class EvalLogRow:
-    step: int
-    worker: int
-    x: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    cv: float
-    reward: float
+class EvaluationLog:
+    """Every evaluation of a run, in arrays preallocated to its row count.
 
+    Row ``i`` is step ``i``: the ``worker`` that made it, decision vector
+    ``X``, objectives ``F``, constraint values ``G`` and violation ``cv``
+    (NaN when the evaluation failed), and the ``reward`` paid (NaN in NSGA,
+    which pays none).  Rows from ``len(log)`` on are not filled yet.
+    """
 
-def log_row(step: int, worker: int, x: np.ndarray, sol: Optional[Solution],
-            reward: float, problem: ProblemSpec) -> EvalLogRow:
-    """The log row of one evaluation; a failed one (``sol`` None) has NaN
-    objectives, constraints and violation."""
-    if sol is None:
-        return EvalLogRow(step=step, worker=worker, x=x.copy(),
-                          f=np.full(problem.n_obj, np.nan),
-                          g=np.full(problem.n_constraints, np.nan),
-                          cv=np.nan, reward=reward)
-    return EvalLogRow(step=step, worker=worker, x=x.copy(), f=sol.f, g=sol.g,
-                      cv=sol.cv, reward=reward)
+    def __init__(self, n_rows: int, problem: ProblemSpec):
+        self.worker = np.zeros(n_rows, dtype=np.int64)
+        self.X = np.empty((n_rows, problem.n_x))
+        self.F = np.empty((n_rows, problem.n_obj))
+        self.G = np.empty((n_rows, problem.n_constraints))
+        self.cv = np.empty(n_rows)
+        self.reward = np.empty(n_rows)
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def record(self, worker: int, x: np.ndarray, sol: Optional[Solution], reward: float):
+        """Fill the next row; a failed evaluation (``sol`` None) fills NaN."""
+        i = self._n
+        self.worker[i] = worker
+        self.X[i] = x
+        if sol is None:
+            self.F[i] = self.G[i] = self.cv[i] = np.nan
+        else:
+            self.F[i], self.G[i], self.cv[i] = sol.f, sol.g, sol.cv
+        self.reward[i] = reward
+        self._n = i + 1
 
 
 def evaluate_solution(problem: ProblemSpec, x: np.ndarray, step: int) -> Optional[Solution]:
@@ -255,7 +264,7 @@ class RunResult:
     """Merged outcome of one training or baseline run."""
 
     front: list[Solution]
-    log: list[EvalLogRow]
+    log: EvaluationLog
     config: dict
     wall_time: float
     n_evaluations: int
@@ -346,9 +355,9 @@ def _worker_observations(worker: Worker, n: int, latent_dim: int,
 
 
 def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
-            cfg: TrainerConfig, log: list) -> RolloutBatch:
+            cfg: TrainerConfig, log: EvaluationLog) -> RolloutBatch:
     """Collect one batch: every worker draws n_steps actions and scores them,
-    appending one row per evaluation to ``log``; steps count from ``len(log)``.
+    recording one row per evaluation in ``log``.
 
     A failed problem evaluation never aborts the batch: it is flagged in the
     log with NaN objectives and paid the lower of ``-reward_scale`` and the
@@ -358,9 +367,8 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
     """
     n = cfg.n_steps
     latent_dim = cfg.resolved_latent_dim(problem)
-    obs_rows, act_rows, z_rows = [], [], []
-    raw_rewards, gauss_rows, value_rows = [], [], []
-    scales, failed = [], []
+    first = len(log)
+    parts = []
     for worker in workers:
         worker.engine.resample(worker.rng)
         obs = _worker_observations(worker, n, latent_dim, cfg)
@@ -368,37 +376,21 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
         std = np.exp(log_std)
         z = mean + std * worker.rng.standard_normal((n, policy.act_dim))
         actions = squash(z, cfg.squash)
-        gauss_logp = gaussian_log_prob(z, mean, log_std)
-        values = policy.value(obs)
         scale = float(worker.engine.reward_scale)
         for x in actions:
             sol = evaluate_solution(problem, x, len(log))
             reward = worker.engine.score(sol).reward if sol is not None else -scale
-            raw_rewards.append(reward)
-            failed.append(sol is None)
-            log.append(log_row(len(log), worker.index, x, sol, reward, problem))
-        obs_rows.append(obs)
-        act_rows.append(actions)
-        z_rows.append(z)
-        gauss_rows.append(gauss_logp)
-        value_rows.append(values)
-        scales.append(np.full(n, scale))
-    raw = np.asarray(raw_rewards)
-    failed = np.asarray(failed)
+            log.record(worker.index, x, sol, reward)
+        parts.append((obs, actions, z, gaussian_log_prob(z, mean, log_std),
+                      policy.value(obs), np.full(n, scale)))
+    obs, actions, z, gauss_logp, values, scales = map(np.concatenate, zip(*parts))
+    raw = log.reward[first:len(log)]  # a view: the fix-up below rewrites the log
+    failed = np.isnan(log.cv[first:len(log)])
     if failed.any() and not failed.all():
         raw[failed] = np.minimum(raw[failed], raw[~failed].min())
-        batch_log = log[len(log) - len(raw):]
-        for i in np.flatnonzero(failed):
-            batch_log[i].reward = float(raw[i])
-    return RolloutBatch(
-        observations=np.vstack(obs_rows),
-        actions=np.vstack(act_rows),
-        pre_squash=np.vstack(z_rows),
-        rewards=raw / np.concatenate(scales),
-        raw_rewards=raw,
-        gauss_log_probs=np.concatenate(gauss_rows),
-        values=np.concatenate(value_rows),
-    )
+    return RolloutBatch(observations=obs, actions=actions, pre_squash=z,
+                        rewards=raw / scales, raw_rewards=raw,
+                        gauss_log_probs=gauss_logp, values=values)
 
 
 def update(policy: PolicyState, batch: RolloutBatch, cfg: TrainerConfig,
@@ -429,7 +421,6 @@ def update(policy: PolicyState, batch: RolloutBatch, cfg: TrainerConfig,
                 continue
             policy.adam_step(grad)
     policy.check_finite()
-    policy.updates += 1
     return policy
 
 
@@ -467,8 +458,8 @@ def train(problem: ProblemSpec, engine_factory: Callable[[], object],
     policy = PolicyState(obs_dim=obs_dim, act_dim=problem.n_x, cfg=cfg,
                          rng=init_rng, init_log_std=init_log_std)
 
-    log: list[EvalLogRow] = []
     n_updates = cfg.budget // cfg.batch_size()
+    log = EvaluationLog(n_updates * cfg.batch_size(), problem)
     for _ in range(n_updates):
         batch = rollout(policy, workers, problem, cfg, log)
         update(policy, batch, cfg, shuffle_rng)

@@ -4,6 +4,7 @@ Everything here is written deliberately as plain scalar loops, separate from
 the vectorized library code paths.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -371,3 +372,26 @@ def ctp_constraint_scalar(f1, f2, theta, a, b, c, d, e):
     signed_pow = math.copysign(abs(inner) ** c, inner)
     rhs = a * abs(math.sin(b * math.pi * signed_pow)) ** d
     return rhs - lhs
+
+
+def write_evaluations_csv_scalar(log, problem, path):
+    """Scalar reference for ``write_evaluations_csv``: one ``csv.writer``
+    row per step, each value formatted on its own as ``repr(float(v))``."""
+    def fmt(value):
+        return repr(float(value))
+
+    header = (["step", "worker"]
+              + [f"x{i + 1}" for i in range(problem.n_x)]
+              + [f"f{i + 1}" for i in range(problem.n_obj)]
+              + [f"g{i + 1}" for i in range(problem.n_constraints)]
+              + ["cv", "reward"])
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for step in range(len(log)):
+            writer.writerow(
+                [step, int(log.worker[step])]
+                + [fmt(v) for v in log.X[step]]
+                + [fmt(v) for v in log.F[step]]
+                + [fmt(v) for v in log.G[step]]
+                + [fmt(log.cv[step]), fmt(log.reward[step])])

@@ -8,15 +8,21 @@ import pytest
 
 from pearlkit.cli import main as cli_main
 from pearlkit.experiment import (
+    _ENGINES,
     ConfigError,
     compare,
     load_config,
     load_front_csv,
     run_experiment,
     write_comparison,
+    write_evaluations_csv,
 )
 from pearlkit.indicators import hypervolume, read_metric_csv
+from pearlkit.nsga import GAConfig, run_nsga2
 from pearlkit.problems import get_problem
+from pearlkit.trainer import TrainerConfig, train
+
+from oracles import write_evaluations_csv_scalar
 
 
 def small_config(tmp_path, **overrides):
@@ -234,6 +240,43 @@ class TestRun:
         out = run_experiment(path)
         assert out == tmp_path / "root" / "relative-run"
         assert (out / "metrics.csv").exists()
+
+
+class TestEvaluationsCsv:
+    @staticmethod
+    def flaky_c2dtlz2():
+        problem = get_problem("c2dtlz2")
+
+        def objectives(x):
+            if x[0] > 0.7:
+                raise RuntimeError("simulator run failed")
+            return problem.objectives(x)
+
+        return dataclasses.replace(problem, name="flaky-c2dtlz2", objectives=objectives)
+
+    @staticmethod
+    def assert_matches_oracle(result, problem, tmp_path):
+        write_evaluations_csv(result, problem, tmp_path / "bulk.csv")
+        write_evaluations_csv_scalar(result.log, problem, tmp_path / "oracle.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_trainer_log_with_failures_matches_scalar_writer(self, tmp_path):
+        problem = self.flaky_c2dtlz2()
+        cfg = TrainerConfig(n_steps=8, ncores=2, budget=128, hidden=8, seed=2)
+        result = train(problem, lambda: _ENGINES["c-pearl"](problem, {"kappa": 8}), cfg)
+        failed = np.isnan(result.log.cv)
+        assert failed.any() and not failed.all()
+        # some failure was paid below -kappa by the batch fix-up
+        assert (result.log.reward[failed] < -8.0).any()
+        self.assert_matches_oracle(result, problem, tmp_path)
+
+    def test_nsga_log_with_failures_matches_scalar_writer(self, tmp_path):
+        problem = self.flaky_c2dtlz2()
+        # 16 + 67 * 16 = 1088 rows span more than one written chunk
+        result = run_nsga2(problem, GAConfig(lambda_=16, budget=1100, seed=1))
+        assert len(result.log) == 1088
+        assert np.isnan(result.log.F).all(axis=1).any()
+        self.assert_matches_oracle(result, problem, tmp_path)
 
 
 class TestCompare:

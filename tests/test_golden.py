@@ -34,6 +34,10 @@ CELLS = {
         {"name": "c-pearl", "mode": "crowding2"}, "c2dtlz2",
         "53eef2f0135b93827076d1238a5a50612f37959f5f35c9a5d6e5441078747354",
         "88942adff4e8f68a2204501a1d516f0198efd1965c58c09ddbef4f9b5a1d1953"),
+    "c-pearl-distance-cl-c2dtlz2": (
+        {"name": "c-pearl", "mode": "distance-cl"}, "c2dtlz2",
+        "17589d8168e9b5d15f64c2ad9abf07d6e622998745f0381057d190a7a9564e28",
+        "9a46faeaabd4647d8a7206e6246e197a43cef7b51677450e8f3278d9bd7f7046"),
     "nsga3-c2dtlz2": (
         {"name": "nsga3"}, "c2dtlz2",
         "1d3d7a84d28deb49ddaffed6c55ab3fd62e3fcc4e588b106df53c7e2cdbc069d",
@@ -42,6 +46,10 @@ CELLS = {
         {"name": "nsga2"}, "dtlz2",
         "f80b8c9c1c0a972d4f4bfadb690f2944259686be641b2894ba0e17a7344fee41",
         "65afbe93c9e480842c80c9500f57a9cf54e8b1571a86b800d64cd419d50b85f3"),
+    "nsga2-ctp1": (
+        {"name": "nsga2"}, "ctp1",
+        "01806787fcf9c67a9f73877f881d23d1793cc636cd506523cce8085e1c8fb5df",
+        "5cea22bd76f47687f0d4b6c522a51a182655e0f69b0b5c0cdc370b0a0bcd1c69"),
 }
 
 

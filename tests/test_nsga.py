@@ -137,24 +137,15 @@ class TestNsga3:
         assert any(m.feasible for m in survivors)
 
     def test_niche_fill_hand_computed(self):
-        # two survivors occupy the f1 direction; of three last-front
-        # candidates the one owning the empty f2 direction must be taken
-        chosen = [
-            make_solution(np.zeros(2), [0.0, 1.00], ()),
-            make_solution(np.zeros(2), [0.05, 0.95], ()),
-        ]
-        last = [
-            make_solution(np.zeros(2), [0.10, 0.90], ()),
-            make_solution(np.zeros(2), [0.90, 0.10], ()),
-            make_solution(np.zeros(2), [0.15, 0.85], ()),
-        ]
-        dirs = das_dennis(2, 1)
-        # pool: the two chosen fill a complete first front? they are
-        # dominated pairs... construct explicitly via the helper
-        pool = chosen + last
-        survivors = _survivors_nsga3(pool, 3, dirs, False)
-        objs = {tuple(m.f) for m in survivors}
-        assert (0.90, 0.10) in objs
+        # the first front (0, 0.8), (0.8, 0) fits whole, one survivor in each
+        # axis niche; of the three dominated candidates the two near the axes
+        # are closest to their directions, so only the survivors' niche
+        # counts make the pick the one owning the empty middle direction
+        first = [make_solution(np.zeros(2), f, ()) for f in [(0.0, 0.8), (0.8, 0.0)]]
+        last = [make_solution(np.zeros(2), f, ())
+                for f in [(0.05, 1.0), (1.0, 0.05), (0.9, 0.6)]]
+        survivors = _survivors_nsga3(first + last, 3, das_dennis(2, 2), False)
+        assert [tuple(m.f) for m in survivors] == [(0.0, 0.8), (0.8, 0.0), (0.9, 0.6)]
 
     def test_niche_fill_associates_minimized_objectives(self):
         # one front of four points, normalized to themselves: (0.1, 0.5) lies
@@ -174,8 +165,9 @@ class TestRuns:
         result = run_nsga2(problem, cfg)
         assert result.n_evaluations == 16 + 11 * 16
         assert result.n_evaluations <= 200
-        steps = [row.step for row in result.log]
-        assert steps == list(range(len(steps)))
+        assert len(result.log) == result.n_evaluations
+        assert (result.log.worker == 0).all()
+        assert np.isfinite(result.log.F).all() and np.isnan(result.log.reward).all()
 
     def test_all_time_front_mutually_non_dominated(self):
         problem = get_problem("dtlz2")
@@ -220,9 +212,8 @@ class TestRuns:
         cfg = GAConfig(lambda_=8, budget=100, seed=11)
         a = run_nsga3(problem, cfg, constrained=True)
         b = run_nsga3(problem, cfg, constrained=True)
-        assert len(a.log) == len(b.log)
-        for ra, rb in zip(a.log, b.log):
-            assert np.array_equal(ra.x, rb.x) and np.array_equal(ra.f, rb.f)
+        assert len(a.log) == len(b.log) == 8 + 11 * 8
+        assert np.array_equal(a.log.X, b.log.X) and np.array_equal(a.log.F, b.log.F)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -241,9 +232,8 @@ class TestRuns:
         cfg = GAConfig(lambda_=8, budget=8 + 4 * 8, seed=0)
         default = run_nsga3(problem, cfg)
         explicit = run_nsga3(problem, cfg, constrained=True)
-        assert len(default.log) == len(explicit.log)
-        for ra, rb in zip(default.log, explicit.log):
-            assert np.array_equal(ra.x, rb.x)
+        assert len(default.log) == len(explicit.log) == 8 + 4 * 8
+        assert np.array_equal(default.log.X, explicit.log.X)
 
 
 class TestFailedEvaluations:
@@ -261,13 +251,13 @@ class TestFailedEvaluations:
         problem = self.flaky_problem(0.7)
         cfg = GAConfig(lambda_=16, budget=400, seed=1)
         result = run(problem, cfg)
-        assert [row.step for row in result.log] == list(range(400))
-        failed = [row.step for row in result.log if np.isnan(row.f).all()]
-        assert failed == [row.step for row in result.log if row.x[0] > 0.7]
-        assert failed
-        for row in result.log:
-            assert np.isnan(row.cv) == (row.step in failed)
-            assert np.isnan(row.f).any() == (row.step in failed)
+        log = result.log
+        assert len(log) == 400
+        failed = np.isnan(log.F).all(axis=1)
+        assert np.array_equal(failed, log.X[:, 0] > 0.7)
+        assert failed.any()
+        assert np.array_equal(np.isnan(log.cv), failed)
+        assert np.array_equal(np.isnan(log.F).any(axis=1), failed)
         assert result.front
         assert all(np.isfinite(m.f).all() and m.x[0] <= 0.7 for m in result.front)
 
@@ -284,13 +274,13 @@ class TestFailedEvaluations:
                               n_constraints=1, nadir=[3, 3, 3])
         cfg = GAConfig(lambda_=16, budget=400, seed=1)
         result = run_nsga2(problem, cfg, constrained=True)
-        assert [row.step for row in result.log] == list(range(400))
-        failed = [row.step for row in result.log if np.isnan(row.f).all()]
-        assert failed == [row.step for row in result.log if 0.4 <= row.x[0] <= 0.6]
-        assert failed
-        for row in result.log:
-            assert row.g.shape == (1,)
-            assert np.isnan(row.g).all() == (row.step in failed)
+        log = result.log
+        assert len(log) == 400
+        failed = np.isnan(log.F).all(axis=1)
+        assert np.array_equal(failed, (0.4 <= log.X[:, 0]) & (log.X[:, 0] <= 0.6))
+        assert failed.any()
+        assert log.G.shape == (400, 1)
+        assert np.array_equal(np.isnan(log.G).all(axis=1), failed)
         assert result.front
 
     def test_every_initial_evaluation_failing_is_an_error(self):

@@ -8,6 +8,7 @@ from pearlkit.problems import get_problem
 from pearlkit.rewards import PearlEnvelope, PearlEpsilon, PearlNds
 from pearlkit.trainer import (
     LOG_STD_MIN,
+    EvaluationLog,
     PolicyState,
     TrainerConfig,
     Worker,
@@ -100,7 +101,8 @@ class TestRollout:
         workers = self.make_workers(8)
         policy = PolicyState(obs_dim=12, act_dim=12, cfg=cfg,
                              rng=np.random.default_rng(0), init_log_std=-0.75)
-        batch = rollout(policy, workers, problem, cfg, [])
+        log = EvaluationLog(cfg.batch_size(), problem)
+        batch = rollout(policy, workers, problem, cfg, log)
         assert len(batch.rewards) == 256
         assert batch.observations.shape == (256, 12)
         assert np.all((batch.actions >= 0) & (batch.actions <= 1))
@@ -112,7 +114,8 @@ class TestRollout:
         workers = self.make_workers(2)
         policy = PolicyState(obs_dim=1, act_dim=12, cfg=cfg,
                              rng=np.random.default_rng(0), init_log_std=-0.75)
-        batch = rollout(policy, workers, problem, cfg, [])
+        log = EvaluationLog(cfg.batch_size(), problem)
+        batch = rollout(policy, workers, problem, cfg, log)
         assert batch.observations.shape == (8, 1)
         assert np.all(batch.observations == 1.0)
 
@@ -134,12 +137,12 @@ class TestRollout:
             return make_solution(*args)
 
         monkeypatch.setattr(trainer_module, "make_solution", exploding_make_solution)
-        log = []
+        log = EvaluationLog(4, problem)
         batch = rollout(policy, workers, problem, cfg, log=log)
-        assert len(batch.rewards) == 4
+        assert len(batch.rewards) == len(log) == 4
         assert batch.raw_rewards[1] == -8.0  # full archive penalty
-        assert np.isnan(log[1].f).all() and np.isnan(log[1].cv)
-        assert all(np.isfinite(row.f).all() for i, row in enumerate(log) if i != 1)
+        assert np.isnan(log.F[1]).all() and np.isnan(log.cv[1])
+        assert np.isfinite(np.delete(log.F, 1, axis=0)).all()
 
     def test_nan_action_flagged_not_fatal(self, monkeypatch):
         import pearlkit.trainer as trainer_module
@@ -150,10 +153,10 @@ class TestRollout:
         policy = PolicyState(obs_dim=12, act_dim=12, cfg=cfg,
                              rng=np.random.default_rng(0), init_log_std=-0.75)
         monkeypatch.setattr(trainer_module, "squash", lambda z, kind: np.full_like(z, np.nan))
-        log = []
+        log = EvaluationLog(3, problem)
         batch = rollout(policy, workers, problem, cfg, log=log)
-        assert batch.raw_rewards.tolist() == [-8.0, -8.0, -8.0]
-        assert all(np.isnan(row.f).all() for row in log)
+        assert batch.raw_rewards.tolist() == log.reward.tolist() == [-8.0, -8.0, -8.0]
+        assert np.isnan(log.F).all()
 
     def test_envelope_rays_constant_within_batch_resampled_across(self):
         cfg = TrainerConfig(n_steps=8, ncores=2, hidden=8)
@@ -166,8 +169,8 @@ class TestRollout:
         ]
         policy = PolicyState(obs_dim=15, act_dim=12, cfg=cfg,
                              rng=np.random.default_rng(0), init_log_std=-0.75)
-        first = rollout(policy, workers, problem, cfg, [])
-        second = rollout(policy, workers, problem, cfg, [])
+        first = rollout(policy, workers, problem, cfg, EvaluationLog(16, problem))
+        second = rollout(policy, workers, problem, cfg, EvaluationLog(16, problem))
         for batch in (first, second):
             rays = batch.observations[:, 12:].reshape(2, 8, 3)
             for w in range(2):
@@ -202,15 +205,12 @@ class TestFailureReward:
         problem = self.flaky(problem)
         cfg = TrainerConfig(n_steps=8, ncores=2, budget=64, hidden=8, seed=2)
         result = train(problem, lambda: _ENGINES[engine](problem, params), cfg)
-        failures = 0
-        for start in range(0, len(result.log), cfg.batch_size()):
-            rows = result.log[start:start + cfg.batch_size()]
-            failed = [row.reward for row in rows if np.isnan(row.cv)]
-            valid = [row.reward for row in rows if not np.isnan(row.cv)]
-            failures += len(failed)
-            if failed and valid:
-                assert min(valid) >= max(failed), (start, min(valid), max(failed))
-        assert failures > 0
+        rewards = result.log.reward.reshape(-1, cfg.batch_size())
+        failed = np.isnan(result.log.cv).reshape(rewards.shape)
+        assert failed.any()
+        lowest_valid = np.where(failed, np.inf, rewards).min(axis=1)
+        highest_failed = np.where(failed, rewards, -np.inf).max(axis=1)
+        assert (lowest_valid >= highest_failed).all(), (lowest_valid, highest_failed)
 
 
 class TestUpdate:
@@ -228,7 +228,7 @@ class TestUpdate:
             from pearlkit.trainer import RolloutBatch
 
             batch = RolloutBatch(
-                observations=obs, actions=squash(z), pre_squash=z,
+                observations=obs, actions=squash(z, "clip"), pre_squash=z,
                 rewards=np.full(16, constant), raw_rewards=np.full(16, constant),
                 gauss_log_probs=logp,
                 values=policy.value(obs),
@@ -269,7 +269,7 @@ class TestUpdate:
         mean, log_std = policy.policy_heads(obs)
         logp = gaussian_log_prob(z, mean, log_std)
         batch = RolloutBatch(
-            observations=obs, actions=squash(z), pre_squash=z,
+            observations=obs, actions=squash(z, "clip"), pre_squash=z,
             rewards=np.array([np.nan, 0.0, 0.0, 0.0]),
             raw_rewards=np.zeros(4), gauss_log_probs=logp,
             values=np.zeros(4),
@@ -296,6 +296,8 @@ class TestTrain:
                        cfg)
         # 100 // 16 = 6 rounds of 16 evaluations
         assert result.n_evaluations == 96
+        assert len(result.log) == 96
+        assert result.log.worker.tolist() == ([0] * 8 + [1] * 8) * 6
         assert result.n_evaluations <= cfg.budget
 
     def test_fixed_seed_reproduces_evaluation_log(self):
@@ -305,11 +307,12 @@ class TestTrain:
             result = train(get_problem("dtlz2"),
                            lambda: PearlNds(kappa=8, ranker="crowding"), cfg)
             runs.append(result)
-        for a, b in zip(runs[0].log, runs[1].log):
-            assert a.step == b.step and a.worker == b.worker
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.f, b.f)
-            assert a.reward == b.reward
+        a, b = runs[0].log, runs[1].log
+        assert len(a) == len(b) == 96
+        assert np.array_equal(a.worker, b.worker)
+        assert np.array_equal(a.X, b.X)
+        assert np.array_equal(a.F, b.F)
+        assert np.array_equal(a.reward, b.reward)
 
     def test_merged_front_mutually_non_dominated(self):
         cfg = TrainerConfig(n_steps=8, ncores=2, budget=160, hidden=8, seed=3)
