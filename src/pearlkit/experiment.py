@@ -90,7 +90,7 @@ def load_config(source) -> ExperimentConfig:
         raw = dict(source)
     if raw.get("version") != CONFIG_VERSION:
         raise ConfigError(f"key 'version' must equal {CONFIG_VERSION}")
-    problems = _as_list(raw.get("problems") or raw.get("problem") or [])
+    problems = _as_list(raw.get("problems") or [])
     if not problems:
         raise ConfigError("key 'problems' is required")
     for name in problems:
@@ -98,7 +98,7 @@ def load_config(source) -> ExperimentConfig:
             get_problem(name)
         except KeyError as err:
             raise ConfigError(f"key 'problems': {err.args[0]}") from None
-    algo_raw = _as_list(raw.get("algorithms") or raw.get("algorithm") or [])
+    algo_raw = _as_list(raw.get("algorithms") or [])
     if not algo_raw:
         raise ConfigError("key 'algorithms' is required")
     algorithms = []

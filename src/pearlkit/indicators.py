@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .density import best_first
 from .pareto import non_dominated_mask
@@ -100,14 +99,45 @@ def _staircase_insert(xs, ys, a, b, r0, r1, area):
     return area
 
 
+_DISTANCE_BLOCK = 32_768  # pair distances per block; bounds the temporaries
+
+
+def _nearest_distances(points: np.ndarray, targets: np.ndarray,
+                       chebyshev: bool = False) -> np.ndarray:
+    """Distance from each row of ``points`` to its nearest row of ``targets``:
+    Euclidean, or the largest coordinate difference when ``chebyshev``.
+
+    Rows are taken a block at a time and objectives one at a time, so the
+    temporaries hold about ``_DISTANCE_BLOCK`` pair distances.  Squares are
+    summed objective by objective and the root taken after the minimum, the
+    order a scalar loop (and a k-d tree query) uses for up to three
+    objectives.
+    """
+    if points.shape[1] != targets.shape[1]:
+        raise ValueError("point and target dimensions differ")
+    term, fold = (np.abs, np.maximum) if chebyshev else (np.square, np.add)
+    rows = max(1, _DISTANCE_BLOCK // len(targets))
+    acc = np.empty((min(rows, len(points)), len(targets)))
+    diff = np.empty_like(acc)
+    nearest = np.empty(len(points))
+    for start in range(0, len(points), rows):
+        block = points[start:start + rows]
+        a, d = acc[:len(block)], diff[:len(block)]
+        term(np.subtract.outer(block[:, 0], targets[:, 0], out=a), out=a)
+        for k in range(1, points.shape[1]):
+            term(np.subtract.outer(block[:, k], targets[:, k], out=d), out=d)
+            fold(a, d, out=a)
+        a.min(axis=1, out=nearest[start:start + len(block)])
+    return nearest if chebyshev else np.sqrt(nearest, out=nearest)
+
+
 def gd(front, reference) -> float:
     """Mean distance from each front point to its nearest reference point."""
     f = np.atleast_2d(np.asarray(front, dtype=float))
     r = np.atleast_2d(np.asarray(reference, dtype=float))
     if f.size == 0 or r.size == 0:
         raise ValueError("gd needs non-empty sets")
-    distances, _ = cKDTree(r).query(f)
-    return float(np.mean(distances))
+    return float(np.mean(_nearest_distances(f, r)))
 
 
 def igd(front, reference) -> float:
@@ -149,14 +179,12 @@ def cardinality_metrics(fronts_by_algorithm: Mapping[str, np.ndarray]):
         own[name] = f[non_dominated_mask(f)]
     union = np.vstack(list(own.values()))
     combined = union[non_dominated_mask(union)]
-    tree = cKDTree(combined)
     out = {}
     for name, f in own.items():
         if len(f) == 0:
             out[name] = (0, float("nan"))
             continue
-        dist, _ = tree.query(f, p=np.inf)
-        i_c = int(np.sum(dist <= 1e-9))
+        i_c = int(np.sum(_nearest_distances(f, combined, chebyshev=True) <= 1e-9))
         out[name] = (i_c, i_c / len(f))
     return out
 

@@ -21,6 +21,12 @@ import numpy as np
 from .pareto import non_dominated_mask
 
 
+class ProblemSpecError(ValueError):
+    """An evaluation returned more or fewer values than its ProblemSpec
+    declares.  The spec is wrong, so this stops a run instead of counting
+    as a failed evaluation."""
+
+
 @dataclass
 class ProblemSpec:
     """Registry entry: dimensions, box, evaluators, front source, nadir."""
@@ -56,21 +62,25 @@ def evaluate(problem: ProblemSpec, x) -> tuple[np.ndarray, np.ndarray]:
 
     The function is pure.  Points outside the box (beyond a 1e-9 slack) and
     points with a NaN coordinate are a usage error: optimizers clamp before
-    calling.
+    calling.  An ``f`` or ``g`` of another length than the spec declares
+    raises ``ProblemSpecError``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n_x,):
         raise ValueError(f"{problem.name} expects {problem.n_x} decision variables")
     if not np.all((x >= problem.lower - 1e-9) & (x <= problem.upper + 1e-9)):
         raise ValueError(f"point outside the box of {problem.name}")
-    f = problem.objectives(x)
+    f = np.asarray(problem.objectives(x), dtype=float)
+    if f.shape != (problem.n_obj,):
+        raise ProblemSpecError(f"{problem.name} declares {problem.n_obj} objectives, "
+                               f"got shape {f.shape}")
     g = (problem.constraints(x, f) if problem.constraints is not None
          else np.empty(0))
     g = np.atleast_1d(np.asarray(g, dtype=float))
     if g.shape != (problem.n_constraints,):
-        raise ValueError(f"{problem.name} declares {problem.n_constraints} constraints, "
-                         f"got {g.size}")
-    return np.asarray(f, dtype=float), g
+        raise ProblemSpecError(f"{problem.name} declares {problem.n_constraints} "
+                               f"constraints, got {g.size}")
+    return f, g
 
 
 def reference_front(problem: ProblemSpec, n_points: int) -> np.ndarray:

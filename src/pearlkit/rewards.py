@@ -117,7 +117,7 @@ def kl_uniformity(w: np.ndarray, r: np.ndarray) -> float:
     return -kl
 
 
-_UNIFORMITY = {"cos": cosine_uniformity, "cosine": cosine_uniformity, "kl": kl_uniformity}
+_UNIFORMITY = {"cos": cosine_uniformity, "kl": kl_uniformity}
 
 
 def pearl_e_reward(r, rays, lambda_: float, uniformity: str = "cos") -> float:

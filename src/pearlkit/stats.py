@@ -3,6 +3,9 @@
 Both tests operate on an ``n blocks x k treatments`` matrix of metric values
 (one block per seed, one treatment per algorithm).  Being rank based, the
 results are invariant under strictly monotone transforms of the metric.
+
+scipy is imported inside the functions that use it, so importing pearlkit
+and running a cell load no scipy module.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy import stats as sps
 
 # Studentized-range quantiles over infinite degrees of freedom, already
 # divided by sqrt(2) so that CD = q * sqrt(k (k+1) / (6 n)).  Rows are
@@ -25,8 +26,10 @@ _Q_TABLE = {
 
 def block_ranks(values: np.ndarray) -> np.ndarray:
     """Within-block ranks (1 = smallest value), average ranks on ties."""
+    from scipy.stats import rankdata
+
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    return np.vstack([sps.rankdata(row) for row in values])
+    return np.vstack([rankdata(row) for row in values])
 
 
 @dataclass
@@ -43,13 +46,15 @@ def friedman(values) -> FriedmanResult:
     with the p-value from the chi-square distribution on k-1 degrees of
     freedom.  All-equal data gives statistic 0 and p = 1.
     """
+    from scipy.stats import chi2
+
     values = np.atleast_2d(np.asarray(values, dtype=float))
     n, k = values.shape
     if n < 2 or k < 2:
         raise ValueError("friedman needs at least 2 blocks and 2 treatments")
     mean_ranks = block_ranks(values).mean(axis=0)
     statistic = 12.0 * n / (k * (k + 1)) * float(np.sum((mean_ranks - (k + 1) / 2.0) ** 2))
-    p_value = float(sps.chi2.sf(statistic, k - 1))
+    p_value = float(chi2.sf(statistic, k - 1))
     return FriedmanResult(statistic=statistic, p_value=p_value, mean_ranks=mean_ranks)
 
 
@@ -76,13 +81,16 @@ def studentized_range_sf(q: float, k: int) -> float:
 
     This is the asymptotic reference distribution of the Nemenyi statistic.
     """
+    from scipy.integrate import quad
+    from scipy.stats import norm
+
     if q <= 0:
         return 1.0
 
     def integrand(z):
-        return sps.norm.pdf(z) * (sps.norm.cdf(z) - sps.norm.cdf(z - q)) ** (k - 1)
+        return norm.pdf(z) * (norm.cdf(z) - norm.cdf(z - q)) ** (k - 1)
 
-    cdf, _ = integrate.quad(integrand, -8.5, 8.5, limit=200)
+    cdf, _ = quad(integrand, -8.5, 8.5, limit=200)
     return float(min(max(1.0 - k * cdf, 0.0), 1.0))
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .pareto import Solution, best_front
-from .problems import ProblemSpec, evaluate
+from .problems import ProblemSpec, ProblemSpecError, evaluate
 from .rewards import make_solution
 
 logger = logging.getLogger(__name__)
@@ -204,10 +204,8 @@ class RolloutBatch:
     """One batch of transitions: n_steps x ncores single-step episodes."""
 
     observations: np.ndarray   # (B, obs_dim)
-    actions: np.ndarray        # (B, act) decision vectors in the unit box
     pre_squash: np.ndarray     # (B, act) Gaussian samples before squashing
     rewards: np.ndarray        # (B,) scaled rewards used for the update
-    raw_rewards: np.ndarray    # (B,) engine rewards as logged
     gauss_log_probs: np.ndarray  # (B,) pre-squash Gaussian log-densities
     values: np.ndarray         # (B,) value predictions at collection time
 
@@ -249,10 +247,13 @@ class EvaluationLog:
 def evaluate_solution(problem: ProblemSpec, x: np.ndarray, step: int) -> Optional[Solution]:
     """Evaluate ``x`` and build its Solution; None, with a logged warning,
     when either step raises.  Trainer and NSGA share this failure policy: a
-    failed evaluation is logged with NaN objectives and otherwise skipped."""
+    failed evaluation is logged with NaN objectives and otherwise skipped.
+    A ``ProblemSpecError`` is a misdeclared problem and propagates."""
     try:
         f, g = evaluate(problem, x)
         return make_solution(x, f, g)
+    except ProblemSpecError:
+        raise
     except Exception:  # noqa: BLE001 - flagged, never aborts the run
         logger.warning("evaluation of %s failed at step %d", problem.name, step,
                        exc_info=True)
@@ -381,15 +382,14 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
             sol = evaluate_solution(problem, x, len(log))
             reward = worker.engine.score(sol).reward if sol is not None else -scale
             log.record(worker.index, x, sol, reward)
-        parts.append((obs, actions, z, gaussian_log_prob(z, mean, log_std),
+        parts.append((obs, z, gaussian_log_prob(z, mean, log_std),
                       policy.value(obs), np.full(n, scale)))
-    obs, actions, z, gauss_logp, values, scales = map(np.concatenate, zip(*parts))
+    obs, z, gauss_logp, values, scales = map(np.concatenate, zip(*parts))
     raw = log.reward[first:len(log)]  # a view: the fix-up below rewrites the log
     failed = np.isnan(log.cv[first:len(log)])
     if failed.any() and not failed.all():
         raw[failed] = np.minimum(raw[failed], raw[~failed].min())
-    return RolloutBatch(observations=obs, actions=actions, pre_squash=z,
-                        rewards=raw / scales, raw_rewards=raw,
+    return RolloutBatch(observations=obs, pre_squash=z, rewards=raw / scales,
                         gauss_log_probs=gauss_logp, values=values)
 
 

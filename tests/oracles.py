@@ -110,6 +110,29 @@ class OracleArchive:
         return pos
 
 
+def nearest_distances_scalar(points, targets, chebyshev=False):
+    """Scalar reference for ``indicators._nearest_distances``: for each point, a loop over
+    the targets with a sequential sum of squares and ``math.sqrt`` (or, with
+    ``chebyshev``, the largest absolute coordinate difference), keeping the
+    smallest."""
+    nearest = []
+    for p in np.asarray(points, dtype=float).tolist():
+        best = math.inf
+        for t in np.asarray(targets, dtype=float).tolist():
+            if chebyshev:
+                d = 0.0
+                for a, b in zip(p, t):
+                    d = max(d, abs(a - b))
+            else:
+                s = 0.0
+                for a, b in zip(p, t):
+                    s += (a - b) * (a - b)
+                d = math.sqrt(s)
+            best = min(best, d)
+        nearest.append(best)
+    return np.array(nearest)
+
+
 def monte_carlo_hypervolume(front, ref, n_samples, seed=0, chunk=2_000_000):
     """Monte-Carlo estimate of the dominated box-union volume (minimization).
 

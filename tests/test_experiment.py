@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +71,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seeds"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["problems", "algorithms"])
+    def test_only_the_plural_keys_are_read(self, tmp_path, key):
+        path, config = small_config(tmp_path)
+        config[key.removesuffix("s")] = config.pop(key)
+        path.write_text(json.dumps(config))
+        with pytest.raises(ConfigError, match=f"key '{key}' is required"):
+            load_config(path)
+
     def test_duplicate_labels_rejected(self, tmp_path):
         path, _ = small_config(tmp_path, algorithms=[
             {"name": "pearl-nds", "kappa": 8}, {"name": "pearl-nds", "kappa": 16}])
@@ -97,6 +108,7 @@ class TestConfig:
         ({"name": "c-pearl", "constrained": True}, "'constrained'"),
         ({"name": "c-pearl", "mode": "crowding2", "constrained": True}, "'constrained'"),
         ({"name": "nsga2", "blend_alpha": 0.3}, "'blend_alpha'"),
+        ({"name": "pearl-e", "uniformity": "cosine"}, "'cosine'"),
     ])
     def test_keys_nothing_reads_are_rejected_at_load(self, tmp_path, entry, key):
         path, _ = small_config(tmp_path, algorithms=[entry])
@@ -456,3 +468,35 @@ class TestCli:
             "compare", str(tmp_path / "out"), "--alpha", "0.1",
             "-o", str(tmp_path / "cmp")]) == 0
         assert (tmp_path / "cmp" / "comparison_ctp1.csv").exists()
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+import pearlkit, pearlkit.experiment
+
+out = pearlkit.experiment.run_experiment({
+    "version": 1, "problems": ["dtlz2"], "algorithms": [{"name": "nsga2", "lambda_": 8}],
+    "budget": 64, "seeds": [0], "output_dir": sys.argv[1]})
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+gd = pearlkit.experiment.read_metric_csv(out / "metrics.csv")[0].gd
+result = pearlkit.stats.friedman([[1.0, 2.0, 3.0], [1.0, 3.0, 2.0], [2.0, 1.0, 3.0]])
+print(json.dumps({"loaded": loaded, "gd": gd, "statistic": result.statistic,
+                  "p_value": result.p_value}))
+"""
+
+
+def test_import_and_one_cell_load_no_scipy(tmp_path):
+    # dtlz2 has a reference front, so the cell computes gd and igd
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["loaded"] == []
+    assert np.isfinite(report["gd"])
+    # mean ranks 4/3, 2, 8/3 over 3 blocks: 12*3/(3*4) * 8/9 = 8/3
+    assert report["statistic"] == pytest.approx(8 / 3)
+    assert report["p_value"] == pytest.approx(np.exp(-4 / 3))  # chi-square sf on 2 df

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from pearlkit.indicators import (
+    _DISTANCE_BLOCK,
     MetricReport,
+    _nearest_distances,
     additive_epsilon,
     cardinality_metrics,
     entropy_select,
@@ -12,15 +14,14 @@ from pearlkit.indicators import (
     read_metric_csv,
     write_metric_csv,
 )
+from pearlkit.pareto import non_dominated_mask
 
-from oracles import monte_carlo_hypervolume
+from oracles import monte_carlo_hypervolume, nearest_distances_scalar
 
 
 def random_min_front(rng, n_points, n_obj):
     """A mutually non-dominated set in minimization sense."""
     pts = rng.random((n_points * 4, n_obj)) * 2.0
-    from pearlkit.pareto import non_dominated_mask
-
     pts = pts[non_dominated_mask(pts)]
     return pts[:n_points]
 
@@ -106,6 +107,69 @@ class TestDistances:
             if eps <= 0:
                 for z in ref:
                     assert any(np.all(a <= z + 1e-12) for a in front)
+
+
+def distance_cases():
+    """(front, reference) pairs: random sets, duplicate rows, exact matches,
+    a one-point front, a one-point reference, and one pair whose
+    300 x 250 distances span more than one block."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for n_obj in (2, 3):
+        cases.append((rng.random((40, n_obj)), rng.random((55, n_obj))))
+        ref = rng.random((30, n_obj))
+        dup = np.vstack([ref[:10], ref[:10], rng.random((5, n_obj))])
+        cases.append((dup, ref))  # duplicates, ten of them exact matches
+        cases.append((ref[:1], ref))
+        cases.append((rng.random((20, n_obj)), ref[:1]))
+    cases.append((rng.random((300, 3)), rng.random((250, 3))))
+    return cases
+
+
+class TestNearestDistances:
+    @pytest.mark.parametrize("case", range(9))
+    def test_gd_igd_match_scalar_oracle_bitwise(self, case):
+        front, ref = distance_cases()[case]
+        for points, targets in ((front, ref), (ref, front)):
+            for chebyshev in (False, True):
+                assert np.array_equal(_nearest_distances(points, targets, chebyshev),
+                                      nearest_distances_scalar(points, targets, chebyshev))
+        assert gd(front, ref) == float(np.mean(nearest_distances_scalar(front, ref)))
+        assert igd(front, ref) == float(np.mean(nearest_distances_scalar(ref, front)))
+
+    def test_block_boundary_is_crossed(self):
+        front, ref = distance_cases()[-1]
+        assert len(front) * len(ref) > 2 * _DISTANCE_BLOCK
+
+    def test_exact_matches_are_zero(self):
+        front, ref = distance_cases()[1]
+        assert len(front) == 25
+        assert np.all(_nearest_distances(front[:20], ref) == 0.0)
+        assert np.all(_nearest_distances(front[20:], ref) > 0.0)
+
+    def test_matches_kd_tree(self):
+        from scipy.spatial import cKDTree
+
+        for front, ref in distance_cases():
+            for p in (2, np.inf):
+                expected, _ = cKDTree(ref).query(front, p=p)
+                got = _nearest_distances(front, ref, chebyshev=p == np.inf)
+                assert np.array_equal(got, expected)
+
+    def test_dimension_mismatch_is_usage_error(self):
+        with pytest.raises(ValueError):
+            gd(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("case", range(9))
+    def test_cardinality_matches_scalar_oracle(self, case):
+        a, b = distance_cases()[case]
+        out = cardinality_metrics({"a": a, "b": b})
+        union = np.vstack([a[non_dominated_mask(a)], b[non_dominated_mask(b)]])
+        combined = union[non_dominated_mask(union)]
+        for name, front in (("a", a), ("b", b)):
+            own = front[non_dominated_mask(front)]
+            i_c = int(np.sum(nearest_distances_scalar(own, combined, chebyshev=True) <= 1e-9))
+            assert out[name] == (i_c, i_c / len(own))
 
 
 class TestCardinalityMetrics:

@@ -11,10 +11,11 @@ from pearlkit.nsga import (
     run_nsga3,
 )
 from pearlkit.pareto import dominates
-from pearlkit.problems import (ProblemSpec, c2dtlz2_constraint, dtlz2_objectives,
+from pearlkit.problems import (ProblemSpec, ProblemSpecError, c2dtlz2_constraint,
+                               ctp1_constraint, ctp1_objectives, dtlz2_objectives,
                                get_problem)
-from pearlkit.rewards import make_solution
-from pearlkit.trainer import evaluate_solution
+from pearlkit.rewards import PearlNds, make_solution
+from pearlkit.trainer import TrainerConfig, evaluate_solution, train
 
 from oracles import brute_force_dominates, brute_force_front_indices
 
@@ -282,6 +283,29 @@ class TestFailedEvaluations:
         assert log.G.shape == (400, 1)
         assert np.array_equal(np.isnan(log.G).all(axis=1), failed)
         assert result.front
+
+    @staticmethod
+    def misdeclared_specs():
+        # one spec returns two of its three objectives; the other declares one
+        # constraint where ctp1 returns two values
+        return [
+            (ProblemSpec("short-f", 12, 3, lambda x: dtlz2_objectives(x)[:2]),
+             "declares 3 objectives"),
+            (ProblemSpec("ctp1-misdeclared", 2, 2, ctp1_objectives,
+                         constraints=lambda x, f: ctp1_constraint(f),
+                         n_constraints=1, nadir=[3, 3]),
+             "declares 1 constraints"),
+        ]
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_misdeclared_spec_stops_nsga_and_training(self, case):
+        problem, message = self.misdeclared_specs()[case]
+        with pytest.raises(ProblemSpecError, match=message) as raised:
+            run_nsga2(problem, GAConfig(lambda_=8, budget=64, seed=0))
+        assert problem.name in str(raised.value)
+        cfg = TrainerConfig(n_steps=4, ncores=2, budget=8, hidden=8, seed=0)
+        with pytest.raises(ProblemSpecError, match=problem.name):
+            train(problem, lambda: PearlNds(kappa=8), cfg)
 
     def test_every_initial_evaluation_failing_is_an_error(self):
         problem = self.flaky_problem(-1.0)

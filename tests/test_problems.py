@@ -8,9 +8,11 @@ from pearlkit.problems import (
     PROBLEMS,
     _CTP_PARAMS,
     ProblemSpec,
+    ProblemSpecError,
     ctp1_constraint,
     ctp1_objectives,
     ctp_constraint,
+    dtlz2_objectives,
     evaluate,
     get_problem,
     reference_front,
@@ -200,5 +202,10 @@ class TestConstraintCount:
         problem = ProblemSpec("ctp1-misdeclared", 2, 2, ctp1_objectives,
                               constraints=lambda x, f: ctp1_constraint(f),
                               n_constraints=1, nadir=[3, 3])
-        with pytest.raises(ValueError, match="declares 1 constraints"):
+        with pytest.raises(ProblemSpecError, match="ctp1-misdeclared declares 1 constraints"):
             evaluate(problem, np.full(2, 0.5))
+
+    def test_wrong_length_objective_vector_is_error(self):
+        problem = ProblemSpec("short-f", 12, 3, lambda x: dtlz2_objectives(x)[:2])
+        with pytest.raises(ProblemSpecError, match="short-f declares 3 objectives"):
+            evaluate(problem, np.full(12, 0.5))

@@ -16,7 +16,6 @@ from pearlkit.trainer import (
     loss_and_grad,
     merged_front,
     rollout,
-    squash,
     train,
     update,
 )
@@ -105,7 +104,7 @@ class TestRollout:
         batch = rollout(policy, workers, problem, cfg, log)
         assert len(batch.rewards) == 256
         assert batch.observations.shape == (256, 12)
-        assert np.all((batch.actions >= 0) & (batch.actions <= 1))
+        assert np.all((log.X >= 0) & (log.X <= 1))
         assert np.all(batch.rewards >= -1.0) and np.all(batch.rewards <= 0.0)
 
     def test_token_observation_mode(self):
@@ -140,7 +139,7 @@ class TestRollout:
         log = EvaluationLog(4, problem)
         batch = rollout(policy, workers, problem, cfg, log=log)
         assert len(batch.rewards) == len(log) == 4
-        assert batch.raw_rewards[1] == -8.0  # full archive penalty
+        assert log.reward[1] == -8.0  # full archive penalty
         assert np.isnan(log.F[1]).all() and np.isnan(log.cv[1])
         assert np.isfinite(np.delete(log.F, 1, axis=0)).all()
 
@@ -155,7 +154,8 @@ class TestRollout:
         monkeypatch.setattr(trainer_module, "squash", lambda z, kind: np.full_like(z, np.nan))
         log = EvaluationLog(3, problem)
         batch = rollout(policy, workers, problem, cfg, log=log)
-        assert batch.raw_rewards.tolist() == log.reward.tolist() == [-8.0, -8.0, -8.0]
+        assert log.reward.tolist() == [-8.0, -8.0, -8.0]
+        assert batch.rewards.tolist() == [-1.0, -1.0, -1.0]
         assert np.isnan(log.F).all()
 
     def test_envelope_rays_constant_within_batch_resampled_across(self):
@@ -228,8 +228,7 @@ class TestUpdate:
             from pearlkit.trainer import RolloutBatch
 
             batch = RolloutBatch(
-                observations=obs, actions=squash(z, "clip"), pre_squash=z,
-                rewards=np.full(16, constant), raw_rewards=np.full(16, constant),
+                observations=obs, pre_squash=z, rewards=np.full(16, constant),
                 gauss_log_probs=logp,
                 values=policy.value(obs),
             )
@@ -269,9 +268,8 @@ class TestUpdate:
         mean, log_std = policy.policy_heads(obs)
         logp = gaussian_log_prob(z, mean, log_std)
         batch = RolloutBatch(
-            observations=obs, actions=squash(z, "clip"), pre_squash=z,
-            rewards=np.array([np.nan, 0.0, 0.0, 0.0]),
-            raw_rewards=np.zeros(4), gauss_log_probs=logp,
+            observations=obs, pre_squash=z,
+            rewards=np.array([np.nan, 0.0, 0.0, 0.0]), gauss_log_probs=logp,
             values=np.zeros(4),
         )
         before = policy.learning_rate
