@@ -4,7 +4,8 @@ Dominance relations and bounded Pareto archives
 
 The building blocks: pairwise dominance (every objective is minimized),
 constrained dominance with feasibility taking precedence, non-dominated
-sorting, and the bounded archive that the reward engines use as per-worker
+sorting and the best front of an array of objective rows, and the bounded
+archive that the reward engines use as per-worker
 memory.
 """
 
@@ -13,6 +14,7 @@ import numpy as np
 from pearlkit import (
     ParetoArchive,
     Solution,
+    best_front,
     constrained_dominates,
     crowding_rank,
     dominates,
@@ -31,11 +33,17 @@ infeasible = Solution(x=np.zeros(2), f=np.array([0.0, 0.0]),
                       g=np.array([0.4]), cv=0.16)
 print(constrained_dominates(feasible, infeasible))  # True despite worse objectives
 
-# Non-dominated sorting peels a population into fronts.
-population = [Solution(x=np.zeros(1), f=np.array(f, dtype=float))
-              for f in [(2, 2), (1, 1), (3, 0), (0, 3), (2.5, 2.5)]]
-for depth, front in enumerate(non_dominated_sort(population)):
-    print(f"front {depth}:", [tuple(population[i].f) for i in front])
+# Non-dominated sorting peels objective rows into fronts of row indices;
+# the violations only count with constrained=True.
+objectives = np.array([(2, 2), (1, 1), (3, 0), (0, 3), (2.5, 2.5)], dtype=float)
+violations = np.zeros(len(objectives))
+for depth, front in enumerate(non_dominated_sort(objectives, violations)):
+    print(f"front {depth}:", front.tolist(), objectives[front].tolist())
+
+# best_front keeps the indices of the distinct non-dominated rows of the
+# least-violating group (the feasible rows, when there are any).
+violations[[1, 2]] = 0.3
+print("best front:", best_front(objectives, violations).tolist())  # [0, 3]
 
 # The bounded archive keeps at most kappa mutually non-dominated members,
 # ranked by a density measure; inserting returns the candidate's rank.

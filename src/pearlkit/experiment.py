@@ -42,6 +42,8 @@ from .trainer import RunResult, TrainerConfig, train
 
 OUTPUT_ROOT_ENV = "PEARLKIT_OUTPUT_ROOT"
 CONFIG_VERSION = 1
+_CONFIG_KEYS = {"version", "problems", "algorithms", "budget", "seeds", "output_dir",
+                "n_steps", "ncores"}
 
 
 class ConfigError(ValueError):
@@ -125,6 +127,10 @@ def load_config(source) -> ExperimentConfig:
     output_dir = raw.get("output_dir")
     if not output_dir:
         raise ConfigError("key 'output_dir' is required")
+    unknown = sorted(raw.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"key {unknown[0]!r} is not a config key "
+                          f"(known: {sorted(_CONFIG_KEYS)})")
     config = ExperimentConfig(
         version=CONFIG_VERSION, problems=[str(p) for p in problems],
         algorithms=algorithms, budget=int(budget),

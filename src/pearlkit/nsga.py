@@ -5,16 +5,20 @@ with probability ``cxpb`` and per-gene Gaussian mutation applied with
 probability ``mutpb``, both clamped to the box.  Survivor selection merges
 parents and offspring, sorts by non-domination, and resolves the last
 partial front by crowding (NSGA-II) or reference-direction niching
-(NSGA-III).  The reported front is the non-dominated set of every
-evaluation ever made, not just the final population.  A failed evaluation
-is logged with NaN objectives and left out of the population, as in the
-trainer, so the population may shrink.
+(NSGA-III).  The population is an array of rows of the run's
+``EvaluationLog``, and the selection steps work on the log's objective and
+violation rows.  The reported front is the non-dominated set of every
+evaluation ever made, not just the final population; it is the only place
+``Solution`` objects are built.  A failed evaluation is logged with NaN
+objectives and left out of the population, as in the trainer, so the
+population may shrink.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -55,111 +59,110 @@ class GAConfig:
         return self
 
 
-def _selection_order(pop: list[Solution], constrained: bool) -> list[int]:
-    """Indices ordered best-first: by front, then density inside each front."""
-    fronts = non_dominated_sort(pop, constrained)
-    order: list[int] = []
-    for front in fronts:
-        objs = np.array([pop[i].f for i in front])
-        ranked = crowding_rank(objs).order
-        order.extend(front[i] for i in ranked)
-    return order
+def _selection_order(F: np.ndarray, cv: np.ndarray, constrained: bool) -> np.ndarray:
+    """Positions of the rows ``F`` ordered best-first: by front, then density
+    inside each front."""
+    fronts = non_dominated_sort(F, cv, constrained)
+    return np.concatenate([front[crowding_rank(F[front]).order] for front in fronts])
 
 
 BLEND_ALPHA = 0.5  # blend crossover draws gamma from [-alpha, 1 + alpha]
 SIGMA_FRACTION = 0.1  # mutation sigma as a fraction of box width
 
 
-def _variation(parents: list[Solution], cfg: GAConfig, problem: ProblemSpec,
-               rng: np.random.Generator) -> list[np.ndarray]:
-    """lambda_ offspring decision vectors from the parent pool."""
+def _variation(parents: np.ndarray, cfg: GAConfig, problem: ProblemSpec,
+               rng: np.random.Generator) -> np.ndarray:
+    """lambda_ offspring decision vectors, one per row, from the parents'
+    decision vectors (one per row)."""
     lo, hi = problem.lower, problem.upper
     sigma = SIGMA_FRACTION * (hi - lo)
-    out = []
-    for _ in range(cfg.lambda_):
+    out = np.empty((cfg.lambda_, problem.n_x))
+    for k in range(cfg.lambda_):
         i, j = rng.integers(0, len(parents), size=2)
-        child = parents[i].x.copy()
+        child = parents[i]
         if rng.random() < cfg.cxpb:
             gamma = (1.0 + 2.0 * BLEND_ALPHA) * rng.random(problem.n_x) - BLEND_ALPHA
-            child = (1.0 - gamma) * parents[i].x + gamma * parents[j].x
+            child = (1.0 - gamma) * parents[i] + gamma * parents[j]
         if rng.random() < cfg.mutpb:
             child = child + rng.normal(0.0, sigma)
-        out.append(np.clip(child, lo, hi))
+        out[k] = np.clip(child, lo, hi)
     return out
 
 
-def _fill_fronts(pool: list[Solution], n: int,
-                 constrained: bool) -> tuple[list[int], list[int]]:
-    """Whole fronts that fit into ``n`` slots, best first, and the first
-    front that does not fit (empty when every front fits)."""
-    chosen: list[int] = []
-    for front in non_dominated_sort(pool, constrained):
+def _fill_fronts(F: np.ndarray, cv: np.ndarray, n: int,
+                 constrained: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the whole fronts that fit into ``n`` slots, best first,
+    and of the first front that does not fit (empty when every front fits)."""
+    chosen = np.empty(0, dtype=np.intp)
+    for front in non_dominated_sort(F, cv, constrained):
         if len(chosen) + len(front) > n:
             return chosen, front
-        chosen.extend(front)
-    return chosen, []
+        chosen = np.concatenate([chosen, front])
+    return chosen, chosen[:0]
 
 
-def _survivors_nsga2(pool: list[Solution], n: int,
-                     constrained: bool = False) -> list[Solution]:
-    chosen, last = _fill_fronts(pool, n, constrained)
-    if last and len(chosen) < n:
-        ranked = crowding_rank(np.array([pool[i].f for i in last])).order
-        chosen.extend(last[i] for i in ranked[: n - len(chosen)])
-    return [pool[i] for i in chosen]
+def _survivors_nsga2(F: np.ndarray, cv: np.ndarray, n: int,
+                     constrained: bool = False) -> np.ndarray:
+    chosen, last = _fill_fronts(F, cv, n, constrained)
+    if len(last) and len(chosen) < n:
+        ranked = crowding_rank(F[last]).order
+        chosen = np.concatenate([chosen, last[ranked[: n - len(chosen)]]])
+    return chosen
 
 
-def _survivors_nsga3(pool: list[Solution], n: int, dirs: ReferenceDirectionSet,
-                     constrained: bool) -> list[Solution]:
-    chosen, last = _fill_fronts(pool, n, constrained)
+def _survivors_nsga3(F: np.ndarray, cv: np.ndarray, n: int, dirs: ReferenceDirectionSet,
+                     constrained: bool) -> np.ndarray:
+    chosen, last = _fill_fronts(F, cv, n, constrained)
     need = n - len(chosen)
-    if need == 0 or not last:
-        return [pool[i] for i in chosen]
+    if need == 0 or not len(last):
+        return chosen
 
     start = len(chosen)
-    considered = chosen + last
-    objs = np.array([pool[i].f for i in considered])
+    considered = np.concatenate([chosen, last])
+    objs = F[considered]
     niche, dist = associate(minmax_normalize(objs, objs.min(axis=0), objs.max(axis=0)), dirs)
     counts = np.bincount(niche[:start], minlength=len(dirs.directions))
 
     # deterministic niche filling: each pick is the best-first candidate
     # (closest to its direction) among those of the least-filled niches
     candidates = start + best_first(objs[start:], dist[start:])
+    picks = []
     for _ in range(need):  # need < len(last), so candidates never run out
         pick = np.argmin(counts[niche[candidates]])
-        chosen.append(considered[candidates[pick]])
+        picks.append(candidates[pick])
         counts[niche[candidates[pick]]] += 1
         candidates = np.delete(candidates, pick)
-    return [pool[i] for i in chosen]
+    return np.concatenate([chosen, considered[picks]])
 
 
-def _offspring(pop: list[Solution], cfg: GAConfig, problem: ProblemSpec,
-               rng: np.random.Generator, evaluator, constrained: bool) -> list[Solution]:
-    """One generation's evaluated offspring; failed evaluations are left out."""
-    order = _selection_order(pop, constrained)
-    parents = [pop[i] for i in order[: cfg.mu]]
-    evaluated = [evaluator(x) for x in _variation(parents, cfg, problem, rng)]
-    return [sol for sol in evaluated if sol is not None]
+def _offspring(pop: np.ndarray, log: EvaluationLog, cfg: GAConfig, problem: ProblemSpec,
+               rng: np.random.Generator, evaluate, constrained: bool) -> np.ndarray:
+    """The log rows of one generation's offspring that evaluated successfully."""
+    order = _selection_order(log.F[pop], log.cv[pop], constrained)
+    return evaluate(_variation(log.X[pop[order[: cfg.mu]]], cfg, problem, rng))
 
 
-def nsga2_step(pop: list[Solution], cfg: GAConfig, problem: ProblemSpec,
-               rng: np.random.Generator, evaluator, constrained: bool) -> list[Solution]:
-    """One generation: ES variation, merge with parents, crowded selection."""
-    pool = pop + _offspring(pop, cfg, problem, rng, evaluator, constrained)
-    return _survivors_nsga2(pool, cfg.pop_size, constrained)
+def nsga2_step(pop: np.ndarray, log: EvaluationLog, cfg: GAConfig, problem: ProblemSpec,
+               rng: np.random.Generator, evaluate, constrained: bool) -> np.ndarray:
+    """One generation: ES variation, merge with parents, crowded selection.
+    ``pop`` and the result are rows of ``log``; ``evaluate(X)`` records each
+    row of ``X`` in ``log`` and returns the rows that succeeded."""
+    pool = np.concatenate([pop, _offspring(pop, log, cfg, problem, rng, evaluate, constrained)])
+    return pool[_survivors_nsga2(log.F[pool], log.cv[pool], cfg.pop_size, constrained)]
 
 
-def nsga3_step(pop: list[Solution], cfg: GAConfig, problem: ProblemSpec,
-               rng: np.random.Generator, evaluator, constrained: bool,
-               dirs: ReferenceDirectionSet) -> list[Solution]:
-    """One generation: ES variation, merge with parents, niching selection."""
-    pool = pop + _offspring(pop, cfg, problem, rng, evaluator, constrained)
-    return _survivors_nsga3(pool, cfg.pop_size, dirs, constrained)
+def nsga3_step(pop: np.ndarray, log: EvaluationLog, cfg: GAConfig, problem: ProblemSpec,
+               rng: np.random.Generator, evaluate, constrained: bool,
+               dirs: ReferenceDirectionSet) -> np.ndarray:
+    """One generation: ES variation, merge with parents, niching selection;
+    arguments as in ``nsga2_step``."""
+    pool = np.concatenate([pop, _offspring(pop, log, cfg, problem, rng, evaluate, constrained)])
+    return pool[_survivors_nsga3(log.F[pool], log.cv[pool], cfg.pop_size, dirs, constrained)]
 
 
 def _run(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool], step) -> RunResult:
-    """Full generational run under a shared evaluation budget;
-    ``step(pop, rng, evaluator, constrained)`` makes one generation.
+    """Full generational run under a shared evaluation budget; ``step`` is
+    ``nsga2_step`` or ``nsga3_step`` with its directions bound.
 
     ``constrained`` defaults to whether the problem has constraints.  The
     initial population counts against the budget; the returned front is the
@@ -172,35 +175,31 @@ def _run(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool], step)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     generations = (cfg.budget - cfg.pop_size) // cfg.lambda_
     log = EvaluationLog(cfg.pop_size + generations * cfg.lambda_, problem)
-    everything: list[Solution] = []
 
-    def logged_eval(x: np.ndarray) -> Optional[Solution]:
-        sol = evaluate_solution(problem, x, len(log))
-        log.record(0, x, sol, np.nan)
-        if sol is not None:
-            everything.append(sol)
-        return sol
+    def evaluate(X: np.ndarray) -> np.ndarray:
+        first = len(log)
+        for x in X:
+            log.record(0, x, evaluate_solution(problem, x, len(log)), np.nan)
+        return first + np.flatnonzero(~np.isnan(log.cv[first:len(log)]))
 
-    initial = [logged_eval(rng.uniform(problem.lower, problem.upper))
-               for _ in range(cfg.pop_size)]
-    pop = [sol for sol in initial if sol is not None]
+    pop = evaluate(rng.uniform(problem.lower, problem.upper, (cfg.pop_size, problem.n_x)))
     for _ in range(generations):
-        pop = step(pop, rng, logged_eval, constrained)
+        pop = step(pop, log, cfg, problem, rng, evaluate, constrained)
 
-    return RunResult(front=best_front(everything), log=log, config=asdict(cfg),
-                     wall_time=time.perf_counter() - start,
-                     n_evaluations=len(log))
+    rows = np.flatnonzero(~np.isnan(log.cv[:len(log)]))
+    rows = rows[best_front(log.F[rows], log.cv[rows])]
+    front = [Solution(*row) for row in zip(log.X[rows], log.F[rows], log.G[rows], log.cv[rows])]
+    return RunResult(front=front, log=log, config=asdict(cfg),
+                     wall_time=time.perf_counter() - start, n_evaluations=len(log))
 
 
 def run_nsga2(problem: ProblemSpec, cfg: GAConfig,
               constrained: Optional[bool] = None) -> RunResult:
-    return _run(problem, cfg, constrained, lambda pop, rng, evaluator, constrained: nsga2_step(
-        pop, cfg, problem, rng, evaluator, constrained))
+    return _run(problem, cfg, constrained, nsga2_step)
 
 
 def run_nsga3(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool] = None,
               dirs: Optional[ReferenceDirectionSet] = None) -> RunResult:
     if dirs is None:
         dirs = das_dennis(problem.n_obj, default_divisions(problem.n_obj, cfg.pop_size))
-    return _run(problem, cfg, constrained, lambda pop, rng, evaluator, constrained: nsga3_step(
-        pop, cfg, problem, rng, evaluator, constrained, dirs))
+    return _run(problem, cfg, constrained, partial(nsga3_step, dirs=dirs))

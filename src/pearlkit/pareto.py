@@ -13,7 +13,7 @@ compares one candidate against all its members in a single broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -66,6 +66,7 @@ class Solution:
             raise ValueError("objective vector must be 1-D with at least 2 entries")
         if not np.all(np.isfinite(self.f)):
             raise ValueError("objective vector contains non-finite entries")
+        self.cv = float(self.cv)
         if self.cv < 0:
             raise ValueError("constraint violation must be nonnegative")
         satisfied = self.g.size == 0 or bool(np.all(self.g <= FEASIBILITY_TOL))
@@ -114,25 +115,25 @@ def _dominance(a_f: np.ndarray, a_cv: np.ndarray, b_f: np.ndarray,
     return np.where(a_feas & b_feas, plain, a_feas | (~b_feas & lower_cv))
 
 
-def non_dominated_sort(pop: Sequence[Solution], constrained: bool = False) -> list[list[int]]:
-    """Sort a population into non-domination fronts (indices, best front first).
+def non_dominated_sort(f: np.ndarray, cv: np.ndarray,
+                       constrained: bool = False) -> list[np.ndarray]:
+    """Sort objective rows ``f`` with violations ``cv`` into non-domination
+    fronts: arrays of ascending row indices, best front first.
 
-    Front 0 contains the solutions dominated by nobody; each later front is
-    non-dominated once earlier fronts are removed.  Every index appears in
+    Front 0 holds the rows dominated by nobody; each later front is
+    non-dominated once earlier fronts are removed.  Every row appears in
     exactly one front.  ``constrained`` folds feasibility into dominance, as
     in ``constrained_dominates``.
     """
-    if len(pop) == 0:
+    if len(f) == 0:
         raise ValueError("cannot sort an empty population")
-    f = np.array([s.f for s in pop], dtype=float)
-    cv = np.array([s.cv for s in pop], dtype=float)
     d = _dominance(f, cv, f, cv, constrained)
     dominated_count = d.sum(axis=0)
-    fronts: list[list[int]] = []
-    remaining = np.ones(len(pop), dtype=bool)
+    fronts: list[np.ndarray] = []
+    remaining = np.ones(len(f), dtype=bool)
     while remaining.any():
         current = np.flatnonzero(remaining & (dominated_count == 0))
-        fronts.append(current.tolist())
+        fronts.append(current)
         remaining[current] = False
         dominated_count -= d[current].sum(axis=0)
     return fronts
@@ -168,20 +169,19 @@ def non_dominated_mask(points: np.ndarray) -> np.ndarray:
     return mask
 
 
-def best_front(solutions: Sequence[Solution]) -> list[Solution]:
-    """Feasibility-first non-dominated subset of a large solution set.
+def best_front(f: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """Indices of the feasibility-first non-dominated rows of a large set.
 
-    The non-dominated subset, by objectives alone, of the feasible solutions
-    when any exist (front 0 of the constrained sort), else of the group of
-    least violation (not front 0, where equal violations tie).  Each distinct
-    objective vector appears once, at its first occurrence, in input order.
+    The non-dominated subset, by objectives ``f`` alone, of the feasible
+    rows when any exist (front 0 of the constrained sort), else of the rows
+    of least violation ``cv`` (not front 0, where equal violations tie).
+    Each distinct objective row appears once, at its first occurrence; the
+    indices ascend.
     """
-    if not solutions:
-        return []
-    f = np.array([s.f for s in solutions])
-    cv = np.array([s.cv for s in solutions])
+    if len(f) == 0:
+        return np.empty(0, dtype=np.intp)
     pool = np.flatnonzero(cv == cv.min())  # cv >= 0: the feasible ones if any
-    return [solutions[i] for i in pool[non_dominated_mask(f[pool])].tolist()]
+    return pool[non_dominated_mask(f[pool])]
 
 
 class ParetoArchive:

@@ -35,15 +35,13 @@ from .pareto import FEASIBILITY_TOL, ParetoArchive, Solution
 KAPPA = 64  # default archive size of the rank engines
 
 
-def constraint_violation(values, limits=None, weights=None) -> float:
+def constraint_violation(values, weights=None) -> float:
     """Weighted squared distance from the feasible region.
 
-    With ``limits`` given, entry i is violated when it exceeds its limit and
-    contributes ``((v_i - c_i) / |c_i|)**2`` (absolute scale when the limit
-    is zero).  Without limits the entries are raw ``g(x) <= 0`` constraint
-    values and contribute ``max(0, g_i)**2``.  Contributions are weighted by
-    ``weights`` (default 1) and violations below FEASIBILITY_TOL count as
-    satisfied, so the result is 0 exactly for feasible inputs.
+    The entries are raw ``g(x) <= 0`` constraint values and contribute
+    ``max(0, g_i)**2``, weighted by ``weights`` (default 1).  Violations
+    below FEASIBILITY_TOL count as satisfied, so the result is 0 exactly for
+    feasible inputs.
     """
     v = np.atleast_1d(np.asarray(values, dtype=float))
     if v.size == 0:
@@ -53,14 +51,7 @@ def constraint_violation(values, limits=None, weights=None) -> float:
         raise ValueError("weights must match the constraint vector length")
     if np.any(w <= 0):
         raise ValueError("constraint weights must be strictly positive")
-    if limits is None:
-        excess = np.where(v > FEASIBILITY_TOL, v, 0.0)
-    else:
-        c = np.atleast_1d(np.asarray(limits, dtype=float))
-        if c.shape != v.shape:
-            raise ValueError("limits must match the constraint vector length")
-        scale = np.where(c != 0, np.abs(c), 1.0)
-        excess = np.where(v - c > FEASIBILITY_TOL, (v - c) / scale, 0.0)
+    excess = np.where(v > FEASIBILITY_TOL, v, 0.0)
     return float(np.sum(w * excess**2))
 
 
@@ -371,15 +362,8 @@ class CurriculumConstrained:
         return RewardOutcome(reward=-cv - self.M, feasible=False, archived=False)
 
 
-def make_solution(x, f, constraints=(), limits=None, weights=None) -> Solution:
+def make_solution(x, f, constraints=()) -> Solution:
     """Build a Solution from an evaluation: objectives ``f`` are stored as
-    given (minimized), constraints as violation-positive ``g``.
-
-    With ``limits`` the constraints are raw values compared against their
-    limits; the stored ``g`` is then the violation-positive excess
-    ``value - limit``, while the scalar violation keeps the relative scaling.
-    """
-    v = np.atleast_1d(np.asarray(constraints, dtype=float)) if np.size(constraints) else np.empty(0)
-    cv = constraint_violation(v, limits, weights) if v.size else 0.0
-    g = v if limits is None else v - np.atleast_1d(np.asarray(limits, dtype=float))
-    return Solution(x=np.asarray(x, dtype=float), f=f, g=g, cv=cv)
+    given (minimized), violation-positive ``constraints`` as ``g``."""
+    g = np.atleast_1d(np.asarray(constraints, dtype=float)) if np.size(constraints) else np.empty(0)
+    return Solution(x=np.asarray(x, dtype=float), f=f, g=g, cv=constraint_violation(g))

@@ -427,7 +427,8 @@ def update(policy: PolicyState, batch: RolloutBatch, cfg: TrainerConfig,
 def merged_front(workers: list[Worker]) -> list[Solution]:
     """Non-dominated union of the worker archives (feasibility first)."""
     members = [m for w in workers for m in w.engine.archive.members]
-    return best_front(members)
+    keep = best_front(np.array([m.f for m in members]), np.array([m.cv for m in members]))
+    return [members[i] for i in keep.tolist()]
 
 
 def train(problem: ProblemSpec, engine_factory: Callable[[], object],

@@ -239,8 +239,41 @@ def epsilon_rank_scalar(objs, lo, hi, nu):
     return np.asarray(order, dtype=int), fitness
 
 
-def nsga3_survivors_scalar(pool, n, dirs, constrained):
-    """NSGA-III survivors with the niche fill written as repeated ``min`` calls.
+def constrained_dominates_scalar(fa, cva, fb, cvb):
+    """Feasibility-first dominance on one pair of rows: feasible beats
+    infeasible, the lower violation wins between two infeasible rows, and
+    plain dominance decides between two feasible ones."""
+    if cva == 0.0 and cvb > 0.0:
+        return True
+    if cva > 0.0 and cvb == 0.0:
+        return False
+    if cva > 0.0:
+        return cva < cvb
+    return brute_force_dominates(fa, fb)
+
+
+def non_dominated_fronts_scalar(f, cv, constrained):
+    """Fronts of ascending row indices, peeled by exhaustive pairwise checks
+    among the rows not yet placed."""
+    if constrained:
+        def dom(i, j):
+            return constrained_dominates_scalar(f[i], cv[i], f[j], cv[j])
+    else:
+        def dom(i, j):
+            return brute_force_dominates(f[i], f[j])
+    remaining = list(range(len(f)))
+    fronts = []
+    while remaining:
+        front = [i for i in remaining if not any(dom(j, i) for j in remaining if j != i)]
+        fronts.append(front)
+        remaining = [i for i in remaining if i not in front]
+    return fronts
+
+
+def nsga3_survivors_scalar(f, cv, n, dirs, constrained):
+    """Positions of the NSGA-III survivors among the rows ``f`` (violations
+    ``cv``), with the fronts peeled pairwise and the niche fill written as
+    repeated ``min`` calls.
 
     Whole fronts are taken while they fit; from the first front that does not
     fit, each pick is, among the least-filled niches that still have
@@ -248,19 +281,19 @@ def nsga3_survivors_scalar(pool, n, dirs, constrained):
     lexicographically smaller objective vector, then the lower index.
     """
     from pearlkit.density import associate
-    from pearlkit.pareto import non_dominated_sort
 
+    f = np.asarray(f, dtype=float)
     chosen, last = [], []
-    for front in non_dominated_sort(pool, constrained):
+    for front in non_dominated_fronts_scalar(f, cv, constrained):
         if len(chosen) + len(front) > n:
             last = front
             break
         chosen.extend(front)
     need = n - len(chosen)
     if need == 0 or not last:
-        return [pool[i] for i in chosen]
+        return chosen
     considered = chosen + last
-    objs = np.array([pool[i].f for i in considered])
+    objs = f[considered]
     lo, hi = objs.min(axis=0), objs.max(axis=0)
     normalized = np.vstack([minmax_scalar(row, lo, hi) for row in objs])
     niche, dist = associate(normalized, dirs)
@@ -278,7 +311,7 @@ def nsga3_survivors_scalar(pool, n, dirs, constrained):
         counts[niche[pick]] += 1
         available.remove(pick)
         need -= 1
-    return [pool[i] for i in chosen]
+    return chosen
 
 
 def adam_reference(params, m, v, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -164,11 +164,11 @@ def test_criterion_08_sorting_matches_exhaustive_oracle():
                      g=np.array([c]) if c > 0 else np.empty(0), cv=c)
             for o, c in zip(objs, cvs)
         ]
-        plain = sorted(non_dominated_sort(pop)[0])
+        plain = non_dominated_sort(objs, cvs)[0].tolist()
         expected = brute_force_front_indices(objs, brute_force_dominates)
         assert plain == expected, f"plain relation diverged on trial {trial}"
 
-        constrained = sorted(non_dominated_sort(pop, constrained=True)[0])
+        constrained = non_dominated_sort(objs, cvs, constrained=True)[0].tolist()
         expected_c = [
             i for i in range(n)
             if not any(constrained_dominates(pop[j], pop[i])

@@ -79,6 +79,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"key '{key}' is required"):
             load_config(path)
 
+    @pytest.mark.parametrize("typo,key", [("n_step", "n_steps"), ("seed", "seeds")])
+    def test_misspelt_top_level_key_is_named(self, tmp_path, typo, key):
+        # the misspelling stands beside the default or the real key, which
+        # would otherwise run silently in its place
+        path, config = small_config(tmp_path)
+        config[typo] = config.pop(key) if key == "n_steps" else [7]
+        path.write_text(json.dumps(config))
+        with pytest.raises(ConfigError, match=f"key '{typo}' is not a config key"):
+            load_config(path)
+
     def test_duplicate_labels_rejected(self, tmp_path):
         path, _ = small_config(tmp_path, algorithms=[
             {"name": "pearl-nds", "kappa": 8}, {"name": "pearl-nds", "kappa": 16}])

@@ -30,6 +30,11 @@ CELLS = {
         {"name": "pearl-e"}, "dtlz7",
         "6b5019aefde6faea086c805f9e2e1a0bba27f7202cb10b3b14d66847fb8d526f",
         "9fe8b28f16cd1f091356d2f46ac531b70f0f54a06ddf14b73109a14376b1b7ba"),
+    # the only setting where the kl uniformity term is non-zero
+    "pearl-e-kl-normalized-dtlz2": (
+        {"name": "pearl-e", "uniformity": "kl", "normalized_obj": True}, "dtlz2",
+        "b0a917a47f4dd7d78d1c84f30854f77e7fd93ad46acc162c54c6ee9694732631",
+        "42af4c9892d6753c4ba81095ce06a4a36cced736826765b38f186c990efcbfe6"),
     "c-pearl-crowding2-c2dtlz2": (
         {"name": "c-pearl", "mode": "crowding2"}, "c2dtlz2",
         "53eef2f0135b93827076d1238a5a50612f37959f5f35c9a5d6e5441078747354",

@@ -15,72 +15,75 @@ from pearlkit.problems import (ProblemSpec, ProblemSpecError, c2dtlz2_constraint
                                ctp1_constraint, ctp1_objectives, dtlz2_objectives,
                                get_problem)
 from pearlkit.rewards import PearlNds, make_solution
-from pearlkit.trainer import TrainerConfig, evaluate_solution, train
+from pearlkit.trainer import EvaluationLog, TrainerConfig, evaluate_solution, train
 
-from oracles import brute_force_dominates, brute_force_front_indices
+from oracles import brute_force_dominates, brute_force_front_indices, non_dominated_mask_scalar
+
+
+def logged(problem, solve=None):
+    """An evaluation log of ``problem`` and an ``evaluate(X) -> rows`` that
+    records each row of ``X`` in it, as ``run_nsga2`` does; ``solve(x)``
+    builds the Solution (None for a failed evaluation)."""
+    log = EvaluationLog(4096, problem)
+    solve = solve or (lambda x: evaluate_solution(problem, x, 0))
+
+    def evaluate(X):
+        first = len(log)
+        for x in X:
+            log.record(0, x, solve(x), np.nan)
+        return first + np.flatnonzero(~np.isnan(log.cv[first:len(log)]))
+
+    return log, evaluate
 
 
 def initial_population(problem, n, seed=0):
+    """A log, its ``evaluate`` and the rows of ``n`` uniform random points."""
+    log, evaluate = logged(problem)
     rng = np.random.default_rng(seed)
-    return [evaluate_solution(problem, rng.uniform(problem.lower, problem.upper), 0)
-            for _ in range(n)]
-
-
-def unlogged(problem):
-    return lambda x: evaluate_solution(problem, x, 0)
+    return log, evaluate, evaluate(rng.uniform(problem.lower, problem.upper, (n, problem.n_x)))
 
 
 class TestSteps:
     def test_population_size_preserved(self):
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=16, budget=10_000)
-        pop = initial_population(problem, 16)
+        log, evaluate, pop = initial_population(problem, 16)
         rng = np.random.default_rng(1)
-        nxt = nsga2_step(pop, cfg, problem, rng, unlogged(problem), False)
+        nxt = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
         assert len(nxt) == 16
+        assert len(log) == 32 and set(nxt.tolist()) <= set(range(32))
 
     def test_no_variation_degenerate(self):
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=8, mutpb=0.0, cxpb=0.0)
-        pop = initial_population(problem, 8, seed=2)
+        log, evaluate, pop = initial_population(problem, 8, seed=2)
         rng = np.random.default_rng(2)
-        nxt = nsga2_step(pop, cfg, problem, rng, unlogged(problem), False)
+        nxt = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
         # offspring are copies; survivors must come from the original set
-        originals = {tuple(m.x) for m in pop}
-        assert all(tuple(m.x) in originals for m in nxt)
+        originals = {tuple(x) for x in log.X[pop].tolist()}
+        assert {tuple(x) for x in log.X[nxt].tolist()} <= originals
 
     def test_offspring_stay_in_box(self):
         problem = get_problem("ctp1")
         cfg = GAConfig(lambda_=32, mutpb=1.0, cxpb=1.0)
-        pop = initial_population(problem, 32, seed=3)
+        log, evaluate, pop = initial_population(problem, 32, seed=3)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            pop = nsga2_step(pop, cfg, problem, rng, unlogged(problem), False)
-            for m in pop:
-                assert np.all(m.x >= problem.lower - 1e-12)
-                assert np.all(m.x <= problem.upper + 1e-12)
+            pop = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
+        assert len(log) == 32 * 6
+        assert np.all(log.X[:len(log)] >= problem.lower - 1e-12)
+        assert np.all(log.X[:len(log)] <= problem.upper + 1e-12)
 
     def test_survivor_front_zero_matches_brute_force(self):
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=10)
-        pop = initial_population(problem, 10, seed=4)
+        log, evaluate, pop = initial_population(problem, 10, seed=4)
         rng = np.random.default_rng(4)
-        # reconstruct the merged pool by intercepting the step
-        offspring_pool = []
-
-        def capture(x):
-            sol = evaluate_solution(problem, x, 0)
-            offspring_pool.append(sol)
-            return sol
-
-        nxt = nsga2_step(pop, cfg, problem, rng, capture, False)
-        pool = pop + offspring_pool
-        objs = [m.f for m in pool]
-        expected = brute_force_front_indices(objs, brute_force_dominates)
+        nxt = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
+        # the merged pool is every row of the log
+        expected = brute_force_front_indices(log.F[:len(log)], brute_force_dominates)
         if len(expected) <= cfg.pop_size:
-            survivor_objs = {tuple(m.f) for m in nxt}
-            for i in expected:
-                assert tuple(pool[i].f) in survivor_objs
+            assert set(expected) <= set(nxt.tolist())
 
     def test_constrained_nsga2_keeps_feasible_member_first(self):
         # infeasible members plainly dominate the single feasible one; with
@@ -88,30 +91,27 @@ class TestSteps:
         problem = get_problem("c2dtlz2")
         cfg = GAConfig(lambda_=4, mutpb=0.0, cxpb=0.0)
         members = [
-            make_solution(np.full(problem.n_x, 0.1 * (i + 1)), [0.1 * i, 0.1], [0.5 + 0.1 * i])
+            make_solution(np.full(problem.n_x, 0.1 * (i + 1)), [0.1 * i, 0.1, 0.1],
+                          [0.5 + 0.1 * i])
             for i in range(3)
         ]
-        members.insert(2, make_solution(np.full(problem.n_x, 0.9), [2.0, 2.0], [-1.0]))
+        members.insert(2, make_solution(np.full(problem.n_x, 0.9), [2.0, 2.0, 2.0], [-1.0]))
         by_x = {tuple(m.x): m for m in members}
-        nxt = nsga2_step(members, cfg, problem, np.random.default_rng(0),
-                         lambda x: by_x[tuple(x)], True)
-        assert nxt[0].feasible
+        log, evaluate = logged(problem, solve=lambda x: by_x[tuple(x)])
+        pop = evaluate(np.array([m.x for m in members]))
+        nxt = nsga2_step(pop, log, cfg, problem, np.random.default_rng(0), evaluate, True)
+        assert log.cv[nxt[0]] == 0.0
 
     def test_elitism_no_regression(self):
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=12)
-        pop = initial_population(problem, 12, seed=5)
+        log, evaluate, pop = initial_population(problem, 12, seed=5)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            before = list(pop)
-            pop = nsga2_step(pop, cfg, problem, rng, unlogged(problem), False)
-            # every survivor front-0 member is non-dominated vs old population
-            for m in pop:
-                dominated_by_old = any(dominates(o.f, m.f) for o in before)
-                if not dominated_by_old:
-                    break
-            else:
-                pytest.fail("entire survivor set dominated by previous generation")
+            before = log.F[pop]
+            pop = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
+            # some survivor is non-dominated by the previous population
+            assert any(not any(dominates(o, f) for o in before) for f in log.F[pop])
 
 
 class TestNsga3:
@@ -119,44 +119,35 @@ class TestNsga3:
         problem = get_problem("dtlz2")  # no constraints at all
         cfg = GAConfig(lambda_=12)
         dirs = das_dennis(3, 4)
-        pop = initial_population(problem, 12, seed=6)
-        a = nsga3_step(pop, cfg, problem, np.random.default_rng(9), unlogged(problem),
-                       False, dirs)
-        b = nsga3_step(pop, cfg, problem, np.random.default_rng(9), unlogged(problem),
-                       True, dirs)
-        assert [tuple(m.f) for m in a] == [tuple(m.f) for m in b]
+        log, evaluate, pop = initial_population(problem, 12, seed=6)
+        a = nsga3_step(pop, log, cfg, problem, np.random.default_rng(9), evaluate, False, dirs)
+        b = nsga3_step(pop, log, cfg, problem, np.random.default_rng(9), evaluate, True, dirs)
+        assert log.F[a].tolist() == log.F[b].tolist()
 
     def test_single_feasible_survives(self):
-        cfg = GAConfig(lambda_=4)
-        feasible = make_solution(np.full(2, 0.5), [2.0, 2.0], [-1.0])
-        infeasible = [
-            make_solution(np.full(2, 0.2), [0.1 * i, 0.1], [0.5 + 0.1 * i])
-            for i in range(7)
-        ]
-        dirs = das_dennis(2, 4)
-        survivors = _survivors_nsga3([feasible] + infeasible, 4, dirs, True)
-        assert any(m.feasible for m in survivors)
+        # row 0 is feasible and plainly dominated by the seven infeasible rows
+        F = np.array([[2.0, 2.0]] + [[0.1 * i, 0.1] for i in range(7)])
+        cv = np.array([0.0] + [(0.5 + 0.1 * i) ** 2 for i in range(7)])
+        survivors = _survivors_nsga3(F, cv, 4, das_dennis(2, 4), True)
+        assert len(survivors) == 4 and survivors[0] == 0
 
     def test_niche_fill_hand_computed(self):
         # the first front (0, 0.8), (0.8, 0) fits whole, one survivor in each
         # axis niche; of the three dominated candidates the two near the axes
         # are closest to their directions, so only the survivors' niche
         # counts make the pick the one owning the empty middle direction
-        first = [make_solution(np.zeros(2), f, ()) for f in [(0.0, 0.8), (0.8, 0.0)]]
-        last = [make_solution(np.zeros(2), f, ())
-                for f in [(0.05, 1.0), (1.0, 0.05), (0.9, 0.6)]]
-        survivors = _survivors_nsga3(first + last, 3, das_dennis(2, 2), False)
-        assert [tuple(m.f) for m in survivors] == [(0.0, 0.8), (0.8, 0.0), (0.9, 0.6)]
+        F = np.array([(0.0, 0.8), (0.8, 0.0), (0.05, 1.0), (1.0, 0.05), (0.9, 0.6)])
+        survivors = _survivors_nsga3(F, np.zeros(5), 3, das_dennis(2, 2), False)
+        assert survivors.tolist() == [0, 1, 4]
 
     def test_niche_fill_associates_minimized_objectives(self):
         # one front of four points, normalized to themselves: (0.1, 0.5) lies
         # near the f2 axis and (0.5, 0.2) near the f1 axis; on the mirrored
         # rows 1 - f both would join the middle direction instead
-        pool = [make_solution(np.zeros(1), f, ())
-                for f in [(0.0, 1.0), (1.0, 0.0), (0.1, 0.5), (0.5, 0.2)]]
-        survivors = _survivors_nsga3(pool, 3, das_dennis(2, 2), False)
+        F = np.array([(0.0, 1.0), (1.0, 0.0), (0.1, 0.5), (0.5, 0.2)])
+        survivors = _survivors_nsga3(F, np.zeros(4), 3, das_dennis(2, 2), False)
         # both axis niches hold one survivor; the closer candidate wins
-        assert [tuple(m.f) for m in survivors] == [(0.0, 1.0), (1.0, 0.0), (0.1, 0.5)]
+        assert survivors.tolist() == [0, 1, 2]
 
 
 class TestRuns:
@@ -194,18 +185,31 @@ class TestRuns:
         assert result.front
         assert all(m.feasible for m in result.front)
 
+    def test_front_is_built_from_the_best_logged_rows(self):
+        problem = get_problem("c2dtlz2")
+        cfg = GAConfig(lambda_=16, budget=800, seed=2)
+        result = run_nsga2(problem, cfg, constrained=True)
+        log = result.log
+        feasible = np.flatnonzero(log.cv == 0.0)
+        rows = feasible[non_dominated_mask_scalar(log.F[feasible])]
+        assert len(rows) == len(result.front) > 0
+        for row, s in zip(rows, result.front):
+            assert np.array_equal(s.x, log.X[row]) and np.array_equal(s.f, log.F[row])
+            assert np.array_equal(s.g, log.G[row]) and s.feasible is True
+
     def test_feasibility_never_lost_once_found(self):
         problem = get_problem("c2dtlz2")
         cfg = GAConfig(lambda_=12, budget=2000, seed=3)
         rng = np.random.default_rng(3)
-        pop = initial_population(problem, 12, seed=3)
+        log, evaluate, pop = initial_population(problem, 12, seed=3)
         dirs = das_dennis(3, 4)
-        seen_feasible = any(m.feasible for m in pop)
+        seen_feasible = bool((log.cv[pop] == 0).any())
         for _ in range(40):
-            pop = nsga3_step(pop, cfg, problem, rng, unlogged(problem), True, dirs)
+            pop = nsga3_step(pop, log, cfg, problem, rng, evaluate, True, dirs)
+            feasible = bool((log.cv[pop] == 0).any())
             if seen_feasible:
-                assert any(m.feasible for m in pop)
-            seen_feasible = seen_feasible or any(m.feasible for m in pop)
+                assert feasible
+            seen_feasible = seen_feasible or feasible
         assert seen_feasible
 
     def test_determinism(self):

@@ -88,33 +88,49 @@ class TestSolutionInvariants:
         with pytest.raises(ValueError):
             Solution(x=np.zeros(1), f=np.array([1.0, 2.0]), cv=-1.0)
 
+    def test_numpy_scalar_cv_gives_python_bool_feasible(self):
+        # a cv read back from a log array must not turn ``feasible`` into a
+        # numpy bool, which ``json`` cannot serialize
+        s = Solution(x=np.zeros(1), f=np.array([1.0, 2.0]), cv=np.float64(0.0))
+        assert s.feasible is True
+        assert type(s.cv) is float
+
     def test_non_finite_objectives_rejected(self):
         with pytest.raises(ValueError):
             Solution(x=np.zeros(1), f=np.array([np.inf, 0.0]))
 
 
+def rows(pop):
+    """The objective rows and violations of a list of Solutions."""
+    return np.array([s.f for s in pop]), np.array([s.cv for s in pop])
+
+
+def as_lists(fronts):
+    return [front.tolist() for front in fronts]
+
+
 class TestNonDominatedSort:
     def test_three_point_example(self):
-        pop = [sol((2, 2)), sol((1, 1)), sol((3, 0))]
-        fronts = non_dominated_sort(pop)
-        assert fronts == [[1, 2], [0]]
+        f = np.array([[2.0, 2.0], [1.0, 1.0], [3.0, 0.0]])
+        assert as_lists(non_dominated_sort(f, np.zeros(3))) == [[1, 2], [0]]
 
     def test_single_point(self):
-        assert non_dominated_sort([sol((1, 2))]) == [[0]]
+        assert as_lists(non_dominated_sort(np.array([[1.0, 2.0]]), np.zeros(1))) == [[0]]
 
     def test_antichain_is_one_front(self):
-        pop = [sol((0, 3)), sol((1, 2)), sol((2, 1)), sol((3, 0))]
-        assert non_dominated_sort(pop) == [[0, 1, 2, 3]]
+        f = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
+        assert as_lists(non_dominated_sort(f, np.zeros(4))) == [[0, 1, 2, 3]]
 
     def test_empty_population_is_usage_error(self):
-        with pytest.raises(ValueError):
-            non_dominated_sort([])
+        with pytest.raises(ValueError, match="empty population"):
+            non_dominated_sort(np.empty((0, 2)), np.empty(0))
 
     def test_every_index_appears_once(self):
         rng = np.random.default_rng(5)
-        pop = [sol(rng.integers(0, 5, 3).astype(float)) for _ in range(30)]
-        fronts = non_dominated_sort(pop)
-        flat = sorted(i for front in fronts for i in front)
+        f = rng.integers(0, 5, (30, 3)).astype(float)
+        fronts = non_dominated_sort(f, np.zeros(30))
+        assert all(np.all(np.diff(front) > 0) for front in fronts)
+        flat = sorted(i for front in fronts for i in front.tolist())
         assert flat == list(range(30))
 
     def test_front_zero_matches_brute_force_plain_and_constrained(self):
@@ -122,9 +138,8 @@ class TestNonDominatedSort:
         for _ in range(200):
             n = int(rng.integers(1, 13))
             objs = rng.integers(0, 5, size=(n, 3)).astype(float)
-            pop = [sol(o) for o in objs]
             expected = brute_force_front_indices(objs, brute_force_dominates)
-            assert sorted(non_dominated_sort(pop)[0]) == expected
+            assert non_dominated_sort(objs, np.zeros(n))[0].tolist() == expected
 
             cvs = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
             cpop = [sol(o, cv=c) for o, c in zip(objs, cvs)]
@@ -136,18 +151,17 @@ class TestNonDominatedSort:
                 i for i in range(n)
                 if not any(cdom(j, i) for j in range(n) if j != i)
             ]
-            assert sorted(non_dominated_sort(cpop, constrained=True)[0]) == expected_c
+            assert non_dominated_sort(objs, cvs, constrained=True)[0].tolist() == expected_c
 
     def test_later_fronts_are_nested_brute_force(self):
         rng = np.random.default_rng(23)
         objs = rng.integers(0, 4, size=(12, 2)).astype(float)
-        pop = [sol(o) for o in objs]
-        fronts = non_dominated_sort(pop)
+        fronts = non_dominated_sort(objs, np.zeros(12))
         remaining = list(range(12))
-        for front in fronts:
+        for front in as_lists(fronts):
             expected = [remaining[i] for i in brute_force_front_indices(
                 [objs[i] for i in remaining], brute_force_dominates)]
-            assert sorted(front) == sorted(expected)
+            assert front == expected
             remaining = [i for i in remaining if i not in front]
 
 
@@ -344,21 +358,18 @@ class TestBestFront:
     @settings(max_examples=150, deadline=None)
     @given(points=st.lists(_point, min_size=1, max_size=60))
     def test_feasible_case_is_distinct_front_zero(self, points):
-        pop = [sol(f, cv=cv) for f, cv in points] + [sol((3, 3))]
-        front0 = sorted(non_dominated_sort(pop, constrained=True)[0])
-        expected = first_occurrences(front0, [s.f for s in pop])
-        assert [id(s) for s in best_front(pop)] == [id(pop[i]) for i in expected]
+        f, cv = rows([sol(f, cv=cv) for f, cv in points] + [sol((3, 3))])
+        front0 = non_dominated_sort(f, cv, constrained=True)[0].tolist()
+        assert best_front(f, cv).tolist() == first_occurrences(front0, f)
 
     @settings(max_examples=150, deadline=None)
     @given(points=st.lists(_point, min_size=1, max_size=60))
     def test_infeasible_case_is_distinct_front_of_least_violation(self, points):
-        pop = [sol(f, cv=cv + 0.25) for f, cv in points]
-        least = min(s.cv for s in pop)
-        group = [i for i, s in enumerate(pop) if s.cv == least]
+        f, cv = rows([sol(f, cv=cv + 0.25) for f, cv in points])
+        group = np.flatnonzero(cv == cv.min()).tolist()
         front = [group[k] for k in brute_force_front_indices(
-            [pop[i].f for i in group], brute_force_dominates)]
-        expected = first_occurrences(front, [s.f for s in pop])
-        assert [id(s) for s in best_front(pop)] == [id(pop[i]) for i in expected]
+            [f[i] for i in group], brute_force_dominates)]
+        assert best_front(f, cv).tolist() == first_occurrences(front, f)
 
     def test_empty(self):
-        assert best_front([]) == []
+        assert best_front(np.empty((0, 2)), np.empty(0)).tolist() == []

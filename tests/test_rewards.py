@@ -20,9 +20,8 @@ from pearlkit.rewards import (
 )
 
 
-def sol(f, g=None, limits=None, weights=None):
-    return make_solution(np.zeros(2), f, constraints=g if g is not None else (),
-                         limits=limits, weights=weights)
+def sol(f, g=None):
+    return make_solution(np.zeros(2), f, constraints=g if g is not None else ())
 
 
 class TestSamplePreferences:
@@ -225,17 +224,10 @@ class TestNdsEngine:
 class TestConstraintViolation:
     def test_all_satisfied(self):
         assert constraint_violation([-1.0, -0.5]) == 0.0
-        assert constraint_violation([1000.0], limits=[1200.0]) == 0.0
-
-    def test_relative_scaling(self):
-        assert constraint_violation([1320.0], limits=[1200.0]) == pytest.approx(0.01)
 
     def test_benchmark_convention(self):
         assert constraint_violation([0.5, 0.2]) == pytest.approx(0.29)
         assert constraint_violation([0.5, -0.2]) == pytest.approx(0.25)
-
-    def test_zero_limit_falls_back_to_absolute(self):
-        assert constraint_violation([0.3], limits=[0.0]) == pytest.approx(0.09)
 
     def test_weights(self):
         assert constraint_violation([0.5, 0.2], weights=[2.0, 1.0]) == pytest.approx(0.54)
@@ -334,11 +326,3 @@ class TestMakeSolution:
     def test_keeps_objectives_as_evaluated(self):
         s = make_solution([0.1, 0.2], [1.0, -2.0])
         assert s.f.tolist() == [1.0, -2.0]
-
-    def test_limit_based_constraints_store_excess(self):
-        s = make_solution([0.1], [1.0, 2.0], constraints=[1320.0], limits=[1200.0])
-        assert s.g.tolist() == [120.0]
-        assert s.cv == pytest.approx(0.01)
-        assert not s.feasible
-        t = make_solution([0.1], [1.0, 2.0], constraints=[1100.0], limits=[1200.0])
-        assert t.feasible
