@@ -47,10 +47,13 @@ print("best front:", best_front(objectives, violations).tolist())  # [0, 3]
 
 # The bounded archive keeps at most kappa mutually non-dominated members,
 # ranked by a density measure; inserting returns the candidate's rank.
+# A member is named by its row in the caller's evaluation log (here the
+# index of the candidate in the loop).
 archive = ParetoArchive(capacity=4)
 rng = np.random.default_rng(0)
-for _ in range(200):
+for row in range(200):
     candidate = Solution(x=rng.random(2), f=rng.random(2) * 4)
-    archive.insert(candidate, crowding_rank)
+    archive.insert(candidate, row, crowding_rank)
 print("archive size:", len(archive))
+print("archive rows:", archive.rows().tolist())
 print("archive objectives:\n", np.round(archive.objectives(), 3))

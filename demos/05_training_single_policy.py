@@ -25,18 +25,20 @@ problem = get_problem("dtlz2")
 cfg = TrainerConfig(n_steps=32, ncores=8, budget=4096, seed=0)
 result = train(problem, lambda: PearlNds(kappa=64, ranker="crowding"), cfg)
 
-front = np.array([s.f for s in result.front])  # objectives as evaluated
-print(f"evaluations: {result.n_evaluations}, merged front: {len(front)} points")
+# The front is a set of rows of the evaluation log.
+log = result.log
+front = log.F[result.front]  # objectives as evaluated
+print(f"evaluations: {len(log)}, merged front: {len(front)} points")
 print(f"hypervolume vs nadir {problem.nadir.tolist()}: "
       f"{hypervolume(front, problem.nadir):.3f}")
 print(f"wall time: {result.wall_time:.1f}s")
 
 # The evaluation log holds every sample as array rows (row i is step i):
 # worker, X, F, G, cv, reward.
-log = result.log
 last = len(log) - 1
 print("\nlast log row: step", last, "worker", log.worker[last],
       "reward", round(log.reward[last], 3))
+print("decision vector of the first front point:", np.round(log.X[result.front[0]], 3))
 
 # Constrained problems wrap the engine in the curriculum handler: the policy
 # first learns to reach feasibility, then optimizes inside it.
@@ -45,7 +47,7 @@ cfg = TrainerConfig(n_steps=32, ncores=8, budget=4096, seed=0)
 result = train(problem,
                lambda: CurriculumConstrained(PearlNds(kappa=64, ranker="crowding")),
                cfg)
-front = np.array([s.f for s in result.front])
+front = result.log.F[result.front]
 feasible_share = np.mean(result.log.cv == 0.0)
 print(f"\nctp1: {len(front)} feasible front points, "
       f"hypervolume {hypervolume(front, problem.nadir):.3f}, "

@@ -17,14 +17,14 @@ cfg = GAConfig(lambda_=32, budget=4096, seed=0, mutpb=0.3, cxpb=0.65)
 
 for name, runner in (("NSGA-II", run_nsga2), ("NSGA-III", run_nsga3)):
     result = runner(problem, cfg)
-    front = np.array([s.f for s in result.front])
-    print(f"{name}: {result.n_evaluations} evaluations, "
+    front = result.log.F[result.front]  # the front is a set of log rows
+    print(f"{name}: {len(result.log)} evaluations, "
           f"front {len(front)} points, "
           f"HV {hypervolume(front, problem.nadir):.3f}")
 
 # On a constrained problem, feasibility is folded into the dominance relation.
 problem = get_problem("c2-dtlz2")
 result = run_nsga3(problem, GAConfig(lambda_=32, budget=4096, seed=0))
-front = np.array([s.f for s in result.front])
+front = result.log.F[result.front]
 print(f"\nconstrained NSGA-III on c2-dtlz2: {len(front)} feasible front points, "
       f"HV {hypervolume(front, problem.nadir):.3f}")

@@ -254,8 +254,8 @@ def write_front_csv(result: RunResult, problem: ProblemSpec, path: Path):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([f"f{i + 1}" for i in range(problem.n_obj)])
-        for sol in result.front:
-            writer.writerow([_fmt(v) for v in sol.f])
+        for f in result.log.F[result.front].tolist():
+            writer.writerow([_fmt(v) for v in f])
 
 
 def load_front_csv(path) -> np.ndarray:
@@ -279,7 +279,8 @@ def _load_feasible_front(front_path: Path) -> np.ndarray:
 def _cell_metrics(run_id: str, label: str, problem: ProblemSpec,
                   result: RunResult) -> MetricReport:
     # an infeasible set is no front: it scores hv 0 and no distances
-    front = np.array([s.f for s in result.front if s.feasible])
+    log = result.log
+    front = log.F[result.front[log.cv[result.front] == 0]]
     hv = hypervolume(front, problem.nadir) if len(front) else 0.0
     try:
         ref = reference_front(problem, 1000)
@@ -310,9 +311,9 @@ def _run_cell(config: ExperimentConfig, spec: AlgorithmSpec, problem_name: str,
         "seed": seed,
         "config": config.raw,
         "wall_time": result.wall_time,
-        "n_evaluations": result.n_evaluations,
+        "n_evaluations": len(result.log),
         "front_size": len(result.front),
-        "feasible_front_size": sum(s.feasible for s in result.front),
+        "feasible_front_size": int(np.sum(result.log.cv[result.front] == 0)),
         "metrics": {"hv": report.hv, "gd": report.gd, "igd": report.igd,
                     "eps": report.eps},
     }

@@ -7,17 +7,16 @@ parents and offspring, sorts by non-domination, and resolves the last
 partial front by crowding (NSGA-II) or reference-direction niching
 (NSGA-III).  The population is an array of rows of the run's
 ``EvaluationLog``, and the selection steps work on the log's objective and
-violation rows.  The reported front is the non-dominated set of every
-evaluation ever made, not just the final population; it is the only place
-``Solution`` objects are built.  A failed evaluation is logged with NaN
-objectives and left out of the population, as in the trainer, so the
-population may shrink.
+violation rows.  The reported front is the log rows of the non-dominated
+set of every evaluation ever made, not just the final population.  A failed
+evaluation is logged with NaN objectives and left out of the population, as
+in the trainer, so the population may shrink.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .density import (ReferenceDirectionSet, associate, best_first, crowding_rank, das_dennis,
                       default_divisions, minmax_normalize)
-from .pareto import Solution, best_front, non_dominated_sort
+from .pareto import best_front, non_dominated_sort
 from .problems import ProblemSpec
 from .trainer import EvaluationLog, RunResult, evaluate_solution
 
@@ -166,7 +165,8 @@ def _run(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool], step)
 
     ``constrained`` defaults to whether the problem has constraints.  The
     initial population counts against the budget; the returned front is the
-    (feasibility-first) non-dominated set over all evaluations.
+    log rows of the (feasibility-first) non-dominated set over all
+    evaluations.
     """
     cfg.validate()
     if constrained is None:
@@ -187,10 +187,8 @@ def _run(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool], step)
         pop = step(pop, log, cfg, problem, rng, evaluate, constrained)
 
     rows = np.flatnonzero(~np.isnan(log.cv[:len(log)]))
-    rows = rows[best_front(log.F[rows], log.cv[rows])]
-    front = [Solution(*row) for row in zip(log.X[rows], log.F[rows], log.G[rows], log.cv[rows])]
-    return RunResult(front=front, log=log, config=asdict(cfg),
-                     wall_time=time.perf_counter() - start, n_evaluations=len(log))
+    return RunResult(front=rows[best_front(log.F[rows], log.cv[rows])], log=log,
+                     wall_time=time.perf_counter() - start)
 
 
 def run_nsga2(problem: ProblemSpec, cfg: GAConfig,

@@ -194,13 +194,12 @@ class ParetoArchive:
     ``constrained_dominates``, so that constrained variants keep feasibility
     inside the buffer ordering.
 
-    Members are stored as arrays: row ``i < n`` of ``_f`` and entry ``i``
-    of ``_cv`` hold the objectives and violation of ``members[i]``, where
-    ``n = len(archive)``.  Every change (compaction on eviction, append,
-    reorder and truncation on a ranked insert) is applied to the arrays and
-    to ``members`` together, so the two stay in step; ``members`` serves
-    reporting only.  The arrays start with ``capacity + 1`` rows (room for
-    one candidate beyond a full archive) and double when full.
+    Members are evaluation-log rows.  Entry ``i < len(archive)`` of ``_row``
+    names the row of member ``i``, and row ``i`` of ``_f`` and entry ``i`` of
+    ``_cv`` hold its objectives and violation; every change (compaction on
+    eviction, append, reorder and truncation on a ranked insert) moves the
+    three arrays together.  They start with ``capacity + 1`` entries (room
+    for one candidate beyond a full archive) and double when full.
     """
 
     def __init__(self, capacity: Optional[int] = None, constrained: bool = False):
@@ -208,36 +207,42 @@ class ParetoArchive:
             raise ValueError("capacity must be a positive integer or None")
         self.capacity = capacity
         self.constrained = constrained
-        self.members: list[Solution] = []
+        self._n = 0
         self._f = np.empty((0, 0))
         self._cv = np.empty(0)
+        self._row = np.empty(0, dtype=np.intp)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self._n
 
     def objectives(self) -> np.ndarray:
-        return self._f[:len(self.members)].copy()
+        return self._f[:self._n].copy()
+
+    def rows(self) -> np.ndarray:
+        """The members' evaluation-log rows, in archive order."""
+        return self._row[:self._n].copy()
 
     def _grow(self, n_obj: int):
-        n = len(self.members)
-        rows = max(2 * n, 16 if self.capacity is None else self.capacity + 1)
-        f, cv = np.empty((rows, n_obj)), np.empty(rows)
+        n = self._n
+        size = max(2 * n, 16 if self.capacity is None else self.capacity + 1)
+        f, cv, row = np.empty((size, n_obj)), np.empty(size), np.empty(size, dtype=np.intp)
         if n:
-            f[:n], cv[:n] = self._f[:n], self._cv[:n]
-        self._f, self._cv = f, cv
+            f[:n], cv[:n], row[:n] = self._f[:n], self._cv[:n], self._row[:n]
+        self._f, self._cv, self._row = f, cv, row
 
-    def _admit(self, sol: Solution) -> bool:
-        """Append ``sol`` after dropping the members it dominates.
+    def _admit(self, sol: Solution, row: int) -> bool:
+        """Append ``sol``, logged at ``row``, after dropping the members it
+        dominates.
 
         ``sol`` is rejected (False, archive untouched) when a member
         dominates it, or when it duplicates the objectives of a member it
         does not itself beat (clone flooding guard).  One comparison of
         ``sol`` against all members decides both.
         """
-        n = len(self.members)
+        n = self._n
         if n == len(self._f):
             self._grow(sol.f.size)
-        f, cv = self._f[:n], self._cv[:n]
+        f, cv, rows = self._f[:n], self._cv[:n], self._row[:n]
         le = (f <= sol.f).all(axis=1)  # dominates sol, or is its twin
         ge = (f >= sol.f).all(axis=1)  # dominated by sol, or is its twin
         if self.constrained and sol.cv > 0:
@@ -256,23 +261,22 @@ class ParetoArchive:
         if evict.any():
             keep = ~evict
             n = int(keep.sum())
-            self._f[:n], self._cv[:n] = f[keep], cv[keep]
-            for i in np.flatnonzero(evict)[::-1].tolist():
-                del self.members[i]
-        self._f[n], self._cv[n] = sol.f, sol.cv
-        self.members.append(sol)
+            self._f[:n], self._cv[:n], self._row[:n] = f[keep], cv[keep], rows[keep]
+        self._f[n], self._cv[n], self._row[n] = sol.f, sol.cv, row
+        self._n = n + 1
         return True
 
-    def add(self, sol: Solution) -> bool:
-        """Dominance-only insert (no ranking). Returns True if kept."""
-        if not self._admit(sol):
+    def add(self, sol: Solution, row: int) -> bool:
+        """Dominance-only insert (no ranking) of ``sol``, logged at ``row``.
+        Returns True if kept."""
+        if not self._admit(sol, row):
             return False
-        if self.capacity is not None and len(self.members) > self.capacity:
+        if self.capacity is not None and self._n > self.capacity:
             raise RuntimeError("bounded archive overflow: use insert() with a ranker")
         return True
 
-    def insert(self, sol: Solution, ranker) -> Optional[int]:
-        """Ranked insert.
+    def insert(self, sol: Solution, row: int, ranker) -> Optional[int]:
+        """Ranked insert of ``sol``, logged at ``row``.
 
         Members dominated by ``sol`` are dropped; if ``sol`` is itself
         dominated the archive is left untouched and None is returned.
@@ -283,12 +287,13 @@ class ParetoArchive:
         members, and the rank of ``sol`` is returned.  A returned rank equal
         to or beyond the capacity means the solution was evicted right away.
         """
-        if not self._admit(sol):
+        if not self._admit(sol, row):
             return None
-        n = len(self.members)
+        n = self._n
         order = np.asarray(ranker(self._f[:n]).order, dtype=int)
         pos = int(np.flatnonzero(order == n - 1)[0])
         kept = order[: self.capacity]
-        self._f[: len(kept)], self._cv[: len(kept)] = self._f[kept], self._cv[kept]
-        self.members = [self.members[i] for i in kept.tolist()]
+        self._n = len(kept)
+        self._f[:self._n], self._cv[:self._n], self._row[:self._n] = (
+            self._f[kept], self._cv[kept], self._row[kept])
         return pos

@@ -22,6 +22,7 @@ Every engine is single-owner state: one instance per rollout worker.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -172,12 +173,19 @@ class RunningBounds:
         return minmax_normalize(v, self.lo, self.hi)
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is a positive integer (a
+    float or a bool is not, even when it equals one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, not {value!r}")
+    return int(value)
+
+
 @dataclass
 class RewardOutcome:
-    """Scalar reward plus bookkeeping flags for one scored solution."""
+    """Scalar reward for one scored solution, and whether it was archived."""
 
     reward: float
-    feasible: bool
     archived: bool
 
 
@@ -215,7 +223,7 @@ class PearlEnvelope:
         self.lambda_ = float(lambda_)
         self.uniformity = uniformity
         self.normalized_obj = normalized_obj
-        self.n_rays = int(n_rays)
+        self.n_rays = _positive_int("n_rays", n_rays)
         self.rays: Optional[np.ndarray] = None
         self.bounds = RunningBounds()
         self.archive = ParetoArchive(capacity=None)
@@ -228,7 +236,9 @@ class PearlEnvelope:
     def resample(self, rng: np.random.Generator):
         self.rays = sample_preferences(self.alpha, self.n_rays, rng)
 
-    def score(self, sol: Solution) -> RewardOutcome:
+    def score(self, sol: Solution, row: int) -> RewardOutcome:
+        """Reward of ``sol``; ``row`` is its evaluation-log row, which the
+        archive keeps if it admits ``sol``."""
         if self.rays is None:
             raise RuntimeError("resample() must run before scoring")
         r = -sol.f  # a cost becomes a reward
@@ -236,8 +246,7 @@ class PearlEnvelope:
         if self.normalized_obj:
             r = self.bounds.normalize(r)
         reward = pearl_e_reward(r, self.rays, self.lambda_, self.uniformity)
-        archived = self.archive.add(sol)
-        return RewardOutcome(reward=reward, feasible=sol.feasible, archived=archived)
+        return RewardOutcome(reward=reward, archived=self.archive.add(sol, row))
 
 
 class _RankedEngine:
@@ -246,9 +255,7 @@ class _RankedEngine:
     default_log_std = -0.75
 
     def __init__(self, kappa: int, constrained: bool = False):
-        if kappa < 1:
-            raise ValueError("kappa must be a positive integer")
-        self.kappa = int(kappa)
+        self.kappa = _positive_int("kappa", kappa)
         self.reward_scale = float(kappa)
         self.archive = ParetoArchive(capacity=self.kappa, constrained=constrained)
 
@@ -262,12 +269,13 @@ class _RankedEngine:
     def _ranker(self, objs: np.ndarray) -> DensityRank:
         raise NotImplementedError
 
-    def score(self, sol: Solution) -> RewardOutcome:
-        rank = self.archive.insert(sol, self._ranker)
+    def score(self, sol: Solution, row: int) -> RewardOutcome:
+        """Minus the archive rank of ``sol``, logged at ``row``, or
+        ``-kappa`` when the archive rejects it."""
+        rank = self.archive.insert(sol, row, self._ranker)
         if rank is None:
-            return RewardOutcome(reward=-float(self.kappa), feasible=sol.feasible, archived=False)
-        return RewardOutcome(reward=-float(rank), feasible=sol.feasible,
-                             archived=rank < self.kappa)
+            return RewardOutcome(reward=-float(self.kappa), archived=False)
+        return RewardOutcome(reward=-float(rank), archived=rank < self.kappa)
 
 
 class PearlEpsilon(_RankedEngine):
@@ -289,9 +297,9 @@ class PearlEpsilon(_RankedEngine):
         fitness = epsilon_fitness(self.bounds.normalize(objs), self.nu)
         return DensityRank(order=best_first(objs, -fitness), scores=fitness)
 
-    def score(self, sol: Solution) -> RewardOutcome:
+    def score(self, sol: Solution, row: int) -> RewardOutcome:
         self.bounds.update(sol.f)
-        return super().score(sol)
+        return super().score(sol, row)
 
 
 class PearlNds(_RankedEngine):
@@ -355,11 +363,11 @@ class CurriculumConstrained:
     def resample(self, rng: np.random.Generator):
         self.inner.resample(rng)
 
-    def score(self, sol: Solution) -> RewardOutcome:
+    def score(self, sol: Solution, row: int) -> RewardOutcome:
         if sol.feasible:
-            return self.inner.score(sol)
+            return self.inner.score(sol, row)
         cv = constraint_violation(sol.g, weights=self.gammas)
-        return RewardOutcome(reward=-cv - self.M, feasible=False, archived=False)
+        return RewardOutcome(reward=-cv - self.M, archived=False)
 
 
 def make_solution(x, f, constraints=()) -> Solution:

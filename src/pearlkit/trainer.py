@@ -3,9 +3,9 @@
 The training problem is a continuous bandit: one action per episode, the
 action is the decision vector, and the reward comes from a per-worker
 engine that scores the evaluated objectives.  The policy is a small
-feed-forward network emitting a diagonal Gaussian that is squashed onto
-the unit box (clipped linear map by default, logistic optionally); a
-separate network of the same shape provides the value baseline.
+feed-forward network emitting a diagonal Gaussian that is mapped onto the
+unit box by a clipped linear map; a separate network of the same shape
+provides the value baseline.
 Everything runs in float64 numpy so that gradients can be checked against
 finite differences exactly.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,12 +41,12 @@ class TrainerConfig:
     """Optimization hyperparameters; defaults are the conventional clipped
     surrogate settings with batches of n_steps x ncores transitions.
 
-    Each single-step episode observes a fresh uniform latent vector (the
-    reset state of the one-step environment).  Conditioning the policy on
-    that latent lets a single network cover a whole front instead of
-    collapsing to one Gaussian mode; preference-conditioned engines append
-    their active rays to the observation.  ``observation="token"`` falls
-    back to a constant scalar input.
+    Each single-step episode observes a fresh uniform latent vector of the
+    decision dimension (the reset state of the one-step environment).
+    Conditioning the policy on that latent lets a single network cover a
+    whole front instead of collapsing to one Gaussian mode;
+    preference-conditioned engines append their active rays to the
+    observation.  Advantages are normalized within each batch.
     """
 
     n_steps: int = 32
@@ -62,13 +62,6 @@ class TrainerConfig:
     hidden: int = 64
     # None: use the reward engine's preferred exploration width
     init_log_std: Optional[float] = None
-    normalize_advantages: bool = True
-    observation: str = "latent"
-    latent_dim: Optional[int] = None  # None: use the decision dimension
-    # box map for the Gaussian sample: "clip" reaches the box boundary
-    # exactly (linear map of [-1, 1] with clamping), "logistic" is smooth
-    # but only approaches the boundary asymptotically
-    squash: str = "clip"
 
     def batch_size(self) -> int:
         return self.n_steps * self.ncores
@@ -79,16 +72,7 @@ class TrainerConfig:
                 raise ValueError(f"{key} must be a positive integer")
         if self.budget < self.batch_size():
             raise ValueError("budget must cover at least one batch of evaluations")
-        if self.observation not in ("latent", "token"):
-            raise ValueError("observation must be 'latent' or 'token'")
-        if self.squash not in ("clip", "logistic"):
-            raise ValueError(f"squash must be 'clip' or 'logistic', not {self.squash!r}")
         return self
-
-    def resolved_latent_dim(self, problem: ProblemSpec) -> int:
-        if self.observation == "token":
-            return 1
-        return self.latent_dim if self.latent_dim is not None else problem.n_x
 
 
 class PolicyState:
@@ -186,17 +170,10 @@ def gaussian_log_prob(z: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> n
     return np.sum(-0.5 * ((z - mean) / std) ** 2 - log_std - _HALF_LOG_2PI, axis=1)
 
 
-def squash(z: np.ndarray, kind: str) -> np.ndarray:
-    """Map Gaussian samples onto the unit box.
-
-    ``logistic`` is the smooth open-box map; ``clip`` maps [-1, 1] linearly
-    onto the box and clamps, so boundary values are reachable exactly.
-    """
-    if kind == "logistic":
-        return 1.0 / (1.0 + np.exp(-z))
-    if kind == "clip":
-        return np.clip(0.5 * (z + 1.0), 0.0, 1.0)
-    raise ValueError(f"unknown squash kind: {kind!r}")
+def squash(z: np.ndarray) -> np.ndarray:
+    """Map Gaussian samples onto the unit box: [-1, 1] maps linearly onto
+    the box and the rest clamps, so boundary values are reachable exactly."""
+    return np.clip(0.5 * (z + 1.0), 0.0, 1.0)
 
 
 @dataclass
@@ -262,13 +239,13 @@ def evaluate_solution(problem: ProblemSpec, x: np.ndarray, step: int) -> Optiona
 
 @dataclass
 class RunResult:
-    """Merged outcome of one training or baseline run."""
+    """Outcome of one training or baseline run: the reported front as rows
+    of the run's evaluation log (``log.F[front]`` are its objectives), the
+    log itself, and the wall time in seconds."""
 
-    front: list[Solution]
+    front: np.ndarray
     log: EvaluationLog
-    config: dict
     wall_time: float
-    n_evaluations: int
 
 
 class Worker:
@@ -338,18 +315,14 @@ def loss_and_grad(policy: PolicyState, obs, z, gauss_logp_old, adv, returns,
     return loss, grad, info
 
 
-def _worker_observations(worker: Worker, n: int, latent_dim: int,
-                         cfg: TrainerConfig) -> np.ndarray:
+def _worker_observations(worker: Worker, n: int, latent_dim: int) -> np.ndarray:
     """Per-episode observations: fresh latents plus the engine's conditioning.
 
     The engine suffix (preference rays, when the engine has them) is constant
     within a batch; the latent part resamples every episode.
     """
     suffix = worker.engine.observation()
-    if cfg.observation == "latent":
-        latent = worker.rng.uniform(0.0, 1.0, size=(n, latent_dim))
-    else:
-        latent = np.ones((n, 1))
+    latent = worker.rng.uniform(0.0, 1.0, size=(n, latent_dim))
     if suffix.size == 0:
         return latent
     return np.hstack([latent, np.repeat(suffix[None, :], n, axis=0)])
@@ -367,20 +340,19 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
     error and propagates.
     """
     n = cfg.n_steps
-    latent_dim = cfg.resolved_latent_dim(problem)
     first = len(log)
     parts = []
     for worker in workers:
         worker.engine.resample(worker.rng)
-        obs = _worker_observations(worker, n, latent_dim, cfg)
+        obs = _worker_observations(worker, n, problem.n_x)
         mean, log_std = policy.policy_heads(obs)
         std = np.exp(log_std)
         z = mean + std * worker.rng.standard_normal((n, policy.act_dim))
-        actions = squash(z, cfg.squash)
+        actions = squash(z)
         scale = float(worker.engine.reward_scale)
         for x in actions:
             sol = evaluate_solution(problem, x, len(log))
-            reward = worker.engine.score(sol).reward if sol is not None else -scale
+            reward = worker.engine.score(sol, len(log)).reward if sol is not None else -scale
             log.record(worker.index, x, sol, reward)
         parts.append((obs, z, gaussian_log_prob(z, mean, log_std),
                       policy.value(obs), np.full(n, scale)))
@@ -403,8 +375,7 @@ def update(policy: PolicyState, batch: RolloutBatch, cfg: TrainerConfig,
     B = len(batch.rewards)
     returns = batch.rewards
     adv = returns - batch.values
-    if cfg.normalize_advantages:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     n_mb = max(1, cfg.minibatches)
     for _ in range(cfg.epochs):
         perm = rng.permutation(B)
@@ -424,11 +395,11 @@ def update(policy: PolicyState, batch: RolloutBatch, cfg: TrainerConfig,
     return policy
 
 
-def merged_front(workers: list[Worker]) -> list[Solution]:
-    """Non-dominated union of the worker archives (feasibility first)."""
-    members = [m for w in workers for m in w.engine.archive.members]
-    keep = best_front(np.array([m.f for m in members]), np.array([m.cv for m in members]))
-    return [members[i] for i in keep.tolist()]
+def merged_front(workers: list[Worker], log: EvaluationLog) -> np.ndarray:
+    """Log rows of the non-dominated union of the worker archives
+    (feasibility first), in worker order and archive order within a worker."""
+    rows = np.concatenate([w.engine.archive.rows() for w in workers])
+    return rows[best_front(log.F[rows], log.cv[rows])]
 
 
 def train(problem: ProblemSpec, engine_factory: Callable[[], object],
@@ -436,8 +407,8 @@ def train(problem: ProblemSpec, engine_factory: Callable[[], object],
     """Alternate rollout and update until the evaluation budget is spent.
 
     ``engine_factory`` builds one fresh reward engine per worker.  Returns
-    the merged non-dominated front across the worker archives together with
-    the complete evaluation history.
+    the complete evaluation history and, as rows of it, the merged
+    non-dominated front across the worker archives.
     """
     cfg.validate()
     start = time.perf_counter()
@@ -454,7 +425,7 @@ def train(problem: ProblemSpec, engine_factory: Callable[[], object],
     # first resample; probe with a throwaway stream
     probe = engine_factory()
     probe.resample(np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0])))
-    obs_dim = cfg.resolved_latent_dim(problem) + len(probe.observation())
+    obs_dim = problem.n_x + len(probe.observation())
     init_log_std = probe.default_log_std if cfg.init_log_std is None else cfg.init_log_std
     policy = PolicyState(obs_dim=obs_dim, act_dim=problem.n_x, cfg=cfg,
                          rng=init_rng, init_log_std=init_log_std)
@@ -464,10 +435,5 @@ def train(problem: ProblemSpec, engine_factory: Callable[[], object],
     for _ in range(n_updates):
         batch = rollout(policy, workers, problem, cfg, log)
         update(policy, batch, cfg, shuffle_rng)
-    return RunResult(
-        front=merged_front(workers),
-        log=log,
-        config=asdict(cfg),
-        wall_time=time.perf_counter() - start,
-        n_evaluations=len(log),
-    )
+    return RunResult(front=merged_front(workers, log), log=log,
+                     wall_time=time.perf_counter() - start)

@@ -5,6 +5,7 @@ the vectorized library code paths.
 """
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -168,6 +169,29 @@ def monte_carlo_hypervolume(front, ref, n_samples, seed=0, chunk=2_000_000):
     estimate = p_hat * box
     stderr = box * math.sqrt(max(p_hat * (1.0 - p_hat), 1e-30) / n_samples)
     return estimate, stderr
+
+
+def grid_hypervolume(front, ref):
+    """Exact dominated hypervolume (minimization) by counting grid cells.
+
+    The distinct coordinates of the points that strictly dominate ``ref``,
+    with ``ref`` itself, cut the box between them into a grid.  A cell lies
+    in the dominated region exactly when some point weakly dominates its
+    lower corner, and the volume is the sum of those cells' volumes.
+    """
+    ref = [float(r) for r in ref]
+    points = [p for p in np.asarray(front, dtype=float).reshape(-1, len(ref)).tolist()
+              if all(a < r for a, r in zip(p, ref))]
+    edges = [sorted({p[k] for p in points} | {ref[k]}) for k in range(len(ref))]
+    total = 0.0
+    for cell in itertools.product(*(range(len(e) - 1) for e in edges)):
+        corner = [edges[k][i] for k, i in enumerate(cell)]
+        if any(all(a <= c for a, c in zip(p, corner)) for p in points):
+            volume = 1.0
+            for k, i in enumerate(cell):
+                volume *= edges[k][i + 1] - edges[k][i]
+            total += volume
+    return total
 
 
 def crowding_distances_direct(front):

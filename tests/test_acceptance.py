@@ -12,7 +12,7 @@ import pytest
 
 from pearlkit.indicators import hypervolume
 from pearlkit.nsga import GAConfig, run_nsga3
-from pearlkit.pareto import Solution, constrained_dominates, non_dominated_sort
+from pearlkit.pareto import Solution, constrained_dominates, non_dominated_mask, non_dominated_sort
 from pearlkit.problems import get_problem
 from pearlkit.rewards import (
     CurriculumConstrained,
@@ -30,6 +30,7 @@ from oracles import (
     brute_force_dominates,
     brute_force_front_indices,
     finite_difference_gradient,
+    grid_hypervolume,
     monte_carlo_hypervolume,
 )
 
@@ -45,7 +46,7 @@ def _report(criterion, passed, detail):
 def _median_hv(problem, results):
     values = []
     for result in results:
-        front = np.array([s.f for s in result.front])
+        front = result.log.F[result.front]
         values.append(hypervolume(front, problem.nadir))
     return float(np.median(values)), values
 
@@ -98,7 +99,7 @@ def test_criterion_04_c2dtlz2_constrained_pearl():
         for seed in SEEDS
     ]
     median, values = _median_hv(problem, results)
-    feasible_counts = [sum(1 for s in r.front if s.feasible) for r in results]
+    feasible_counts = [int(np.sum(r.log.cv[r.front] == 0)) for r in results]
     ok = median >= 25.8 and all(c >= 1 for c in feasible_counts)
     _report(4, ok,
             f"c2-dtlz2 C-PEARL-NdS(crowding, distance-CL) median HV {median:.3f} "
@@ -151,6 +152,29 @@ def test_criterion_07_hypervolume_monte_carlo_oracle():
     _report(7, checked == 50,
             f"exact HV within 3 standard errors of 1e7-sample Monte-Carlo "
             f"on {checked} random fronts (worst gap {worst:.2f} SE)")
+
+
+def test_hypervolume_matches_exact_grid_oracle():
+    # criterion 07's 50 random fronts, where sums in another order may
+    # differ in the last bits
+    rng = np.random.default_rng(2024)
+    for trial in range(50):
+        n_obj = 2 if trial % 2 == 0 else 3
+        raw = rng.random((40, n_obj)) * 2.0
+        front = raw[non_dominated_mask(raw)][:20]
+        ref = np.full(n_obj, 2.2)
+        assert hypervolume(front, ref) == pytest.approx(grid_hypervolume(front, ref),
+                                                        rel=1e-12, abs=0.0), trial
+    # integer sets with ties, duplicates, dominated points and points on or
+    # beyond the reference point's faces, where every cell volume and sum is
+    # exact
+    rng = np.random.default_rng(2025)
+    for trial in range(200):
+        n_obj = 2 if trial % 2 == 0 else 3
+        points = rng.integers(0, 7, size=(int(rng.integers(1, 16)), n_obj)).astype(float)
+        points = np.vstack([points, points[: int(rng.integers(0, 4))]])
+        ref = np.full(n_obj, 5.0)
+        assert hypervolume(points, ref) == grid_hypervolume(points, ref), (trial, points)
 
 
 def test_criterion_08_sorting_matches_exhaustive_oracle():
@@ -220,17 +244,17 @@ def test_criterion_10_reward_invariant_suite():
     for engine in (PearlEpsilon(kappa=16, nu=0.05),
                    PearlNds(kappa=16, ranker="crowding"),
                    PearlNds(kappa=16, ranker="niching", n_obj=3)):
-        for _ in range(400):
-            out = engine.score(make_solution(np.zeros(2), rng.random(3) * 4))
+        for row in range(400):
+            out = engine.score(make_solution(np.zeros(2), rng.random(3) * 4), row)
             assert -16.0 <= out.reward <= 0.0
 
     # distance-CL: every infeasible reward strictly below every feasible one
     engine = CurriculumConstrained(PearlNds(kappa=16, ranker="crowding"))
     feasible, infeasible = [], []
-    for _ in range(500):
+    for row in range(500):
         g = [rng.normal(loc=-0.1, scale=0.7)]
-        out = engine.score(make_solution(np.zeros(2), rng.random(2) * 3, g))
-        (feasible if out.feasible else infeasible).append(out.reward)
+        sol = make_solution(np.zeros(2), rng.random(2) * 3, g)
+        (feasible if sol.feasible else infeasible).append(engine.score(sol, row).reward)
     assert feasible and infeasible
     assert max(infeasible) < min(feasible)
 

@@ -125,6 +125,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{entry['name']}.*{re.escape(key)}"):
             load_config(path)
 
+    @pytest.mark.parametrize("entry,key", [
+        ({"name": "pearl-e", "n_rays": 0}, "n_rays"),
+        ({"name": "pearl-e", "n_rays": -1}, "n_rays"),
+        ({"name": "pearl-e", "n_rays": 1.5}, "n_rays"),
+        ({"name": "pearl-nds", "kappa": 1.5}, "kappa"),
+        ({"name": "pearl-nds", "kappa": True}, "kappa"),
+        ({"name": "pearl-eps", "kappa": 1.5}, "kappa"),
+        ({"name": "c-pearl", "mode": "crowding2", "kappa": 2.5}, "kappa"),
+    ])
+    def test_engine_sizes_must_be_positive_integers(self, tmp_path, entry, key):
+        # at run time 0 and -1 rays failed every cell, and 1.5 ran as 1
+        path, _ = small_config(tmp_path, algorithms=[entry])
+        with pytest.raises(ConfigError, match=f"{key} must be a positive integer"):
+            load_config(path)
+
     @pytest.mark.parametrize("entry", [{"name": "pearl-nds", "kappa": 8},
                                        {"name": "nsga2", "lambda_": 8}])
     def test_budget_below_one_round_rejected_at_load(self, tmp_path, entry):
@@ -236,17 +251,22 @@ class TestRun:
             get_problem("c2dtlz2"), name="never-feasible",
             constraints=lambda x, f: np.array([1.0]))
         monkeypatch.setattr(exp, "get_problem", lambda name: never_feasible)
+        # the NSGA front comes from the log, the c-pearl one from the archives
         path, _ = small_config(tmp_path, problems="never-feasible", seeds=[0],
-                               algorithms=[{"name": "nsga2", "lambda_": 8}])
+                               algorithms=[{"name": "nsga2", "lambda_": 8},
+                                           {"name": "c-pearl", "mode": "crowding2",
+                                            "kappa": 8}])
         out = run_experiment(path)
-        (report,) = read_metric_csv(out / "metrics.csv")
-        assert report.hv == 0.0
-        assert np.isnan([report.gd, report.igd, report.eps]).all()
-        summary = json.loads((out / "nsga2" / "never-feasible" / "seed0" /
-                              "summary.json").read_text())
-        assert summary["metrics"]["hv"] == 0.0
-        assert summary["front_size"] > 0
-        assert summary["feasible_front_size"] == 0
+        reports = read_metric_csv(out / "metrics.csv")
+        assert [report.algorithm for report in reports] == ["nsga2", "c-pearl-crowding2"]
+        for report in reports:
+            assert report.hv == 0.0
+            assert np.isnan([report.gd, report.igd, report.eps]).all()
+            summary = json.loads((out / report.algorithm / "never-feasible" / "seed0" /
+                                  "summary.json").read_text())
+            assert summary["metrics"]["hv"] == 0.0
+            assert summary["front_size"] > 0
+            assert summary["feasible_front_size"] == 0
 
     def test_cell_metrics_carry_no_cardinality_columns(self, tmp_path):
         path, _ = small_config(tmp_path, seeds=[0])

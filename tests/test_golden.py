@@ -1,13 +1,15 @@
 """Golden digests of small seed-0 experiment cells.
 
 Each cell runs through ``run_experiment`` with a budget of 512 evaluations,
-and the sha256 of its ``evaluations.csv`` and ``front.csv`` is pinned.  A
+and the sha256 of its ``evaluations.csv`` and ``front.csv`` is pinned, as
+are the counts and metrics of its ``summary.json``.  A
 refactor that is meant to leave results unchanged must leave these digests
 unchanged; a change that moves them on purpose updates them and says why.
 """
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -57,6 +59,41 @@ CELLS = {
         "5cea22bd76f47687f0d4b6c522a51a182655e0f69b0b5c0cdc370b0a0bcd1c69"),
 }
 
+# summary.json of each cell: front_size, feasible_front_size, n_evaluations
+# and the metrics, all recomputed from the front's log rows
+SUMMARIES = {
+    "c-pearl-crowding2-c2dtlz2": (81, 81, 512, {
+        "hv": 25.43524138682472, "gd": 0.09907482242566225,
+        "igd": 0.13046201425742496, "eps": 0.3792375237989936}),
+    "c-pearl-distance-cl-c2dtlz2": (81, 81, 512, {
+        "hv": 25.390556578103393, "gd": 0.09729457407368064,
+        "igd": 0.13015487133722806, "eps": 0.3684386412201383}),
+    "nsga2-ctp1": (82, 82, 512, {
+        "hv": 7.1146295698095345, "gd": 0.004177845925277397,
+        "igd": 0.029866431519619926, "eps": 0.04453081529278102}),
+    "nsga2-dtlz2": (60, 60, 512, {
+        "hv": 25.731822669652196, "gd": 0.330500942444935,
+        "igd": 0.27281019513718774, "eps": 0.37255854165648417}),
+    "nsga3-c2dtlz2": (91, 91, 512, {
+        "hv": 26.239227883761494, "gd": 0.06258304401688035,
+        "igd": 0.11027728591265276, "eps": 0.16034993486584134}),
+    "pearl-e-dtlz7": (18, 18, 512, {
+        "hv": 0.0, "gd": 7.618766594268012,
+        "igd": 6.9741404327959575, "eps": 8.95478915556402}),
+    "pearl-e-kl-normalized-dtlz2": (63, 63, 512, {
+        "hv": 25.237457361833055, "gd": 0.45266770712642523,
+        "igd": 0.33125941143191245, "eps": 0.42452183972088486}),
+    "pearl-eps-dtlz2": (80, 80, 512, {
+        "hv": 25.66280416124969, "gd": 0.26796764817821694,
+        "igd": 0.24029828996966313, "eps": 0.35415723149498346}),
+    "pearl-nds-crowding-dtlz2": (79, 79, 512, {
+        "hv": 25.65144280037881, "gd": 0.27378711615593976,
+        "igd": 0.24098941816500188, "eps": 0.3534671098647031}),
+    "pearl-nds-niching-dtlz2": (81, 81, 512, {
+        "hv": 25.658688184138704, "gd": 0.27322019110705736,
+        "igd": 0.24087488760852704, "eps": 0.35626335515716945}),
+}
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -76,3 +113,12 @@ def test_seed0_cell_digests(tmp_path, name):
     (cell,) = out.glob("*/*/seed0")
     assert _sha256(cell / "evaluations.csv") == evaluations_sha
     assert _sha256(cell / "front.csv") == front_sha
+    front_size, feasible_front_size, n_evaluations, metrics = SUMMARIES[name]
+    summary = json.loads((cell / "summary.json").read_text())
+    assert summary["front_size"] == front_size
+    assert summary["feasible_front_size"] == feasible_front_size
+    assert summary["n_evaluations"] == n_evaluations
+    assert sorted(summary["metrics"]) == sorted(metrics)
+    for key, value in metrics.items():
+        got = summary["metrics"][key]
+        assert got == value or (math.isnan(got) and math.isnan(value)), (key, got, value)

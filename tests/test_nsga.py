@@ -155,9 +155,7 @@ class TestRuns:
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=16, budget=200, seed=0)
         result = run_nsga2(problem, cfg)
-        assert result.n_evaluations == 16 + 11 * 16
-        assert result.n_evaluations <= 200
-        assert len(result.log) == result.n_evaluations
+        assert len(result.log) == 16 + 11 * 16
         assert (result.log.worker == 0).all()
         assert np.isfinite(result.log.F).all() and np.isnan(result.log.reward).all()
 
@@ -165,25 +163,26 @@ class TestRuns:
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=16, budget=400, seed=1)
         result = run_nsga3(problem, cfg)
-        assert result.front
-        for a in result.front:
-            for b in result.front:
-                if a is not b:
-                    assert not dominates(a.f, b.f)
+        front = result.log.F[result.front]
+        assert len(front)
+        for i, a in enumerate(front):
+            for j, b in enumerate(front):
+                if i != j:
+                    assert not dominates(a, b)
 
     def test_constrained_run_keeps_feasible_members(self):
         problem = get_problem("c2dtlz2")
         cfg = GAConfig(lambda_=16, budget=800, seed=2)
         result = run_nsga3(problem, cfg, constrained=True)
-        assert result.front
-        assert all(m.feasible for m in result.front)
+        assert len(result.front)
+        assert (result.log.cv[result.front] == 0).all()
 
     def test_constrained_nsga2_run_reports_feasible_front(self):
         problem = get_problem("c2dtlz2")
         cfg = GAConfig(lambda_=16, budget=800, seed=2)
         result = run_nsga2(problem, cfg, constrained=True)
-        assert result.front
-        assert all(m.feasible for m in result.front)
+        assert len(result.front)
+        assert (result.log.cv[result.front] == 0).all()
 
     def test_front_is_built_from_the_best_logged_rows(self):
         problem = get_problem("c2dtlz2")
@@ -192,10 +191,9 @@ class TestRuns:
         log = result.log
         feasible = np.flatnonzero(log.cv == 0.0)
         rows = feasible[non_dominated_mask_scalar(log.F[feasible])]
-        assert len(rows) == len(result.front) > 0
-        for row, s in zip(rows, result.front):
-            assert np.array_equal(s.x, log.X[row]) and np.array_equal(s.f, log.F[row])
-            assert np.array_equal(s.g, log.G[row]) and s.feasible is True
+        assert len(rows) > 0
+        assert result.front.dtype == np.intp
+        assert result.front.tolist() == rows.tolist()
 
     def test_feasibility_never_lost_once_found(self):
         problem = get_problem("c2dtlz2")
@@ -263,8 +261,8 @@ class TestFailedEvaluations:
         assert failed.any()
         assert np.array_equal(np.isnan(log.cv), failed)
         assert np.array_equal(np.isnan(log.F).any(axis=1), failed)
-        assert result.front
-        assert all(np.isfinite(m.f).all() and m.x[0] <= 0.7 for m in result.front)
+        assert len(result.front)
+        assert np.isfinite(log.F[result.front]).all() and (log.X[result.front, 0] <= 0.7).all()
 
     def test_constrained_spec_failing_at_centre_runs(self):
         # the objective fails around the box centre; declaring the constraint
@@ -286,7 +284,7 @@ class TestFailedEvaluations:
         assert failed.any()
         assert log.G.shape == (400, 1)
         assert np.array_equal(np.isnan(log.G).all(axis=1), failed)
-        assert result.front
+        assert len(result.front)
 
     @staticmethod
     def misdeclared_specs():

@@ -29,6 +29,12 @@ def sol(f, cv=0.0, g=None):
     return Solution(x=np.zeros(2), f=f, g=np.asarray(g, dtype=float), cv=cv)
 
 
+def oracle_rows(oracle, log):
+    """The rows of ``log`` that ``oracle`` holds, in its member order."""
+    row_of = {id(s): row for row, s in enumerate(log)}
+    return [row_of[id(m)] for m in oracle.members]
+
+
 class TestDominates:
     def test_strict_improvement(self):
         assert dominates((1, 2), (2, 3))
@@ -215,68 +221,79 @@ class TestNonDominatedMask:
 class TestParetoArchive:
     def test_dominating_insert_into_singleton(self):
         archive = ParetoArchive(capacity=4)
-        archive.insert(sol((2, 2)), crowding_rank)
-        rank = archive.insert(sol((1, 1)), crowding_rank)
+        archive.insert(sol((2, 2)), 0, crowding_rank)
+        rank = archive.insert(sol((1, 1)), 1, crowding_rank)
         assert rank == 0
         assert len(archive) == 1
-        assert archive.members[0].f.tolist() == [1.0, 1.0]
+        assert archive.rows().tolist() == [1]
+        assert archive.objectives().tolist() == [[1.0, 1.0]]
 
     def test_dominated_insert_rejected(self):
         archive = ParetoArchive(capacity=4)
-        archive.insert(sol((1, 1)), crowding_rank)
-        assert archive.insert(sol((2, 2)), crowding_rank) is None
-        assert len(archive) == 1
+        archive.insert(sol((1, 1)), 0, crowding_rank)
+        assert archive.insert(sol((2, 2)), 1, crowding_rank) is None
+        assert archive.rows().tolist() == [0]
 
     def test_interior_point_evicted_at_capacity(self):
         archive = ParetoArchive(capacity=2)
-        archive.insert(sol((0, 2)), crowding_rank)
-        archive.insert(sol((2, 0)), crowding_rank)
-        rank = archive.insert(sol((1, 1)), crowding_rank)
+        archive.insert(sol((0, 2)), 0, crowding_rank)
+        archive.insert(sol((2, 0)), 1, crowding_rank)
+        rank = archive.insert(sol((1, 1)), 2, crowding_rank)
         assert rank == 2
-        assert len(archive) == 2
-        kept = sorted(tuple(m.f) for m in archive.members)
+        assert sorted(archive.rows().tolist()) == [0, 1]
+        kept = sorted(map(tuple, archive.objectives().tolist()))
         assert kept == [(0.0, 2.0), (2.0, 0.0)]
 
     def test_duplicate_objectives_rejected(self):
         archive = ParetoArchive(capacity=4)
-        archive.insert(sol((1, 2)), crowding_rank)
-        assert archive.insert(sol((1, 2)), crowding_rank) is None
-        assert len(archive) == 1
+        archive.insert(sol((1, 2)), 0, crowding_rank)
+        assert archive.insert(sol((1, 2)), 1, crowding_rank) is None
+        assert archive.rows().tolist() == [0]
 
     def test_random_insert_sequence_keeps_invariants(self):
         rng = np.random.default_rng(31)
         archive = ParetoArchive(capacity=6)
-        for _ in range(300):
-            archive.insert(sol(rng.random(3) * 4), crowding_rank)
+        for row in range(300):
+            archive.insert(sol(rng.random(3) * 4), row, crowding_rank)
             assert len(archive) <= 6
-            for i, a in enumerate(archive.members):
-                for j, b in enumerate(archive.members):
+            objs = archive.objectives()
+            for i, a in enumerate(objs):
+                for j, b in enumerate(objs):
                     if i != j:
-                        assert not dominates(a.f, b.f)
+                        assert not dominates(a, b)
 
     def test_unbounded_add(self):
         archive = ParetoArchive(capacity=None)
         rng = np.random.default_rng(37)
-        for _ in range(200):
-            archive.add(sol(rng.random(2) * 4))
+        for row in range(200):
+            archive.add(sol(rng.random(2) * 4), row)
         objs = archive.objectives()
         assert non_dominated_mask(objs).all()
 
+    def test_empty_archive_has_no_rows(self):
+        rows = ParetoArchive(capacity=4).rows()
+        assert rows.shape == (0,) and rows.dtype == np.intp
+
+    def test_rows_returns_a_copy(self):
+        archive = ParetoArchive(capacity=None)
+        archive.add(sol((1, 2)), 5)
+        archive.rows()[0] = 9
+        assert archive.rows().tolist() == [5]
+
     def test_constrained_relation_feasible_displaces_infeasible(self):
         archive = ParetoArchive(capacity=4, constrained=True)
-        archive.insert(sol((5, 5), cv=0.4), crowding_rank)
-        archive.insert(sol((6, 6), cv=0.2), crowding_rank)
-        rank = archive.insert(sol((0, 0)), crowding_rank)
+        archive.insert(sol((5, 5), cv=0.4), 0, crowding_rank)
+        archive.insert(sol((6, 6), cv=0.2), 1, crowding_rank)
+        rank = archive.insert(sol((0, 0)), 2, crowding_rank)
         assert rank == 0
-        assert len(archive) == 1
-        assert archive.members[0].feasible
+        assert archive.rows().tolist() == [2]
 
     def test_feasible_duplicate_replaces_infeasible_twin(self):
         archive = ParetoArchive(capacity=4, constrained=True)
-        archive.insert(sol((1, 2), cv=0.3), crowding_rank)
-        rank = archive.insert(sol((1, 2)), crowding_rank)
+        archive.insert(sol((1, 2), cv=0.3), 0, crowding_rank)
+        rank = archive.insert(sol((1, 2)), 1, crowding_rank)
         assert rank == 0
-        assert archive.members[0].feasible
+        assert archive.rows().tolist() == [1]
 
 
 # Integer-grid objectives and a few violation levels, so duplicates, ties and
@@ -295,15 +312,15 @@ class TestArchiveMatchesOracle:
     def test_insert_and_add_match_scalar_oracle(self, constrained, capacity, points):
         archive = ParetoArchive(capacity=capacity, constrained=constrained)
         oracle = OracleArchive(capacity=capacity, constrained=constrained)
-        for f, cv in points:
-            s = sol(f, cv=cv)
+        log = [sol(f, cv=cv) for f, cv in points]
+        for row, s in enumerate(log):
             if capacity is None:
-                assert archive.add(s) == oracle.add(s)
+                assert archive.add(s, row) == oracle.add(s)
             else:
-                assert archive.insert(s, crowding_rank) == oracle.insert(s, crowding_rank)
-            assert [id(m) for m in archive.members] == [id(m) for m in oracle.members]
+                assert archive.insert(s, row, crowding_rank) == oracle.insert(s, crowding_rank)
+            assert archive.rows().tolist() == oracle_rows(oracle, log)
 
-            members = archive.members
+            members = [log[row] for row in archive.rows()]
             if capacity is not None:
                 assert len(members) <= capacity
             for a in members:
@@ -338,20 +355,21 @@ class TestArchiveArraysMatchOracle:
     def test_arrays_stay_in_step_with_members(self, constrained, capacity, points):
         archive = ParetoArchive(capacity=capacity, constrained=constrained)
         oracle = OracleArchive(capacity=capacity, constrained=constrained)
-        for f, cv in points:
-            s = sol(f, cv=cv)
+        log = [sol(f, cv=cv) for f, cv in points]
+        for row, s in enumerate(log):
             if capacity is None:
-                assert archive.add(s) == oracle.add(s)
+                assert archive.add(s, row) == oracle.add(s)
             else:
-                assert archive.insert(s, crowding_rank) == oracle.insert(s, crowding_rank)
-            assert [id(m) for m in archive.members] == [id(m) for m in oracle.members]
+                assert archive.insert(s, row, crowding_rank) == oracle.insert(s, crowding_rank)
+            rows = archive.rows()
+            assert rows.tolist() == oracle_rows(oracle, log)
 
             objs = archive.objectives()
-            np.testing.assert_array_equal(objs, np.array([m.f for m in archive.members]))
-            assert archive._cv[:len(archive)].tolist() == [m.cv for m in archive.members]
+            np.testing.assert_array_equal(objs, np.array([log[r].f for r in rows]))
+            assert archive._cv[:len(archive)].tolist() == [log[r].cv for r in rows]
             objs += 1.0
             np.testing.assert_array_equal(archive.objectives(),
-                                          np.array([m.f for m in archive.members]))
+                                          np.array([log[r].f for r in rows]))
 
 
 class TestBestFront:

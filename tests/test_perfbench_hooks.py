@@ -27,11 +27,36 @@ spans = sum(1 for span in tracer.spans if span[0] == generation)
 assert spans == 6, spans
 """
 
+TRAIN_SCRIPT = """
+from tracing import Tracer
+from pearlkit.problems import get_problem
+from pearlkit.rewards import PearlNds
+from pearlkit.trainer import TrainerConfig, train
 
-def test_tracer_installs_and_records_generations():
+tracer = Tracer().install()
+cfg = TrainerConfig(n_steps=8, ncores=2, budget=64, hidden=8)
+result = train(get_problem("dtlz2"), lambda: PearlNds(kappa=8), cfg)
+def spans(layer):
+    return [span for span in tracer.spans if span[0] == tracer.layers.index(layer)]
+scores = spans("rewards.score")
+assert len(scores) == len(result.log) == 64, len(scores)
+assert spans("pareto.archive.insert")
+assert {span[4] for span in scores} <= {0, 1}, {span[4] for span in scores}
+"""
+
+
+def _run_traced(script):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave perfbench/ untouched
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT / "perfbench", env=env,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT / "perfbench", env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_tracer_installs_and_records_generations():
+    _run_traced(SCRIPT)
+
+
+def test_tracer_records_every_trainer_score():
+    _run_traced(TRAIN_SCRIPT)

@@ -115,22 +115,22 @@ class TestUniformityTerms:
 class TestEpsilonEngine:
     def test_empty_archive_rank_zero(self):
         engine = PearlEpsilon(kappa=8, nu=0.05)
-        out = engine.score(sol((1, 2)))
+        out = engine.score(sol((1, 2)), 0)
         assert out.reward == 0.0
         assert out.archived
 
     def test_dominated_gets_full_penalty(self):
         engine = PearlEpsilon(kappa=8, nu=0.05)
-        engine.score(sol((1, 1)))
-        out = engine.score(sol((2, 2)))
+        engine.score(sol((1, 1)), 0)
+        out = engine.score(sol((2, 2)), 1)
         assert out.reward == -8.0
         assert not out.archived
         assert len(engine.archive) == 1
 
     def test_two_member_fitness_tie_breaks_lexicographically(self):
         engine = PearlEpsilon(kappa=8, nu=0.05)
-        engine.score(sol((0, 1)))
-        out = engine.score(sol((1, 0)))
+        engine.score(sol((0, 1)), 0)
+        out = engine.score(sol((1, 0)), 1)
         # pairwise indicator is 1 on the normalized scale in both directions,
         # fitness ties at -exp(-20); (0,1) precedes (1,0) lexicographically
         assert out.reward == -1.0
@@ -142,8 +142,8 @@ class TestEpsilonEngine:
     def test_rewards_stay_in_range(self):
         rng = np.random.default_rng(17)
         engine = PearlEpsilon(kappa=6, nu=0.05)
-        for _ in range(300):
-            out = engine.score(sol(rng.random(3) * 5))
+        for row in range(300):
+            out = engine.score(sol(rng.random(3) * 5), row)
             assert -6.0 <= out.reward <= 0.0
             assert float(out.reward).is_integer() or out.reward == -6.0
             assert len(engine.archive) <= 6
@@ -152,30 +152,30 @@ class TestEpsilonEngine:
 class TestNdsEngine:
     def test_empty_archive(self):
         engine = PearlNds(kappa=4, ranker="crowding")
-        assert engine.score(sol((1, 1))).reward == 0.0
+        assert engine.score(sol((1, 1)), 0).reward == 0.0
 
     def test_dominating_candidate_gets_rank_zero(self):
         engine = PearlNds(kappa=4, ranker="crowding")
-        engine.score(sol((3, 3)))
-        engine.score(sol((4, 2)))
-        out = engine.score(sol((1, 1)))
+        engine.score(sol((3, 3)), 0)
+        engine.score(sol((4, 2)), 1)
+        out = engine.score(sol((1, 1)), 2)
         assert out.reward == 0.0
         assert len(engine.archive) == 1
 
     def test_interior_point_behind_boundaries(self):
         engine = PearlNds(kappa=4, ranker="crowding")
-        engine.score(sol((0, 2)))
-        engine.score(sol((2, 0)))
-        out = engine.score(sol((1, 1)))
+        engine.score(sol((0, 2)), 0)
+        engine.score(sol((2, 0)), 1)
+        out = engine.score(sol((1, 1)), 2)
         assert out.reward == -2.0
 
     def test_rewards_in_allowed_set(self):
         rng = np.random.default_rng(19)
         for ranker in ("crowding", "niching"):
             engine = PearlNds(kappa=5, ranker=ranker, n_obj=3)
-            for _ in range(300):
+            for row in range(300):
                 size_before = len(engine.archive)
-                out = engine.score(sol(rng.random(3) * 4))
+                out = engine.score(sol(rng.random(3) * 4), row)
                 assert out.reward in {-5.0} | {-float(k) for k in range(size_before + 1)}
 
     def test_niching_ranks_minimized_rows(self):
@@ -184,11 +184,11 @@ class TestNdsEngine:
         # the mirrored rows 1 - f would put both on the middle one
         front = np.array([(0.0, 1.0), (1.0, 0.0), (0.1, 0.5), (0.5, 0.1)])
         engine = PearlNds(kappa=3, ranker="niching", n_obj=2)
-        rewards = [engine.score(sol(f)).reward for f in front]
+        rewards = [engine.score(sol(f), row).reward for row, f in enumerate(front)]
         order = niching_rank(front, das_dennis(2, 2)).order.tolist()
         assert order == [0, 1, 2, 3]
         assert rewards == [0.0, -1.0, -2.0, -3.0]
-        assert [tuple(m.f) for m in engine.archive.members] == [tuple(f) for f in front[:3]]
+        assert engine.archive.rows().tolist() == [0, 1, 2]
 
     def test_monotone_in_dominance_crowding_two_objectives(self):
         rng = np.random.default_rng(23)
@@ -199,9 +199,9 @@ class TestNdsEngine:
             rewards = []
             for candidate in (s1, s2):
                 engine = PearlNds(kappa=4, ranker="crowding")
-                for b in base:
-                    engine.score(b)
-                rewards.append(engine.score(sol(candidate)).reward)
+                for row, b in enumerate(base):
+                    engine.score(b, row)
+                rewards.append(engine.score(sol(candidate), len(base)).reward)
             assert rewards[0] >= rewards[1]
 
     def test_dominance_monotonicity_can_fail_beyond_two_objectives(self):
@@ -215,9 +215,9 @@ class TestNdsEngine:
         rewards = []
         for candidate in (s1, s2):
             engine = PearlNds(kappa=4, ranker="crowding")
-            for b in base:
-                engine.score(b)
-            rewards.append(engine.score(sol(candidate)).reward)
+            for row, b in enumerate(base):
+                engine.score(b, row)
+            rewards.append(engine.score(sol(candidate), len(base)).reward)
         assert rewards == [-2.0, -1.0]
 
 
@@ -241,62 +241,66 @@ class TestConstraintViolation:
 class TestCurriculumConstrained:
     def test_feasible_empty_archive(self):
         engine = CurriculumConstrained(PearlNds(kappa=4, ranker="crowding"))
-        out = engine.score(sol((1, 1)))
-        assert out.reward == 0.0 and out.feasible and out.archived
+        out = engine.score(sol((1, 1)), 0)
+        assert out.reward == 0.0 and out.archived
+        assert engine.archive.rows().tolist() == [0]
 
     def test_infeasible_penalty(self):
         engine = CurriculumConstrained(PearlNds(kappa=64, ranker="crowding"))
-        out = engine.score(sol((1, 1), g=[0.5, 0.2]))
+        out = engine.score(sol((1, 1), g=[0.5, 0.2]), 0)
         assert out.reward == pytest.approx(-64.29)
-        assert not out.feasible and not out.archived
+        assert not out.archived
         assert len(engine.archive) == 0
 
     def test_archive_only_holds_feasible(self):
         rng = np.random.default_rng(29)
         engine = CurriculumConstrained(PearlNds(kappa=8, ranker="crowding"))
-        for _ in range(200):
-            g = [rng.normal()]
-            engine.score(sol(rng.random(2), g=g))
-        assert all(m.feasible for m in engine.archive.members)
+        log = [sol(rng.random(2), g=[rng.normal()]) for _ in range(200)]
+        for row, s in enumerate(log):
+            engine.score(s, row)
+        assert len(engine.archive) > 0
+        assert all(log[row].feasible for row in engine.archive.rows())
 
     def test_infeasible_strictly_below_feasible_when_bonus_matches_kappa(self):
         rng = np.random.default_rng(31)
         engine = CurriculumConstrained(PearlNds(kappa=4, ranker="crowding"))
         feasible_rewards, infeasible_rewards = [], []
-        for _ in range(300):
+        for row in range(300):
             g = [rng.normal(loc=-0.2, scale=0.6)]
-            out = engine.score(sol(rng.random(2) * 3, g=g))
-            (feasible_rewards if out.feasible else infeasible_rewards).append(out.reward)
+            s = sol(rng.random(2) * 3, g=g)
+            out = engine.score(s, row)
+            (feasible_rewards if s.feasible else infeasible_rewards).append(out.reward)
         assert feasible_rewards and infeasible_rewards
         assert max(infeasible_rewards) < min(feasible_rewards)
 
     def test_rank2_infeasible_vs_feasible_archive(self):
         engine = PearlNds(kappa=4, ranker="crowding", constrained=True)
-        engine.score(sol((5, 5)))
-        out = engine.score(sol((1, 1), g=[0.4]))
+        engine.score(sol((5, 5)), 0)
+        out = engine.score(sol((1, 1), g=[0.4]), 1)
         assert out.reward == -4.0
         assert not out.archived
 
     def test_rank2_tracks_least_violating_before_feasibility(self):
         engine = PearlNds(kappa=4, ranker="crowding", constrained=True)
-        assert engine.score(sol((0, 0), g=[0.9])).reward == 0.0
-        assert engine.score(sol((1, 1), g=[0.5])).reward == 0.0
-        assert len(engine.archive) == 1
-        assert engine.archive.members[0].cv == pytest.approx(0.25)
+        log = [sol((0, 0), g=[0.9]), sol((1, 1), g=[0.5])]
+        assert engine.score(log[0], 0).reward == 0.0
+        assert engine.score(log[1], 1).reward == 0.0
+        assert engine.archive.rows().tolist() == [1]
+        assert log[1].cv == pytest.approx(0.25)
 
 
 class TestEnvelopeEngine:
     def test_requires_resample_before_scoring(self):
         engine = PearlEnvelope(n_obj=2, lambda_=0.0)
         with pytest.raises(RuntimeError):
-            engine.score(sol((1, 1)))
+            engine.score(sol((1, 1)), 0)
 
     def test_archive_unbounded_and_reward_ignores_it(self):
         rng = np.random.default_rng(37)
         engine = PearlEnvelope(n_obj=2, lambda_=0.0, n_rays=1)
         engine.resample(rng)
         w = engine.rays[0].copy()
-        rewards = [engine.score(sol(rng.random(2) * 3)).reward for _ in range(100)]
+        rewards = [engine.score(sol(rng.random(2) * 3), row).reward for row in range(100)]
         assert len(engine.archive) > 1
         # every reward is exactly the scalarization, independent of archive
         # state: each point scored again on a fresh engine with an empty archive
@@ -305,14 +309,14 @@ class TestEnvelopeEngine:
         for r in rewards:
             engine2 = PearlEnvelope(n_obj=2, lambda_=0.0, n_rays=1)
             engine2.rays = w[None, :]
-            assert r == engine2.score(sol(rng2.random(2) * 3)).reward
+            assert r == engine2.score(sol(rng2.random(2) * 3), 0).reward
 
     def test_normalized_objectives(self):
         engine = PearlEnvelope(n_obj=2, lambda_=0.0, normalized_obj=True)
         engine.rays = np.array([[0.5, 0.5]])
-        engine.score(sol((0, 0)))
-        engine.score(sol((4, 2)))
-        out = engine.score(sol((2, 1)))
+        engine.score(sol((0, 0)), 0)
+        engine.score(sol((4, 2)), 1)
+        out = engine.score(sol((2, 1)), 2)
         # rewards -f span [-4, 0] x [-2, 0]: normalized profile (0.5, 0.5)
         assert out.reward == pytest.approx(0.5)
 

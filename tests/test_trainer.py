@@ -107,17 +107,6 @@ class TestRollout:
         assert np.all((log.X >= 0) & (log.X <= 1))
         assert np.all(batch.rewards >= -1.0) and np.all(batch.rewards <= 0.0)
 
-    def test_token_observation_mode(self):
-        cfg = TrainerConfig(n_steps=4, ncores=2, hidden=8, observation="token")
-        problem = get_problem("dtlz2")
-        workers = self.make_workers(2)
-        policy = PolicyState(obs_dim=1, act_dim=12, cfg=cfg,
-                             rng=np.random.default_rng(0), init_log_std=-0.75)
-        log = EvaluationLog(cfg.batch_size(), problem)
-        batch = rollout(policy, workers, problem, cfg, log)
-        assert batch.observations.shape == (8, 1)
-        assert np.all(batch.observations == 1.0)
-
     def test_evaluation_failure_flagged_not_fatal(self, monkeypatch):
         import pearlkit.trainer as trainer_module
         from pearlkit.rewards import make_solution
@@ -151,7 +140,7 @@ class TestRollout:
         workers = self.make_workers(1, kappa=8)
         policy = PolicyState(obs_dim=12, act_dim=12, cfg=cfg,
                              rng=np.random.default_rng(0), init_log_std=-0.75)
-        monkeypatch.setattr(trainer_module, "squash", lambda z, kind: np.full_like(z, np.nan))
+        monkeypatch.setattr(trainer_module, "squash", lambda z: np.full_like(z, np.nan))
         log = EvaluationLog(3, problem)
         batch = rollout(policy, workers, problem, cfg, log=log)
         assert log.reward.tolist() == [-8.0, -8.0, -8.0]
@@ -293,10 +282,8 @@ class TestTrain:
                        lambda: PearlNds(kappa=8, ranker="crowding", constrained=True),
                        cfg)
         # 100 // 16 = 6 rounds of 16 evaluations
-        assert result.n_evaluations == 96
         assert len(result.log) == 96
         assert result.log.worker.tolist() == ([0] * 8 + [1] * 8) * 6
-        assert result.n_evaluations <= cfg.budget
 
     def test_fixed_seed_reproduces_evaluation_log(self):
         cfg = TrainerConfig(n_steps=8, ncores=3, budget=96, hidden=8, seed=7)
@@ -316,16 +303,17 @@ class TestTrain:
         cfg = TrainerConfig(n_steps=8, ncores=2, budget=160, hidden=8, seed=3)
         result = train(get_problem("dtlz2"),
                        lambda: PearlNds(kappa=8, ranker="crowding"), cfg)
-        assert result.front
-        for a in result.front:
-            for b in result.front:
-                if a is not b:
-                    assert not dominates(a.f, b.f)
+        front = result.log.F[result.front]
+        assert len(front)
+        for i, a in enumerate(front):
+            for j, b in enumerate(front):
+                if i != j:
+                    assert not dominates(a, b)
 
     def test_epsilon_engine_trains(self):
         cfg = TrainerConfig(n_steps=8, ncores=2, budget=96, hidden=8, seed=4)
         result = train(get_problem("dtlz2"), lambda: PearlEpsilon(kappa=8, nu=0.05), cfg)
-        assert result.n_evaluations == 96
+        assert len(result.log) == 96
 
 
 class TestMergedFront:
@@ -337,8 +325,28 @@ class TestMergedFront:
                     np.random.Generator(np.random.PCG64(streams[0])))
         w2 = Worker(1, PearlNds(kappa=4, ranker="crowding", constrained=True),
                     np.random.Generator(np.random.PCG64(streams[1])))
-        w1.engine.score(make_solution(np.zeros(2), [1.0, 1.0], [0.5]))
-        w2.engine.score(make_solution(np.zeros(2), [2.0, 2.0], [-1.0]))
-        front = merged_front([w1, w2])
-        assert len(front) == 1
-        assert front[0].feasible
+        problem = get_problem("ctp1")
+        log = EvaluationLog(2, problem)
+        for worker, f, g in ((w1, [1.0, 1.0], [0.5, 0.0]), (w2, [2.0, 2.0], [-1.0, -1.0])):
+            sol = make_solution(np.zeros(problem.n_x), f, g)
+            worker.engine.score(sol, len(log))
+            log.record(worker.index, sol.x, sol, 0.0)
+        assert merged_front([w1, w2], log).tolist() == [1]
+
+    def test_keeps_worker_then_archive_order(self):
+        from pearlkit.rewards import make_solution
+
+        problem = get_problem("dtlz2")
+        workers = [Worker(i, PearlNds(kappa=4, ranker="crowding"), None) for i in range(3)]
+        # four mutually non-dominated points; worker 2 archives nothing
+        points = [(0, [0.0, 1.0, 1.0]), (1, [1.0, 0.0, 1.0]),
+                  (0, [1.0, 1.0, 0.0]), (1, [0.5, 0.5, 0.5])][::-1]
+        log = EvaluationLog(len(points), problem)
+        for worker, f in points:
+            sol = make_solution(np.zeros(problem.n_x), f)
+            workers[worker].engine.score(sol, len(log))
+            log.record(worker, sol.x, sol, 0.0)
+        rows = np.concatenate([w.engine.archive.rows() for w in workers])
+        front = merged_front(workers, log)
+        assert front.tolist() == rows.tolist()
+        assert front.tolist() != sorted(front.tolist())
