@@ -13,9 +13,7 @@ import numpy as np
 
 from pearlkit import (
     ParetoArchive,
-    Solution,
     best_front,
-    constrained_dominates,
     crowding_rank,
     dominates,
     non_dominated_sort,
@@ -26,12 +24,13 @@ print(dominates((1, 2), (2, 3)))   # True
 print(dominates((1, 2), (1, 2)))   # False: equal vectors never dominate
 print(dominates((3, 1), (1, 3)))   # False: incomparable trade-off
 
-# Constrained dominance: any feasible solution beats any infeasible one,
-# and between infeasible solutions the smaller violation wins.
-feasible = Solution(x=np.zeros(2), f=np.array([9.0, 9.0]))
-infeasible = Solution(x=np.zeros(2), f=np.array([0.0, 0.0]),
-                      g=np.array([0.4]), cv=0.16)
-print(constrained_dominates(feasible, infeasible))  # True despite worse objectives
+# Constrained dominance: any feasible point (violation 0) beats any
+# infeasible one, and between infeasible points the smaller violation wins.
+# Sorting two rows with constrained=True shows it: the feasible row 0 comes
+# first despite worse objectives.
+pair = np.array([[9.0, 9.0], [0.0, 0.0]])
+print([front.tolist() for front in
+       non_dominated_sort(pair, np.array([0.0, 0.16]), constrained=True)])  # [[0], [1]]
 
 # Non-dominated sorting peels objective rows into fronts of row indices;
 # the violations only count with constrained=True.
@@ -46,14 +45,13 @@ violations[[1, 2]] = 0.3
 print("best front:", best_front(objectives, violations).tolist())  # [0, 3]
 
 # The bounded archive keeps at most kappa mutually non-dominated members,
-# ranked by a density measure; inserting returns the candidate's rank.
-# A member is named by its row in the caller's evaluation log (here the
-# index of the candidate in the loop).
+# ranked by a density measure; insert(f, cv, row, ranker) returns the
+# candidate's rank.  A member is named by its row in the caller's evaluation
+# log (here the index of the candidate in the loop).
 archive = ParetoArchive(capacity=4)
 rng = np.random.default_rng(0)
 for row in range(200):
-    candidate = Solution(x=rng.random(2), f=rng.random(2) * 4)
-    archive.insert(candidate, row, crowding_rank)
+    archive.insert(rng.random(2) * 4, 0.0, row, crowding_rank)
 print("archive size:", len(archive))
 print("archive rows:", archive.rows().tolist())
 print("archive objectives:\n", np.round(archive.objectives(), 3))

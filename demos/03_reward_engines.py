@@ -13,10 +13,11 @@ import numpy as np
 
 from pearlkit import (
     CurriculumConstrained,
+    EvaluationLog,
     PearlEnvelope,
     PearlEpsilon,
     PearlNds,
-    make_solution,
+    ProblemSpec,
     sample_preferences,
 )
 
@@ -28,36 +29,51 @@ peaked = sample_preferences((10, 10, 10), 5, rng)
 print("uniform rays:\n", np.round(flat, 3))
 print("concentrated rays:\n", np.round(peaked, 3))
 
-# Every score call names the evaluation-log row of the solution; an engine's
-# archive keeps the rows of the members it admits.
+# Engines score evaluations where a run keeps them: in the rows of its
+# EvaluationLog.  log.evaluate fills the next row, engine.score(log, row)
+# reads it, and an engine's archive keeps the rows of the members it admits.
+# Here the two costs of a point x of the unit square are 4 * x.
+costs = ProblemSpec("costs", n_x=2, n_obj=2, objectives=lambda x: 4.0 * x)
+log = EvaluationLog(16, costs)
+
+
+def evaluated(f):
+    """Evaluate the point whose costs are ``f`` into the next row of the log
+    and return that row."""
+    row = len(log)
+    log.evaluate(costs, 0, np.asarray(f, dtype=float) / 4.0)
+    return row
+
 
 # Envelope engine: reward = best scalarization over the active rays.
 envelope = PearlEnvelope(n_obj=2, alpha=1.0, lambda_=1.0, uniformity="cos")
 envelope.resample(rng)
-sol = make_solution(np.zeros(2), [2.0, 4.0])  # costs; the reward is -f
-print("\nenvelope reward:", round(envelope.score(sol, 0).reward, 4))
+row = evaluated([2.0, 4.0])  # costs; the reward is -f
+print("\nenvelope reward:", round(envelope.score(log, row).reward, 4))
 
 # Rank engines: reward is minus the candidate's archive rank, or minus the
 # buffer capacity when the candidate is dominated.
 nds = PearlNds(kappa=8, ranker="crowding")
-print("\nfirst insert:", nds.score(make_solution(np.zeros(2), [1.0, 1.0]), 0).reward)
-print("interior insert:",
-      nds.score(make_solution(np.zeros(2), [0.5, 1.5]), 1).reward)
-print("dominated insert:",
-      nds.score(make_solution(np.zeros(2), [2.0, 2.0]), 2).reward)
+print("\nfirst insert:", nds.score(log, evaluated([1.0, 1.0])).reward)
+print("interior insert:", nds.score(log, evaluated([0.5, 1.5])).reward)
+print("dominated insert:", nds.score(log, evaluated([2.0, 2.0])).reward)
 print("archived rows:", nds.archive.rows().tolist())
 
 eps = PearlEpsilon(kappa=8, nu=0.05)
-for row, objectives in enumerate(([1.0, 0.0], [0.0, 1.0], [0.5, 0.5])):
-    out = eps.score(make_solution(np.zeros(2), objectives), row)
+for objectives in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5]):
+    out = eps.score(log, evaluated(objectives))
     print("epsilon-indicator reward:", out.reward, "archived:", out.archived)
 
 # Curriculum wrapper: infeasible solutions pay distance + bonus and never
-# enter the archive, so the buffer only ever holds feasible solutions.
+# enter the archive, so the buffer only ever holds feasible solutions.  The
+# constraints x_i <= 0.5 are violated by g = x - 0.5 where positive.
+boxed = ProblemSpec("boxed-costs", n_x=2, n_obj=2, objectives=lambda x: 4.0 * x,
+                    constraints=lambda x, f: x - 0.5, n_constraints=2)
+boxed_log = EvaluationLog(2, boxed)
+boxed_log.evaluate(boxed, 0, np.array([1.0, 0.7]))  # g = (0.5, 0.2)
+boxed_log.evaluate(boxed, 0, np.array([0.4, 0.3]))  # g = (-0.1, -0.2)
 constrained = CurriculumConstrained(PearlNds(kappa=64, ranker="crowding"))
-log = [make_solution(np.zeros(2), [1.0, 1.0], constraints=[0.5, 0.2]),
-       make_solution(np.zeros(2), [1.0, 1.0], constraints=[-0.1, -0.2])]
-print("\ninfeasible reward:", constrained.score(log[0], 0).reward)    # -(0.29) - 64
-print("feasible reward:", constrained.score(log[1], 1).reward)
+print("\ninfeasible reward:", constrained.score(boxed_log, 0).reward)    # -(0.29) - 64
+print("feasible reward:", constrained.score(boxed_log, 1).reward)
 print("archive holds only feasible members:",
-      all(log[row].feasible for row in constrained.archive.rows()))
+      bool((boxed_log.cv[constrained.archive.rows()] == 0).all()))

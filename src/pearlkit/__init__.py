@@ -10,9 +10,7 @@ rank-based significance tests.
 from .pareto import (
     FEASIBILITY_TOL,
     ParetoArchive,
-    Solution,
     best_front,
-    constrained_dominates,
     dominates,
     non_dominated_mask,
     non_dominated_sort,
@@ -32,7 +30,6 @@ from .rewards import (
     PearlNds,
     RewardOutcome,
     constraint_violation,
-    make_solution,
     pearl_e_reward,
     sample_preferences,
 )
@@ -59,14 +56,13 @@ from .stats import critical_difference, friedman, nemenyi
 __version__ = "0.1.0"
 
 __all__ = [
-    "FEASIBILITY_TOL", "ParetoArchive", "Solution", "best_front",
-    "constrained_dominates", "dominates", "non_dominated_mask",
-    "non_dominated_sort",
+    "FEASIBILITY_TOL", "ParetoArchive", "best_front", "dominates",
+    "non_dominated_mask", "non_dominated_sort",
     "DensityRank", "ReferenceDirectionSet", "crowding_rank", "das_dennis",
     "default_divisions", "niching_rank",
     "CurriculumConstrained", "PearlEnvelope", "PearlEpsilon", "PearlNds",
-    "RewardOutcome", "constraint_violation", "make_solution",
-    "pearl_e_reward", "sample_preferences",
+    "RewardOutcome", "constraint_violation", "pearl_e_reward",
+    "sample_preferences",
     "PROBLEMS", "ProblemSpec", "evaluate", "get_problem",
     "reference_front",
     "EvaluationLog", "RunResult", "TrainerConfig", "train",

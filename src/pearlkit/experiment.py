@@ -188,6 +188,9 @@ def _c_pearl_engine(problem: ProblemSpec, params: dict):
     if inner not in known:
         raise ConfigError(f"key 'inner': unknown c-pearl inner {inner!r} (known: {known})")
     wrapper = {key: params.pop(key) for key in ("M", "gammas") if key in params}
+    if wrapper.get("gammas") is not None and np.size(wrapper["gammas"]) != problem.n_constraints:
+        raise ConfigError(f"key 'gammas': needs one weight per constraint of {problem.name} "
+                          f"({problem.n_constraints}), got {np.size(wrapper['gammas'])}")
     return CurriculumConstrained(_ENGINES[inner](problem, params), **wrapper)
 
 

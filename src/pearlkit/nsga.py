@@ -26,7 +26,7 @@ from .density import (ReferenceDirectionSet, associate, best_first, crowding_ran
                       default_divisions, minmax_normalize)
 from .pareto import best_front, non_dominated_sort
 from .problems import ProblemSpec
-from .trainer import EvaluationLog, RunResult, evaluate_solution
+from .trainer import EvaluationLog, RunResult
 
 
 @dataclass
@@ -178,9 +178,7 @@ def _run(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool], step)
 
     def evaluate(X: np.ndarray) -> np.ndarray:
         first = len(log)
-        for x in X:
-            log.record(0, x, evaluate_solution(problem, x, len(log)), np.nan)
-        return first + np.flatnonzero(~np.isnan(log.cv[first:len(log)]))
+        return first + np.flatnonzero([log.evaluate(problem, 0, x) for x in X])
 
     pop = evaluate(rng.uniform(problem.lower, problem.upper, (cfg.pop_size, problem.n_x)))
     for _ in range(generations):

@@ -4,15 +4,17 @@ Every objective is minimized, and objective vectors are stored exactly as
 the problem returns them.
 
 Two dominance relations exist: plain dominance on the objectives and, with
-``constrained=True``, feasibility first (after Deb et al., IEEE TEC 2002).
-``dominates`` and ``constrained_dominates`` are their scalar forms;
-``_dominance`` is their array form for the sort, and ``ParetoArchive``
-compares one candidate against all its members in a single broadcast.
+``constrained=True``, feasibility first (after Deb et al., IEEE TEC 2002):
+a feasible point (violation ``cv == 0``) beats an infeasible one, the lower
+violation wins between two infeasible points, and plain dominance decides
+between two feasible ones.  ``dominates`` is the scalar form of plain
+dominance; ``_dominance`` is the array form of both for the sort, and
+``ParetoArchive`` compares one candidate against all its members in a
+single broadcast.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,73 +39,12 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
-@dataclass
-class Solution:
-    """A candidate solution: decision vector, objectives, and constraint state.
-
-    Attributes
-    ----------
-    x : ndarray
-        Decision vector inside the problem's box.
-    f : ndarray
-        Objective vector as evaluated, minimized (length >= 2, all finite).
-    g : ndarray
-        Raw constraint values, violation-positive (g_i > 0 means violated).
-    cv : float
-        Scalar constraint violation; 0 exactly when all g_i <= FEASIBILITY_TOL.
-    """
-
-    x: np.ndarray
-    f: np.ndarray
-    g: np.ndarray = field(default_factory=lambda: np.empty(0))
-    cv: float = 0.0
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.f = np.asarray(self.f, dtype=float)
-        self.g = np.asarray(self.g, dtype=float)
-        if self.f.ndim != 1 or self.f.size < 2:
-            raise ValueError("objective vector must be 1-D with at least 2 entries")
-        if not np.all(np.isfinite(self.f)):
-            raise ValueError("objective vector contains non-finite entries")
-        self.cv = float(self.cv)
-        if self.cv < 0:
-            raise ValueError("constraint violation must be nonnegative")
-        satisfied = self.g.size == 0 or bool(np.all(self.g <= FEASIBILITY_TOL))
-        if (self.cv == 0) != satisfied:
-            raise ValueError(
-                "cv == 0 must hold exactly when every raw constraint is satisfied"
-            )
-
-    @property
-    def feasible(self) -> bool:
-        return self.cv == 0.0
-
-
-def constrained_dominates(a: Solution, b: Solution) -> bool:
-    """Dominance with feasibility taking precedence.
-
-    A feasible solution dominates any infeasible one; between two infeasible
-    solutions the smaller violation wins; between two feasible solutions the
-    plain objective dominance applies.
-    """
-    if a.feasible and not b.feasible:
-        return True
-    if not a.feasible and b.feasible:
-        return False
-    if not a.feasible:
-        return a.cv < b.cv
-    return dominates(a.f, b.f)
-
-
 def _dominance(a_f: np.ndarray, a_cv: np.ndarray, b_f: np.ndarray,
                b_cv: np.ndarray, constrained: bool) -> np.ndarray:
     """D[i, j] is True when point i of ``a`` dominates point j of ``b``.
 
-    Plain dominance on the objective rows, or, when ``constrained``, the
-    rules of ``constrained_dominates``: feasible beats infeasible, the lower
-    ``cv`` wins between two infeasible points, and plain dominance decides
-    between two feasible ones.
+    Plain dominance on the objective rows, or, when ``constrained``,
+    feasibility first as set out in the module docstring.
     """
     plain = (np.all(a_f[:, None, :] <= b_f[None, :, :], axis=2)
              & np.any(a_f[:, None, :] < b_f[None, :, :], axis=2))
@@ -122,8 +63,7 @@ def non_dominated_sort(f: np.ndarray, cv: np.ndarray,
 
     Front 0 holds the rows dominated by nobody; each later front is
     non-dominated once earlier fronts are removed.  Every row appears in
-    exactly one front.  ``constrained`` folds feasibility into dominance, as
-    in ``constrained_dominates``.
+    exactly one front.  ``constrained`` folds feasibility into dominance.
     """
     if len(f) == 0:
         raise ValueError("cannot sort an empty population")
@@ -190,9 +130,8 @@ class ParetoArchive:
     The archive is the per-worker memory used by the rank-based reward
     engines.  ``capacity=None`` gives an unbounded archive (used by the
     envelope variant, where the archive only serves reporting).
-    ``constrained=True`` folds feasibility into dominance, as in
-    ``constrained_dominates``, so that constrained variants keep feasibility
-    inside the buffer ordering.
+    ``constrained=True`` folds feasibility into dominance, so that
+    constrained variants keep feasibility inside the buffer ordering.
 
     Members are evaluation-log rows.  Entry ``i < len(archive)`` of ``_row``
     names the row of member ``i``, and row ``i`` of ``_f`` and entry ``i`` of
@@ -230,28 +169,28 @@ class ParetoArchive:
             f[:n], cv[:n], row[:n] = self._f[:n], self._cv[:n], self._row[:n]
         self._f, self._cv, self._row = f, cv, row
 
-    def _admit(self, sol: Solution, row: int) -> bool:
-        """Append ``sol``, logged at ``row``, after dropping the members it
-        dominates.
+    def _admit(self, f: np.ndarray, cv: float, row: int) -> bool:
+        """Append the point of objectives ``f`` and violation ``cv``, logged
+        at ``row``, after dropping the members it dominates.
 
-        ``sol`` is rejected (False, archive untouched) when a member
+        The point is rejected (False, archive untouched) when a member
         dominates it, or when it duplicates the objectives of a member it
-        does not itself beat (clone flooding guard).  One comparison of
-        ``sol`` against all members decides both.
+        does not itself beat (clone flooding guard).  One comparison of the
+        point against all members decides both.
         """
         n = self._n
         if n == len(self._f):
-            self._grow(sol.f.size)
-        f, cv, rows = self._f[:n], self._cv[:n], self._row[:n]
-        le = (f <= sol.f).all(axis=1)  # dominates sol, or is its twin
-        ge = (f >= sol.f).all(axis=1)  # dominated by sol, or is its twin
-        if self.constrained and sol.cv > 0:
+            self._grow(len(f))
+        mf, mcv, mrow = self._f[:n], self._cv[:n], self._row[:n]
+        le = (mf <= f).all(axis=1)  # dominates the point, or is its twin
+        ge = (mf >= f).all(axis=1)  # dominated by the point, or is its twin
+        if self.constrained and cv > 0:
             # only the violation orders infeasible points; a twin of equal
             # violation is a duplicate
-            reject = (cv < sol.cv) | ((cv == sol.cv) & le & ge)
-            evict = cv > sol.cv
+            reject = (mcv < cv) | ((mcv == cv) & le & ge)
+            evict = mcv > cv
         elif self.constrained:
-            feasible = cv == 0.0
+            feasible = mcv == 0.0
             reject = feasible & le
             evict = ~feasible | ge
         else:
@@ -261,33 +200,33 @@ class ParetoArchive:
         if evict.any():
             keep = ~evict
             n = int(keep.sum())
-            self._f[:n], self._cv[:n], self._row[:n] = f[keep], cv[keep], rows[keep]
-        self._f[n], self._cv[n], self._row[n] = sol.f, sol.cv, row
+            self._f[:n], self._cv[:n], self._row[:n] = mf[keep], mcv[keep], mrow[keep]
+        self._f[n], self._cv[n], self._row[n] = f, cv, row
         self._n = n + 1
         return True
 
-    def add(self, sol: Solution, row: int) -> bool:
-        """Dominance-only insert (no ranking) of ``sol``, logged at ``row``.
-        Returns True if kept."""
-        if not self._admit(sol, row):
+    def add(self, f: np.ndarray, cv: float, row: int) -> bool:
+        """Dominance-only insert (no ranking) of the point ``f``, ``cv``
+        logged at ``row``.  Returns True if kept."""
+        if not self._admit(f, cv, row):
             return False
         if self.capacity is not None and self._n > self.capacity:
             raise RuntimeError("bounded archive overflow: use insert() with a ranker")
         return True
 
-    def insert(self, sol: Solution, row: int, ranker) -> Optional[int]:
-        """Ranked insert of ``sol``, logged at ``row``.
+    def insert(self, f: np.ndarray, cv: float, row: int, ranker) -> Optional[int]:
+        """Ranked insert of the point ``f``, ``cv`` logged at ``row``.
 
-        Members dominated by ``sol`` are dropped; if ``sol`` is itself
-        dominated the archive is left untouched and None is returned.
-        Otherwise the new member set is ordered by ``ranker`` (a callable on
-        the stacked objective vectors, passed as a view of the archive's own
-        rows that it must not modify, returning an object with a best-first
-        ``order``), the archive is truncated to its ``capacity`` best-ranked
-        members, and the rank of ``sol`` is returned.  A returned rank equal
-        to or beyond the capacity means the solution was evicted right away.
+        Members the point dominates are dropped; if it is itself dominated
+        the archive is left untouched and None is returned.  Otherwise the
+        new member set is ordered by ``ranker`` (a callable on the stacked
+        objective vectors, passed as a view of the archive's own rows that it
+        must not modify, returning an object with a best-first ``order``),
+        the archive is truncated to its ``capacity`` best-ranked members, and
+        the rank of the point is returned.  A returned rank equal to or
+        beyond the capacity means the point was evicted right away.
         """
-        if not self._admit(sol, row):
+        if not self._admit(f, cv, row):
             return None
         n = self._n
         order = np.asarray(ranker(self._f[:n]).order, dtype=int)

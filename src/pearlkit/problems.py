@@ -51,6 +51,9 @@ class ProblemSpec:
         if self.upper is None:
             self.upper = np.ones(self.n_x)
         self.nadir = np.asarray(self.nadir, dtype=float)
+        if self.n_obj < 2:
+            raise ValueError(f"{self.name}: a multi-objective problem needs n_obj >= 2, "
+                             f"not {self.n_obj}")
         if (self.constraints is not None) != (self.n_constraints > 0):
             raise ValueError(f"{self.name}: constraints need a positive n_constraints "
                              "and a positive n_constraints needs constraints")
@@ -63,7 +66,9 @@ def evaluate(problem: ProblemSpec, x) -> tuple[np.ndarray, np.ndarray]:
     The function is pure.  Points outside the box (beyond a 1e-9 slack) and
     points with a NaN coordinate are a usage error: optimizers clamp before
     calling.  An ``f`` or ``g`` of another length than the spec declares
-    raises ``ProblemSpecError``.
+    raises ``ProblemSpecError``.  A non-finite objective or a NaN constraint
+    value raises ``ValueError``: the evaluation failed.  A ``+inf``
+    constraint value is a valid, infinitely violated constraint.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n_x,):
@@ -80,6 +85,9 @@ def evaluate(problem: ProblemSpec, x) -> tuple[np.ndarray, np.ndarray]:
     if g.shape != (problem.n_constraints,):
         raise ProblemSpecError(f"{problem.name} declares {problem.n_constraints} "
                                f"constraints, got {g.size}")
+    if not np.isfinite(f).all() or np.isnan(g).any():
+        raise ValueError(f"{problem.name} returned a non-finite objective or a NaN "
+                         "constraint value")
     return f, g
 
 

@@ -1,7 +1,8 @@
 """Reward-assignment engines for single-policy Pareto-front learning.
 
-Four engines turn an objective vector into the scalar reward an agent
-trains on:
+Four engines turn an evaluation into the scalar reward an agent trains on.
+Each reads the evaluation from its row of the run's ``EvaluationLog``
+(``score(log, row)``):
 
 * ``PearlEnvelope`` scalarizes against Dirichlet-sampled preference rays,
   optionally adding a uniformity term (cosine alignment or a negated
@@ -25,13 +26,16 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .density import (DensityRank, best_first, crowding_rank, das_dennis, default_divisions,
                       minmax_normalize, niching_rank)
-from .pareto import FEASIBILITY_TOL, ParetoArchive, Solution
+from .pareto import FEASIBILITY_TOL, ParetoArchive
+
+if TYPE_CHECKING:
+    from .trainer import EvaluationLog
 
 KAPPA = 64  # default archive size of the rank engines
 
@@ -236,17 +240,18 @@ class PearlEnvelope:
     def resample(self, rng: np.random.Generator):
         self.rays = sample_preferences(self.alpha, self.n_rays, rng)
 
-    def score(self, sol: Solution, row: int) -> RewardOutcome:
-        """Reward of ``sol``; ``row`` is its evaluation-log row, which the
-        archive keeps if it admits ``sol``."""
+    def score(self, log: EvaluationLog, row: int) -> RewardOutcome:
+        """Reward of the evaluation at ``row`` of ``log``; the archive keeps
+        the row if it admits its objectives."""
         if self.rays is None:
             raise RuntimeError("resample() must run before scoring")
-        r = -sol.f  # a cost becomes a reward
+        f = log.F[row]
+        r = -f  # a cost becomes a reward
         self.bounds.update(r)
         if self.normalized_obj:
             r = self.bounds.normalize(r)
         reward = pearl_e_reward(r, self.rays, self.lambda_, self.uniformity)
-        return RewardOutcome(reward=reward, archived=self.archive.add(sol, row))
+        return RewardOutcome(reward=reward, archived=self.archive.add(f, log.cv[row], row))
 
 
 class _RankedEngine:
@@ -269,10 +274,10 @@ class _RankedEngine:
     def _ranker(self, objs: np.ndarray) -> DensityRank:
         raise NotImplementedError
 
-    def score(self, sol: Solution, row: int) -> RewardOutcome:
-        """Minus the archive rank of ``sol``, logged at ``row``, or
+    def score(self, log: EvaluationLog, row: int) -> RewardOutcome:
+        """Minus the archive rank of the evaluation at ``row`` of ``log``, or
         ``-kappa`` when the archive rejects it."""
-        rank = self.archive.insert(sol, row, self._ranker)
+        rank = self.archive.insert(log.F[row], log.cv[row], row, self._ranker)
         if rank is None:
             return RewardOutcome(reward=-float(self.kappa), archived=False)
         return RewardOutcome(reward=-float(rank), archived=rank < self.kappa)
@@ -297,9 +302,9 @@ class PearlEpsilon(_RankedEngine):
         fitness = epsilon_fitness(self.bounds.normalize(objs), self.nu)
         return DensityRank(order=best_first(objs, -fitness), scores=fitness)
 
-    def score(self, sol: Solution, row: int) -> RewardOutcome:
-        self.bounds.update(sol.f)
-        return super().score(sol, row)
+    def score(self, log: EvaluationLog, row: int) -> RewardOutcome:
+        self.bounds.update(log.F[row])
+        return super().score(log, row)
 
 
 class PearlNds(_RankedEngine):
@@ -335,7 +340,8 @@ class CurriculumConstrained:
     touch the archive; feasible ones are forwarded to the inner engine.  The
     bonus gap ``M`` defaults to the inner buffer size ``kappa``; with ``M``
     at least that size, every infeasible reward sits strictly below every
-    feasible one.
+    feasible one.  ``gammas`` weights the constraints (one positive weight
+    per constraint; unit weights by default).
     """
 
     def __init__(self, inner, M: Optional[float] = None, gammas=None):
@@ -347,6 +353,10 @@ class CurriculumConstrained:
         if M < 0:
             raise ValueError("M must be nonnegative")
         self.M = float(M)
+        if gammas is not None:
+            gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
+            if gammas.ndim != 1 or not np.all(np.isfinite(gammas) & (gammas > 0)):
+                raise ValueError(f"gammas must be positive finite weights, not {gammas.tolist()}")
         self.gammas = gammas
         self.reward_scale = (
             float(inner.reward_scale) if inner.reward_scale != 1.0 else max(1.0, self.M)
@@ -363,15 +373,8 @@ class CurriculumConstrained:
     def resample(self, rng: np.random.Generator):
         self.inner.resample(rng)
 
-    def score(self, sol: Solution, row: int) -> RewardOutcome:
-        if sol.feasible:
-            return self.inner.score(sol, row)
-        cv = constraint_violation(sol.g, weights=self.gammas)
+    def score(self, log: EvaluationLog, row: int) -> RewardOutcome:
+        if log.cv[row] == 0:
+            return self.inner.score(log, row)
+        cv = constraint_violation(log.G[row], weights=self.gammas)
         return RewardOutcome(reward=-cv - self.M, archived=False)
-
-
-def make_solution(x, f, constraints=()) -> Solution:
-    """Build a Solution from an evaluation: objectives ``f`` are stored as
-    given (minimized), violation-positive ``constraints`` as ``g``."""
-    g = np.atleast_1d(np.asarray(constraints, dtype=float)) if np.size(constraints) else np.empty(0)
-    return Solution(x=np.asarray(x, dtype=float), f=f, g=g, cv=constraint_violation(g))

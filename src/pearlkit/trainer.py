@@ -25,9 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .pareto import Solution, best_front
+from .pareto import best_front
 from .problems import ProblemSpec, ProblemSpecError, evaluate
-from .rewards import make_solution
+from .rewards import constraint_violation
 
 logger = logging.getLogger(__name__)
 
@@ -67,9 +67,13 @@ class TrainerConfig:
         return self.n_steps * self.ncores
 
     def validate(self):
-        for key in ("n_steps", "ncores"):
+        for key in ("n_steps", "ncores", "epochs", "minibatches", "hidden"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be a positive integer")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
+        if not self.clip_ratio >= 0:
+            raise ValueError("clip_ratio must be nonnegative")
         if self.budget < self.batch_size():
             raise ValueError("budget must cover at least one batch of evaluations")
         return self
@@ -192,8 +196,10 @@ class EvaluationLog:
 
     Row ``i`` is step ``i``: the ``worker`` that made it, decision vector
     ``X``, objectives ``F``, constraint values ``G`` and violation ``cv``
-    (NaN when the evaluation failed), and the ``reward`` paid (NaN in NSGA,
-    which pays none).  Rows from ``len(log)`` on are not filled yet.
+    (NaN when the evaluation failed), and the ``reward`` paid (NaN until the
+    trainer pays one; NSGA pays none).  ``evaluate`` fills the next row and
+    is the one place a run evaluates its problem.  Rows from ``len(log)`` on
+    are not filled yet.
     """
 
     def __init__(self, n_rows: int, problem: ProblemSpec):
@@ -202,39 +208,41 @@ class EvaluationLog:
         self.F = np.empty((n_rows, problem.n_obj))
         self.G = np.empty((n_rows, problem.n_constraints))
         self.cv = np.empty(n_rows)
-        self.reward = np.empty(n_rows)
+        self.reward = np.full(n_rows, np.nan)
         self._n = 0
 
     def __len__(self) -> int:
         return self._n
 
-    def record(self, worker: int, x: np.ndarray, sol: Optional[Solution], reward: float):
-        """Fill the next row; a failed evaluation (``sol`` None) fills NaN."""
+    def evaluate(self, problem: ProblemSpec, worker: int, x: np.ndarray) -> bool:
+        """Evaluate ``problem`` at ``x`` for ``worker`` into the next row and
+        return whether the evaluation succeeded.
+
+        Trainer and NSGA share this failure policy: an evaluation that
+        raises (a non-finite objective among the causes) is logged with a
+        warning, its row holds NaN objectives, constraints and violation,
+        and it is otherwise skipped.  A ``ProblemSpecError`` is a
+        misdeclared problem and propagates, leaving the row unfilled.
+        """
         i = self._n
+        try:
+            # the module-level name, looked up per call, so that a wrapper
+            # installed on it sees every evaluation
+            f, g = evaluate(problem, x)
+        except ProblemSpecError:
+            raise
+        except Exception:  # noqa: BLE001 - flagged, never aborts the run
+            logger.warning("evaluation of %s failed at step %d", problem.name, i,
+                           exc_info=True)
+            self.F[i] = self.G[i] = self.cv[i] = np.nan
+            ok = False
+        else:
+            self.F[i], self.G[i], self.cv[i] = f, g, constraint_violation(g)
+            ok = True
         self.worker[i] = worker
         self.X[i] = x
-        if sol is None:
-            self.F[i] = self.G[i] = self.cv[i] = np.nan
-        else:
-            self.F[i], self.G[i], self.cv[i] = sol.f, sol.g, sol.cv
-        self.reward[i] = reward
         self._n = i + 1
-
-
-def evaluate_solution(problem: ProblemSpec, x: np.ndarray, step: int) -> Optional[Solution]:
-    """Evaluate ``x`` and build its Solution; None, with a logged warning,
-    when either step raises.  Trainer and NSGA share this failure policy: a
-    failed evaluation is logged with NaN objectives and otherwise skipped.
-    A ``ProblemSpecError`` is a misdeclared problem and propagates."""
-    try:
-        f, g = evaluate(problem, x)
-        return make_solution(x, f, g)
-    except ProblemSpecError:
-        raise
-    except Exception:  # noqa: BLE001 - flagged, never aborts the run
-        logger.warning("evaluation of %s failed at step %d", problem.name, step,
-                       exc_info=True)
-        return None
+        return ok
 
 
 @dataclass
@@ -351,9 +359,9 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
         actions = squash(z)
         scale = float(worker.engine.reward_scale)
         for x in actions:
-            sol = evaluate_solution(problem, x, len(log))
-            reward = worker.engine.score(sol, len(log)).reward if sol is not None else -scale
-            log.record(worker.index, x, sol, reward)
+            row = len(log)
+            ok = log.evaluate(problem, worker.index, x)
+            log.reward[row] = worker.engine.score(log, row).reward if ok else -scale
         parts.append((obs, z, gaussian_log_prob(z, mean, log_std),
                       policy.value(obs), np.full(n, scale)))
     obs, z, gauss_logp, values, scales = map(np.concatenate, zip(*parts))
@@ -376,10 +384,9 @@ def update(policy: PolicyState, batch: RolloutBatch, cfg: TrainerConfig,
     returns = batch.rewards
     adv = returns - batch.values
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-    n_mb = max(1, cfg.minibatches)
     for _ in range(cfg.epochs):
         perm = rng.permutation(B)
-        for chunk in np.array_split(perm, n_mb):
+        for chunk in np.array_split(perm, cfg.minibatches):
             if len(chunk) == 0:
                 continue
             loss, grad, _ = loss_and_grad(

@@ -7,10 +7,9 @@ the vectorized library code paths.
 import csv
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
-
-from pearlkit.pareto import constrained_dominates, dominates
 
 
 def brute_force_dominates(a, b):
@@ -63,47 +62,59 @@ def non_dominated_mask_scalar(points):
     return mask
 
 
+class Member(NamedTuple):
+    """An archive member: objectives, violation and evaluation-log row."""
+
+    f: tuple
+    cv: float
+    row: int
+
+
 class OracleArchive:
     """Scalar reference for ``ParetoArchive``: one relation call per member.
 
-    Plain dominance on ``f``, or with ``constrained`` feasibility first,
-    then lower ``cv``, then plain.
-    ``add`` and ``insert`` return what the library's methods return and
-    leave the members in the same order.
+    Plain dominance on ``f`` (``brute_force_dominates``), or with
+    ``constrained`` feasibility first (``constrained_dominates_scalar``).
+    ``add`` and ``insert`` take and return what the library's methods take
+    and return, and leave the members in the same order.
     """
 
     def __init__(self, capacity=None, constrained=False):
         self.capacity = capacity
         if constrained:
-            self.rel = constrained_dominates
+            self.rel = lambda a, b: constrained_dominates_scalar(a.f, a.cv, b.f, b.cv)
         else:
-            self.rel = lambda a, b: dominates(a.f, b.f)
+            self.rel = lambda a, b: brute_force_dominates(a.f, b.f)
         self.members = []
 
-    def _rejects(self, sol):
+    def rows(self):
+        return [m.row for m in self.members]
+
+    def _rejects(self, new):
         # dominated by a member, or a duplicate of a member it does not beat
         for m in self.members:
-            if self.rel(m, sol):
+            if self.rel(m, new):
                 return True
-            if list(m.f) == list(sol.f) and not self.rel(sol, m):
+            if m.f == new.f and not self.rel(new, m):
                 return True
         return False
 
-    def _admit(self, sol):
-        if self._rejects(sol):
+    def _admit(self, f, cv, row):
+        new = Member(tuple(float(v) for v in f), float(cv), row)
+        if self._rejects(new):
             return False
-        self.members = [m for m in self.members if not self.rel(sol, m)]
-        self.members.append(sol)
+        self.members = [m for m in self.members if not self.rel(new, m)]
+        self.members.append(new)
         return True
 
-    def add(self, sol):
-        kept = self._admit(sol)
+    def add(self, f, cv, row):
+        kept = self._admit(f, cv, row)
         if self.capacity is not None and len(self.members) > self.capacity:
             raise RuntimeError("bounded archive overflow")
         return kept
 
-    def insert(self, sol, ranker):
-        if not self._admit(sol):
+    def insert(self, f, cv, row, ranker):
+        if not self._admit(f, cv, row):
             return None
         order = [int(i) for i in ranker(np.array([m.f for m in self.members])).order]
         pos = order.index(len(self.members) - 1)

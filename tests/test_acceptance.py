@@ -12,14 +12,13 @@ import pytest
 
 from pearlkit.indicators import hypervolume
 from pearlkit.nsga import GAConfig, run_nsga3
-from pearlkit.pareto import Solution, constrained_dominates, non_dominated_mask, non_dominated_sort
+from pearlkit.pareto import non_dominated_mask, non_dominated_sort
 from pearlkit.problems import get_problem
 from pearlkit.rewards import (
     CurriculumConstrained,
     PearlEnvelope,
     PearlEpsilon,
     PearlNds,
-    make_solution,
     pearl_e_reward,
     sample_preferences,
 )
@@ -29,10 +28,12 @@ from pearlkit.trainer import PolicyState, TrainerConfig, gaussian_log_prob, loss
 from oracles import (
     brute_force_dominates,
     brute_force_front_indices,
+    constrained_dominates_scalar,
     finite_difference_gradient,
     grid_hypervolume,
     monte_carlo_hypervolume,
 )
+from rows import table_log
 
 SEEDS = range(5)
 
@@ -183,11 +184,6 @@ def test_criterion_08_sorting_matches_exhaustive_oracle():
         n = int(rng.integers(1, 13))
         objs = rng.integers(0, 5, size=(n, 3)).astype(float)
         cvs = np.where(rng.random(n) < 0.5, 0.0, np.round(rng.random(n), 2))
-        pop = [
-            Solution(x=np.zeros(1), f=o,
-                     g=np.array([c]) if c > 0 else np.empty(0), cv=c)
-            for o, c in zip(objs, cvs)
-        ]
         plain = non_dominated_sort(objs, cvs)[0].tolist()
         expected = brute_force_front_indices(objs, brute_force_dominates)
         assert plain == expected, f"plain relation diverged on trial {trial}"
@@ -195,7 +191,7 @@ def test_criterion_08_sorting_matches_exhaustive_oracle():
         constrained = non_dominated_sort(objs, cvs, constrained=True)[0].tolist()
         expected_c = [
             i for i in range(n)
-            if not any(constrained_dominates(pop[j], pop[i])
+            if not any(constrained_dominates_scalar(objs[j], cvs[j], objs[i], cvs[i])
                        for j in range(n) if j != i)
         ]
         assert constrained == expected_c, f"constrained relation diverged on {trial}"
@@ -244,19 +240,19 @@ def test_criterion_10_reward_invariant_suite():
     for engine in (PearlEpsilon(kappa=16, nu=0.05),
                    PearlNds(kappa=16, ranker="crowding"),
                    PearlNds(kappa=16, ranker="niching", n_obj=3)):
+        log = table_log(rng.random((400, 3)) * 4)
         for row in range(400):
-            out = engine.score(make_solution(np.zeros(2), rng.random(3) * 4), row)
+            out = engine.score(log, row)
             assert -16.0 <= out.reward <= 0.0
 
     # distance-CL: every infeasible reward strictly below every feasible one
     engine = CurriculumConstrained(PearlNds(kappa=16, ranker="crowding"))
-    feasible, infeasible = [], []
-    for row in range(500):
-        g = [rng.normal(loc=-0.1, scale=0.7)]
-        sol = make_solution(np.zeros(2), rng.random(2) * 3, g)
-        (feasible if sol.feasible else infeasible).append(engine.score(sol, row).reward)
-    assert feasible and infeasible
-    assert max(infeasible) < min(feasible)
+    points = [([rng.normal(loc=-0.1, scale=0.7)], rng.random(2) * 3) for _ in range(500)]
+    log = table_log([f for _, f in points], [g for g, _ in points])
+    rewards = np.array([engine.score(log, row).reward for row in range(500)])
+    feasible = log.cv == 0
+    assert feasible.any() and not feasible.all()
+    assert rewards[~feasible].max() < rewards[feasible].min()
 
     # envelope with lambda=0 and one ray equals the linear scalarization
     worst = 0.0

@@ -152,11 +152,34 @@ class TestConfig:
         ({"algorithms": [{"name": "pearl-nds", "squash": "tanh"}]}, "squash"),
         ({"n_steps": 0}, "n_steps"),
         ({"ncores": 0}, "ncores"),
+        # before, these loaded and ran: no training, a clamp to one
+        # minibatch, an empty network
+        ({"algorithms": [{"name": "pearl-nds", "epochs": 0}]}, "epochs"),
+        ({"algorithms": [{"name": "pearl-nds", "minibatches": 0}]}, "minibatches"),
+        ({"algorithms": [{"name": "pearl-nds", "minibatches": -3}]}, "minibatches"),
+        ({"algorithms": [{"name": "pearl-nds", "hidden": 0}]}, "hidden"),
+        ({"algorithms": [{"name": "pearl-e", "learning_rate": -1}]}, "learning_rate"),
+        ({"algorithms": [{"name": "c-pearl", "clip_ratio": -0.5}]}, "clip_ratio"),
     ])
     def test_trainer_settings_validated_at_load(self, tmp_path, overrides, key):
         path, _ = small_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=key):
             load_config(path)
+
+    @pytest.mark.parametrize("gammas", [[1.0, 2.0], [], [-1.0], [0.0], [float("inf")],
+                                        [float("nan")]])
+    def test_c_pearl_gammas_checked_at_load(self, tmp_path, gammas):
+        # c2dtlz2 has one constraint; before, each of these loaded and then
+        # failed every cell
+        path, _ = small_config(tmp_path, problems="c2dtlz2", algorithms=[
+            {"name": "c-pearl", "gammas": gammas}])
+        with pytest.raises(ConfigError, match="c-pearl.*gammas"):
+            load_config(path)
+
+    def test_zero_clip_ratio_and_one_weight_per_constraint_load(self, tmp_path):
+        path, _ = small_config(tmp_path, problems="c2dtlz2", algorithms=[
+            {"name": "c-pearl", "gammas": [2.0], "clip_ratio": 0.0}])
+        load_config(path)
 
     def test_readme_example_loads(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -233,16 +256,21 @@ class TestRun:
         assert (out / "pearl-nds-crowding" / "ctp1" / "seed1" / "FAILED").exists()
         assert len(read_metric_csv(out / "metrics.csv")) == 2
 
-    def test_engine_error_fails_the_cell(self, tmp_path):
-        # two gammas for c2dtlz2's single constraint: a configuration error
-        # the engine raises on, not a failed evaluation to flag and skip
+    def test_engine_error_fails_the_cell(self, tmp_path, monkeypatch):
+        # an engine that raises while scoring is a program or configuration
+        # error, not a failed evaluation to flag and skip
+        from pearlkit.rewards import PearlNds
+
+        def broken_score(self, log, row):
+            raise ValueError("synthetic engine error")
+
+        monkeypatch.setattr(PearlNds, "score", broken_score)
         path, _ = small_config(tmp_path, problems="c2dtlz2", seeds=[0], algorithms=[
-            {"name": "c-pearl", "mode": "distance-cl", "gammas": [1.0, 2.0]}])
+            {"name": "c-pearl", "mode": "distance-cl"}])
         with pytest.raises(RuntimeError, match="1 cell"):
             run_experiment(path)
         failed = tmp_path / "out" / "c-pearl-distance-cl" / "c2dtlz2" / "seed0" / "FAILED"
-        assert "ValueError: weights must match the constraint vector length" \
-            in failed.read_text()
+        assert "ValueError: synthetic engine error" in failed.read_text()
 
     def test_infeasible_front_scores_no_hypervolume(self, tmp_path, monkeypatch):
         import pearlkit.experiment as exp

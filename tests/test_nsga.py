@@ -14,24 +14,22 @@ from pearlkit.pareto import dominates
 from pearlkit.problems import (ProblemSpec, ProblemSpecError, c2dtlz2_constraint,
                                ctp1_constraint, ctp1_objectives, dtlz2_objectives,
                                get_problem)
-from pearlkit.rewards import PearlNds, make_solution
-from pearlkit.trainer import EvaluationLog, TrainerConfig, evaluate_solution, train
+from pearlkit.rewards import PearlNds
+from pearlkit.trainer import EvaluationLog, TrainerConfig, train
 
 from oracles import brute_force_dominates, brute_force_front_indices, non_dominated_mask_scalar
+from rows import table_problem
 
 
-def logged(problem, solve=None):
+def logged(problem):
     """An evaluation log of ``problem`` and an ``evaluate(X) -> rows`` that
-    records each row of ``X`` in it, as ``run_nsga2`` does; ``solve(x)``
-    builds the Solution (None for a failed evaluation)."""
+    evaluates each row of ``X`` into it and returns the rows that succeeded,
+    as ``run_nsga2`` does."""
     log = EvaluationLog(4096, problem)
-    solve = solve or (lambda x: evaluate_solution(problem, x, 0))
 
     def evaluate(X):
         first = len(log)
-        for x in X:
-            log.record(0, x, solve(x), np.nan)
-        return first + np.flatnonzero(~np.isnan(log.cv[first:len(log)]))
+        return first + np.flatnonzero([log.evaluate(problem, 0, x) for x in X])
 
     return log, evaluate
 
@@ -88,17 +86,12 @@ class TestSteps:
     def test_constrained_nsga2_keeps_feasible_member_first(self):
         # infeasible members plainly dominate the single feasible one; with
         # constrained domination the feasible member must lead the survivors
-        problem = get_problem("c2dtlz2")
+        F = [[0.0, 0.1, 0.1], [0.1, 0.1, 0.1], [2.0, 2.0, 2.0], [0.2, 0.1, 0.1]]
+        G = [[0.5], [0.6], [-1.0], [0.7]]
+        problem = table_problem(F, G)
         cfg = GAConfig(lambda_=4, mutpb=0.0, cxpb=0.0)
-        members = [
-            make_solution(np.full(problem.n_x, 0.1 * (i + 1)), [0.1 * i, 0.1, 0.1],
-                          [0.5 + 0.1 * i])
-            for i in range(3)
-        ]
-        members.insert(2, make_solution(np.full(problem.n_x, 0.9), [2.0, 2.0, 2.0], [-1.0]))
-        by_x = {tuple(m.x): m for m in members}
-        log, evaluate = logged(problem, solve=lambda x: by_x[tuple(x)])
-        pop = evaluate(np.array([m.x for m in members]))
+        log, evaluate = logged(problem)
+        pop = evaluate(np.arange(4.0)[:, None])
         nxt = nsga2_step(pop, log, cfg, problem, np.random.default_rng(0), evaluate, True)
         assert log.cv[nxt[0]] == 0.0
 
@@ -314,3 +307,60 @@ class TestFailedEvaluations:
         cfg = GAConfig(lambda_=8, budget=64, seed=0)
         with pytest.raises(ValueError, match="empty population"):
             run_nsga2(problem, cfg)
+
+
+class TestNonFiniteOutputs:
+    """A non-finite objective or a NaN constraint value is a failed
+    evaluation, in NSGA as in training: its row is NaN and the run goes on.
+    A +inf constraint value is a valid, infinitely violated constraint."""
+
+    @staticmethod
+    def problem(objective=None, constraint=None):
+        # c2dtlz2 whose first objective or whose constraint value is replaced
+        # where x[0] > 0.7
+        def objectives(x):
+            f = dtlz2_objectives(x)
+            if objective is not None and x[0] > 0.7:
+                f[0] = objective
+            return f
+
+        def constraints(x, f):
+            if constraint is not None and x[0] > 0.7:
+                return np.array([constraint])
+            return c2dtlz2_constraint(dtlz2_objectives(x))
+
+        return ProblemSpec("odd-c2dtlz2", 7, 3, objectives, constraints=constraints,
+                           n_constraints=1, nadir=[3, 3, 3])
+
+    @staticmethod
+    def run(problem, algorithm):
+        if algorithm == "nsga2":
+            return run_nsga2(problem, GAConfig(lambda_=16, budget=400, seed=1))
+        cfg = TrainerConfig(n_steps=8, ncores=2, budget=160, hidden=8, seed=0)
+        return train(problem, lambda: PearlNds(kappa=8, constrained=True), cfg)
+
+    @pytest.mark.parametrize("algorithm", ["nsga2", "train"])
+    @pytest.mark.parametrize("objective,constraint", [
+        (np.nan, None), (np.inf, None), (-np.inf, None), (None, np.nan)])
+    def test_failed_rows_are_nan_and_the_run_finishes(self, algorithm, objective, constraint):
+        result = self.run(self.problem(objective, constraint), algorithm)
+        log = result.log
+        bad = log.X[:, 0] > 0.7
+        assert len(log) == len(log.X) and bad.any()
+        assert np.isnan(log.F[bad]).all() and np.isnan(log.G[bad]).all()
+        assert np.isnan(log.cv[bad]).all()
+        assert np.isfinite(log.F[~bad]).all() and np.isfinite(log.cv[~bad]).all()
+        assert len(result.front) and not bad[result.front].any()
+        if algorithm == "train":
+            assert np.isfinite(log.reward).all()
+
+    @pytest.mark.parametrize("algorithm", ["nsga2", "train"])
+    def test_infinite_constraint_value_is_an_infeasible_row(self, algorithm):
+        result = self.run(self.problem(constraint=np.inf), algorithm)
+        log = result.log
+        bad = log.X[:, 0] > 0.7
+        assert len(log) == len(log.X) and bad.any()
+        assert np.isfinite(log.F).all()
+        assert (log.G[bad] == np.inf).all() and (log.cv[bad] == np.inf).all()
+        assert np.isfinite(log.cv[~bad]).all()
+        assert len(result.front) and not bad[result.front].any()

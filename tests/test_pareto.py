@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from pearlkit.density import crowding_rank
 from pearlkit.pareto import (
     ParetoArchive,
-    Solution,
     best_front,
-    constrained_dominates,
     dominates,
     non_dominated_mask,
     non_dominated_sort,
@@ -18,21 +16,22 @@ from oracles import (
     OracleArchive,
     brute_force_dominates,
     brute_force_front_indices,
+    constrained_dominates_scalar,
     non_dominated_mask_scalar,
 )
 
 
-def sol(f, cv=0.0, g=None):
-    f = np.asarray(f, dtype=float)
-    if g is None:
-        g = np.array([cv]) if cv > 0 else np.empty(0)
-    return Solution(x=np.zeros(2), f=f, g=np.asarray(g, dtype=float), cv=cv)
+def pt(*f):
+    """An objective vector."""
+    return np.array(f, dtype=float)
 
 
-def oracle_rows(oracle, log):
-    """The rows of ``log`` that ``oracle`` holds, in its member order."""
-    row_of = {id(s): row for row, s in enumerate(log)}
-    return [row_of[id(m)] for m in oracle.members]
+def constrained_dominates(fa, cva, fb, cvb):
+    """Whether point a dominates point b with feasibility first, as
+    ``non_dominated_sort`` decides it on the two rows."""
+    fronts = non_dominated_sort(np.array([fa, fb], dtype=float), np.array([cva, cvb]),
+                                constrained=True)
+    return as_lists(fronts) == [[0], [1]]
 
 
 class TestDominates:
@@ -67,48 +66,18 @@ class TestDominates:
 
 class TestConstrainedDominates:
     def test_feasible_beats_infeasible(self):
-        assert constrained_dominates(sol((5, 5)), sol((0, 0), cv=0.5))
+        assert constrained_dominates((5, 5), 0.0, (0, 0), 0.5)
 
     def test_larger_violation_cannot_dominate(self):
-        assert not constrained_dominates(sol((0, 0), cv=0.2), sol((9, 9), cv=0.1))
-        assert constrained_dominates(sol((9, 9), cv=0.1), sol((0, 0), cv=0.2))
+        assert not constrained_dominates((0, 0), 0.2, (9, 9), 0.1)
+        assert constrained_dominates((9, 9), 0.1, (0, 0), 0.2)
 
     def test_feasible_pair_reduces_to_plain_dominance(self):
-        assert constrained_dominates(sol((1, 1)), sol((2, 2)))
+        assert constrained_dominates((1, 1), 0.0, (2, 2), 0.0)
         rng = np.random.default_rng(3)
         for _ in range(200):
             a, b = rng.normal(size=(2, 3))
-            assert constrained_dominates(sol(a), sol(b)) == dominates(a, b)
-
-
-class TestSolutionInvariants:
-    def test_cv_zero_requires_satisfied_constraints(self):
-        with pytest.raises(ValueError):
-            Solution(x=np.zeros(1), f=np.array([1.0, 2.0]), g=np.array([0.5]), cv=0.0)
-
-    def test_positive_cv_requires_a_violation(self):
-        with pytest.raises(ValueError):
-            Solution(x=np.zeros(1), f=np.array([1.0, 2.0]), g=np.array([-1.0]), cv=0.3)
-
-    def test_negative_cv_rejected(self):
-        with pytest.raises(ValueError):
-            Solution(x=np.zeros(1), f=np.array([1.0, 2.0]), cv=-1.0)
-
-    def test_numpy_scalar_cv_gives_python_bool_feasible(self):
-        # a cv read back from a log array must not turn ``feasible`` into a
-        # numpy bool, which ``json`` cannot serialize
-        s = Solution(x=np.zeros(1), f=np.array([1.0, 2.0]), cv=np.float64(0.0))
-        assert s.feasible is True
-        assert type(s.cv) is float
-
-    def test_non_finite_objectives_rejected(self):
-        with pytest.raises(ValueError):
-            Solution(x=np.zeros(1), f=np.array([np.inf, 0.0]))
-
-
-def rows(pop):
-    """The objective rows and violations of a list of Solutions."""
-    return np.array([s.f for s in pop]), np.array([s.cv for s in pop])
+            assert constrained_dominates(a, 0.0, b, 0.0) == dominates(a, b)
 
 
 def as_lists(fronts):
@@ -148,10 +117,9 @@ class TestNonDominatedSort:
             assert non_dominated_sort(objs, np.zeros(n))[0].tolist() == expected
 
             cvs = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
-            cpop = [sol(o, cv=c) for o, c in zip(objs, cvs)]
 
             def cdom(i, j):
-                return constrained_dominates(cpop[i], cpop[j])
+                return constrained_dominates_scalar(objs[i], cvs[i], objs[j], cvs[j])
 
             expected_c = [
                 i for i in range(n)
@@ -221,8 +189,8 @@ class TestNonDominatedMask:
 class TestParetoArchive:
     def test_dominating_insert_into_singleton(self):
         archive = ParetoArchive(capacity=4)
-        archive.insert(sol((2, 2)), 0, crowding_rank)
-        rank = archive.insert(sol((1, 1)), 1, crowding_rank)
+        archive.insert(pt(2, 2), 0.0, 0, crowding_rank)
+        rank = archive.insert(pt(1, 1), 0.0, 1, crowding_rank)
         assert rank == 0
         assert len(archive) == 1
         assert archive.rows().tolist() == [1]
@@ -230,15 +198,15 @@ class TestParetoArchive:
 
     def test_dominated_insert_rejected(self):
         archive = ParetoArchive(capacity=4)
-        archive.insert(sol((1, 1)), 0, crowding_rank)
-        assert archive.insert(sol((2, 2)), 1, crowding_rank) is None
+        archive.insert(pt(1, 1), 0.0, 0, crowding_rank)
+        assert archive.insert(pt(2, 2), 0.0, 1, crowding_rank) is None
         assert archive.rows().tolist() == [0]
 
     def test_interior_point_evicted_at_capacity(self):
         archive = ParetoArchive(capacity=2)
-        archive.insert(sol((0, 2)), 0, crowding_rank)
-        archive.insert(sol((2, 0)), 1, crowding_rank)
-        rank = archive.insert(sol((1, 1)), 2, crowding_rank)
+        archive.insert(pt(0, 2), 0.0, 0, crowding_rank)
+        archive.insert(pt(2, 0), 0.0, 1, crowding_rank)
+        rank = archive.insert(pt(1, 1), 0.0, 2, crowding_rank)
         assert rank == 2
         assert sorted(archive.rows().tolist()) == [0, 1]
         kept = sorted(map(tuple, archive.objectives().tolist()))
@@ -246,15 +214,15 @@ class TestParetoArchive:
 
     def test_duplicate_objectives_rejected(self):
         archive = ParetoArchive(capacity=4)
-        archive.insert(sol((1, 2)), 0, crowding_rank)
-        assert archive.insert(sol((1, 2)), 1, crowding_rank) is None
+        archive.insert(pt(1, 2), 0.0, 0, crowding_rank)
+        assert archive.insert(pt(1, 2), 0.0, 1, crowding_rank) is None
         assert archive.rows().tolist() == [0]
 
     def test_random_insert_sequence_keeps_invariants(self):
         rng = np.random.default_rng(31)
         archive = ParetoArchive(capacity=6)
         for row in range(300):
-            archive.insert(sol(rng.random(3) * 4), row, crowding_rank)
+            archive.insert(rng.random(3) * 4, 0.0, row, crowding_rank)
             assert len(archive) <= 6
             objs = archive.objectives()
             for i, a in enumerate(objs):
@@ -266,7 +234,7 @@ class TestParetoArchive:
         archive = ParetoArchive(capacity=None)
         rng = np.random.default_rng(37)
         for row in range(200):
-            archive.add(sol(rng.random(2) * 4), row)
+            archive.add(rng.random(2) * 4, 0.0, row)
         objs = archive.objectives()
         assert non_dominated_mask(objs).all()
 
@@ -276,22 +244,22 @@ class TestParetoArchive:
 
     def test_rows_returns_a_copy(self):
         archive = ParetoArchive(capacity=None)
-        archive.add(sol((1, 2)), 5)
+        archive.add(pt(1, 2), 0.0, 5)
         archive.rows()[0] = 9
         assert archive.rows().tolist() == [5]
 
     def test_constrained_relation_feasible_displaces_infeasible(self):
         archive = ParetoArchive(capacity=4, constrained=True)
-        archive.insert(sol((5, 5), cv=0.4), 0, crowding_rank)
-        archive.insert(sol((6, 6), cv=0.2), 1, crowding_rank)
-        rank = archive.insert(sol((0, 0)), 2, crowding_rank)
+        archive.insert(pt(5, 5), 0.4, 0, crowding_rank)
+        archive.insert(pt(6, 6), 0.2, 1, crowding_rank)
+        rank = archive.insert(pt(0, 0), 0.0, 2, crowding_rank)
         assert rank == 0
         assert archive.rows().tolist() == [2]
 
     def test_feasible_duplicate_replaces_infeasible_twin(self):
         archive = ParetoArchive(capacity=4, constrained=True)
-        archive.insert(sol((1, 2), cv=0.3), 0, crowding_rank)
-        rank = archive.insert(sol((1, 2)), 1, crowding_rank)
+        archive.insert(pt(1, 2), 0.3, 0, crowding_rank)
+        rank = archive.insert(pt(1, 2), 0.0, 1, crowding_rank)
         assert rank == 0
         assert archive.rows().tolist() == [1]
 
@@ -312,22 +280,23 @@ class TestArchiveMatchesOracle:
     def test_insert_and_add_match_scalar_oracle(self, constrained, capacity, points):
         archive = ParetoArchive(capacity=capacity, constrained=constrained)
         oracle = OracleArchive(capacity=capacity, constrained=constrained)
-        log = [sol(f, cv=cv) for f, cv in points]
-        for row, s in enumerate(log):
+        for row, (f, cv) in enumerate(points):
+            f = np.array(f, dtype=float)
             if capacity is None:
-                assert archive.add(s, row) == oracle.add(s)
+                assert archive.add(f, cv, row) == oracle.add(f, cv, row)
             else:
-                assert archive.insert(s, row, crowding_rank) == oracle.insert(s, crowding_rank)
-            assert archive.rows().tolist() == oracle_rows(oracle, log)
+                assert (archive.insert(f, cv, row, crowding_rank)
+                        == oracle.insert(f, cv, row, crowding_rank))
+            assert archive.rows().tolist() == oracle.rows()
 
-            members = [log[row] for row in archive.rows()]
+            members = oracle.members
             if capacity is not None:
                 assert len(members) <= capacity
             for a in members:
                 for b in members:
                     assert a is b or not oracle.rel(a, b)
-            if constrained and any(m.feasible for m in members):
-                assert all(m.feasible for m in members)
+            if constrained and any(m.cv == 0 for m in members):
+                assert all(m.cv == 0 for m in members)
 
 
 # Three objectives on a 0..6 grid and a few violation levels.  A run opens
@@ -355,35 +324,38 @@ class TestArchiveArraysMatchOracle:
     def test_arrays_stay_in_step_with_members(self, constrained, capacity, points):
         archive = ParetoArchive(capacity=capacity, constrained=constrained)
         oracle = OracleArchive(capacity=capacity, constrained=constrained)
-        log = [sol(f, cv=cv) for f, cv in points]
-        for row, s in enumerate(log):
+        F = np.array([f for f, _ in points], dtype=float)
+        CV = np.array([cv for _, cv in points])
+        for row in range(len(points)):
             if capacity is None:
-                assert archive.add(s, row) == oracle.add(s)
+                assert archive.add(F[row], CV[row], row) == oracle.add(F[row], CV[row], row)
             else:
-                assert archive.insert(s, row, crowding_rank) == oracle.insert(s, crowding_rank)
+                assert (archive.insert(F[row], CV[row], row, crowding_rank)
+                        == oracle.insert(F[row], CV[row], row, crowding_rank))
             rows = archive.rows()
-            assert rows.tolist() == oracle_rows(oracle, log)
+            assert rows.tolist() == oracle.rows()
 
             objs = archive.objectives()
-            np.testing.assert_array_equal(objs, np.array([log[r].f for r in rows]))
-            assert archive._cv[:len(archive)].tolist() == [log[r].cv for r in rows]
+            np.testing.assert_array_equal(objs, F[rows])
+            assert archive._cv[:len(archive)].tolist() == CV[rows].tolist()
             objs += 1.0
-            np.testing.assert_array_equal(archive.objectives(),
-                                          np.array([log[r].f for r in rows]))
+            np.testing.assert_array_equal(archive.objectives(), F[rows])
 
 
 class TestBestFront:
     @settings(max_examples=150, deadline=None)
     @given(points=st.lists(_point, min_size=1, max_size=60))
     def test_feasible_case_is_distinct_front_zero(self, points):
-        f, cv = rows([sol(f, cv=cv) for f, cv in points] + [sol((3, 3))])
+        f = np.array([f for f, _ in points] + [[3, 3]], dtype=float)
+        cv = np.array([cv for _, cv in points] + [0.0])
         front0 = non_dominated_sort(f, cv, constrained=True)[0].tolist()
         assert best_front(f, cv).tolist() == first_occurrences(front0, f)
 
     @settings(max_examples=150, deadline=None)
     @given(points=st.lists(_point, min_size=1, max_size=60))
     def test_infeasible_case_is_distinct_front_of_least_violation(self, points):
-        f, cv = rows([sol(f, cv=cv + 0.25) for f, cv in points])
+        f = np.array([f for f, _ in points], dtype=float)
+        cv = np.array([cv + 0.25 for _, cv in points])
         group = np.flatnonzero(cv == cv.min()).tolist()
         front = [group[k] for k in brute_force_front_indices(
             [f[i] for i in group], brute_force_dominates)]

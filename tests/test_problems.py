@@ -44,6 +44,24 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(problem, np.full(12, np.nan))
 
+    @pytest.mark.parametrize("f,g", [([np.nan, 1.0], [0.0]), ([np.inf, 1.0], [0.0]),
+                                     ([1.0, -np.inf], [0.0]), ([1.0, 1.0], [np.nan])],
+                             ids=["nan-objective", "inf-objective", "minus-inf-objective",
+                                  "nan-constraint"])
+    def test_non_finite_objectives_rejected(self, f, g):
+        # a failed evaluation, not a misdeclared problem
+        problem = ProblemSpec("odd", 1, 2, lambda x: np.array(f),
+                              constraints=lambda x, _: np.array(g), n_constraints=1)
+        with pytest.raises(ValueError, match="odd returned a non-finite") as raised:
+            evaluate(problem, np.full(1, 0.5))
+        assert not isinstance(raised.value, ProblemSpecError)
+
+    def test_infinite_constraint_value_is_valid(self):
+        problem = ProblemSpec("odd", 1, 2, lambda x: np.array([1.0, 2.0]),
+                              constraints=lambda x, f: np.array([np.inf]), n_constraints=1)
+        f, g = evaluate(problem, np.full(1, 0.5))
+        assert f.tolist() == [1.0, 2.0] and g.tolist() == [np.inf]
+
     def test_all_problems_finite_on_random_points(self):
         rng = np.random.default_rng(1)
         for name, problem in PROBLEMS.items():
@@ -196,6 +214,12 @@ class TestConstraintCount:
         with pytest.raises(ValueError):
             ProblemSpec("ctp1-no-constraints", 2, 2, ctp1_objectives,
                         n_constraints=2, nadir=[3, 3])
+
+    def test_fewer_than_two_objectives_rejected(self):
+        # before, every evaluation of such a spec was logged as failed and
+        # NSGA-II died sorting an empty population
+        with pytest.raises(ValueError, match="single: a multi-objective problem needs n_obj >= 2"):
+            ProblemSpec("single", 2, 1, lambda x: x[:1])
 
     def test_wrong_length_constraint_vector_is_error(self):
         # ctp1 returns two constraint values; this spec declares one

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pearlkit.density import das_dennis, niching_rank
-from pearlkit.pareto import Solution
 from pearlkit.rewards import (
     CurriculumConstrained,
     PearlEnvelope,
@@ -14,14 +13,18 @@ from pearlkit.rewards import (
     cosine_uniformity,
     epsilon_fitness,
     kl_uniformity,
-    make_solution,
     pearl_e_reward,
     sample_preferences,
 )
 
+from rows import table_log
 
-def sol(f, g=None):
-    return make_solution(np.zeros(2), f, constraints=g if g is not None else ())
+
+def score_all(engine, F, G=None):
+    """Score each row of ``table_log(F, G)`` in order: the log and the
+    outcomes."""
+    log = table_log(F, G)
+    return log, [engine.score(log, row) for row in range(len(log))]
 
 
 class TestSamplePreferences:
@@ -115,22 +118,20 @@ class TestUniformityTerms:
 class TestEpsilonEngine:
     def test_empty_archive_rank_zero(self):
         engine = PearlEpsilon(kappa=8, nu=0.05)
-        out = engine.score(sol((1, 2)), 0)
+        out = engine.score(table_log([(1, 2)]), 0)
         assert out.reward == 0.0
         assert out.archived
 
     def test_dominated_gets_full_penalty(self):
         engine = PearlEpsilon(kappa=8, nu=0.05)
-        engine.score(sol((1, 1)), 0)
-        out = engine.score(sol((2, 2)), 1)
+        _, (_, out) = score_all(engine, [(1, 1), (2, 2)])
         assert out.reward == -8.0
         assert not out.archived
         assert len(engine.archive) == 1
 
     def test_two_member_fitness_tie_breaks_lexicographically(self):
         engine = PearlEpsilon(kappa=8, nu=0.05)
-        engine.score(sol((0, 1)), 0)
-        out = engine.score(sol((1, 0)), 1)
+        _, (_, out) = score_all(engine, [(0, 1), (1, 0)])
         # pairwise indicator is 1 on the normalized scale in both directions,
         # fitness ties at -exp(-20); (0,1) precedes (1,0) lexicographically
         assert out.reward == -1.0
@@ -142,8 +143,9 @@ class TestEpsilonEngine:
     def test_rewards_stay_in_range(self):
         rng = np.random.default_rng(17)
         engine = PearlEpsilon(kappa=6, nu=0.05)
+        log = table_log(rng.random((300, 3)) * 5)
         for row in range(300):
-            out = engine.score(sol(rng.random(3) * 5), row)
+            out = engine.score(log, row)
             assert -6.0 <= out.reward <= 0.0
             assert float(out.reward).is_integer() or out.reward == -6.0
             assert len(engine.archive) <= 6
@@ -152,30 +154,27 @@ class TestEpsilonEngine:
 class TestNdsEngine:
     def test_empty_archive(self):
         engine = PearlNds(kappa=4, ranker="crowding")
-        assert engine.score(sol((1, 1)), 0).reward == 0.0
+        assert engine.score(table_log([(1, 1)]), 0).reward == 0.0
 
     def test_dominating_candidate_gets_rank_zero(self):
         engine = PearlNds(kappa=4, ranker="crowding")
-        engine.score(sol((3, 3)), 0)
-        engine.score(sol((4, 2)), 1)
-        out = engine.score(sol((1, 1)), 2)
-        assert out.reward == 0.0
+        _, outs = score_all(engine, [(3, 3), (4, 2), (1, 1)])
+        assert outs[-1].reward == 0.0
         assert len(engine.archive) == 1
 
     def test_interior_point_behind_boundaries(self):
         engine = PearlNds(kappa=4, ranker="crowding")
-        engine.score(sol((0, 2)), 0)
-        engine.score(sol((2, 0)), 1)
-        out = engine.score(sol((1, 1)), 2)
-        assert out.reward == -2.0
+        _, outs = score_all(engine, [(0, 2), (2, 0), (1, 1)])
+        assert outs[-1].reward == -2.0
 
     def test_rewards_in_allowed_set(self):
         rng = np.random.default_rng(19)
         for ranker in ("crowding", "niching"):
             engine = PearlNds(kappa=5, ranker=ranker, n_obj=3)
+            log = table_log(rng.random((300, 3)) * 4)
             for row in range(300):
                 size_before = len(engine.archive)
-                out = engine.score(sol(rng.random(3) * 4), row)
+                out = engine.score(log, row)
                 assert out.reward in {-5.0} | {-float(k) for k in range(size_before + 1)}
 
     def test_niching_ranks_minimized_rows(self):
@@ -184,7 +183,7 @@ class TestNdsEngine:
         # the mirrored rows 1 - f would put both on the middle one
         front = np.array([(0.0, 1.0), (1.0, 0.0), (0.1, 0.5), (0.5, 0.1)])
         engine = PearlNds(kappa=3, ranker="niching", n_obj=2)
-        rewards = [engine.score(sol(f), row).reward for row, f in enumerate(front)]
+        rewards = [out.reward for out in score_all(engine, front)[1]]
         order = niching_rank(front, das_dennis(2, 2)).order.tolist()
         assert order == [0, 1, 2, 3]
         assert rewards == [0.0, -1.0, -2.0, -3.0]
@@ -193,15 +192,13 @@ class TestNdsEngine:
     def test_monotone_in_dominance_crowding_two_objectives(self):
         rng = np.random.default_rng(23)
         for _ in range(400):
-            base = [sol(v) for v in rng.random((4, 2)) * 4]
+            base = rng.random((4, 2)) * 4
             s2 = rng.random(2) * 4
             s1 = s2 - rng.random(2) * 0.5 - 1e-6  # strictly dominates s2
             rewards = []
             for candidate in (s1, s2):
                 engine = PearlNds(kappa=4, ranker="crowding")
-                for row, b in enumerate(base):
-                    engine.score(b, row)
-                rewards.append(engine.score(sol(candidate), len(base)).reward)
+                rewards.append(score_all(engine, np.vstack([base, candidate]))[1][-1].reward)
             assert rewards[0] >= rewards[1]
 
     def test_dominance_monotonicity_can_fail_beyond_two_objectives(self):
@@ -210,14 +207,12 @@ class TestNdsEngine:
         # dominating one stays interior; crowding then ranks the dominated
         # candidate higher.  This pins that known behavior of the NSGA-style
         # density measure rather than hiding it.
-        base = [sol((2.0, 2.1, 1.2)), sol((1.3, 4.6, 3.6))]
+        base = [(2.0, 2.1, 1.2), (1.3, 4.6, 3.6)]
         s1, s2 = (1.8, 3.6, 3.55), (1.9, 3.7, 3.8)  # s1 dominates s2
         rewards = []
         for candidate in (s1, s2):
             engine = PearlNds(kappa=4, ranker="crowding")
-            for row, b in enumerate(base):
-                engine.score(b, row)
-            rewards.append(engine.score(sol(candidate), len(base)).reward)
+            rewards.append(score_all(engine, base + [candidate])[1][-1].reward)
         assert rewards == [-2.0, -1.0]
 
 
@@ -241,13 +236,13 @@ class TestConstraintViolation:
 class TestCurriculumConstrained:
     def test_feasible_empty_archive(self):
         engine = CurriculumConstrained(PearlNds(kappa=4, ranker="crowding"))
-        out = engine.score(sol((1, 1)), 0)
+        out = engine.score(table_log([(1, 1)]), 0)
         assert out.reward == 0.0 and out.archived
         assert engine.archive.rows().tolist() == [0]
 
     def test_infeasible_penalty(self):
         engine = CurriculumConstrained(PearlNds(kappa=64, ranker="crowding"))
-        out = engine.score(sol((1, 1), g=[0.5, 0.2]), 0)
+        out = engine.score(table_log([(1, 1)], [[0.5, 0.2]]), 0)
         assert out.reward == pytest.approx(-64.29)
         assert not out.archived
         assert len(engine.archive) == 0
@@ -255,52 +250,47 @@ class TestCurriculumConstrained:
     def test_archive_only_holds_feasible(self):
         rng = np.random.default_rng(29)
         engine = CurriculumConstrained(PearlNds(kappa=8, ranker="crowding"))
-        log = [sol(rng.random(2), g=[rng.normal()]) for _ in range(200)]
-        for row, s in enumerate(log):
-            engine.score(s, row)
+        points = [(rng.random(2), [rng.normal()]) for _ in range(200)]
+        log, _ = score_all(engine, [f for f, _ in points], [g for _, g in points])
         assert len(engine.archive) > 0
-        assert all(log[row].feasible for row in engine.archive.rows())
+        assert (log.cv[engine.archive.rows()] == 0).all()
 
     def test_infeasible_strictly_below_feasible_when_bonus_matches_kappa(self):
         rng = np.random.default_rng(31)
         engine = CurriculumConstrained(PearlNds(kappa=4, ranker="crowding"))
-        feasible_rewards, infeasible_rewards = [], []
-        for row in range(300):
-            g = [rng.normal(loc=-0.2, scale=0.6)]
-            s = sol(rng.random(2) * 3, g=g)
-            out = engine.score(s, row)
-            (feasible_rewards if s.feasible else infeasible_rewards).append(out.reward)
-        assert feasible_rewards and infeasible_rewards
-        assert max(infeasible_rewards) < min(feasible_rewards)
+        points = [([rng.normal(loc=-0.2, scale=0.6)], rng.random(2) * 3) for _ in range(300)]
+        log, outs = score_all(engine, [f for _, f in points], [g for g, _ in points])
+        rewards = np.array([out.reward for out in outs])
+        feasible = log.cv == 0
+        assert feasible.any() and not feasible.all()
+        assert rewards[~feasible].max() < rewards[feasible].min()
 
     def test_rank2_infeasible_vs_feasible_archive(self):
         engine = PearlNds(kappa=4, ranker="crowding", constrained=True)
-        engine.score(sol((5, 5)), 0)
-        out = engine.score(sol((1, 1), g=[0.4]), 1)
+        _, (_, out) = score_all(engine, [(5, 5), (1, 1)], [[0.0], [0.4]])
         assert out.reward == -4.0
         assert not out.archived
 
     def test_rank2_tracks_least_violating_before_feasibility(self):
         engine = PearlNds(kappa=4, ranker="crowding", constrained=True)
-        log = [sol((0, 0), g=[0.9]), sol((1, 1), g=[0.5])]
-        assert engine.score(log[0], 0).reward == 0.0
-        assert engine.score(log[1], 1).reward == 0.0
+        log, outs = score_all(engine, [(0, 0), (1, 1)], [[0.9], [0.5]])
+        assert [out.reward for out in outs] == [0.0, 0.0]
         assert engine.archive.rows().tolist() == [1]
-        assert log[1].cv == pytest.approx(0.25)
+        assert log.cv[1] == pytest.approx(0.25)
 
 
 class TestEnvelopeEngine:
     def test_requires_resample_before_scoring(self):
         engine = PearlEnvelope(n_obj=2, lambda_=0.0)
         with pytest.raises(RuntimeError):
-            engine.score(sol((1, 1)), 0)
+            engine.score(table_log([(1, 1)]), 0)
 
     def test_archive_unbounded_and_reward_ignores_it(self):
         rng = np.random.default_rng(37)
         engine = PearlEnvelope(n_obj=2, lambda_=0.0, n_rays=1)
         engine.resample(rng)
         w = engine.rays[0].copy()
-        rewards = [engine.score(sol(rng.random(2) * 3), row).reward for row in range(100)]
+        rewards = [out.reward for out in score_all(engine, rng.random((100, 2)) * 3)[1]]
         assert len(engine.archive) > 1
         # every reward is exactly the scalarization, independent of archive
         # state: each point scored again on a fresh engine with an empty archive
@@ -309,24 +299,16 @@ class TestEnvelopeEngine:
         for r in rewards:
             engine2 = PearlEnvelope(n_obj=2, lambda_=0.0, n_rays=1)
             engine2.rays = w[None, :]
-            assert r == engine2.score(sol(rng2.random(2) * 3), 0).reward
+            assert r == engine2.score(table_log([rng2.random(2) * 3]), 0).reward
 
     def test_normalized_objectives(self):
         engine = PearlEnvelope(n_obj=2, lambda_=0.0, normalized_obj=True)
         engine.rays = np.array([[0.5, 0.5]])
-        engine.score(sol((0, 0)), 0)
-        engine.score(sol((4, 2)), 1)
-        out = engine.score(sol((2, 1)), 2)
+        _, outs = score_all(engine, [(0, 0), (4, 2), (2, 1)])
         # rewards -f span [-4, 0] x [-2, 0]: normalized profile (0.5, 0.5)
-        assert out.reward == pytest.approx(0.5)
+        assert outs[-1].reward == pytest.approx(0.5)
 
     def test_observation_is_ray_vector(self):
         engine = PearlEnvelope(n_obj=3, n_rays=2)
         engine.resample(np.random.default_rng(41))
         assert engine.observation().shape == (6,)
-
-
-class TestMakeSolution:
-    def test_keeps_objectives_as_evaluated(self):
-        s = make_solution([0.1, 0.2], [1.0, -2.0])
-        assert s.f.tolist() == [1.0, -2.0]

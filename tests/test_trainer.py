@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pearlkit.pareto import dominates
+from pearlkit.pareto import FEASIBILITY_TOL, dominates
 from pearlkit.problems import get_problem
 from pearlkit.rewards import PearlEnvelope, PearlEpsilon, PearlNds
 from pearlkit.trainer import (
@@ -21,6 +21,7 @@ from pearlkit.trainer import (
 )
 
 from oracles import adam_reference, finite_difference_gradient
+from rows import table_log
 
 
 def toy_batch(rng, obs_dim, act_dim, n):
@@ -109,7 +110,6 @@ class TestRollout:
 
     def test_evaluation_failure_flagged_not_fatal(self, monkeypatch):
         import pearlkit.trainer as trainer_module
-        from pearlkit.rewards import make_solution
 
         cfg = TrainerConfig(n_steps=4, ncores=1, hidden=8)
         problem = get_problem("dtlz2")
@@ -118,13 +118,15 @@ class TestRollout:
                              rng=np.random.default_rng(0), init_log_std=-0.75)
         calls = {"n": 0}
 
-        def exploding_make_solution(*args):
+        evaluate = trainer_module.evaluate
+
+        def exploding_evaluate(*args):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("synthetic failure")
-            return make_solution(*args)
+            return evaluate(*args)
 
-        monkeypatch.setattr(trainer_module, "make_solution", exploding_make_solution)
+        monkeypatch.setattr(trainer_module, "evaluate", exploding_evaluate)
         log = EvaluationLog(4, problem)
         batch = rollout(policy, workers, problem, cfg, log=log)
         assert len(batch.rewards) == len(log) == 4
@@ -318,35 +320,43 @@ class TestTrain:
 
 class TestMergedFront:
     def test_feasible_members_shadow_infeasible(self):
-        from pearlkit.rewards import make_solution
-
         streams = np.random.SeedSequence(0).spawn(2)
         w1 = Worker(0, PearlNds(kappa=4, ranker="crowding", constrained=True),
                     np.random.Generator(np.random.PCG64(streams[0])))
         w2 = Worker(1, PearlNds(kappa=4, ranker="crowding", constrained=True),
                     np.random.Generator(np.random.PCG64(streams[1])))
-        problem = get_problem("ctp1")
-        log = EvaluationLog(2, problem)
-        for worker, f, g in ((w1, [1.0, 1.0], [0.5, 0.0]), (w2, [2.0, 2.0], [-1.0, -1.0])):
-            sol = make_solution(np.zeros(problem.n_x), f, g)
-            worker.engine.score(sol, len(log))
-            log.record(worker.index, sol.x, sol, 0.0)
+        log = table_log([[1.0, 1.0], [2.0, 2.0]], [[0.5, 0.0], [-1.0, -1.0]], workers=[0, 1])
+        w1.engine.score(log, 0)
+        w2.engine.score(log, 1)
         assert merged_front([w1, w2], log).tolist() == [1]
 
     def test_keeps_worker_then_archive_order(self):
-        from pearlkit.rewards import make_solution
-
-        problem = get_problem("dtlz2")
         workers = [Worker(i, PearlNds(kappa=4, ranker="crowding"), None) for i in range(3)]
         # four mutually non-dominated points; worker 2 archives nothing
         points = [(0, [0.0, 1.0, 1.0]), (1, [1.0, 0.0, 1.0]),
                   (0, [1.0, 1.0, 0.0]), (1, [0.5, 0.5, 0.5])][::-1]
-        log = EvaluationLog(len(points), problem)
-        for worker, f in points:
-            sol = make_solution(np.zeros(problem.n_x), f)
-            workers[worker].engine.score(sol, len(log))
-            log.record(worker, sol.x, sol, 0.0)
+        log = table_log([f for _, f in points], workers=[w for w, _ in points])
+        for row, (worker, _) in enumerate(points):
+            workers[worker].engine.score(log, row)
         rows = np.concatenate([w.engine.archive.rows() for w in workers])
         front = merged_front(workers, log)
         assert front.tolist() == rows.tolist()
         assert front.tolist() != sorted(front.tolist())
+
+
+class TestEvaluationLog:
+    def test_keeps_objectives_as_evaluated(self):
+        log = table_log([[1.0, -2.0]])
+        assert len(log) == 1 and log.F[0].tolist() == [1.0, -2.0]
+
+    def test_cv_is_zero_exactly_when_every_constraint_holds(self):
+        # cv >= 0 on every row, and 0 exactly when every g_i <= FEASIBILITY_TOL
+        G = [[-1.0, 0.0], [FEASIBILITY_TOL, -np.inf], [2 * FEASIBILITY_TOL, -1.0],
+             [0.5, 0.2], [-1.0, np.inf]]
+        log = table_log(np.ones((len(G), 2)), G)
+        assert log.cv.tolist() == pytest.approx([0.0, 0.0, 4 * FEASIBILITY_TOL**2, 0.29, np.inf])
+        assert ((log.cv == 0) == (log.G <= FEASIBILITY_TOL).all(axis=1)).all()
+
+    def test_reward_is_nan_until_paid(self):
+        log = table_log([[1.0, 2.0], [2.0, 1.0]])
+        assert np.isnan(log.reward).all()
