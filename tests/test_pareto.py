@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from pearlkit.density import crowding_rank
 from pearlkit.pareto import (
+    FEASIBILITY_TOL,
     ParetoArchive,
     best_front,
     dominates,
     non_dominated_mask,
     non_dominated_sort,
 )
+from pearlkit.rewards import constraint_violation
 
 from oracles import (
     OracleArchive,
@@ -19,6 +21,7 @@ from oracles import (
     constrained_dominates_scalar,
     non_dominated_mask_scalar,
 )
+from rows import table_log
 
 
 def pt(*f):
@@ -62,6 +65,29 @@ class TestDominates:
         for _ in range(300):
             a, b = rng.integers(0, 4, size=(2, 3)).astype(float)
             assert dominates(a, b) == brute_force_dominates(a, b)
+
+
+class TestSolutionInvariants:
+    """The violation ``cv`` the sorts and archives read is the one each
+    logged row gets from its constraint values ``g``."""
+
+    def test_cv_zero_requires_satisfied_constraints(self):
+        log = table_log(np.ones((3, 2)), [[0.5], [2 * FEASIBILITY_TOL], [np.inf]])
+        assert (log.cv > 0).all()
+
+    def test_positive_cv_requires_a_violation(self):
+        log = table_log(np.ones((3, 2)), [[-1.0], [FEASIBILITY_TOL], [-np.inf]])
+        assert log.cv.tolist() == [0.0, 0.0, 0.0]
+
+    def test_negative_cv_rejected(self):
+        rng = np.random.default_rng(13)
+        G = rng.normal(size=(40, 3))
+        G[::7, 0] = -np.inf
+        log = table_log(np.ones((40, 2)), G)
+        assert (log.cv >= 0).all()
+        assert ((log.cv == 0) == (G <= FEASIBILITY_TOL).all(axis=1)).all()
+        with pytest.raises(ValueError):
+            constraint_violation([0.5], weights=[-1.0])
 
 
 class TestConstrainedDominates:
