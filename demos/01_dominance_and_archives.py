@@ -2,11 +2,10 @@
 Dominance relations and bounded Pareto archives
 ===============================================
 
-The building blocks: pairwise dominance (every objective is minimized),
-constrained dominance with feasibility taking precedence, non-dominated
-sorting and the best front of an array of objective rows, and the bounded
-archive that the reward engines use as per-worker
-memory.
+The building blocks: dominance (every objective is minimized), constrained
+dominance with feasibility taking precedence, non-dominated sorting and the
+best front of an array of objective rows, and the bounded archive that the
+reward engines use as per-worker memory.
 """
 
 import numpy as np
@@ -15,14 +14,15 @@ from pearlkit import (
     ParetoArchive,
     best_front,
     crowding_rank,
-    dominates,
     non_dominated_sort,
 )
 
-# Plain dominance: no larger everywhere, strictly smaller somewhere.
-print(dominates((1, 2), (2, 3)))   # True
-print(dominates((1, 2), (1, 2)))   # False: equal vectors never dominate
-print(dominates((3, 1), (1, 3)))   # False: incomparable trade-off
+# Plain dominance: no larger everywhere, strictly smaller somewhere.  Sorting
+# rows shows it: (1, 2) dominates (2, 3), equal rows never dominate each
+# other, and (1, 2), (3, 1) and (0, 4) trade off, so none dominates another.
+rows = np.array([[1.0, 2.0], [2.0, 3.0], [1.0, 2.0], [3.0, 1.0], [0.0, 4.0]])
+print([front.tolist() for front in
+       non_dominated_sort(rows, np.zeros(len(rows)))])  # [[0, 2, 3, 4], [1]]
 
 # Constrained dominance: any feasible point (violation 0) beats any
 # infeasible one, and between infeasible points the smaller violation wins.

@@ -31,7 +31,8 @@ print("concentrated rays:\n", np.round(peaked, 3))
 
 # Engines score evaluations where a run keeps them: in the rows of its
 # EvaluationLog.  log.evaluate fills the next row, engine.score(log, row)
-# reads it, and an engine's archive keeps the rows of the members it admits.
+# reads it, and a rank engine's archive keeps the rows of the members it
+# admits.
 # Here the two costs of a point x of the unit square are 4 * x.
 costs = ProblemSpec("costs", n_x=2, n_obj=2, objectives=lambda x: 4.0 * x)
 log = EvaluationLog(16, costs)
@@ -76,4 +77,4 @@ constrained = CurriculumConstrained(PearlNds(kappa=64, ranker="crowding"))
 print("\ninfeasible reward:", constrained.score(boxed_log, 0).reward)    # -(0.29) - 64
 print("feasible reward:", constrained.score(boxed_log, 1).reward)
 print("archive holds only feasible members:",
-      bool((boxed_log.cv[constrained.archive.rows()] == 0).all()))
+      bool((boxed_log.cv[constrained.inner.archive.rows()] == 0).all()))

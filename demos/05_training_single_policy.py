@@ -4,7 +4,8 @@ Training a single policy to uncover a Pareto front
 
 One stochastic policy, eight workers, one-step episodes: each worker draws
 an action (a candidate decision vector), evaluates the problem, and scores
-it against its private archive.  The merged archives approximate the front.
+it against its private archive.  The run reports the non-dominated rows of
+its whole evaluation log as the front.
 
 This demo runs a reduced budget so it finishes in a few seconds; the full
 benchmark setting uses budget=10000 (20000 for the harder suites).
@@ -28,7 +29,7 @@ result = train(problem, lambda: PearlNds(kappa=64, ranker="crowding"), cfg)
 # The front is a set of rows of the evaluation log.
 log = result.log
 front = log.F[result.front]  # objectives as evaluated
-print(f"evaluations: {len(log)}, merged front: {len(front)} points")
+print(f"evaluations: {len(log)}, front: {len(front)} points")
 print(f"hypervolume vs nadir {problem.nadir.tolist()}: "
       f"{hypervolume(front, problem.nadir):.3f}")
 print(f"wall time: {result.wall_time:.1f}s")

@@ -11,7 +11,6 @@ from .pareto import (
     FEASIBILITY_TOL,
     ParetoArchive,
     best_front,
-    dominates,
     non_dominated_mask,
     non_dominated_sort,
 )
@@ -56,7 +55,7 @@ from .stats import critical_difference, friedman, nemenyi
 __version__ = "0.1.0"
 
 __all__ = [
-    "FEASIBILITY_TOL", "ParetoArchive", "best_front", "dominates",
+    "FEASIBILITY_TOL", "ParetoArchive", "best_front",
     "non_dominated_mask", "non_dominated_sort",
     "DensityRank", "ReferenceDirectionSet", "crowding_rank", "das_dennis",
     "default_divisions", "niching_rank",

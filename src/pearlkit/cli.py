@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("-o", "--out", default="comparison",
                       help="directory for the comparison tables")
 
-    front = sub.add_parser("front", help="print the merged front of a run cell")
+    front = sub.add_parser("front", help="print the front of a run cell")
     front.add_argument("run_dir", help="cell directory holding front.csv")
 
     ref = sub.add_parser("ref-front", help="print a problem's reference front")

@@ -3,7 +3,7 @@
 An experiment file (JSON, ``version`` key required) names one or more
 problems, one or more algorithm variants, a shared evaluation budget, and a
 seed list.  ``run_experiment`` executes every (algorithm x problem x seed)
-cell, writing per-cell evaluation logs, merged fronts, and JSON summaries
+cell, writing per-cell evaluation logs, fronts, and JSON summaries
 plus one metrics CSV for the whole experiment.  ``compare`` consumes the
 outputs of several runs, rebuilds combined per-seed reference fronts,
 recomputes the binary indicators against them, and applies the Friedman and
@@ -419,7 +419,7 @@ def compare(run_dirs, alpha: float = 0.05) -> list[ComparisonResult]:
 
     Hypervolumes come straight from the metric CSVs; the binary indicators
     are recomputed against the combined per-seed reference front built from
-    the stored merged-front files (no problem re-evaluation), where a front
+    the stored front files (no problem re-evaluation), where a front
     with no feasible member counts as empty.  Statistics run on the
     hypervolume matrix when at least two seeds are shared.
     """

@@ -24,7 +24,7 @@ import numpy as np
 
 from .density import (ReferenceDirectionSet, associate, best_first, crowding_rank, das_dennis,
                       default_divisions, minmax_normalize)
-from .pareto import best_front, non_dominated_sort
+from .pareto import non_dominated_sort
 from .problems import ProblemSpec
 from .trainer import EvaluationLog, RunResult
 
@@ -164,8 +164,8 @@ def _run(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool], step)
     ``nsga2_step`` or ``nsga3_step`` with its directions bound.
 
     ``constrained`` defaults to whether the problem has constraints.  The
-    initial population counts against the budget; the returned front is the
-    log rows of the (feasibility-first) non-dominated set over all
+    initial population counts against the budget; the returned front is
+    ``log.front()``, the (feasibility-first) non-dominated rows of all
     evaluations.
     """
     cfg.validate()
@@ -184,9 +184,7 @@ def _run(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool], step)
     for _ in range(generations):
         pop = step(pop, log, cfg, problem, rng, evaluate, constrained)
 
-    rows = np.flatnonzero(~np.isnan(log.cv[:len(log)]))
-    return RunResult(front=rows[best_front(log.F[rows], log.cv[rows])], log=log,
-                     wall_time=time.perf_counter() - start)
+    return RunResult(front=log.front(), log=log, wall_time=time.perf_counter() - start)
 
 
 def run_nsga2(problem: ProblemSpec, cfg: GAConfig,

@@ -7,10 +7,9 @@ Two dominance relations exist: plain dominance on the objectives and, with
 ``constrained=True``, feasibility first (after Deb et al., IEEE TEC 2002):
 a feasible point (violation ``cv == 0``) beats an infeasible one, the lower
 violation wins between two infeasible points, and plain dominance decides
-between two feasible ones.  ``dominates`` is the scalar form of plain
-dominance; ``_dominance`` is the array form of both for the sort, and
-``ParetoArchive`` compares one candidate against all its members in a
-single broadcast.
+between two feasible ones.  ``_dominance`` is the array form of both for
+the sort, and ``ParetoArchive`` compares one candidate against all its
+members in a single broadcast.
 """
 
 from __future__ import annotations
@@ -24,19 +23,6 @@ import numpy as np
 FEASIBILITY_TOL = 1e-12
 
 _BLOCK = 128  # rows per block of the sweep in ``non_dominated_mask``
-
-
-def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """True if objective vector ``a`` dominates ``b`` (minimization).
-
-    ``a`` dominates ``b`` when it is no larger in every component and
-    strictly smaller in at least one.  Equal vectors never dominate.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"objective vectors differ in length: {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b) and np.any(a < b))
 
 
 def _dominance(a_f: np.ndarray, a_cv: np.ndarray, b_f: np.ndarray,
@@ -128,8 +114,8 @@ class ParetoArchive:
     """Bounded buffer of mutually non-dominated solutions.
 
     The archive is the per-worker memory used by the rank-based reward
-    engines.  ``capacity=None`` gives an unbounded archive (used by the
-    envelope variant, where the archive only serves reporting).
+    engines, which insert with a ranker and a fixed capacity.
+    ``capacity=None`` with ``add`` gives an unbounded, unranked archive.
     ``constrained=True`` folds feasibility into dominance, so that
     constrained variants keep feasibility inside the buffer ordering.
 

@@ -194,12 +194,12 @@ class RewardOutcome:
 
 
 class PearlEnvelope:
-    """Preference-conditioned scalarization engine (unbounded archive).
+    """Preference-conditioned scalarization engine (no archive).
 
-    The reward never consults the archive; the archive only collects the
-    non-dominated solutions encountered, for reporting.  ``resample`` must
-    be called before the first ``score`` and is meant to run at batch
-    boundaries (one ray set per rollout segment).
+    The reward depends only on the scored objectives, the active rays and
+    the running bounds, so nothing is archived.  ``resample`` must be called
+    before the first ``score`` and is meant to run at batch boundaries (one
+    ray set per rollout segment).
 
     The engine scalarizes the reward ``r = -f``, the negated costs, or with
     ``normalized_obj`` that reward min-max normalized by the running bounds.
@@ -230,7 +230,6 @@ class PearlEnvelope:
         self.n_rays = _positive_int("n_rays", n_rays)
         self.rays: Optional[np.ndarray] = None
         self.bounds = RunningBounds()
-        self.archive = ParetoArchive(capacity=None)
 
     def observation(self) -> np.ndarray:
         if self.rays is None:
@@ -241,17 +240,15 @@ class PearlEnvelope:
         self.rays = sample_preferences(self.alpha, self.n_rays, rng)
 
     def score(self, log: EvaluationLog, row: int) -> RewardOutcome:
-        """Reward of the evaluation at ``row`` of ``log``; the archive keeps
-        the row if it admits its objectives."""
+        """Reward of the evaluation at ``row`` of ``log``; never archived."""
         if self.rays is None:
             raise RuntimeError("resample() must run before scoring")
-        f = log.F[row]
-        r = -f  # a cost becomes a reward
+        r = -log.F[row]  # a cost becomes a reward
         self.bounds.update(r)
         if self.normalized_obj:
             r = self.bounds.normalize(r)
         reward = pearl_e_reward(r, self.rays, self.lambda_, self.uniformity)
-        return RewardOutcome(reward=reward, archived=self.archive.add(f, log.cv[row], row))
+        return RewardOutcome(reward=reward, archived=False)
 
 
 class _RankedEngine:
@@ -362,10 +359,6 @@ class CurriculumConstrained:
             float(inner.reward_scale) if inner.reward_scale != 1.0 else max(1.0, self.M)
         )
         self.default_log_std = inner.default_log_std
-
-    @property
-    def archive(self) -> ParetoArchive:
-        return self.inner.archive
 
     def observation(self) -> np.ndarray:
         return self.inner.observation()

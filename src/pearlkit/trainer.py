@@ -9,11 +9,12 @@ provides the value baseline.
 Everything runs in float64 numpy so that gradients can be checked against
 finite differences exactly.
 
-Workers are independent-state objects: each owns its reward engine, its
-archive, and its RNG stream.  They are stepped inside the rollout loop
-(problem evaluation is pure, so this matches the fork-join model without
-the process overhead) and parameters are published to them immutably
-between batches.
+Workers are independent-state objects: each owns its reward engine (and
+the engine's archive, if it keeps one) and its RNG stream.  They are
+stepped inside the rollout loop (problem evaluation is pure, so this
+matches the fork-join model without the process overhead) and parameters
+are published to them immutably between batches.  The archives only shape
+rewards: a run reports the front of its whole evaluation log.
 """
 
 from __future__ import annotations
@@ -114,6 +115,7 @@ class PolicyState:
         self.params = self.views(self.flat)
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
+        self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
         self.adam_steps = 0
         self.learning_rate = cfg.learning_rate
 
@@ -130,14 +132,29 @@ class PolicyState:
         return forward(self.params, "v", obs)[2][:, 0]
 
     def adam_step(self, grad: np.ndarray):
-        """One Adam step on every parameter from the flat gradient ``grad``."""
+        """One Adam step on every parameter from the flat gradient ``grad``.
+
+        Every vector is updated in place, in the operation order of
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+        ``flat -= lr * m_hat / (sqrt(v_hat) + eps)``.
+        """
         self.adam_steps += 1
         t = self.adam_steps
-        self.m = _ADAM_BETA1 * self.m + (1 - _ADAM_BETA1) * grad
-        self.v = _ADAM_BETA2 * self.v + (1 - _ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1 - _ADAM_BETA1**t)
-        v_hat = self.v / (1 - _ADAM_BETA2**t)
-        self.flat -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        a, b = self._scratch
+        np.multiply(self.m, _ADAM_BETA1, out=self.m)
+        np.multiply(grad, 1 - _ADAM_BETA1, out=a)
+        self.m += a
+        np.multiply(grad, 1 - _ADAM_BETA2, out=a)
+        a *= grad
+        np.multiply(self.v, _ADAM_BETA2, out=self.v)
+        self.v += a
+        np.divide(self.m, 1 - _ADAM_BETA1**t, out=a)
+        a *= self.learning_rate
+        np.divide(self.v, 1 - _ADAM_BETA2**t, out=b)
+        np.sqrt(b, out=b)
+        b += _ADAM_EPS
+        a /= b
+        self.flat -= a
 
     def check_finite(self):
         if not np.isfinite(self.flat).all():
@@ -244,6 +261,12 @@ class EvaluationLog:
         self._n = i + 1
         return ok
 
+    def front(self) -> np.ndarray:
+        """The rows a run reports as its front: ``best_front`` over the rows
+        whose evaluation succeeded, ascending."""
+        rows = np.flatnonzero(~np.isnan(self.cv[:self._n]))
+        return rows[best_front(self.F[rows], self.cv[rows])]
+
 
 @dataclass
 class RunResult:
@@ -341,36 +364,40 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
     """Collect one batch: every worker draws n_steps actions and scores them,
     recording one row per evaluation in ``log``.
 
+    Each worker draws its rays, latents and action noise from its own
+    stream, in worker order; one policy and one value pass then cover the
+    whole batch, and its rows are evaluated and scored in worker order.
+
     A failed problem evaluation never aborts the batch: it is flagged in the
-    log with NaN objectives and paid the lower of ``-reward_scale`` and the
-    lowest valid reward of the batch, so no failure out-earns a valid
-    sample.  An exception from the engine is a program or configuration
-    error and propagates.
+    log with NaN objectives.  It, and any non-finite reward, is paid the
+    lower of ``-reward_scale`` and the lowest finite reward of the batch, so
+    no failure out-earns a valid sample and every reward is finite.  An
+    exception from the engine is a program or configuration error and
+    propagates.
     """
     n = cfg.n_steps
     first = len(log)
-    parts = []
+    obs, noise = [], []
     for worker in workers:
         worker.engine.resample(worker.rng)
-        obs = _worker_observations(worker, n, problem.n_x)
-        mean, log_std = policy.policy_heads(obs)
-        std = np.exp(log_std)
-        z = mean + std * worker.rng.standard_normal((n, policy.act_dim))
-        actions = squash(z)
-        scale = float(worker.engine.reward_scale)
-        for x in actions:
+        obs.append(_worker_observations(worker, n, problem.n_x))
+        noise.append(worker.rng.standard_normal((n, policy.act_dim)))
+    obs = np.concatenate(obs)
+    mean, log_std = policy.policy_heads(obs)
+    z = mean + np.exp(log_std) * np.concatenate(noise)
+    actions = squash(z)
+    scales = np.repeat([float(w.engine.reward_scale) for w in workers], n)
+    for worker, xs in zip(workers, actions.reshape(len(workers), n, -1)):
+        for x in xs:
             row = len(log)
-            ok = log.evaluate(problem, worker.index, x)
-            log.reward[row] = worker.engine.score(log, row).reward if ok else -scale
-        parts.append((obs, z, gaussian_log_prob(z, mean, log_std),
-                      policy.value(obs), np.full(n, scale)))
-    obs, z, gauss_logp, values, scales = map(np.concatenate, zip(*parts))
+            if log.evaluate(problem, worker.index, x):
+                log.reward[row] = worker.engine.score(log, row).reward
     raw = log.reward[first:len(log)]  # a view: the fix-up below rewrites the log
-    failed = np.isnan(log.cv[first:len(log)])
-    if failed.any() and not failed.all():
-        raw[failed] = np.minimum(raw[failed], raw[~failed].min())
+    bad = ~np.isfinite(raw)  # failed evaluations still hold NaN
+    raw[bad] = np.minimum(-scales[bad], raw[~bad].min(initial=np.inf))
     return RolloutBatch(observations=obs, pre_squash=z, rewards=raw / scales,
-                        gauss_log_probs=gauss_logp, values=values)
+                        gauss_log_probs=gaussian_log_prob(z, mean, log_std),
+                        values=policy.value(obs))
 
 
 def update(policy: PolicyState, batch: RolloutBatch, cfg: TrainerConfig,
@@ -402,20 +429,13 @@ def update(policy: PolicyState, batch: RolloutBatch, cfg: TrainerConfig,
     return policy
 
 
-def merged_front(workers: list[Worker], log: EvaluationLog) -> np.ndarray:
-    """Log rows of the non-dominated union of the worker archives
-    (feasibility first), in worker order and archive order within a worker."""
-    rows = np.concatenate([w.engine.archive.rows() for w in workers])
-    return rows[best_front(log.F[rows], log.cv[rows])]
-
-
 def train(problem: ProblemSpec, engine_factory: Callable[[], object],
           cfg: TrainerConfig) -> RunResult:
     """Alternate rollout and update until the evaluation budget is spent.
 
     ``engine_factory`` builds one fresh reward engine per worker.  Returns
-    the complete evaluation history and, as rows of it, the merged
-    non-dominated front across the worker archives.
+    the complete evaluation history and, as rows of it, its front
+    (``EvaluationLog.front``).
     """
     cfg.validate()
     start = time.perf_counter()
@@ -442,5 +462,4 @@ def train(problem: ProblemSpec, engine_factory: Callable[[], object],
     for _ in range(n_updates):
         batch = rollout(policy, workers, problem, cfg, log)
         update(policy, batch, cfg, shuffle_rng)
-    return RunResult(front=merged_front(workers, log), log=log,
-                     wall_time=time.perf_counter() - start)
+    return RunResult(front=log.front(), log=log, wall_time=time.perf_counter() - start)

@@ -62,6 +62,57 @@ def non_dominated_mask_scalar(points):
     return mask
 
 
+def log_front_scalar(F, cv):
+    """Scalar reference for ``EvaluationLog.front``: the rows whose ``cv`` is
+    not NaN; of them the feasible ones, or when none is feasible those of
+    least violation; of those, each row no other dominates, unless an
+    earlier one has the same objectives.  Returns ascending row numbers."""
+    ok = [i for i in range(len(cv)) if not math.isnan(cv[i])]
+    if not ok:
+        return []
+    least = min(cv[i] for i in ok)
+    pool = [i for i in ok if cv[i] == least]
+    front = []
+    for i in pool:
+        dominated = any(brute_force_dominates(F[j], F[i]) for j in pool)
+        repeated = any(list(F[j]) == list(F[i]) for j in pool if j < i)
+        if not dominated and not repeated:
+            front.append(i)
+    return front
+
+
+def rollout_per_worker(policy, workers, problem, cfg, log):
+    """Reference for ``trainer.rollout``: one policy and one value pass per
+    worker, each worker evaluated and scored before the next one draws.
+    A failed evaluation or a non-finite reward is paid, row by row, the
+    lower of ``-reward_scale`` and the lowest finite reward of the batch."""
+    from pearlkit.trainer import RolloutBatch, _worker_observations, gaussian_log_prob, squash
+
+    n = cfg.n_steps
+    first = len(log)
+    parts = []
+    for worker in workers:
+        worker.engine.resample(worker.rng)
+        obs = _worker_observations(worker, n, problem.n_x)
+        mean, log_std = policy.policy_heads(obs)
+        std = np.exp(log_std)
+        z = mean + std * worker.rng.standard_normal((n, policy.act_dim))
+        for x in squash(z):
+            row = len(log)
+            if log.evaluate(problem, worker.index, x):
+                log.reward[row] = worker.engine.score(log, row).reward
+        parts.append((obs, z, gaussian_log_prob(z, mean, log_std), policy.value(obs),
+                      np.full(n, float(worker.engine.reward_scale))))
+    obs, z, gauss_logp, values, scales = map(np.concatenate, zip(*parts))
+    finite = [float(r) for r in log.reward[first:len(log)] if math.isfinite(r)]
+    for i in range(len(scales)):
+        if not math.isfinite(log.reward[first + i]):
+            log.reward[first + i] = min([-scales[i]] + finite)
+    return RolloutBatch(observations=obs, pre_squash=z,
+                        rewards=log.reward[first:len(log)] / scales,
+                        gauss_log_probs=gauss_logp, values=values)
+
+
 class Member(NamedTuple):
     """An archive member: objectives, violation and evaluation-log row."""
 

@@ -19,32 +19,32 @@ CELLS = {
     "pearl-nds-crowding-dtlz2": (
         {"name": "pearl-nds", "ranker": "crowding"}, "dtlz2",
         "ee7e1862386e88383d8016b6bfaebc4c7037213a442d9208366cee4a31fbda3d",
-        "4f69bac5ad494efd958b6808ce1c021427a5166e53f4ba176b2cddaa1913d0d4"),
+        "62b675db87f13e224b5e2421a308b7b5128d985938bf6ba620fb5b2fc1c22626"),
     "pearl-eps-dtlz2": (
         {"name": "pearl-eps"}, "dtlz2",
         "0f48b1e52982b725feb9c4dddc725337837b39de54d9d208364fd40ff4c27ad5",
-        "fcc39e57f3314d24caaf65e99650aae8ba65ccda0c714c2ca020fc1fc8040415"),
+        "150b7d7e9ebf25a1f5fcd7f77bfa2307e474cd675799506c896c4231c22580de"),
     "pearl-nds-niching-dtlz2": (
         {"name": "pearl-nds", "ranker": "niching"}, "dtlz2",
         "9714938659abfc8514e3bcfe38a7eb06e975dae1310c7b8615ecbe34771ac05a",
-        "6f49adf1aba5ccc518577c910cd33a981566087c77572b1203d033296d7aef53"),
+        "dd7b0540d23738970905ce1622d2e1da8ee3c5c31f968fc341067840d16322b1"),
     "pearl-e-dtlz7": (
         {"name": "pearl-e"}, "dtlz7",
         "6b5019aefde6faea086c805f9e2e1a0bba27f7202cb10b3b14d66847fb8d526f",
-        "9fe8b28f16cd1f091356d2f46ac531b70f0f54a06ddf14b73109a14376b1b7ba"),
+        "3931ffb990057b28c7d29a57118245f23f743e9846fec18ab3854a4e44b736f0"),
     # the only setting where the kl uniformity term is non-zero
     "pearl-e-kl-normalized-dtlz2": (
         {"name": "pearl-e", "uniformity": "kl", "normalized_obj": True}, "dtlz2",
         "b0a917a47f4dd7d78d1c84f30854f77e7fd93ad46acc162c54c6ee9694732631",
-        "42af4c9892d6753c4ba81095ce06a4a36cced736826765b38f186c990efcbfe6"),
+        "fccbb96f39fe1b858314ba35bfd6d36e765fb90a1a74852be2880bd5d853cfce"),
     "c-pearl-crowding2-c2dtlz2": (
         {"name": "c-pearl", "mode": "crowding2"}, "c2dtlz2",
         "53eef2f0135b93827076d1238a5a50612f37959f5f35c9a5d6e5441078747354",
-        "88942adff4e8f68a2204501a1d516f0198efd1965c58c09ddbef4f9b5a1d1953"),
+        "4f1bfbccf50180f0389c639335fe53da55a859076b7b790e8c800085fe6b0a4a"),
     "c-pearl-distance-cl-c2dtlz2": (
         {"name": "c-pearl", "mode": "distance-cl"}, "c2dtlz2",
         "17589d8168e9b5d15f64c2ad9abf07d6e622998745f0381057d190a7a9564e28",
-        "9a46faeaabd4647d8a7206e6246e197a43cef7b51677450e8f3278d9bd7f7046"),
+        "cd4bf9b6f21f1399777fbfca9333a906305dba02df9f150eeb23646b3f1e4b0b"),
     "nsga3-c2dtlz2": (
         {"name": "nsga3"}, "c2dtlz2",
         "1d3d7a84d28deb49ddaffed6c55ab3fd62e3fcc4e588b106df53c7e2cdbc069d",
@@ -78,19 +78,19 @@ SUMMARIES = {
         "hv": 26.239227883761494, "gd": 0.06258304401688035,
         "igd": 0.11027728591265276, "eps": 0.16034993486584134}),
     "pearl-e-dtlz7": (18, 18, 512, {
-        "hv": 0.0, "gd": 7.618766594268012,
+        "hv": 0.0, "gd": 7.61876659426801,
         "igd": 6.9741404327959575, "eps": 8.95478915556402}),
     "pearl-e-kl-normalized-dtlz2": (63, 63, 512, {
-        "hv": 25.237457361833055, "gd": 0.45266770712642523,
+        "hv": 25.237457361833055, "gd": 0.4526677071264253,
         "igd": 0.33125941143191245, "eps": 0.42452183972088486}),
     "pearl-eps-dtlz2": (80, 80, 512, {
         "hv": 25.66280416124969, "gd": 0.26796764817821694,
         "igd": 0.24029828996966313, "eps": 0.35415723149498346}),
     "pearl-nds-crowding-dtlz2": (79, 79, 512, {
-        "hv": 25.65144280037881, "gd": 0.27378711615593976,
+        "hv": 25.65144280037881, "gd": 0.2737871161559398,
         "igd": 0.24098941816500188, "eps": 0.3534671098647031}),
     "pearl-nds-niching-dtlz2": (81, 81, 512, {
-        "hv": 25.658688184138704, "gd": 0.27322019110705736,
+        "hv": 25.658688184138704, "gd": 0.2732201911070573,
         "igd": 0.24087488760852704, "eps": 0.35626335515716945}),
 }
 

@@ -238,22 +238,22 @@ class TestCurriculumConstrained:
         engine = CurriculumConstrained(PearlNds(kappa=4, ranker="crowding"))
         out = engine.score(table_log([(1, 1)]), 0)
         assert out.reward == 0.0 and out.archived
-        assert engine.archive.rows().tolist() == [0]
+        assert engine.inner.archive.rows().tolist() == [0]
 
     def test_infeasible_penalty(self):
         engine = CurriculumConstrained(PearlNds(kappa=64, ranker="crowding"))
         out = engine.score(table_log([(1, 1)], [[0.5, 0.2]]), 0)
         assert out.reward == pytest.approx(-64.29)
         assert not out.archived
-        assert len(engine.archive) == 0
+        assert len(engine.inner.archive) == 0
 
     def test_archive_only_holds_feasible(self):
         rng = np.random.default_rng(29)
         engine = CurriculumConstrained(PearlNds(kappa=8, ranker="crowding"))
         points = [(rng.random(2), [rng.normal()]) for _ in range(200)]
         log, _ = score_all(engine, [f for f, _ in points], [g for _, g in points])
-        assert len(engine.archive) > 0
-        assert (log.cv[engine.archive.rows()] == 0).all()
+        assert len(engine.inner.archive) > 0
+        assert (log.cv[engine.inner.archive.rows()] == 0).all()
 
     def test_infeasible_strictly_below_feasible_when_bonus_matches_kappa(self):
         rng = np.random.default_rng(31)
@@ -285,21 +285,21 @@ class TestEnvelopeEngine:
         with pytest.raises(RuntimeError):
             engine.score(table_log([(1, 1)]), 0)
 
-    def test_archive_unbounded_and_reward_ignores_it(self):
+    def test_reward_ignores_history_and_nothing_is_archived(self):
         rng = np.random.default_rng(37)
         engine = PearlEnvelope(n_obj=2, lambda_=0.0, n_rays=1)
         engine.resample(rng)
         w = engine.rays[0].copy()
-        rewards = [out.reward for out in score_all(engine, rng.random((100, 2)) * 3)[1]]
-        assert len(engine.archive) > 1
-        # every reward is exactly the scalarization, independent of archive
-        # state: each point scored again on a fresh engine with an empty archive
-        rng2 = np.random.default_rng(37)
-        rng2.gamma(shape=np.ones(2), size=(1, 2))  # consume the resample draw
-        for r in rewards:
-            engine2 = PearlEnvelope(n_obj=2, lambda_=0.0, n_rays=1)
-            engine2.rays = w[None, :]
-            assert r == engine2.score(table_log([rng2.random(2) * 3]), 0).reward
+        log, outs = score_all(engine, rng.random((100, 2)) * 3)
+        assert not hasattr(engine, "archive")
+        assert not any(out.archived for out in outs)
+        # every reward is exactly the scalarization, independent of what was
+        # scored before: each point scored again on a fresh engine
+        for row, out in enumerate(outs):
+            assert out.reward == float(np.dot(w, -log.F[row]))
+            fresh = PearlEnvelope(n_obj=2, lambda_=0.0, n_rays=1)
+            fresh.rays = w[None, :]
+            assert out.reward == fresh.score(log, row).reward
 
     def test_normalized_objectives(self):
         engine = PearlEnvelope(n_obj=2, lambda_=0.0, normalized_obj=True)

@@ -1,11 +1,15 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from pearlkit.pareto import FEASIBILITY_TOL, dominates
+import pearlkit.trainer as trainer_module
+from pearlkit import problems
+from pearlkit.experiment import _ENGINES, run_experiment
+from pearlkit.pareto import FEASIBILITY_TOL
 from pearlkit.problems import get_problem
-from pearlkit.rewards import PearlEnvelope, PearlEpsilon, PearlNds
+from pearlkit.rewards import CurriculumConstrained, PearlEnvelope, PearlEpsilon, PearlNds
 from pearlkit.trainer import (
     LOG_STD_MIN,
     EvaluationLog,
@@ -14,13 +18,18 @@ from pearlkit.trainer import (
     Worker,
     gaussian_log_prob,
     loss_and_grad,
-    merged_front,
     rollout,
     train,
     update,
 )
 
-from oracles import adam_reference, finite_difference_gradient
+from oracles import (
+    adam_reference,
+    brute_force_dominates,
+    finite_difference_gradient,
+    log_front_scalar,
+    rollout_per_worker,
+)
 from rows import table_log
 
 
@@ -172,6 +181,110 @@ class TestRollout:
         assert not np.allclose(first.observations[0, :12], first.observations[1, :12])
 
 
+class TestStackedRollout:
+    """``rollout`` keeps every draw, evaluation and reward of the per-worker
+    loop in ``rollout_per_worker``, bit for bit, on whatever BLAS runs it."""
+
+    ENGINES = {
+        "rank": lambda: [CurriculumConstrained(PearlNds(kappa=8, ranker="crowding")),
+                         PearlNds(kappa=8, ranker="niching", n_obj=3, constrained=True),
+                         PearlEpsilon(kappa=8)],
+        "envelope": lambda: [PearlEnvelope(n_obj=3, n_rays=2),
+                             PearlEnvelope(n_obj=3, n_rays=2, lambda_=0.0, alpha=3.0),
+                             PearlEnvelope(n_obj=3, n_rays=2, uniformity="kl",
+                                           normalized_obj=True)],
+    }
+
+    @pytest.mark.parametrize("engines", sorted(ENGINES))
+    def test_matches_per_worker_loop(self, engines):
+        problem = TestFailureReward.flaky("c2dtlz2")
+        cfg = TrainerConfig(n_steps=16, ncores=3, hidden=8)
+        obs_dim = problem.n_x + (6 if engines == "envelope" else 0)
+        policy = PolicyState(obs_dim=obs_dim, act_dim=problem.n_x, cfg=cfg,
+                             rng=np.random.default_rng(0), init_log_std=-0.5)
+        runs = []
+        for collect in (rollout, rollout_per_worker):
+            streams = np.random.SeedSequence(11).spawn(cfg.ncores)
+            workers = [Worker(i, engine, np.random.Generator(np.random.PCG64(streams[i])))
+                       for i, engine in enumerate(self.ENGINES[engines]())]
+            log = EvaluationLog(3 * cfg.batch_size(), problem)
+            batches = [collect(policy, workers, problem, cfg, log) for _ in range(3)]
+            runs.append((batches, log, [w.rng.bit_generator.state for w in workers]))
+        (batches, log, states), (ref_batches, ref_log, ref_states) = runs
+        assert np.isnan(log.cv).any()
+        for batch, ref in zip(batches, ref_batches):
+            for field in dataclasses.fields(batch):
+                assert np.array_equal(getattr(batch, field.name), getattr(ref, field.name)), \
+                    field.name
+        for name in ("worker", "X", "F", "G", "cv", "reward"):
+            assert np.array_equal(getattr(log, name), getattr(ref_log, name), equal_nan=True), \
+                name
+        assert states == ref_states
+
+
+class TestNonFiniteReward:
+    """A +inf constraint value gives ``cv = inf``, and c-pearl's distance
+    penalty for it is ``-inf``.  The rollout pays that row as it pays a
+    failed evaluation, so every reward is finite and training goes on."""
+
+    @staticmethod
+    def problem():
+        base = get_problem("c2dtlz2")
+
+        def constraints(x, f):
+            return np.array([np.inf]) if x[0] > 0.7 else base.constraints(x, f)
+
+        return dataclasses.replace(base, name="infc2dtlz2", constraints=constraints)
+
+    @staticmethod
+    def record_learning_rates(monkeypatch):
+        rates = []
+
+        def recording_update(policy, batch, cfg, rng):
+            out = update(policy, batch, cfg, rng)
+            rates.append(policy.learning_rate)
+            return out
+
+        monkeypatch.setattr(trainer_module, "update", recording_update)
+        return rates
+
+    def test_train(self, monkeypatch):
+        rates = self.record_learning_rates(monkeypatch)
+        problem = self.problem()
+        cfg = TrainerConfig(n_steps=16, ncores=4, budget=256, hidden=8, seed=0)
+        result = train(problem, lambda: _ENGINES["c-pearl"](problem, {"mode": "distance-cl"}),
+                       cfg)
+        log = result.log
+        assert (log.cv == np.inf).any()
+        assert np.isfinite(log.reward).all()
+        assert rates == [cfg.learning_rate] * 4
+        # paid as a failed evaluation: never above the batch's lowest other reward
+        rewards = log.reward.reshape(-1, cfg.batch_size())
+        infinite = (log.cv == np.inf).reshape(rewards.shape)
+        assert (np.where(infinite, rewards, -np.inf).max(axis=1)
+                <= np.where(infinite, np.inf, rewards).min(axis=1)).all()
+
+    def test_config_cell(self, monkeypatch, tmp_path):
+        rates = self.record_learning_rates(monkeypatch)
+        monkeypatch.setitem(problems.PROBLEMS, "infc2dtlz2", self.problem())
+        config = {
+            "version": 1, "problems": "infc2dtlz2",
+            "algorithms": [{"name": "c-pearl", "mode": "distance-cl"}],
+            "budget": 256, "n_steps": 16, "ncores": 4, "seeds": [0],
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        (cell,) = run_experiment(path).glob("*/*/seed0")
+        header, *rows = (cell / "evaluations.csv").read_text().splitlines()
+        columns = header.split(",")
+        cv = np.array([float(r.split(",")[columns.index("cv")]) for r in rows])
+        reward = np.array([float(r.split(",")[columns.index("reward")]) for r in rows])
+        assert len(rows) == 256 and (cv == np.inf).any()
+        assert np.isfinite(reward).all()
+        assert rates == [TrainerConfig().learning_rate] * 4
+
+
 class TestFailureReward:
     @staticmethod
     def flaky(name):
@@ -191,8 +304,6 @@ class TestFailureReward:
         ("c-pearl", {"kappa": 8}, "c2dtlz2"),
     ])
     def test_failed_evaluation_never_out_earns_a_valid_one(self, engine, params, problem):
-        from pearlkit.experiment import _ENGINES
-
         problem = self.flaky(problem)
         cfg = TrainerConfig(n_steps=8, ncores=2, budget=64, hidden=8, seed=2)
         result = train(problem, lambda: _ENGINES[engine](problem, params), cfg)
@@ -301,7 +412,7 @@ class TestTrain:
         assert np.array_equal(a.F, b.F)
         assert np.array_equal(a.reward, b.reward)
 
-    def test_merged_front_mutually_non_dominated(self):
+    def test_front_mutually_non_dominated(self):
         cfg = TrainerConfig(n_steps=8, ncores=2, budget=160, hidden=8, seed=3)
         result = train(get_problem("dtlz2"),
                        lambda: PearlNds(kappa=8, ranker="crowding"), cfg)
@@ -310,7 +421,25 @@ class TestTrain:
         for i, a in enumerate(front):
             for j, b in enumerate(front):
                 if i != j:
-                    assert not dominates(a, b)
+                    assert not brute_force_dominates(a, b)
+
+    def test_front_is_the_log_front_and_covers_every_archive(self):
+        engines = []
+
+        def make_engine():
+            engines.append(PearlNds(kappa=8, ranker="crowding"))
+            return engines[-1]
+
+        cfg = TrainerConfig(n_steps=8, ncores=3, budget=240, hidden=8, seed=5)
+        result = train(get_problem("dtlz2"), make_engine, cfg)
+        log = result.log
+        assert result.front.tolist() == log_front_scalar(log.F, log.cv)
+        front = log.F[result.front]
+        members = np.concatenate([e.archive.rows() for e in engines])
+        assert len(members)
+        # the front is never worse than the union of the worker archives
+        for row in members:
+            assert (front <= log.F[row]).all(axis=1).any(), row
 
     def test_epsilon_engine_trains(self):
         cfg = TrainerConfig(n_steps=8, ncores=2, budget=96, hidden=8, seed=4)
@@ -318,30 +447,40 @@ class TestTrain:
         assert len(result.log) == 96
 
 
-class TestMergedFront:
-    def test_feasible_members_shadow_infeasible(self):
-        streams = np.random.SeedSequence(0).spawn(2)
-        w1 = Worker(0, PearlNds(kappa=4, ranker="crowding", constrained=True),
-                    np.random.Generator(np.random.PCG64(streams[0])))
-        w2 = Worker(1, PearlNds(kappa=4, ranker="crowding", constrained=True),
-                    np.random.Generator(np.random.PCG64(streams[1])))
-        log = table_log([[1.0, 1.0], [2.0, 2.0]], [[0.5, 0.0], [-1.0, -1.0]], workers=[0, 1])
-        w1.engine.score(log, 0)
-        w2.engine.score(log, 1)
-        assert merged_front([w1, w2], log).tolist() == [1]
+class TestLogFront:
+    """``EvaluationLog.front`` against ``log_front_scalar``."""
 
-    def test_keeps_worker_then_archive_order(self):
-        workers = [Worker(i, PearlNds(kappa=4, ranker="crowding"), None) for i in range(3)]
-        # four mutually non-dominated points; worker 2 archives nothing
-        points = [(0, [0.0, 1.0, 1.0]), (1, [1.0, 0.0, 1.0]),
-                  (0, [1.0, 1.0, 0.0]), (1, [0.5, 0.5, 0.5])][::-1]
-        log = table_log([f for _, f in points], workers=[w for w, _ in points])
-        for row, (worker, _) in enumerate(points):
-            workers[worker].engine.score(log, row)
-        rows = np.concatenate([w.engine.archive.rows() for w in workers])
-        front = merged_front(workers, log)
-        assert front.tolist() == rows.tolist()
-        assert front.tolist() != sorted(front.tolist())
+    def test_failed_rows_are_left_out(self):
+        log = table_log([[1.0, 1.0], [np.nan, 0.0], [2.0, 0.5], [0.0, np.inf]])
+        assert np.isnan(log.cv[[1, 3]]).all()
+        assert log.front().tolist() == [0, 2] == log_front_scalar(log.F, log.cv)
+
+    def test_feasible_rows_shadow_infeasible(self):
+        log = table_log([[1.0, 1.0], [2.0, 2.0], [0.0, 3.0]], [[0.5], [-1.0], [0.1]])
+        assert log.front().tolist() == [1] == log_front_scalar(log.F, log.cv)
+
+    def test_least_violation_when_none_is_feasible(self):
+        log = table_log([[0.0, 0.0], [2.0, 1.0], [1.0, 2.0], [3.0, 3.0]],
+                        [[0.5], [0.2], [0.2], [0.2]])
+        assert log.front().tolist() == [1, 2] == log_front_scalar(log.F, log.cv)
+
+    def test_each_point_once_at_first_occurrence_ascending(self):
+        log = table_log([[3.0, 0.0], [1.0, 1.0], [0.0, 3.0], [1.0, 1.0], [3.0, 0.0]])
+        assert log.front().tolist() == [0, 1, 2] == log_front_scalar(log.F, log.cv)
+
+    def test_empty_and_all_failed_logs_have_no_front(self):
+        assert table_log(np.empty((0, 2))).front().tolist() == []
+        assert table_log([[np.nan, 1.0], [1.0, np.inf]]).front().tolist() == []
+
+    def test_matches_scalar_reference_on_random_logs(self):
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            F = rng.integers(0, 4, size=(n, 3)).astype(float)
+            F[rng.random(n) < 0.1, 0] = np.nan
+            G = np.where(rng.random((n, 1)) < 0.5, -1.0, rng.integers(1, 3, size=(n, 1)))
+            log = table_log(F, G)
+            assert log.front().tolist() == log_front_scalar(log.F, log.cv)
 
 
 class TestEvaluationLog:
