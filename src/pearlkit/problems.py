@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional
 
@@ -39,24 +39,37 @@ class ProblemSpec:
     constraints: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     front: Optional[Callable[[int], np.ndarray]] = None
     front_file: Optional[str] = None
-    nadir: np.ndarray = field(default_factory=lambda: np.array([3.0, 3.0, 3.0]))
+    # hypervolume reference point; 3.0 per objective when not given
+    nadir: Optional[np.ndarray] = None
+    # the box; the unit hypercube when not given
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
     # length of the constraint vector; positive exactly when constraints is set
     n_constraints: int = 0
 
     def __post_init__(self):
-        if self.lower is None:
-            self.lower = np.zeros(self.n_x)
-        if self.upper is None:
-            self.upper = np.ones(self.n_x)
-        self.nadir = np.asarray(self.nadir, dtype=float)
         if self.n_obj < 2:
             raise ValueError(f"{self.name}: a multi-objective problem needs n_obj >= 2, "
                              f"not {self.n_obj}")
         if (self.constraints is not None) != (self.n_constraints > 0):
             raise ValueError(f"{self.name}: constraints need a positive n_constraints "
                              "and a positive n_constraints needs constraints")
+        self.lower = np.asarray(np.zeros(self.n_x) if self.lower is None else self.lower,
+                                dtype=float)
+        self.upper = np.asarray(np.ones(self.n_x) if self.upper is None else self.upper,
+                                dtype=float)
+        self.nadir = np.asarray(np.full(self.n_obj, 3.0) if self.nadir is None else self.nadir,
+                                dtype=float)
+        if self.lower.shape != (self.n_x,) or self.upper.shape != (self.n_x,):
+            raise ValueError(f"{self.name}: lower and upper need shape ({self.n_x},), "
+                             f"not {self.lower.shape} and {self.upper.shape}")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ValueError(f"{self.name}: the box must be finite")
+        if not (self.lower <= self.upper).all():
+            raise ValueError(f"{self.name}: the box needs lower <= upper")
+        if self.nadir.shape != (self.n_obj,):
+            raise ValueError(f"{self.name}: nadir needs shape ({self.n_obj},), "
+                             f"not {self.nadir.shape}")
 
 
 def evaluate(problem: ProblemSpec, x) -> tuple[np.ndarray, np.ndarray]:
@@ -73,18 +86,20 @@ def evaluate(problem: ProblemSpec, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n_x,):
         raise ValueError(f"{problem.name} expects {problem.n_x} decision variables")
-    if not np.all((x >= problem.lower - 1e-9) & (x <= problem.upper + 1e-9)):
+    # a NaN coordinate fails the box test
+    if not ((x >= problem.lower - 1e-9).all() and (x <= problem.upper + 1e-9).all()):
         raise ValueError(f"point outside the box of {problem.name}")
     f = np.asarray(problem.objectives(x), dtype=float)
     if f.shape != (problem.n_obj,):
         raise ProblemSpecError(f"{problem.name} declares {problem.n_obj} objectives, "
                                f"got shape {f.shape}")
-    g = (problem.constraints(x, f) if problem.constraints is not None
-         else np.empty(0))
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    if g.shape != (problem.n_constraints,):
-        raise ProblemSpecError(f"{problem.name} declares {problem.n_constraints} "
-                               f"constraints, got {g.size}")
+    if problem.constraints is None:
+        g = np.empty(0)
+    else:
+        g = np.atleast_1d(np.asarray(problem.constraints(x, f), dtype=float))
+        if g.shape != (problem.n_constraints,):
+            raise ProblemSpecError(f"{problem.name} declares {problem.n_constraints} "
+                                   f"constraints, got {g.size}")
     if not np.isfinite(f).all() or np.isnan(g).any():
         raise ValueError(f"{problem.name} returned a non-finite objective or a NaN "
                          "constraint value")
@@ -126,26 +141,30 @@ def _subsample(points: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _hypersphere(angles: np.ndarray, scale: float) -> np.ndarray:
-    n_obj = len(angles) + 1
-    f = np.full(n_obj, scale)
-    for i in range(n_obj):
-        f[i] *= np.prod(np.cos(angles[: n_obj - 1 - i]))
-        if i > 0:
-            f[i] *= np.sin(angles[n_obj - 1 - i])
-    return f
+    """``f[i] = scale * prod(cos(angles[:k])) * sin(angles[k])`` with
+    ``k = n_obj - 1 - i`` (no sine factor for ``i = 0``).  The cosine
+    prefix products are formed left to right, the order of ``np.prod``."""
+    cos = np.cos(angles).tolist()
+    sin = np.sin(angles).tolist()
+    prefix = [1.0]
+    for c in cos:
+        prefix.append(prefix[-1] * c)
+    m = len(cos)
+    return np.array([scale * prefix[m]]
+                    + [scale * prefix[k] * sin[k] for k in range(m - 1, -1, -1)])
 
 
 def dtlz2_objectives(x, n_obj=3):
     x = np.asarray(x, dtype=float)
     xp, xm = x[: n_obj - 1], x[n_obj - 1:]
-    g = float(np.sum((xm - 0.5) ** 2))
+    g = float(np.add.reduce((xm - 0.5) ** 2))
     return _hypersphere(xp * np.pi / 2, 1.0 + g)
 
 
 def dtlz4_objectives(x, n_obj=3, alpha=100.0):
     x = np.asarray(x, dtype=float)
     xp, xm = x[: n_obj - 1], x[n_obj - 1:]
-    g = float(np.sum((xm - 0.5) ** 2))
+    g = float(np.add.reduce((xm - 0.5) ** 2))
     return _hypersphere((xp ** alpha) * np.pi / 2, 1.0 + g)
 
 
@@ -159,24 +178,24 @@ def _dtlz5_angles(xp: np.ndarray, g: float) -> np.ndarray:
 def dtlz5_objectives(x, n_obj=3):
     x = np.asarray(x, dtype=float)
     xp, xm = x[: n_obj - 1], x[n_obj - 1:]
-    g = float(np.sum((xm - 0.5) ** 2))
+    g = float(np.add.reduce((xm - 0.5) ** 2))
     return _hypersphere(_dtlz5_angles(xp, g), 1.0 + g)
 
 
 def dtlz6_objectives(x, n_obj=3):
     x = np.asarray(x, dtype=float)
     xp, xm = x[: n_obj - 1], x[n_obj - 1:]
-    g = float(np.sum(xm ** 0.1))
+    g = float(np.add.reduce(xm ** 0.1))
     return _hypersphere(_dtlz5_angles(xp, g), 1.0 + g)
 
 
 def dtlz7_objectives(x, n_obj=3):
     x = np.asarray(x, dtype=float)
     xp, xm = x[: n_obj - 1], x[n_obj - 1:]
-    g = 1.0 + 9.0 * float(np.mean(xm))
+    g = 1.0 + 9.0 * (float(np.add.reduce(xm)) / xm.size)
     f = np.empty(n_obj)
     f[: n_obj - 1] = xp
-    h = n_obj - float(np.sum(xp / (1.0 + g) * (1.0 + np.sin(3.0 * np.pi * xp))))
+    h = n_obj - float(np.add.reduce(xp / (1.0 + g) * (1.0 + np.sin(3.0 * np.pi * xp))))
     f[n_obj - 1] = (1.0 + g) * h
     return f
 
@@ -184,9 +203,10 @@ def dtlz7_objectives(x, n_obj=3):
 def c2dtlz2_constraint(f: np.ndarray, radius: float = 0.5) -> np.ndarray:
     """Feasible inside any of the spheres around the front corners or center."""
     f = np.asarray(f, dtype=float)
-    total = float(np.sum(f**2))
-    corner = np.min((f - 1.0) ** 2 + (total - f**2) - radius**2)
-    center = total - 2.0 * float(np.sum(f)) / math.sqrt(f.size) + 1.0 - radius**2
+    sq = f**2
+    total = float(np.add.reduce(sq))
+    corner = float(np.minimum.reduce((f - 1.0) ** 2 + (total - sq) - radius**2))
+    center = total - 2.0 * float(np.add.reduce(f)) / math.sqrt(f.size) + 1.0 - radius**2
     return np.array([min(corner, center)])
 
 

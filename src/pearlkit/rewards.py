@@ -51,13 +51,15 @@ def constraint_violation(values, weights=None) -> float:
     v = np.atleast_1d(np.asarray(values, dtype=float))
     if v.size == 0:
         return 0.0
-    w = np.ones_like(v) if weights is None else np.atleast_1d(np.asarray(weights, dtype=float))
+    excess = np.where(v > FEASIBILITY_TOL, v, 0.0)
+    if weights is None:  # unit weights: multiplying by 1.0 is exact
+        return float(np.add.reduce(excess**2))
+    w = np.atleast_1d(np.asarray(weights, dtype=float))
     if w.shape != v.shape:
         raise ValueError("weights must match the constraint vector length")
     if np.any(w <= 0):
         raise ValueError("constraint weights must be strictly positive")
-    excess = np.where(v > FEASIBILITY_TOL, v, 0.0)
-    return float(np.sum(w * excess**2))
+    return float(np.add.reduce(w * excess**2))
 
 
 def sample_preferences(alpha, count: int, rng: np.random.Generator) -> np.ndarray:

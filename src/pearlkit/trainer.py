@@ -4,8 +4,8 @@ The training problem is a continuous bandit: one action per episode, the
 action is the decision vector, and the reward comes from a per-worker
 engine that scores the evaluated objectives.  The policy is a small
 feed-forward network emitting a diagonal Gaussian that is mapped onto the
-unit box by a clipped linear map; a separate network of the same shape
-provides the value baseline.
+unit box by a clipped linear map and from there linearly onto the problem's
+box; a separate network of the same shape provides the value baseline.
 Everything runs in float64 numpy so that gradients can be checked against
 finite differences exactly.
 
@@ -367,6 +367,7 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
     Each worker draws its rays, latents and action noise from its own
     stream, in worker order; one policy and one value pass then cover the
     whole batch, and its rows are evaluated and scored in worker order.
+    Squashed actions map linearly onto the problem's box.
 
     A failed problem evaluation never aborts the batch: it is flagged in the
     log with NaN objectives.  It, and any non-finite reward, is paid the
@@ -385,9 +386,9 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
     obs = np.concatenate(obs)
     mean, log_std = policy.policy_heads(obs)
     z = mean + np.exp(log_std) * np.concatenate(noise)
-    actions = squash(z)
+    points = problem.lower + (problem.upper - problem.lower) * squash(z)
     scales = np.repeat([float(w.engine.reward_scale) for w in workers], n)
-    for worker, xs in zip(workers, actions.reshape(len(workers), n, -1)):
+    for worker, xs in zip(workers, points.reshape(len(workers), n, -1)):
         for x in xs:
             row = len(log)
             if log.evaluate(problem, worker.index, x):

@@ -97,7 +97,7 @@ def rollout_per_worker(policy, workers, problem, cfg, log):
         mean, log_std = policy.policy_heads(obs)
         std = np.exp(log_std)
         z = mean + std * worker.rng.standard_normal((n, policy.act_dim))
-        for x in squash(z):
+        for x in problem.lower + (problem.upper - problem.lower) * squash(z):
             row = len(log)
             if log.evaluate(problem, worker.index, x):
                 log.reward[row] = worker.engine.score(log, row).reward

@@ -13,9 +13,9 @@ from pearlkit.trainer import EvaluationLog
 
 
 def table_problem(F, G=None) -> ProblemSpec:
-    """A one-variable problem on ``[0, len(F) - 1]`` whose evaluation at
-    ``x = i`` returns objectives ``F[i]`` and, when ``G`` is given,
-    constraint values ``G[i]``."""
+    """A one-variable problem on ``[0, len(F) - 1]`` (``[0, 0]`` for an
+    empty table) whose evaluation at ``x = i`` returns objectives ``F[i]``
+    and, when ``G`` is given, constraint values ``G[i]``."""
     F = np.asarray(F, dtype=float)
     n = len(F)
     G = None if G is None else np.asarray(G, dtype=float).reshape(n, -1)
@@ -23,7 +23,7 @@ def table_problem(F, G=None) -> ProblemSpec:
         "table", 1, F.shape[1], lambda x: F[int(x[0])].copy(),
         constraints=None if G is None else (lambda x, f: G[int(x[0])].copy()),
         n_constraints=0 if G is None else G.shape[1],
-        lower=np.zeros(1), upper=np.full(1, n - 1.0))
+        lower=np.zeros(1), upper=np.full(1, max(n - 1.0, 0.0)))
 
 
 def table_log(F, G=None, workers=None) -> EvaluationLog:

@@ -1,19 +1,24 @@
-"""Golden digests of small seed-0 experiment cells.
+"""Golden digests of small seed-0 experiment cells and of every problem.
 
 Each cell runs through ``run_experiment`` with a budget of 512 evaluations,
 and the sha256 of its ``evaluations.csv`` and ``front.csv`` is pinned, as
-are the counts and metrics of its ``summary.json``.  A
-refactor that is meant to leave results unchanged must leave these digests
-unchanged; a change that moves them on purpose updates them and says why.
+are the counts and metrics of its ``summary.json``.  Each registered
+problem's ``evaluate`` is pinned by the sha256 of the bytes of ``f``, ``g``
+and ``cv`` over fixed-seed points.  A refactor that is meant to leave
+results unchanged must leave these digests unchanged; a change that moves
+them on purpose updates them and says why.
 """
 
 import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pearlkit.experiment import run_experiment
+from pearlkit.problems import PROBLEMS, evaluate
+from pearlkit.rewards import constraint_violation
 
 CELLS = {
     "pearl-nds-crowding-dtlz2": (
@@ -122,3 +127,48 @@ def test_seed0_cell_digests(tmp_path, name):
     for key, value in metrics.items():
         got = summary["metrics"][key]
         assert got == value or (math.isnan(got) and math.isnan(value)), (key, got, value)
+
+
+# sha256 over f, g and cv (float64 bytes) of each problem at
+# ``_problem_points``; computed before the per-point evaluation path was
+# rewritten for speed, which had to leave every bit in place
+PROBLEM_DIGESTS = {
+    "c2dtlz2": "a9182fc43c44d9c4614959de47545b37923887a9fc59a0a81d7f30ecd6a905b0",
+    "c3dtlz4": "541cc2f9e338c21aa146bc872dc594f7a89b130b8577dfa42b51300409070953",
+    "ctp1": "de422e567c84e77a063f2f261834440893aaf9c051a145e46c0cd317389eb1d1",
+    "ctp2": "4b6cf7c648ae9da60c7b9a4d9aae182715cec3cc09797808aba7efe2c0ce7335",
+    "ctp3": "6e1077f123add4f2e730baea0a57035a83dc691f8540566d0c0aff705b9e2972",
+    "ctp4": "0de4b31e6f858b461cf4007e0085bff9a68d0b3de3d2a1054c9dbd2e4af717e9",
+    "dtlz2": "142f913c46b2f369ba5aad055166c9151598a4cb38c0a9ca181d39c25507f17d",
+    "dtlz4": "04ceeb8e8249cdb2649e3dd1a0dd4a40fd667373d0d887261ba32be4060e389d",
+    "dtlz5": "bdd8b450210812bd34bf9b0bcf4129ede3ed583dc50a1f6fdc79419a797078d6",
+    "dtlz6": "bf01aece2bdbd5cea5c6a630b9cc72df651d295bbe2ffecf1f1daba7bfa06765",
+    "dtlz7": "84b84aee2baa37765f336bad5fa1d4a9ed6c617c99a45f89bdc7b2fbb95ea99e",
+}
+
+
+def _problem_points(problem, seed=0):
+    """Fixed-seed points of the box: its three diagonal points (lower corner,
+    centre, upper corner), points whose coordinates are each a face or the
+    centre, uniform points with some coordinates moved onto a face or the
+    centre, and uniform points."""
+    rng = np.random.default_rng(seed)
+    lo, hi = problem.lower, problem.upper
+    n = problem.n_x
+    levels = np.array([0.0, 0.5, 1.0])
+    unit = [np.tile(levels[:, None], (1, n)),
+            rng.choice(levels, (128, n)),
+            np.where(rng.random((128, n)) < 0.5, rng.random((128, n)),
+                     rng.choice(levels, (128, n))),
+            rng.random((256, n))]
+    return lo + (hi - lo) * np.concatenate(unit)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_problem_evaluation_digest(name):
+    problem = PROBLEMS[name]
+    digest = hashlib.sha256()
+    for x in _problem_points(problem):
+        f, g = evaluate(problem, x)
+        digest.update(f.tobytes() + g.tobytes() + np.float64(constraint_violation(g)).tobytes())
+    assert digest.hexdigest() == PROBLEM_DIGESTS[name]

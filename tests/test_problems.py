@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pearlkit.indicators import hypervolume
 from pearlkit.pareto import non_dominated_mask
 from pearlkit.problems import (
     PROBLEMS,
@@ -17,6 +18,7 @@ from pearlkit.problems import (
     get_problem,
     reference_front,
 )
+from pearlkit.rewards import constraint_violation
 
 import oracles
 
@@ -61,6 +63,48 @@ class TestEvaluate:
                               constraints=lambda x, f: np.array([np.inf]), n_constraints=1)
         f, g = evaluate(problem, np.full(1, 0.5))
         assert f.tolist() == [1.0, 2.0] and g.tolist() == [np.inf]
+
+    def test_single_nan_coordinate_is_usage_error(self):
+        problem = get_problem("dtlz2")
+        for i in (0, 5, 11):
+            x = np.full(12, 0.5)
+            x[i] = np.nan
+            with pytest.raises(ValueError, match="outside the box of dtlz2"):
+                evaluate(problem, x)
+
+    def test_box_slack_is_1e_9_on_every_face(self):
+        problem = ProblemSpec("shifted", 3, 2, lambda x: x[:2],
+                              lower=np.array([-1.0, 2.0, 0.0]), upper=np.array([1.0, 3.0, 0.5]))
+        inside = np.array([0.0, 2.5, 0.25])
+        for i in range(3):
+            for face, step in ((problem.lower[i], -1.0), (problem.upper[i], 1.0)):
+                x = inside.copy()
+                x[i] = face + step * 2e-9
+                with pytest.raises(ValueError, match="outside the box of shifted"):
+                    evaluate(problem, x)
+                x[i] = face + step * 0.5e-9
+                evaluate(problem, x)
+
+    def test_matrix_constraint_value_is_misdeclared(self):
+        problem = ProblemSpec("matrix-g", 1, 2, lambda x: np.array([1.0, 2.0]),
+                              constraints=lambda x, f: np.array([[0.5]]), n_constraints=1)
+        with pytest.raises(ProblemSpecError, match="matrix-g declares 1 constraints"):
+            evaluate(problem, np.full(1, 0.5))
+
+    def test_scalar_constraint_value_is_accepted(self):
+        problem = ProblemSpec("scalar-g", 1, 2, lambda x: np.array([1.0, 2.0]),
+                              constraints=lambda x, f: 0.25, n_constraints=1)
+        f, g = evaluate(problem, np.full(1, 0.5))
+        assert g.shape == (1,) and g.tolist() == [0.25]
+
+    def test_unit_weights_give_the_unweighted_violation_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        vectors = [evaluate(get_problem("c3dtlz4"), rng.random(7))[1] for _ in range(50)]
+        vectors += [rng.standard_normal(n) for n in range(1, 40)]
+        for g in vectors:
+            unit = constraint_violation(g)
+            weighted = constraint_violation(g, weights=np.ones_like(g))
+            assert np.float64(unit).tobytes() == np.float64(weighted).tobytes()
 
     def test_all_problems_finite_on_random_points(self):
         rng = np.random.default_rng(1)
@@ -233,3 +277,41 @@ class TestConstraintCount:
         problem = ProblemSpec("short-f", 12, 3, lambda x: dtlz2_objectives(x)[:2])
         with pytest.raises(ProblemSpecError, match="short-f declares 3 objectives"):
             evaluate(problem, np.full(12, 0.5))
+
+
+class TestSpecChecks:
+    """A ProblemSpec checks its box and its nadir when it is built."""
+
+    def test_wrong_length_box_rejected(self):
+        # before, every evaluation of such a spec failed, each with a warning
+        with pytest.raises(ValueError, match=r"short-box: lower and upper need shape \(3,\)"):
+            ProblemSpec("short-box", 3, 2, lambda x: x[:2], lower=np.zeros(2))
+        with pytest.raises(ValueError, match=r"long-box: lower and upper need shape \(3,\)"):
+            ProblemSpec("long-box", 3, 2, lambda x: x[:2], upper=np.ones(4))
+
+    def test_inverted_box_rejected(self):
+        with pytest.raises(ValueError, match="inverted: the box needs lower <= upper"):
+            ProblemSpec("inverted", 2, 2, lambda x: x, lower=np.array([0.0, 1.0]),
+                        upper=np.array([1.0, 0.0]))
+
+    def test_non_finite_box_rejected(self):
+        for lower, upper in (([0.0, -np.inf], [1.0, 1.0]), ([0.0, 0.0], [np.inf, 1.0]),
+                             ([np.nan, 0.0], [1.0, 1.0])):
+            with pytest.raises(ValueError, match="open: the box must be finite"):
+                ProblemSpec("open", 2, 2, lambda x: x, lower=np.array(lower),
+                            upper=np.array(upper))
+
+    def test_degenerate_box_accepted(self):
+        problem = ProblemSpec("point", 2, 2, lambda x: x, lower=np.ones(2), upper=np.ones(2))
+        assert evaluate(problem, np.ones(2))[0].tolist() == [1.0, 1.0]
+
+    def test_default_nadir_has_one_entry_per_objective(self):
+        # before, a two-objective spec got [3, 3, 3] and hypervolume failed at
+        # the end of the run with "dimensions differ"
+        problem = ProblemSpec("pair", 2, 2, lambda x: x)
+        assert problem.nadir.tolist() == [3.0, 3.0]
+        assert hypervolume(np.array([[1.0, 2.0]]), problem.nadir) == 2.0
+
+    def test_wrong_length_nadir_rejected(self):
+        with pytest.raises(ValueError, match=r"pair: nadir needs shape \(2,\)"):
+            ProblemSpec("pair", 2, 2, lambda x: x, nadir=[3, 3, 3])

@@ -441,6 +441,18 @@ class TestTrain:
         for row in members:
             assert (front <= log.F[row]).all(axis=1).any(), row
 
+    def test_points_lie_in_the_problem_box(self):
+        # before, actions landed on the unit box whatever the problem's box,
+        # and every evaluation of this spec failed
+        problem = problems.ProblemSpec(
+            "shifted-dtlz2", 4, 3, lambda x: problems.dtlz2_objectives(x - 2.0),
+            lower=np.full(4, 2.0), upper=np.full(4, 3.0))
+        cfg = TrainerConfig(n_steps=16, ncores=4, budget=64, hidden=8, seed=0)
+        log = train(problem, lambda: PearlNds(kappa=8, ranker="crowding"), cfg).log
+        assert len(log) == 64
+        assert not np.isnan(log.cv).any()
+        assert ((log.X >= 2.0) & (log.X <= 3.0)).all()
+
     def test_epsilon_engine_trains(self):
         cfg = TrainerConfig(n_steps=8, ncores=2, budget=96, hidden=8, seed=4)
         result = train(get_problem("dtlz2"), lambda: PearlEpsilon(kappa=8, nu=0.05), cfg)
