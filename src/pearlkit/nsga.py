@@ -26,6 +26,7 @@ from .density import (ReferenceDirectionSet, associate, best_first, crowding_ran
                       default_divisions, minmax_normalize)
 from .pareto import non_dominated_sort
 from .problems import ProblemSpec
+from .rewards import _positive_int
 from .trainer import EvaluationLog, RunResult
 
 
@@ -47,6 +48,8 @@ class GAConfig:
         self.pop_size = self.lambda_ if self.pop_size is None else self.pop_size
 
     def validate(self):
+        for key in ("lambda_", "mu", "pop_size"):
+            _positive_int(key, getattr(self, key))
         if not (0.0 <= self.mutpb <= 1.0 and 0.0 <= self.cxpb <= 1.0):
             raise ValueError("mutpb and cxpb must lie in [0, 1]")
         if self.mu > self.lambda_:
@@ -58,10 +61,20 @@ class GAConfig:
         return self
 
 
-def _selection_order(F: np.ndarray, cv: np.ndarray, constrained: bool) -> np.ndarray:
+def _selection_order(F: np.ndarray, cv: np.ndarray, constrained: bool,
+                     sizes: Optional[list[int]] = None) -> np.ndarray:
     """Positions of the rows ``F`` ordered best-first: by front, then density
-    inside each front."""
-    fronts = non_dominated_sort(F, cv, constrained)
+    inside each front.
+
+    ``sizes`` are the lengths of the rows' fronts when the rows already lie
+    in front blocks, best first, as survivor selection leaves them; the rows
+    are sorted when it is None.
+    """
+    if sizes is None:
+        fronts = non_dominated_sort(F, cv, constrained)
+    else:
+        ends = np.cumsum(sizes).tolist()
+        fronts = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
     return np.concatenate([front[crowding_rank(F[front]).order] for front in fronts])
 
 
@@ -72,91 +85,152 @@ SIGMA_FRACTION = 0.1  # mutation sigma as a fraction of box width
 def _variation(parents: np.ndarray, cfg: GAConfig, problem: ProblemSpec,
                rng: np.random.Generator) -> np.ndarray:
     """lambda_ offspring decision vectors, one per row, from the parents'
-    decision vectors (one per row)."""
-    lo, hi = problem.lower, problem.upper
-    sigma = SIGMA_FRACTION * (hi - lo)
-    out = np.empty((cfg.lambda_, problem.n_x))
-    for k in range(cfg.lambda_):
-        i, j = rng.integers(0, len(parents), size=2)
-        child = parents[i]
+    decision vectors (one per row).
+
+    Offspring ``k`` is parent ``i``, blended with parent ``j`` with
+    probability ``cxpb`` and then given Gaussian noise with probability
+    ``mutpb``.  The draws are made one offspring at a time, each under its
+    condition; the blend, the noise and the clamp then run once over the
+    whole block.  Each is elementwise, so every value is the one a
+    per-offspring loop computes.
+    """
+    n, n_x = cfg.lambda_, problem.n_x
+    sigma = SIGMA_FRACTION * (problem.upper - problem.lower)
+    pairs = np.empty((n, 2), dtype=np.intp)
+    crossed = np.zeros(n, dtype=bool)
+    mutated = np.zeros(n, dtype=bool)
+    uniform = np.empty((n, n_x))
+    normal = np.empty((n, n_x))
+    for k in range(n):
+        pairs[k] = rng.integers(0, len(parents), size=2)
         if rng.random() < cfg.cxpb:
-            gamma = (1.0 + 2.0 * BLEND_ALPHA) * rng.random(problem.n_x) - BLEND_ALPHA
-            child = (1.0 - gamma) * parents[i] + gamma * parents[j]
+            crossed[k] = True
+            rng.random(out=uniform[k])
         if rng.random() < cfg.mutpb:
-            child = child + rng.normal(0.0, sigma)
-        out[k] = np.clip(child, lo, hi)
-    return out
+            mutated[k] = True
+            # the draws of rng.normal(0.0, sigma), which is
+            # 0.0 + sigma * standard_normal() elementwise
+            rng.standard_normal(out=normal[k])
+    out = parents[pairs[:, 0]]
+    i, j = pairs[crossed].T
+    gamma = (1.0 + 2.0 * BLEND_ALPHA) * uniform[crossed] - BLEND_ALPHA
+    out[crossed] = (1.0 - gamma) * parents[i] + gamma * parents[j]
+    out[mutated] += 0.0 + sigma * normal[mutated]
+    return np.clip(out, problem.lower, problem.upper, out=out)
 
 
 def _fill_fronts(F: np.ndarray, cv: np.ndarray, n: int,
-                 constrained: bool) -> tuple[np.ndarray, np.ndarray]:
+                 constrained: bool) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Positions of the whole fronts that fit into ``n`` slots, best first,
-    and of the first front that does not fit (empty when every front fits)."""
-    chosen = np.empty(0, dtype=np.intp)
-    for front in non_dominated_sort(F, cv, constrained):
-        if len(chosen) + len(front) > n:
-            return chosen, front
-        chosen = np.concatenate([chosen, front])
-    return chosen, chosen[:0]
+    the lengths of those fronts, and the positions of the first front that
+    does not fit (empty when every front fits)."""
+    fronts = non_dominated_sort(F, cv, constrained)
+    sizes, taken = [], 0
+    for front in fronts:
+        if taken + len(front) > n:
+            break
+        sizes.append(len(front))
+        taken += len(front)
+    ranked = np.concatenate(fronts)
+    last = fronts[len(sizes)] if len(sizes) < len(fronts) else ranked[:0]
+    return ranked[:taken], sizes, last
 
 
 def _survivors_nsga2(F: np.ndarray, cv: np.ndarray, n: int,
-                     constrained: bool = False) -> np.ndarray:
-    chosen, last = _fill_fronts(F, cv, n, constrained)
-    if len(last) and len(chosen) < n:
+                     constrained: bool = False) -> tuple[np.ndarray, list[int]]:
+    """Positions of the ``n`` survivors among the rows ``F`` (all of them
+    when fewer): whole fronts, then the least crowded of the first front
+    that does not fit; and the lengths of the survivors' fronts.
+
+    The survivors' fronts lie in blocks, best first.  A block lists its rows
+    in the order ``non_dominated_sort`` of the survivors would, so the next
+    generation's parent selection need not sort again.
+    """
+    chosen, sizes, last = _fill_fronts(F, cv, n, constrained)
+    need = n - len(chosen)
+    if need and len(last):
         ranked = crowding_rank(F[last]).order
-        chosen = np.concatenate([chosen, last[ranked[: n - len(chosen)]]])
-    return chosen
+        chosen = np.concatenate([chosen, last[ranked[:need]]])
+        sizes.append(need)
+    return chosen, sizes
 
 
 def _survivors_nsga3(F: np.ndarray, cv: np.ndarray, n: int, dirs: ReferenceDirectionSet,
-                     constrained: bool) -> np.ndarray:
-    chosen, last = _fill_fronts(F, cv, n, constrained)
+                     constrained: bool) -> tuple[np.ndarray, list[int]]:
+    """As ``_survivors_nsga2``, with the first front that does not fit cut
+    down by niching on the reference directions ``dirs``."""
+    chosen, sizes, last = _fill_fronts(F, cv, n, constrained)
     need = n - len(chosen)
-    if need == 0 or not len(last):
-        return chosen
+    if need and len(last):
+        chosen = np.concatenate([chosen, _niche_picks(F, chosen, last, need, dirs)])
+        sizes.append(need)
+    return chosen, sizes
 
+
+_TAKEN = np.iinfo(np.intp).max  # a niche count no untaken candidate reaches
+
+
+def _niche_picks(F: np.ndarray, chosen: np.ndarray, last: np.ndarray, need: int,
+                 dirs: ReferenceDirectionSet) -> np.ndarray:
+    """Positions of the ``need`` members of the front ``last`` (``need <
+    len(last)``) that best fill the niches the positions ``chosen`` leave
+    least filled, in the order they are picked."""
     start = len(chosen)
-    considered = np.concatenate([chosen, last])
-    objs = F[considered]
+    objs = F[np.concatenate([chosen, last])]
     niche, dist = associate(minmax_normalize(objs, objs.min(axis=0), objs.max(axis=0)), dirs)
     counts = np.bincount(niche[:start], minlength=len(dirs.directions))
 
     # deterministic niche filling: each pick is the best-first candidate
-    # (closest to its direction) among those of the least-filled niches
-    candidates = start + best_first(objs[start:], dist[start:])
-    picks = []
-    for _ in range(need):  # need < len(last), so candidates never run out
-        pick = np.argmin(counts[niche[candidates]])
-        picks.append(candidates[pick])
-        counts[niche[candidates[pick]]] += 1
-        candidates = np.delete(candidates, pick)
-    return np.concatenate([chosen, considered[picks]])
+    # (closest to its direction) among the untaken ones of the least-filled
+    # niches
+    candidates = best_first(objs[start:], dist[start:])
+    niches = niche[start:][candidates]
+    taken = np.zeros(len(candidates), dtype=bool)
+    picks = np.empty(need, dtype=np.intp)
+    for k in range(need):
+        pick = np.argmin(np.where(taken, _TAKEN, counts[niches]))
+        taken[pick] = True
+        counts[niches[pick]] += 1
+        picks[k] = candidates[pick]
+    return last[picks]
 
 
-def _offspring(pop: np.ndarray, log: EvaluationLog, cfg: GAConfig, problem: ProblemSpec,
-               rng: np.random.Generator, evaluate, constrained: bool) -> np.ndarray:
+def _offspring(pop: np.ndarray, sizes: Optional[list[int]], log: EvaluationLog,
+               cfg: GAConfig, problem: ProblemSpec, rng: np.random.Generator, evaluate,
+               constrained: bool) -> np.ndarray:
     """The log rows of one generation's offspring that evaluated successfully."""
-    order = _selection_order(log.F[pop], log.cv[pop], constrained)
+    order = _selection_order(log.F[pop], log.cv[pop], constrained, sizes)
     return evaluate(_variation(log.X[pop[order[: cfg.mu]]], cfg, problem, rng))
 
 
 def nsga2_step(pop: np.ndarray, log: EvaluationLog, cfg: GAConfig, problem: ProblemSpec,
-               rng: np.random.Generator, evaluate, constrained: bool) -> np.ndarray:
+               rng: np.random.Generator, evaluate, constrained: bool,
+               sizes: Optional[list[int]] = None) -> tuple[np.ndarray, list[int]]:
     """One generation: ES variation, merge with parents, crowded selection.
-    ``pop`` and the result are rows of ``log``; ``evaluate(X)`` records each
-    row of ``X`` in ``log`` and returns the rows that succeeded."""
-    pool = np.concatenate([pop, _offspring(pop, log, cfg, problem, rng, evaluate, constrained)])
-    return pool[_survivors_nsga2(log.F[pool], log.cv[pool], cfg.pop_size, constrained)]
+
+    ``pop`` and the returned population are rows of ``log``; ``evaluate(X)``
+    records each row of ``X`` in ``log`` and returns the rows that
+    succeeded.  ``sizes`` are the lengths of ``pop``'s front blocks as the
+    previous step returned them (None sorts ``pop``).  Returns the new
+    population and the lengths of its front blocks.
+    """
+    pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, problem, rng, evaluate,
+                                           constrained)])
+    chosen, sizes = _survivors_nsga2(log.F[pool], log.cv[pool], cfg.pop_size, constrained)
+    return pool[chosen], sizes
 
 
 def nsga3_step(pop: np.ndarray, log: EvaluationLog, cfg: GAConfig, problem: ProblemSpec,
                rng: np.random.Generator, evaluate, constrained: bool,
-               dirs: ReferenceDirectionSet) -> np.ndarray:
+               dirs: ReferenceDirectionSet,
+               sizes: Optional[list[int]] = None) -> tuple[np.ndarray, list[int]]:
     """One generation: ES variation, merge with parents, niching selection;
-    arguments as in ``nsga2_step``."""
-    pool = np.concatenate([pop, _offspring(pop, log, cfg, problem, rng, evaluate, constrained)])
-    return pool[_survivors_nsga3(log.F[pool], log.cv[pool], cfg.pop_size, dirs, constrained)]
+    arguments and result as in ``nsga2_step``."""
+    pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, problem, rng, evaluate,
+                                           constrained)])
+    chosen, sizes = _survivors_nsga3(log.F[pool], log.cv[pool], cfg.pop_size, dirs,
+                                     constrained)
+    return pool[chosen], sizes
 
 
 def _run(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool], step) -> RunResult:
@@ -180,9 +254,12 @@ def _run(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool], step)
         first = len(log)
         return first + np.flatnonzero([log.evaluate(problem, 0, x) for x in X])
 
+    # only the initial population is sorted for parent selection; each step
+    # returns the front blocks its survivor selection found
     pop = evaluate(rng.uniform(problem.lower, problem.upper, (cfg.pop_size, problem.n_x)))
+    sizes = None
     for _ in range(generations):
-        pop = step(pop, log, cfg, problem, rng, evaluate, constrained)
+        pop, sizes = step(pop, log, cfg, problem, rng, evaluate, constrained, sizes=sizes)
 
     return RunResult(front=log.front(), log=log, wall_time=time.perf_counter() - start)
 

@@ -54,10 +54,8 @@ class ProblemSpec:
         if (self.constraints is not None) != (self.n_constraints > 0):
             raise ValueError(f"{self.name}: constraints need a positive n_constraints "
                              "and a positive n_constraints needs constraints")
-        self.lower = np.asarray(np.zeros(self.n_x) if self.lower is None else self.lower,
-                                dtype=float)
-        self.upper = np.asarray(np.ones(self.n_x) if self.upper is None else self.upper,
-                                dtype=float)
+        self.lower = _read_only(np.zeros(self.n_x) if self.lower is None else self.lower)
+        self.upper = _read_only(np.ones(self.n_x) if self.upper is None else self.upper)
         self.nadir = np.asarray(np.full(self.n_obj, 3.0) if self.nadir is None else self.nadir,
                                 dtype=float)
         if self.lower.shape != (self.n_x,) or self.upper.shape != (self.n_x,):
@@ -70,6 +68,17 @@ class ProblemSpec:
         if self.nadir.shape != (self.n_obj,):
             raise ValueError(f"{self.name}: nadir needs shape ({self.n_obj},), "
                              f"not {self.nadir.shape}")
+        # the box with evaluate's slack, built once: the box is read-only
+        self._slack_lower = self.lower - 1e-9
+        self._slack_upper = self.upper + 1e-9
+
+
+def _read_only(values) -> np.ndarray:
+    """A read-only float copy of ``values``, which no write to ``values``
+    can reach."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 def evaluate(problem: ProblemSpec, x) -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +96,7 @@ def evaluate(problem: ProblemSpec, x) -> tuple[np.ndarray, np.ndarray]:
     if x.shape != (problem.n_x,):
         raise ValueError(f"{problem.name} expects {problem.n_x} decision variables")
     # a NaN coordinate fails the box test
-    if not ((x >= problem.lower - 1e-9).all() and (x <= problem.upper + 1e-9).all()):
+    if not np.logical_and.reduce((x >= problem._slack_lower) & (x <= problem._slack_upper)):
         raise ValueError(f"point outside the box of {problem.name}")
     f = np.asarray(problem.objectives(x), dtype=float)
     if f.shape != (problem.n_obj,):

@@ -400,6 +400,27 @@ def nsga3_survivors_scalar(f, cv, n, dirs, constrained):
     return chosen
 
 
+def variation_scalar(parents, cfg, problem, rng):
+    """NSGA offspring one at a time: parent ``i``, blended with parent ``j``
+    with probability ``cxpb``, mutated with probability ``mutpb`` and
+    clamped to the box, each offspring's draws made in turn."""
+    from pearlkit.nsga import BLEND_ALPHA, SIGMA_FRACTION
+
+    lo, hi = problem.lower, problem.upper
+    sigma = SIGMA_FRACTION * (hi - lo)
+    out = np.empty((cfg.lambda_, problem.n_x))
+    for k in range(cfg.lambda_):
+        i, j = rng.integers(0, len(parents), size=2)
+        child = parents[i]
+        if rng.random() < cfg.cxpb:
+            gamma = (1.0 + 2.0 * BLEND_ALPHA) * rng.random(problem.n_x) - BLEND_ALPHA
+            child = (1.0 - gamma) * parents[i] + gamma * parents[j]
+        if rng.random() < cfg.mutpb:
+            child = child + rng.normal(0.0, sigma)
+        out[k] = np.clip(child, lo, hi)
+    return out
+
+
 def adam_reference(params, m, v, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam step on dicts of named arrays, one key at a time; updates
     ``params`` in place and ``m``/``v`` by key."""

@@ -140,6 +140,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key} must be a positive integer"):
             load_config(path)
 
+    @pytest.mark.parametrize("entry,key", [
+        # before, mu -1 loaded and ran without the best-ordered population's
+        # last parent, mu 0 failed inside numpy, lambda_ -2 ran no
+        # generation, lambda_ 0 divided by zero and pop_size 4.0 raised a
+        # numpy TypeError
+        ({"name": "nsga2", "mu": -1}, "mu"),
+        ({"name": "nsga3", "mu": 0}, "mu"),
+        ({"name": "nsga2", "lambda_": -2, "pop_size": 4}, "lambda_"),
+        ({"name": "nsga3", "lambda_": 0, "pop_size": 4}, "lambda_"),
+        ({"name": "nsga2", "pop_size": 4.0}, "pop_size"),
+        ({"name": "nsga3", "lambda_": 8.0}, "lambda_"),
+        ({"name": "nsga2", "lambda_": 8, "mu": True}, "mu"),
+    ])
+    def test_nsga_sizes_must_be_positive_integers(self, tmp_path, entry, key):
+        path, _ = small_config(tmp_path, algorithms=[entry])
+        with pytest.raises(ConfigError, match=f"{entry['name']}.*{key} must be a positive integer"):
+            load_config(path)
+
     @pytest.mark.parametrize("entry", [{"name": "pearl-nds", "kappa": 8},
                                        {"name": "nsga2", "lambda_": 8}])
     def test_budget_below_one_round_rejected_at_load(self, tmp_path, entry):

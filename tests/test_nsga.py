@@ -5,6 +5,7 @@ from pearlkit.density import das_dennis
 from pearlkit.nsga import (
     GAConfig,
     _survivors_nsga3,
+    _variation,
     nsga2_step,
     nsga3_step,
     run_nsga2,
@@ -13,10 +14,12 @@ from pearlkit.nsga import (
 from pearlkit.problems import (ProblemSpec, ProblemSpecError, c2dtlz2_constraint,
                                ctp1_constraint, ctp1_objectives, dtlz2_objectives,
                                get_problem)
+from pearlkit.pareto import non_dominated_sort
 from pearlkit.rewards import PearlNds
 from pearlkit.trainer import EvaluationLog, TrainerConfig, train
 
-from oracles import brute_force_dominates, brute_force_front_indices, non_dominated_mask_scalar
+from oracles import (brute_force_dominates, brute_force_front_indices, non_dominated_mask_scalar,
+                     variation_scalar)
 from rows import table_problem
 
 
@@ -46,7 +49,7 @@ class TestSteps:
         cfg = GAConfig(lambda_=16, budget=10_000)
         log, evaluate, pop = initial_population(problem, 16)
         rng = np.random.default_rng(1)
-        nxt = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
+        nxt, _ = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
         assert len(nxt) == 16
         assert len(log) == 32 and set(nxt.tolist()) <= set(range(32))
 
@@ -55,7 +58,7 @@ class TestSteps:
         cfg = GAConfig(lambda_=8, mutpb=0.0, cxpb=0.0)
         log, evaluate, pop = initial_population(problem, 8, seed=2)
         rng = np.random.default_rng(2)
-        nxt = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
+        nxt, _ = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
         # offspring are copies; survivors must come from the original set
         originals = {tuple(x) for x in log.X[pop].tolist()}
         assert {tuple(x) for x in log.X[nxt].tolist()} <= originals
@@ -65,8 +68,9 @@ class TestSteps:
         cfg = GAConfig(lambda_=32, mutpb=1.0, cxpb=1.0)
         log, evaluate, pop = initial_population(problem, 32, seed=3)
         rng = np.random.default_rng(3)
+        sizes = None
         for _ in range(5):
-            pop = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
+            pop, sizes = nsga2_step(pop, log, cfg, problem, rng, evaluate, False, sizes)
         assert len(log) == 32 * 6
         assert np.all(log.X[:len(log)] >= problem.lower - 1e-12)
         assert np.all(log.X[:len(log)] <= problem.upper + 1e-12)
@@ -76,7 +80,7 @@ class TestSteps:
         cfg = GAConfig(lambda_=10)
         log, evaluate, pop = initial_population(problem, 10, seed=4)
         rng = np.random.default_rng(4)
-        nxt = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
+        nxt, _ = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
         # the merged pool is every row of the log
         expected = brute_force_front_indices(log.F[:len(log)], brute_force_dominates)
         if len(expected) <= cfg.pop_size:
@@ -91,7 +95,7 @@ class TestSteps:
         cfg = GAConfig(lambda_=4, mutpb=0.0, cxpb=0.0)
         log, evaluate = logged(problem)
         pop = evaluate(np.arange(4.0)[:, None])
-        nxt = nsga2_step(pop, log, cfg, problem, np.random.default_rng(0), evaluate, True)
+        nxt, _ = nsga2_step(pop, log, cfg, problem, np.random.default_rng(0), evaluate, True)
         assert log.cv[nxt[0]] == 0.0
 
     def test_elitism_no_regression(self):
@@ -99,11 +103,69 @@ class TestSteps:
         cfg = GAConfig(lambda_=12)
         log, evaluate, pop = initial_population(problem, 12, seed=5)
         rng = np.random.default_rng(5)
+        sizes = None
         for _ in range(10):
             before = log.F[pop]
-            pop = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
+            pop, sizes = nsga2_step(pop, log, cfg, problem, rng, evaluate, False, sizes)
             # some survivor is non-dominated by the previous population
             assert any(not any(brute_force_dominates(o, f) for o in before) for f in log.F[pop])
+
+    def test_steps_carry_the_fronts_of_their_population(self):
+        # three quarters of the box fail to evaluate, so the first pools
+        # hold fewer rows than pop_size; every carried block equals a fresh
+        # sort of the population
+        problem = TestFailedEvaluations.flaky_problem(0.25)
+        cfg = GAConfig(lambda_=8, pop_size=16, budget=10_000)
+        dirs = das_dennis(3, 4)
+        for step in (nsga2_step, nsga3_step):
+            log, evaluate, pop = initial_population(problem, 16, seed=7)
+            rng = np.random.default_rng(7)
+            sizes = None
+            for generation in range(15):
+                if generation == 1:
+                    assert len(pop) < 16
+                extra = (dirs,) if step is nsga3_step else ()
+                pop, sizes = step(pop, log, cfg, problem, rng, evaluate, False, *extra,
+                                  sizes=sizes)
+                fresh = non_dominated_sort(log.F[pop], log.cv[pop])
+                ends = np.cumsum(sizes)
+                assert [front.tolist() for front in fresh] == [
+                    list(range(end - size, end)) for size, end in zip(sizes, ends)]
+
+
+class TestVariation:
+    """The block form of ``_variation`` makes the per-offspring loop's draws
+    in its order, and so its offspring, bit for bit."""
+
+    # a box with negative, narrow and zero-width dimensions
+    BOX = ProblemSpec("box5", 5, 2, lambda x: x[:2],
+                      lower=[-2.0, 0.0, 0.0, 1.0, 0.25], upper=[2.0, 1.0, 1e-3, 3.0, 0.25])
+
+    @classmethod
+    def parents(cls, kind, rng):
+        lo, hi = cls.BOX.lower, cls.BOX.upper
+        if kind == "single":
+            return rng.uniform(lo, hi, (1, 5))
+        if kind == "faces":
+            return np.where(rng.random((12, 5)) < 0.5, lo, hi)
+        return rng.uniform(lo, hi, (12, 5))
+
+    @pytest.mark.parametrize("kind", ["inside", "faces", "single"])
+    @pytest.mark.parametrize("mutpb", [0.0, 0.65, 1.0])
+    @pytest.mark.parametrize("cxpb", [0.0, 0.65, 1.0])
+    def test_matches_per_offspring_loop(self, cxpb, mutpb, kind):
+        cfg = GAConfig(lambda_=40, mu=12, cxpb=cxpb, mutpb=mutpb)
+        for seed in range(3):
+            parents = self.parents(kind, np.random.default_rng(seed))
+            before = parents.copy()
+            block, loop = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+            got = _variation(parents, cfg, self.BOX, block)
+            want = variation_scalar(parents, cfg, self.BOX, loop)
+            assert got.shape == (40, 5) and got.tobytes() == want.tobytes()
+            assert np.array_equal(parents, before)
+            # the generator ends in the same state
+            assert block.bit_generator.state == loop.bit_generator.state
+            assert block.random() == loop.random()
 
 
 class TestNsga3:
@@ -112,15 +174,15 @@ class TestNsga3:
         cfg = GAConfig(lambda_=12)
         dirs = das_dennis(3, 4)
         log, evaluate, pop = initial_population(problem, 12, seed=6)
-        a = nsga3_step(pop, log, cfg, problem, np.random.default_rng(9), evaluate, False, dirs)
-        b = nsga3_step(pop, log, cfg, problem, np.random.default_rng(9), evaluate, True, dirs)
+        a, _ = nsga3_step(pop, log, cfg, problem, np.random.default_rng(9), evaluate, False, dirs)
+        b, _ = nsga3_step(pop, log, cfg, problem, np.random.default_rng(9), evaluate, True, dirs)
         assert log.F[a].tolist() == log.F[b].tolist()
 
     def test_single_feasible_survives(self):
         # row 0 is feasible and plainly dominated by the seven infeasible rows
         F = np.array([[2.0, 2.0]] + [[0.1 * i, 0.1] for i in range(7)])
         cv = np.array([0.0] + [(0.5 + 0.1 * i) ** 2 for i in range(7)])
-        survivors = _survivors_nsga3(F, cv, 4, das_dennis(2, 4), True)
+        survivors, _ = _survivors_nsga3(F, cv, 4, das_dennis(2, 4), True)
         assert len(survivors) == 4 and survivors[0] == 0
 
     def test_niche_fill_hand_computed(self):
@@ -129,7 +191,7 @@ class TestNsga3:
         # are closest to their directions, so only the survivors' niche
         # counts make the pick the one owning the empty middle direction
         F = np.array([(0.0, 0.8), (0.8, 0.0), (0.05, 1.0), (1.0, 0.05), (0.9, 0.6)])
-        survivors = _survivors_nsga3(F, np.zeros(5), 3, das_dennis(2, 2), False)
+        survivors, _ = _survivors_nsga3(F, np.zeros(5), 3, das_dennis(2, 2), False)
         assert survivors.tolist() == [0, 1, 4]
 
     def test_niche_fill_associates_minimized_objectives(self):
@@ -137,7 +199,7 @@ class TestNsga3:
         # near the f2 axis and (0.5, 0.2) near the f1 axis; on the mirrored
         # rows 1 - f both would join the middle direction instead
         F = np.array([(0.0, 1.0), (1.0, 0.0), (0.1, 0.5), (0.5, 0.2)])
-        survivors = _survivors_nsga3(F, np.zeros(4), 3, das_dennis(2, 2), False)
+        survivors, _ = _survivors_nsga3(F, np.zeros(4), 3, das_dennis(2, 2), False)
         # both axis niches hold one survivor; the closer candidate wins
         assert survivors.tolist() == [0, 1, 2]
 
@@ -194,8 +256,9 @@ class TestRuns:
         log, evaluate, pop = initial_population(problem, 12, seed=3)
         dirs = das_dennis(3, 4)
         seen_feasible = bool((log.cv[pop] == 0).any())
+        sizes = None
         for _ in range(40):
-            pop = nsga3_step(pop, log, cfg, problem, rng, evaluate, True, dirs)
+            pop, sizes = nsga3_step(pop, log, cfg, problem, rng, evaluate, True, dirs, sizes)
             feasible = bool((log.cv[pop] == 0).any())
             if seen_feasible:
                 assert feasible

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pearlkit.density import crowding_rank, das_dennis, niching_rank
-from pearlkit.nsga import _survivors_nsga3
+from pearlkit.nsga import _selection_order, _survivors_nsga2, _survivors_nsga3
+from pearlkit.pareto import non_dominated_sort
 from pearlkit.rewards import PearlEpsilon
 
 from oracles import (
@@ -78,5 +79,31 @@ class TestOrdersMatchScalarOracles:
         cv = np.array(cv[: len(f)])
         n = min(n, len(f) - 1)
         dirs = das_dennis(f.shape[1], divisions)
-        got = _survivors_nsga3(f, cv, n, dirs, constrained)
+        got, _ = _survivors_nsga3(f, cv, n, dirs, constrained)
         assert got.tolist() == nsga3_survivors_scalar(f, cv, n, dirs, constrained)
+
+
+class TestCarriedFronts:
+    @settings(max_examples=300, deadline=None)
+    @given(f=fronts(min_size=1, max_size=20),
+           cv=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=24, max_size=24),
+           twins=st.integers(0, 4), n=st.integers(1, 27), whole=st.integers(0, 3),
+           divisions=st.integers(1, 4), constrained=st.booleans())
+    def test_survivor_fronts_equal_a_fresh_sort(self, f, cv, twins, n, whole, divisions,
+                                                constrained):
+        # the first rows again as twins; n may exceed the rows, as a pool does
+        # after failed offspring, or end a front, so that need == 0
+        f = np.vstack([f, f[:twins]])
+        cv = np.array(cv[: len(f)])
+        if whole:
+            n = sum(len(front) for front in non_dominated_sort(f, cv, constrained)[:whole])
+        dirs = das_dennis(f.shape[1], divisions)
+        for chosen, sizes in (_survivors_nsga2(f, cv, n, constrained),
+                              _survivors_nsga3(f, cv, n, dirs, constrained)):
+            assert len(chosen) == sum(sizes) == min(n, len(f))
+            ends = np.cumsum(sizes)
+            blocks = [list(range(end - size, end)) for size, end in zip(sizes, ends)]
+            fresh = non_dominated_sort(f[chosen], cv[chosen], constrained)
+            assert [front.tolist() for front in fresh] == blocks
+            assert np.array_equal(_selection_order(f[chosen], cv[chosen], constrained, sizes),
+                                  _selection_order(f[chosen], cv[chosen], constrained))

@@ -85,6 +85,21 @@ class TestEvaluate:
                 x[i] = face + step * 0.5e-9
                 evaluate(problem, x)
 
+    def test_box_is_a_read_only_copy(self):
+        # evaluate tests against slack bounds built once, so neither a write
+        # to the caller's arrays nor one to the spec's may move the box
+        lower, upper = np.array([0.0, -1.0]), np.array([1.0, 1.0])
+        problem = ProblemSpec("boxed", 2, 2, lambda x: x.copy(), lower=lower, upper=upper)
+        lower[0], upper[1] = 0.5, 0.0
+        for box in (problem.lower, problem.upper):
+            with pytest.raises(ValueError, match="read-only"):
+                box[0] = 2.0
+        assert problem.lower.tolist() == [0.0, -1.0] and problem.upper.tolist() == [1.0, 1.0]
+        f, _ = evaluate(problem, np.array([0.25, 0.75]))
+        assert f.tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError, match="outside the box of boxed"):
+            evaluate(problem, np.array([1.5, 0.0]))
+
     def test_matrix_constraint_value_is_misdeclared(self):
         problem = ProblemSpec("matrix-g", 1, 2, lambda x: np.array([1.0, 2.0]),
                               constraints=lambda x, f: np.array([[0.5]]), n_constraints=1)
