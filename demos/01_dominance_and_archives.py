@@ -2,10 +2,10 @@
 Dominance relations and bounded Pareto archives
 ===============================================
 
-The building blocks: dominance (every objective is minimized), constrained
-dominance with feasibility taking precedence, non-dominated sorting and the
-best front of an array of objective rows, and the bounded archive that the
-reward engines use as per-worker memory.
+The building blocks: dominance (every objective is minimized, and
+feasibility takes precedence), non-dominated sorting and the best front of
+an array of objective rows, and the bounded archive that the reward engines
+use as per-worker memory.
 """
 
 import numpy as np
@@ -17,23 +17,22 @@ from pearlkit import (
     non_dominated_sort,
 )
 
-# Plain dominance: no larger everywhere, strictly smaller somewhere.  Sorting
-# rows shows it: (1, 2) dominates (2, 3), equal rows never dominate each
-# other, and (1, 2), (3, 1) and (0, 4) trade off, so none dominates another.
+# Between feasible rows (violation 0), dominance is plain: no larger
+# everywhere, strictly smaller somewhere.  Sorting rows shows it: (1, 2)
+# dominates (2, 3), equal rows never dominate each other, and (1, 2), (3, 1)
+# and (0, 4) trade off, so none dominates another.
 rows = np.array([[1.0, 2.0], [2.0, 3.0], [1.0, 2.0], [3.0, 1.0], [0.0, 4.0]])
 print([front.tolist() for front in
        non_dominated_sort(rows, np.zeros(len(rows)))])  # [[0, 2, 3, 4], [1]]
 
-# Constrained dominance: any feasible point (violation 0) beats any
-# infeasible one, and between infeasible points the smaller violation wins.
-# Sorting two rows with constrained=True shows it: the feasible row 0 comes
-# first despite worse objectives.
+# Feasibility comes first: any feasible point beats any infeasible one, and
+# between infeasible points the smaller violation wins.  Sorting two rows
+# shows it: the feasible row 0 comes first despite worse objectives.
 pair = np.array([[9.0, 9.0], [0.0, 0.0]])
 print([front.tolist() for front in
-       non_dominated_sort(pair, np.array([0.0, 0.16]), constrained=True)])  # [[0], [1]]
+       non_dominated_sort(pair, np.array([0.0, 0.16]))])  # [[0], [1]]
 
-# Non-dominated sorting peels objective rows into fronts of row indices;
-# the violations only count with constrained=True.
+# Non-dominated sorting peels objective rows into fronts of row indices.
 objectives = np.array([(2, 2), (1, 1), (3, 0), (0, 3), (2.5, 2.5)], dtype=float)
 violations = np.zeros(len(objectives))
 for depth, front in enumerate(non_dominated_sort(objectives, violations)):

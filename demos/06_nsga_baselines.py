@@ -2,8 +2,8 @@
 NSGA-II and NSGA-III baselines
 ==============================
 
-Generational loops with blend crossover and Gaussian mutation, crowding or
-niching survivor selection, and (for NSGA-III) constrained dominance.  The
+Generational loops with blend crossover and Gaussian mutation, and crowding
+or niching survivor selection under feasibility-first dominance.  The
 reported front covers every evaluation ever made, which makes the budget
 comparison with the policy trainers fair.
 """
@@ -22,7 +22,7 @@ for name, runner in (("NSGA-II", run_nsga2), ("NSGA-III", run_nsga3)):
           f"front {len(front)} points, "
           f"HV {hypervolume(front, problem.nadir):.3f}")
 
-# On a constrained problem, feasibility is folded into the dominance relation.
+# On a constrained problem, every feasible point dominates every infeasible one.
 problem = get_problem("c2-dtlz2")
 result = run_nsga3(problem, GAConfig(lambda_=32, budget=4096, seed=0))
 front = result.log.F[result.front]

@@ -124,6 +124,10 @@ def load_config(source) -> ExperimentConfig:
     seeds = raw.get("seeds")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("key 'seeds' must be a non-empty list")
+    if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds):
+        raise ConfigError(f"key 'seeds' must hold nonnegative integers, not {seeds}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"key 'seeds' repeats a seed: {seeds}")
     output_dir = raw.get("output_dir")
     if not output_dir:
         raise ConfigError("key 'output_dir' is required")
@@ -134,9 +138,9 @@ def load_config(source) -> ExperimentConfig:
     config = ExperimentConfig(
         version=CONFIG_VERSION, problems=[str(p) for p in problems],
         algorithms=algorithms, budget=int(budget),
-        seeds=[int(s) for s in seeds], output_dir=str(output_dir),
-        n_steps=int(raw.get("n_steps", TrainerConfig.n_steps)),
-        ncores=int(raw.get("ncores", TrainerConfig.ncores)),
+        seeds=seeds, output_dir=str(output_dir),
+        n_steps=raw.get("n_steps", TrainerConfig.n_steps),
+        ncores=raw.get("ncores", TrainerConfig.ncores),
         raw=raw,
     )
     for spec in algorithms:
@@ -171,15 +175,14 @@ def _pearl_eps_engine(problem: ProblemSpec, params: dict):
 
 
 def _pearl_nds_engine(problem: ProblemSpec, params: dict):
-    return PearlNds(n_obj=problem.n_obj, constrained=False, **params)
+    return PearlNds(n_obj=problem.n_obj, **params)
 
 
 def _c_pearl_engine(problem: ProblemSpec, params: dict):
     params = dict(params)
     mode = params.pop("mode", "distance-cl")
     if mode in ("crowding2", "niching2"):
-        return PearlNds(ranker=mode.removesuffix("2"), n_obj=problem.n_obj,
-                        constrained=True, **params)
+        return PearlNds(ranker=mode.removesuffix("2"), n_obj=problem.n_obj, **params)
     if mode != "distance-cl":
         raise ConfigError(f"key 'mode': unknown c-pearl mode {mode!r} "
                           "(known: ['distance-cl', 'crowding2', 'niching2'])")
@@ -211,9 +214,8 @@ def _cell_run(config: ExperimentConfig, spec: AlgorithmSpec, problem: ProblemSpe
     for NSGA).  Neither draws RNG nor writes anything."""
     params = dict(spec.params)
     if spec.name in _NSGA_RUNS:
-        constrained = params.pop("constrained", None)
         ga = nsga.GAConfig(budget=config.budget, seed=seed, **params).validate()
-        return (lambda: _NSGA_RUNS[spec.name](problem, ga, constrained=constrained)), None
+        return (lambda: _NSGA_RUNS[spec.name](problem, ga)), None
     trainer = {key: params.pop(key) for key in _TRAINER_KEYS & params.keys()}
     cfg = TrainerConfig(n_steps=config.n_steps, ncores=config.ncores, budget=config.budget,
                         seed=seed, **trainer).validate()

@@ -1,16 +1,17 @@
-"""NSGA-II and (constrained) NSGA-III generational baselines.
+"""NSGA-II and NSGA-III generational baselines.
 
 Variation is a (mu, lambda) evolution strategy: blend crossover applied
 with probability ``cxpb`` and per-gene Gaussian mutation applied with
 probability ``mutpb``, both clamped to the box.  Survivor selection merges
-parents and offspring, sorts by non-domination, and resolves the last
-partial front by crowding (NSGA-II) or reference-direction niching
-(NSGA-III).  The population is an array of rows of the run's
-``EvaluationLog``, and the selection steps work on the log's objective and
-violation rows.  The reported front is the log rows of the non-dominated
-set of every evaluation ever made, not just the final population.  A failed
-evaluation is logged with NaN objectives and left out of the population, as
-in the trainer, so the population may shrink.
+parents and offspring, sorts by non-domination (feasibility first, as
+everywhere in the package), and resolves the last partial front by
+crowding (NSGA-II) or reference-direction niching (NSGA-III).  The
+population is an array of rows of the run's ``EvaluationLog``, and the
+selection steps work on the log's objective and violation rows.  The
+reported front is the log rows of the non-dominated set of every evaluation
+ever made, not just the final population.  A failed evaluation is logged
+with NaN objectives and left out of the population, as in the trainer, so
+the population may shrink.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class GAConfig:
         return self
 
 
-def _selection_order(F: np.ndarray, cv: np.ndarray, constrained: bool,
+def _selection_order(F: np.ndarray, cv: np.ndarray,
                      sizes: Optional[list[int]] = None) -> np.ndarray:
     """Positions of the rows ``F`` ordered best-first: by front, then density
     inside each front.
@@ -71,7 +72,7 @@ def _selection_order(F: np.ndarray, cv: np.ndarray, constrained: bool,
     are sorted when it is None.
     """
     if sizes is None:
-        fronts = non_dominated_sort(F, cv, constrained)
+        fronts = non_dominated_sort(F, cv)
     else:
         ends = np.cumsum(sizes).tolist()
         fronts = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
@@ -119,12 +120,12 @@ def _variation(parents: np.ndarray, cfg: GAConfig, problem: ProblemSpec,
     return np.clip(out, problem.lower, problem.upper, out=out)
 
 
-def _fill_fronts(F: np.ndarray, cv: np.ndarray, n: int,
-                 constrained: bool) -> tuple[np.ndarray, list[int], np.ndarray]:
+def _fill_fronts(F: np.ndarray, cv: np.ndarray,
+                 n: int) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Positions of the whole fronts that fit into ``n`` slots, best first,
     the lengths of those fronts, and the positions of the first front that
     does not fit (empty when every front fits)."""
-    fronts = non_dominated_sort(F, cv, constrained)
+    fronts = non_dominated_sort(F, cv)
     sizes, taken = [], 0
     for front in fronts:
         if taken + len(front) > n:
@@ -136,8 +137,7 @@ def _fill_fronts(F: np.ndarray, cv: np.ndarray, n: int,
     return ranked[:taken], sizes, last
 
 
-def _survivors_nsga2(F: np.ndarray, cv: np.ndarray, n: int,
-                     constrained: bool = False) -> tuple[np.ndarray, list[int]]:
+def _survivors_nsga2(F: np.ndarray, cv: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     """Positions of the ``n`` survivors among the rows ``F`` (all of them
     when fewer): whole fronts, then the least crowded of the first front
     that does not fit; and the lengths of the survivors' fronts.
@@ -146,7 +146,7 @@ def _survivors_nsga2(F: np.ndarray, cv: np.ndarray, n: int,
     in the order ``non_dominated_sort`` of the survivors would, so the next
     generation's parent selection need not sort again.
     """
-    chosen, sizes, last = _fill_fronts(F, cv, n, constrained)
+    chosen, sizes, last = _fill_fronts(F, cv, n)
     need = n - len(chosen)
     if need and len(last):
         ranked = crowding_rank(F[last]).order
@@ -155,11 +155,11 @@ def _survivors_nsga2(F: np.ndarray, cv: np.ndarray, n: int,
     return chosen, sizes
 
 
-def _survivors_nsga3(F: np.ndarray, cv: np.ndarray, n: int, dirs: ReferenceDirectionSet,
-                     constrained: bool) -> tuple[np.ndarray, list[int]]:
+def _survivors_nsga3(F: np.ndarray, cv: np.ndarray, n: int,
+                     dirs: ReferenceDirectionSet) -> tuple[np.ndarray, list[int]]:
     """As ``_survivors_nsga2``, with the first front that does not fit cut
     down by niching on the reference directions ``dirs``."""
-    chosen, sizes, last = _fill_fronts(F, cv, n, constrained)
+    chosen, sizes, last = _fill_fronts(F, cv, n)
     need = n - len(chosen)
     if need and len(last):
         chosen = np.concatenate([chosen, _niche_picks(F, chosen, last, need, dirs)])
@@ -196,15 +196,15 @@ def _niche_picks(F: np.ndarray, chosen: np.ndarray, last: np.ndarray, need: int,
 
 
 def _offspring(pop: np.ndarray, sizes: Optional[list[int]], log: EvaluationLog,
-               cfg: GAConfig, problem: ProblemSpec, rng: np.random.Generator, evaluate,
-               constrained: bool) -> np.ndarray:
+               cfg: GAConfig, problem: ProblemSpec, rng: np.random.Generator,
+               evaluate) -> np.ndarray:
     """The log rows of one generation's offspring that evaluated successfully."""
-    order = _selection_order(log.F[pop], log.cv[pop], constrained, sizes)
+    order = _selection_order(log.F[pop], log.cv[pop], sizes)
     return evaluate(_variation(log.X[pop[order[: cfg.mu]]], cfg, problem, rng))
 
 
 def nsga2_step(pop: np.ndarray, log: EvaluationLog, cfg: GAConfig, problem: ProblemSpec,
-               rng: np.random.Generator, evaluate, constrained: bool,
+               rng: np.random.Generator, evaluate,
                sizes: Optional[list[int]] = None) -> tuple[np.ndarray, list[int]]:
     """One generation: ES variation, merge with parents, crowded selection.
 
@@ -214,37 +214,30 @@ def nsga2_step(pop: np.ndarray, log: EvaluationLog, cfg: GAConfig, problem: Prob
     previous step returned them (None sorts ``pop``).  Returns the new
     population and the lengths of its front blocks.
     """
-    pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, problem, rng, evaluate,
-                                           constrained)])
-    chosen, sizes = _survivors_nsga2(log.F[pool], log.cv[pool], cfg.pop_size, constrained)
+    pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, problem, rng, evaluate)])
+    chosen, sizes = _survivors_nsga2(log.F[pool], log.cv[pool], cfg.pop_size)
     return pool[chosen], sizes
 
 
 def nsga3_step(pop: np.ndarray, log: EvaluationLog, cfg: GAConfig, problem: ProblemSpec,
-               rng: np.random.Generator, evaluate, constrained: bool,
-               dirs: ReferenceDirectionSet,
+               rng: np.random.Generator, evaluate, dirs: ReferenceDirectionSet,
                sizes: Optional[list[int]] = None) -> tuple[np.ndarray, list[int]]:
     """One generation: ES variation, merge with parents, niching selection;
     arguments and result as in ``nsga2_step``."""
-    pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, problem, rng, evaluate,
-                                           constrained)])
-    chosen, sizes = _survivors_nsga3(log.F[pool], log.cv[pool], cfg.pop_size, dirs,
-                                     constrained)
+    pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, problem, rng, evaluate)])
+    chosen, sizes = _survivors_nsga3(log.F[pool], log.cv[pool], cfg.pop_size, dirs)
     return pool[chosen], sizes
 
 
-def _run(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool], step) -> RunResult:
+def _run(problem: ProblemSpec, cfg: GAConfig, step) -> RunResult:
     """Full generational run under a shared evaluation budget; ``step`` is
     ``nsga2_step`` or ``nsga3_step`` with its directions bound.
 
-    ``constrained`` defaults to whether the problem has constraints.  The
-    initial population counts against the budget; the returned front is
+    The initial population counts against the budget; the returned front is
     ``log.front()``, the (feasibility-first) non-dominated rows of all
     evaluations.
     """
     cfg.validate()
-    if constrained is None:
-        constrained = problem.n_constraints > 0
     start = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     generations = (cfg.budget - cfg.pop_size) // cfg.lambda_
@@ -259,18 +252,17 @@ def _run(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool], step)
     pop = evaluate(rng.uniform(problem.lower, problem.upper, (cfg.pop_size, problem.n_x)))
     sizes = None
     for _ in range(generations):
-        pop, sizes = step(pop, log, cfg, problem, rng, evaluate, constrained, sizes=sizes)
+        pop, sizes = step(pop, log, cfg, problem, rng, evaluate, sizes=sizes)
 
     return RunResult(front=log.front(), log=log, wall_time=time.perf_counter() - start)
 
 
-def run_nsga2(problem: ProblemSpec, cfg: GAConfig,
-              constrained: Optional[bool] = None) -> RunResult:
-    return _run(problem, cfg, constrained, nsga2_step)
+def run_nsga2(problem: ProblemSpec, cfg: GAConfig) -> RunResult:
+    return _run(problem, cfg, nsga2_step)
 
 
-def run_nsga3(problem: ProblemSpec, cfg: GAConfig, constrained: Optional[bool] = None,
+def run_nsga3(problem: ProblemSpec, cfg: GAConfig,
               dirs: Optional[ReferenceDirectionSet] = None) -> RunResult:
     if dirs is None:
         dirs = das_dennis(problem.n_obj, default_divisions(problem.n_obj, cfg.pop_size))
-    return _run(problem, cfg, constrained, partial(nsga3_step, dirs=dirs))
+    return _run(problem, cfg, partial(nsga3_step, dirs=dirs))

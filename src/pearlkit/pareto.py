@@ -3,13 +3,14 @@
 Every objective is minimized, and objective vectors are stored exactly as
 the problem returns them.
 
-Two dominance relations exist: plain dominance on the objectives and, with
-``constrained=True``, feasibility first (after Deb et al., IEEE TEC 2002):
-a feasible point (violation ``cv == 0``) beats an infeasible one, the lower
-violation wins between two infeasible points, and plain dominance decides
-between two feasible ones.  ``_dominance`` is the array form of both for
-the sort, and ``ParetoArchive`` compares one candidate against all its
-members in a single broadcast.
+One dominance relation is used everywhere, feasibility first (after Deb et
+al., IEEE TEC 2002): a feasible point (violation ``cv == 0``) beats an
+infeasible one, the lower violation wins between two infeasible points, and
+plain dominance on the objectives decides between two feasible ones.  When
+every violation is 0, as on an unconstrained problem, it is plain
+dominance.  ``_dominance`` is its array form for the sort, and
+``ParetoArchive`` compares one candidate against all its members in a
+single broadcast.
 """
 
 from __future__ import annotations
@@ -26,34 +27,28 @@ _BLOCK = 128  # rows per block of the sweep in ``non_dominated_mask``
 
 
 def _dominance(a_f: np.ndarray, a_cv: np.ndarray, b_f: np.ndarray,
-               b_cv: np.ndarray, constrained: bool) -> np.ndarray:
-    """D[i, j] is True when point i of ``a`` dominates point j of ``b``.
-
-    Plain dominance on the objective rows, or, when ``constrained``,
-    feasibility first as set out in the module docstring.
-    """
+               b_cv: np.ndarray) -> np.ndarray:
+    """D[i, j] is True when point i of ``a`` dominates point j of ``b``,
+    feasibility first as set out in the module docstring."""
     plain = (np.all(a_f[:, None, :] <= b_f[None, :, :], axis=2)
              & np.any(a_f[:, None, :] < b_f[None, :, :], axis=2))
-    if not constrained:
-        return plain
     a_feas = (a_cv == 0.0)[:, None]
     b_feas = (b_cv == 0.0)[None, :]
     lower_cv = a_cv[:, None] < b_cv[None, :]
     return np.where(a_feas & b_feas, plain, a_feas | (~b_feas & lower_cv))
 
 
-def non_dominated_sort(f: np.ndarray, cv: np.ndarray,
-                       constrained: bool = False) -> list[np.ndarray]:
+def non_dominated_sort(f: np.ndarray, cv: np.ndarray) -> list[np.ndarray]:
     """Sort objective rows ``f`` with violations ``cv`` into non-domination
     fronts: arrays of ascending row indices, best front first.
 
     Front 0 holds the rows dominated by nobody; each later front is
     non-dominated once earlier fronts are removed.  Every row appears in
-    exactly one front.  ``constrained`` folds feasibility into dominance.
+    exactly one front.
     """
     if len(f) == 0:
         raise ValueError("cannot sort an empty population")
-    d = _dominance(f, cv, f, cv, constrained)
+    d = _dominance(f, cv, f, cv)
     dominated_count = d.sum(axis=0)
     fronts: list[np.ndarray] = []
     remaining = np.ones(len(f), dtype=bool)
@@ -99,7 +94,7 @@ def best_front(f: np.ndarray, cv: np.ndarray) -> np.ndarray:
     """Indices of the feasibility-first non-dominated rows of a large set.
 
     The non-dominated subset, by objectives ``f`` alone, of the feasible
-    rows when any exist (front 0 of the constrained sort), else of the rows
+    rows when any exist (front 0 of the sort), else of the rows
     of least violation ``cv`` (not front 0, where equal violations tie).
     Each distinct objective row appears once, at its first occurrence; the
     indices ascend.
@@ -116,8 +111,8 @@ class ParetoArchive:
     The archive is the per-worker memory used by the rank-based reward
     engines, which insert with a ranker and a fixed capacity.
     ``capacity=None`` with ``add`` gives an unbounded, unranked archive.
-    ``constrained=True`` folds feasibility into dominance, so that
-    constrained variants keep feasibility inside the buffer ordering.
+    Dominance is feasibility first, so a feasible point displaces every
+    infeasible member and infeasible points are ordered by violation alone.
 
     Members are evaluation-log rows.  Entry ``i < len(archive)`` of ``_row``
     names the row of member ``i``, and row ``i`` of ``_f`` and entry ``i`` of
@@ -127,11 +122,10 @@ class ParetoArchive:
     for one candidate beyond a full archive) and double when full.
     """
 
-    def __init__(self, capacity: Optional[int] = None, constrained: bool = False):
+    def __init__(self, capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be a positive integer or None")
         self.capacity = capacity
-        self.constrained = constrained
         self._n = 0
         self._f = np.empty((0, 0))
         self._cv = np.empty(0)
@@ -170,17 +164,15 @@ class ParetoArchive:
         mf, mcv, mrow = self._f[:n], self._cv[:n], self._row[:n]
         le = (mf <= f).all(axis=1)  # dominates the point, or is its twin
         ge = (mf >= f).all(axis=1)  # dominated by the point, or is its twin
-        if self.constrained and cv > 0:
+        if cv > 0:
             # only the violation orders infeasible points; a twin of equal
             # violation is a duplicate
             reject = (mcv < cv) | ((mcv == cv) & le & ge)
             evict = mcv > cv
-        elif self.constrained:
+        else:
             feasible = mcv == 0.0
             reject = feasible & le
             evict = ~feasible | ge
-        else:
-            reject, evict = le, ge
         if reject.any():
             return False
         if evict.any():

@@ -27,9 +27,14 @@ class ProblemSpecError(ValueError):
     as a failed evaluation."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
-    """Registry entry: dimensions, box, evaluators, front source, nadir."""
+    """Registry entry: dimensions, box, evaluators, front source, nadir.
+
+    The spec is frozen and its arrays are read-only, so the box and nadir
+    checked at construction are the ones every evaluation uses;
+    ``dataclasses.replace`` builds a new spec and checks it again.
+    """
 
     name: str
     n_x: int
@@ -54,10 +59,10 @@ class ProblemSpec:
         if (self.constraints is not None) != (self.n_constraints > 0):
             raise ValueError(f"{self.name}: constraints need a positive n_constraints "
                              "and a positive n_constraints needs constraints")
-        self.lower = _read_only(np.zeros(self.n_x) if self.lower is None else self.lower)
-        self.upper = _read_only(np.ones(self.n_x) if self.upper is None else self.upper)
-        self.nadir = np.asarray(np.full(self.n_obj, 3.0) if self.nadir is None else self.nadir,
-                                dtype=float)
+        for name, default in (("lower", np.zeros(self.n_x)), ("upper", np.ones(self.n_x)),
+                              ("nadir", np.full(self.n_obj, 3.0))):
+            value = getattr(self, name)
+            object.__setattr__(self, name, _read_only(default if value is None else value))
         if self.lower.shape != (self.n_x,) or self.upper.shape != (self.n_x,):
             raise ValueError(f"{self.name}: lower and upper need shape ({self.n_x},), "
                              f"not {self.lower.shape} and {self.upper.shape}")
@@ -68,9 +73,9 @@ class ProblemSpec:
         if self.nadir.shape != (self.n_obj,):
             raise ValueError(f"{self.name}: nadir needs shape ({self.n_obj},), "
                              f"not {self.nadir.shape}")
-        # the box with evaluate's slack, built once: the box is read-only
-        self._slack_lower = self.lower - 1e-9
-        self._slack_upper = self.upper + 1e-9
+        # the box with evaluate's slack, built once: the box is frozen
+        object.__setattr__(self, "_slack_lower", self.lower - 1e-9)
+        object.__setattr__(self, "_slack_upper", self.upper + 1e-9)
 
 
 def _read_only(values) -> np.ndarray:

@@ -15,7 +15,7 @@ Each reads the evaluation from its row of the run's ``EvaluationLog``
   paid a distance-to-feasibility penalty minus a bonus gap, feasible ones
   are forwarded to the inner engine whose archive then only ever holds
   feasible solutions.  The rank-based alternative ("crowding2"/"niching2")
-  is ``PearlNds`` with the constrained dominance relation.
+  is ``PearlNds`` itself: every archive ranks feasibility first.
 
 Every engine is single-owner state: one instance per rollout worker.
 """
@@ -258,10 +258,10 @@ class _RankedEngine:
 
     default_log_std = -0.75
 
-    def __init__(self, kappa: int, constrained: bool = False):
+    def __init__(self, kappa: int):
         self.kappa = _positive_int("kappa", kappa)
         self.reward_scale = float(kappa)
-        self.archive = ParetoArchive(capacity=self.kappa, constrained=constrained)
+        self.archive = ParetoArchive(capacity=self.kappa)
 
     def observation(self) -> np.ndarray:
         # rank engines contribute nothing to the policy observation
@@ -309,14 +309,14 @@ class PearlEpsilon(_RankedEngine):
 class PearlNds(_RankedEngine):
     """Density ranking (crowding or niching) inside a bounded archive.
 
-    ``constrained=True`` gives the rank-based constraint handling: the
-    archive orders members with feasibility folded into dominance, so a
-    single feasible solution displaces every infeasible one.
+    On a constrained problem this is the rank-based constraint handling: the
+    archive ranks feasibility first, so a single feasible solution displaces
+    every infeasible one.
     """
 
     def __init__(self, kappa: int = KAPPA, ranker: str = "crowding",
-                 n_obj: Optional[int] = None, constrained: bool = False):
-        super().__init__(kappa, constrained)
+                 n_obj: Optional[int] = None):
+        super().__init__(kappa)
         if ranker == "crowding":
             self._rank_fn = crowding_rank
         elif ranker == "niching":

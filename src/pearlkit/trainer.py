@@ -28,7 +28,7 @@ import numpy as np
 
 from .pareto import best_front
 from .problems import ProblemSpec, ProblemSpecError, evaluate
-from .rewards import constraint_violation
+from .rewards import _positive_int, constraint_violation
 
 logger = logging.getLogger(__name__)
 
@@ -69,8 +69,7 @@ class TrainerConfig:
 
     def validate(self):
         for key in ("n_steps", "ncores", "epochs", "minibatches", "hidden"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be a positive integer")
+            _positive_int(key, getattr(self, key))
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not self.clip_ratio >= 0:

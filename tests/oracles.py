@@ -122,21 +122,20 @@ class Member(NamedTuple):
 
 
 class OracleArchive:
-    """Scalar reference for ``ParetoArchive``: one relation call per member.
+    """Scalar reference for ``ParetoArchive``: one relation call per member,
+    feasibility first (``constrained_dominates_scalar``).
 
-    Plain dominance on ``f`` (``brute_force_dominates``), or with
-    ``constrained`` feasibility first (``constrained_dominates_scalar``).
     ``add`` and ``insert`` take and return what the library's methods take
     and return, and leave the members in the same order.
     """
 
-    def __init__(self, capacity=None, constrained=False):
+    def __init__(self, capacity=None):
         self.capacity = capacity
-        if constrained:
-            self.rel = lambda a, b: constrained_dominates_scalar(a.f, a.cv, b.f, b.cv)
-        else:
-            self.rel = lambda a, b: brute_force_dominates(a.f, b.f)
         self.members = []
+
+    @staticmethod
+    def rel(a, b):
+        return constrained_dominates_scalar(a.f, a.cv, b.f, b.cv)
 
     def rows(self):
         return [m.row for m in self.members]
@@ -338,15 +337,12 @@ def constrained_dominates_scalar(fa, cva, fb, cvb):
     return brute_force_dominates(fa, fb)
 
 
-def non_dominated_fronts_scalar(f, cv, constrained):
-    """Fronts of ascending row indices, peeled by exhaustive pairwise checks
-    among the rows not yet placed."""
-    if constrained:
-        def dom(i, j):
-            return constrained_dominates_scalar(f[i], cv[i], f[j], cv[j])
-    else:
-        def dom(i, j):
-            return brute_force_dominates(f[i], f[j])
+def non_dominated_fronts_scalar(f, cv):
+    """Fronts of ascending row indices, peeled by exhaustive pairwise
+    feasibility-first checks among the rows not yet placed."""
+    def dom(i, j):
+        return constrained_dominates_scalar(f[i], cv[i], f[j], cv[j])
+
     remaining = list(range(len(f)))
     fronts = []
     while remaining:
@@ -356,7 +352,7 @@ def non_dominated_fronts_scalar(f, cv, constrained):
     return fronts
 
 
-def nsga3_survivors_scalar(f, cv, n, dirs, constrained):
+def nsga3_survivors_scalar(f, cv, n, dirs):
     """Positions of the NSGA-III survivors among the rows ``f`` (violations
     ``cv``), with the fronts peeled pairwise and the niche fill written as
     repeated ``min`` calls.
@@ -370,7 +366,7 @@ def nsga3_survivors_scalar(f, cv, n, dirs, constrained):
 
     f = np.asarray(f, dtype=float)
     chosen, last = [], []
-    for front in non_dominated_fronts_scalar(f, cv, constrained):
+    for front in non_dominated_fronts_scalar(f, cv):
         if len(chosen) + len(front) > n:
             last = front
             break

@@ -184,11 +184,12 @@ def test_criterion_08_sorting_matches_exhaustive_oracle():
         n = int(rng.integers(1, 13))
         objs = rng.integers(0, 5, size=(n, 3)).astype(float)
         cvs = np.where(rng.random(n) < 0.5, 0.0, np.round(rng.random(n), 2))
-        plain = non_dominated_sort(objs, cvs)[0].tolist()
+        # with every violation 0 the relation is plain dominance
+        plain = non_dominated_sort(objs, np.zeros(n))[0].tolist()
         expected = brute_force_front_indices(objs, brute_force_dominates)
         assert plain == expected, f"plain relation diverged on trial {trial}"
 
-        constrained = non_dominated_sort(objs, cvs, constrained=True)[0].tolist()
+        constrained = non_dominated_sort(objs, cvs)[0].tolist()
         expected_c = [
             i for i in range(n)
             if not any(constrained_dominates_scalar(objs[j], cvs[j], objs[i], cvs[i])

@@ -119,6 +119,8 @@ class TestConfig:
         ({"name": "c-pearl", "mode": "crowding2", "constrained": True}, "'constrained'"),
         ({"name": "nsga2", "blend_alpha": 0.3}, "'blend_alpha'"),
         ({"name": "pearl-e", "uniformity": "cosine"}, "'cosine'"),
+        # NSGA ranks feasibility first on every problem
+        ({"name": "nsga2", "constrained": False}, "'constrained'"),
     ])
     def test_keys_nothing_reads_are_rejected_at_load(self, tmp_path, entry, key):
         path, _ = small_config(tmp_path, algorithms=[entry])
@@ -178,10 +180,25 @@ class TestConfig:
         ({"algorithms": [{"name": "pearl-nds", "hidden": 0}]}, "hidden"),
         ({"algorithms": [{"name": "pearl-e", "learning_rate": -1}]}, "learning_rate"),
         ({"algorithms": [{"name": "c-pearl", "clip_ratio": -0.5}]}, "clip_ratio"),
+        # before, these loaded: the first three then failed every cell, and
+        # n_steps 8.7 ran as 8 and ncores true as 1
+        ({"algorithms": [{"name": "pearl-nds", "hidden": 8.5}]}, "hidden"),
+        ({"algorithms": [{"name": "pearl-nds", "epochs": 2.5}]}, "epochs"),
+        ({"algorithms": [{"name": "pearl-nds", "hidden": True}]}, "hidden"),
+        ({"n_steps": 8.7}, "n_steps"),
+        ({"ncores": True}, "ncores"),
     ])
     def test_trainer_settings_validated_at_load(self, tmp_path, overrides, key):
         path, _ = small_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    @pytest.mark.parametrize("seeds", [[0, 0.9, True], [0.9], [True], [-1], ["0"], [0, 1, 0]])
+    def test_seeds_must_be_distinct_integers(self, tmp_path, seeds):
+        # before, [0, 0.9, True] loaded as [0, 0, 1]: seed 0 ran twice into
+        # one cell directory and metrics.csv held its row twice
+        path, _ = small_config(tmp_path, seeds=seeds)
+        with pytest.raises(ConfigError, match="key 'seeds'"):
             load_config(path)
 
     @pytest.mark.parametrize("gammas", [[1.0, 2.0], [], [-1.0], [0.0], [float("inf")],
@@ -219,6 +236,17 @@ class TestRun:
             summary = json.loads((cell / "summary.json").read_text())
             assert summary["config"] == config  # exact echo round-trip
             assert summary["n_evaluations"] == 64
+
+    def test_pearl_nds_is_rank_based_c_pearl_on_a_constrained_problem(self, tmp_path):
+        # one dominance relation: pearl-nds ranks feasibility first, so on
+        # c2dtlz2 it is c-pearl crowding2, evaluation for evaluation
+        path, _ = small_config(tmp_path, problems="c2dtlz2", seeds=[0], algorithms=[
+            {"name": "pearl-nds", "kappa": 8}, {"name": "c-pearl", "mode": "crowding2",
+                                                "kappa": 8}])
+        out = run_experiment(path)
+        nds = out / "pearl-nds" / "c2dtlz2" / "seed0" / "evaluations.csv"
+        rank2 = out / "c-pearl-crowding2" / "c2dtlz2" / "seed0" / "evaluations.csv"
+        assert nds.read_bytes() == rank2.read_bytes()
 
     def test_refuses_overwrite_without_force(self, tmp_path):
         path, _ = small_config(tmp_path)

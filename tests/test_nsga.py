@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,7 @@ class TestSteps:
         cfg = GAConfig(lambda_=16, budget=10_000)
         log, evaluate, pop = initial_population(problem, 16)
         rng = np.random.default_rng(1)
-        nxt, _ = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
+        nxt, _ = nsga2_step(pop, log, cfg, problem, rng, evaluate)
         assert len(nxt) == 16
         assert len(log) == 32 and set(nxt.tolist()) <= set(range(32))
 
@@ -58,7 +60,7 @@ class TestSteps:
         cfg = GAConfig(lambda_=8, mutpb=0.0, cxpb=0.0)
         log, evaluate, pop = initial_population(problem, 8, seed=2)
         rng = np.random.default_rng(2)
-        nxt, _ = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
+        nxt, _ = nsga2_step(pop, log, cfg, problem, rng, evaluate)
         # offspring are copies; survivors must come from the original set
         originals = {tuple(x) for x in log.X[pop].tolist()}
         assert {tuple(x) for x in log.X[nxt].tolist()} <= originals
@@ -70,7 +72,7 @@ class TestSteps:
         rng = np.random.default_rng(3)
         sizes = None
         for _ in range(5):
-            pop, sizes = nsga2_step(pop, log, cfg, problem, rng, evaluate, False, sizes)
+            pop, sizes = nsga2_step(pop, log, cfg, problem, rng, evaluate, sizes)
         assert len(log) == 32 * 6
         assert np.all(log.X[:len(log)] >= problem.lower - 1e-12)
         assert np.all(log.X[:len(log)] <= problem.upper + 1e-12)
@@ -80,7 +82,7 @@ class TestSteps:
         cfg = GAConfig(lambda_=10)
         log, evaluate, pop = initial_population(problem, 10, seed=4)
         rng = np.random.default_rng(4)
-        nxt, _ = nsga2_step(pop, log, cfg, problem, rng, evaluate, False)
+        nxt, _ = nsga2_step(pop, log, cfg, problem, rng, evaluate)
         # the merged pool is every row of the log
         expected = brute_force_front_indices(log.F[:len(log)], brute_force_dominates)
         if len(expected) <= cfg.pop_size:
@@ -88,14 +90,14 @@ class TestSteps:
 
     def test_constrained_nsga2_keeps_feasible_member_first(self):
         # infeasible members plainly dominate the single feasible one; with
-        # constrained domination the feasible member must lead the survivors
+        # feasibility first the feasible member must lead the survivors
         F = [[0.0, 0.1, 0.1], [0.1, 0.1, 0.1], [2.0, 2.0, 2.0], [0.2, 0.1, 0.1]]
         G = [[0.5], [0.6], [-1.0], [0.7]]
         problem = table_problem(F, G)
         cfg = GAConfig(lambda_=4, mutpb=0.0, cxpb=0.0)
         log, evaluate = logged(problem)
         pop = evaluate(np.arange(4.0)[:, None])
-        nxt, _ = nsga2_step(pop, log, cfg, problem, np.random.default_rng(0), evaluate, True)
+        nxt, _ = nsga2_step(pop, log, cfg, problem, np.random.default_rng(0), evaluate)
         assert log.cv[nxt[0]] == 0.0
 
     def test_elitism_no_regression(self):
@@ -106,7 +108,7 @@ class TestSteps:
         sizes = None
         for _ in range(10):
             before = log.F[pop]
-            pop, sizes = nsga2_step(pop, log, cfg, problem, rng, evaluate, False, sizes)
+            pop, sizes = nsga2_step(pop, log, cfg, problem, rng, evaluate, sizes)
             # some survivor is non-dominated by the previous population
             assert any(not any(brute_force_dominates(o, f) for o in before) for f in log.F[pop])
 
@@ -125,7 +127,7 @@ class TestSteps:
                 if generation == 1:
                     assert len(pop) < 16
                 extra = (dirs,) if step is nsga3_step else ()
-                pop, sizes = step(pop, log, cfg, problem, rng, evaluate, False, *extra,
+                pop, sizes = step(pop, log, cfg, problem, rng, evaluate, *extra,
                                   sizes=sizes)
                 fresh = non_dominated_sort(log.F[pop], log.cv[pop])
                 ends = np.cumsum(sizes)
@@ -170,19 +172,25 @@ class TestVariation:
 
 class TestNsga3:
     def test_all_feasible_matches_unconstrained(self):
+        # a constraint that always holds leaves every violation 0, where the
+        # feasibility-first relation is plain dominance
         problem = get_problem("dtlz2")  # no constraints at all
+        slack = dataclasses.replace(problem, constraints=lambda x, f: np.array([-1.0]),
+                                    n_constraints=1)
         cfg = GAConfig(lambda_=12)
         dirs = das_dennis(3, 4)
-        log, evaluate, pop = initial_population(problem, 12, seed=6)
-        a, _ = nsga3_step(pop, log, cfg, problem, np.random.default_rng(9), evaluate, False, dirs)
-        b, _ = nsga3_step(pop, log, cfg, problem, np.random.default_rng(9), evaluate, True, dirs)
-        assert log.F[a].tolist() == log.F[b].tolist()
+        steps = []
+        for spec in (problem, slack):
+            log, evaluate, pop = initial_population(spec, 12, seed=6)
+            rows, _ = nsga3_step(pop, log, cfg, spec, np.random.default_rng(9), evaluate, dirs)
+            steps.append(log.F[rows].tolist())
+        assert steps[0] == steps[1]
 
     def test_single_feasible_survives(self):
         # row 0 is feasible and plainly dominated by the seven infeasible rows
         F = np.array([[2.0, 2.0]] + [[0.1 * i, 0.1] for i in range(7)])
         cv = np.array([0.0] + [(0.5 + 0.1 * i) ** 2 for i in range(7)])
-        survivors, _ = _survivors_nsga3(F, cv, 4, das_dennis(2, 4), True)
+        survivors, _ = _survivors_nsga3(F, cv, 4, das_dennis(2, 4))
         assert len(survivors) == 4 and survivors[0] == 0
 
     def test_niche_fill_hand_computed(self):
@@ -191,7 +199,7 @@ class TestNsga3:
         # are closest to their directions, so only the survivors' niche
         # counts make the pick the one owning the empty middle direction
         F = np.array([(0.0, 0.8), (0.8, 0.0), (0.05, 1.0), (1.0, 0.05), (0.9, 0.6)])
-        survivors, _ = _survivors_nsga3(F, np.zeros(5), 3, das_dennis(2, 2), False)
+        survivors, _ = _survivors_nsga3(F, np.zeros(5), 3, das_dennis(2, 2))
         assert survivors.tolist() == [0, 1, 4]
 
     def test_niche_fill_associates_minimized_objectives(self):
@@ -199,7 +207,7 @@ class TestNsga3:
         # near the f2 axis and (0.5, 0.2) near the f1 axis; on the mirrored
         # rows 1 - f both would join the middle direction instead
         F = np.array([(0.0, 1.0), (1.0, 0.0), (0.1, 0.5), (0.5, 0.2)])
-        survivors, _ = _survivors_nsga3(F, np.zeros(4), 3, das_dennis(2, 2), False)
+        survivors, _ = _survivors_nsga3(F, np.zeros(4), 3, das_dennis(2, 2))
         # both axis niches hold one survivor; the closer candidate wins
         assert survivors.tolist() == [0, 1, 2]
 
@@ -227,21 +235,21 @@ class TestRuns:
     def test_constrained_run_keeps_feasible_members(self):
         problem = get_problem("c2dtlz2")
         cfg = GAConfig(lambda_=16, budget=800, seed=2)
-        result = run_nsga3(problem, cfg, constrained=True)
+        result = run_nsga3(problem, cfg)
         assert len(result.front)
         assert (result.log.cv[result.front] == 0).all()
 
     def test_constrained_nsga2_run_reports_feasible_front(self):
         problem = get_problem("c2dtlz2")
         cfg = GAConfig(lambda_=16, budget=800, seed=2)
-        result = run_nsga2(problem, cfg, constrained=True)
+        result = run_nsga2(problem, cfg)
         assert len(result.front)
         assert (result.log.cv[result.front] == 0).all()
 
     def test_front_is_built_from_the_best_logged_rows(self):
         problem = get_problem("c2dtlz2")
         cfg = GAConfig(lambda_=16, budget=800, seed=2)
-        result = run_nsga2(problem, cfg, constrained=True)
+        result = run_nsga2(problem, cfg)
         log = result.log
         feasible = np.flatnonzero(log.cv == 0.0)
         rows = feasible[non_dominated_mask_scalar(log.F[feasible])]
@@ -258,7 +266,7 @@ class TestRuns:
         seen_feasible = bool((log.cv[pop] == 0).any())
         sizes = None
         for _ in range(40):
-            pop, sizes = nsga3_step(pop, log, cfg, problem, rng, evaluate, True, dirs, sizes)
+            pop, sizes = nsga3_step(pop, log, cfg, problem, rng, evaluate, dirs, sizes)
             feasible = bool((log.cv[pop] == 0).any())
             if seen_feasible:
                 assert feasible
@@ -268,8 +276,8 @@ class TestRuns:
     def test_determinism(self):
         problem = get_problem("ctp1")
         cfg = GAConfig(lambda_=8, budget=100, seed=11)
-        a = run_nsga3(problem, cfg, constrained=True)
-        b = run_nsga3(problem, cfg, constrained=True)
+        a = run_nsga3(problem, cfg)
+        b = run_nsga3(problem, cfg)
         assert len(a.log) == len(b.log) == 8 + 11 * 8
         assert np.array_equal(a.log.X, b.log.X) and np.array_equal(a.log.F, b.log.F)
 
@@ -284,14 +292,6 @@ class TestRuns:
     def test_mu_and_pop_size_default_to_lambda(self):
         cfg = GAConfig(lambda_=64)
         assert cfg.mu == cfg.pop_size == 64
-
-    def test_constrained_defaults_to_problem_having_constraints(self):
-        problem = get_problem("c2dtlz2")
-        cfg = GAConfig(lambda_=8, budget=8 + 4 * 8, seed=0)
-        default = run_nsga3(problem, cfg)
-        explicit = run_nsga3(problem, cfg, constrained=True)
-        assert len(default.log) == len(explicit.log) == 8 + 4 * 8
-        assert np.array_equal(default.log.X, explicit.log.X)
 
 
 class TestFailedEvaluations:
@@ -331,7 +331,7 @@ class TestFailedEvaluations:
                               constraints=lambda x, f: c2dtlz2_constraint(f),
                               n_constraints=1, nadir=[3, 3, 3])
         cfg = GAConfig(lambda_=16, budget=400, seed=1)
-        result = run_nsga2(problem, cfg, constrained=True)
+        result = run_nsga2(problem, cfg)
         log = result.log
         assert len(log) == 400
         failed = np.isnan(log.F).all(axis=1)
@@ -399,7 +399,7 @@ class TestNonFiniteOutputs:
         if algorithm == "nsga2":
             return run_nsga2(problem, GAConfig(lambda_=16, budget=400, seed=1))
         cfg = TrainerConfig(n_steps=8, ncores=2, budget=160, hidden=8, seed=0)
-        return train(problem, lambda: PearlNds(kappa=8, constrained=True), cfg)
+        return train(problem, lambda: PearlNds(kappa=8), cfg)
 
     @pytest.mark.parametrize("algorithm", ["nsga2", "train"])
     @pytest.mark.parametrize("objective,constraint", [

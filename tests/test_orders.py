@@ -73,14 +73,13 @@ class TestOrdersMatchScalarOracles:
     @settings(max_examples=300, deadline=None)
     @given(f=fronts(min_size=2, max_size=24),
            cv=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=24, max_size=24),
-           n=st.integers(1, 23), divisions=st.integers(1, 4),
-           constrained=st.booleans())
-    def test_nsga3_survivors(self, f, cv, n, divisions, constrained):
+           n=st.integers(1, 23), divisions=st.integers(1, 4))
+    def test_nsga3_survivors(self, f, cv, n, divisions):
         cv = np.array(cv[: len(f)])
         n = min(n, len(f) - 1)
         dirs = das_dennis(f.shape[1], divisions)
-        got, _ = _survivors_nsga3(f, cv, n, dirs, constrained)
-        assert got.tolist() == nsga3_survivors_scalar(f, cv, n, dirs, constrained)
+        got, _ = _survivors_nsga3(f, cv, n, dirs)
+        assert got.tolist() == nsga3_survivors_scalar(f, cv, n, dirs)
 
 
 class TestCarriedFronts:
@@ -88,22 +87,20 @@ class TestCarriedFronts:
     @given(f=fronts(min_size=1, max_size=20),
            cv=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=24, max_size=24),
            twins=st.integers(0, 4), n=st.integers(1, 27), whole=st.integers(0, 3),
-           divisions=st.integers(1, 4), constrained=st.booleans())
-    def test_survivor_fronts_equal_a_fresh_sort(self, f, cv, twins, n, whole, divisions,
-                                                constrained):
+           divisions=st.integers(1, 4))
+    def test_survivor_fronts_equal_a_fresh_sort(self, f, cv, twins, n, whole, divisions):
         # the first rows again as twins; n may exceed the rows, as a pool does
         # after failed offspring, or end a front, so that need == 0
         f = np.vstack([f, f[:twins]])
         cv = np.array(cv[: len(f)])
         if whole:
-            n = sum(len(front) for front in non_dominated_sort(f, cv, constrained)[:whole])
+            n = sum(len(front) for front in non_dominated_sort(f, cv)[:whole])
         dirs = das_dennis(f.shape[1], divisions)
-        for chosen, sizes in (_survivors_nsga2(f, cv, n, constrained),
-                              _survivors_nsga3(f, cv, n, dirs, constrained)):
+        for chosen, sizes in (_survivors_nsga2(f, cv, n), _survivors_nsga3(f, cv, n, dirs)):
             assert len(chosen) == sum(sizes) == min(n, len(f))
             ends = np.cumsum(sizes)
             blocks = [list(range(end - size, end)) for size, end in zip(sizes, ends)]
-            fresh = non_dominated_sort(f[chosen], cv[chosen], constrained)
+            fresh = non_dominated_sort(f[chosen], cv[chosen])
             assert [front.tolist() for front in fresh] == blocks
-            assert np.array_equal(_selection_order(f[chosen], cv[chosen], constrained, sizes),
-                                  _selection_order(f[chosen], cv[chosen], constrained))
+            assert np.array_equal(_selection_order(f[chosen], cv[chosen], sizes),
+                                  _selection_order(f[chosen], cv[chosen]))

@@ -31,14 +31,13 @@ def pt(*f):
 def constrained_dominates(fa, cva, fb, cvb):
     """Whether point a dominates point b with feasibility first, as
     ``non_dominated_sort`` decides it on the two rows."""
-    fronts = non_dominated_sort(np.array([fa, fb], dtype=float), np.array([cva, cvb]),
-                                constrained=True)
+    fronts = non_dominated_sort(np.array([fa, fb], dtype=float), np.array([cva, cvb]))
     return as_lists(fronts) == [[0], [1]]
 
 
 def plain_dominates(a, b):
-    """Whether objective vector a dominates b, as the unconstrained
-    ``non_dominated_sort`` decides it on the two rows."""
+    """Whether objective vector a dominates b, as ``non_dominated_sort``
+    decides it on two feasible rows."""
     fronts = non_dominated_sort(np.array([a, b], dtype=float), np.zeros(2))
     return as_lists(fronts) == [[0], [1]]
 
@@ -153,7 +152,7 @@ class TestNonDominatedSort:
                 i for i in range(n)
                 if not any(cdom(j, i) for j in range(n) if j != i)
             ]
-            assert non_dominated_sort(objs, cvs, constrained=True)[0].tolist() == expected_c
+            assert non_dominated_sort(objs, cvs)[0].tolist() == expected_c
 
     def test_later_fronts_are_nested_brute_force(self):
         rng = np.random.default_rng(23)
@@ -277,7 +276,7 @@ class TestParetoArchive:
         assert archive.rows().tolist() == [5]
 
     def test_constrained_relation_feasible_displaces_infeasible(self):
-        archive = ParetoArchive(capacity=4, constrained=True)
+        archive = ParetoArchive(capacity=4)
         archive.insert(pt(5, 5), 0.4, 0, crowding_rank)
         archive.insert(pt(6, 6), 0.2, 1, crowding_rank)
         rank = archive.insert(pt(0, 0), 0.0, 2, crowding_rank)
@@ -285,7 +284,7 @@ class TestParetoArchive:
         assert archive.rows().tolist() == [2]
 
     def test_feasible_duplicate_replaces_infeasible_twin(self):
-        archive = ParetoArchive(capacity=4, constrained=True)
+        archive = ParetoArchive(capacity=4)
         archive.insert(pt(1, 2), 0.3, 0, crowding_rank)
         rank = archive.insert(pt(1, 2), 0.0, 1, crowding_rank)
         assert rank == 0
@@ -302,12 +301,11 @@ _point = st.tuples(
 
 class TestArchiveMatchesOracle:
     @settings(max_examples=150, deadline=None)
-    @given(constrained=st.booleans(),
-           capacity=st.one_of(st.none(), st.integers(1, 8)),
+    @given(capacity=st.one_of(st.none(), st.integers(1, 8)),
            points=st.lists(_point, min_size=1, max_size=40))
-    def test_insert_and_add_match_scalar_oracle(self, constrained, capacity, points):
-        archive = ParetoArchive(capacity=capacity, constrained=constrained)
-        oracle = OracleArchive(capacity=capacity, constrained=constrained)
+    def test_insert_and_add_match_scalar_oracle(self, capacity, points):
+        archive = ParetoArchive(capacity=capacity)
+        oracle = OracleArchive(capacity=capacity)
         for row, (f, cv) in enumerate(points):
             f = np.array(f, dtype=float)
             if capacity is None:
@@ -323,7 +321,7 @@ class TestArchiveMatchesOracle:
             for a in members:
                 for b in members:
                     assert a is b or not oracle.rel(a, b)
-            if constrained and any(m.cv == 0 for m in members):
+            if any(m.cv == 0 for m in members):
                 assert all(m.cv == 0 for m in members)
 
 
@@ -346,12 +344,11 @@ _points3 = st.builds(
 
 class TestArchiveArraysMatchOracle:
     @settings(max_examples=150, deadline=None)
-    @given(constrained=st.booleans(),
-           capacity=st.one_of(st.none(), st.integers(1, 40)),
+    @given(capacity=st.one_of(st.none(), st.integers(1, 40)),
            points=_points3)
-    def test_arrays_stay_in_step_with_members(self, constrained, capacity, points):
-        archive = ParetoArchive(capacity=capacity, constrained=constrained)
-        oracle = OracleArchive(capacity=capacity, constrained=constrained)
+    def test_arrays_stay_in_step_with_members(self, capacity, points):
+        archive = ParetoArchive(capacity=capacity)
+        oracle = OracleArchive(capacity=capacity)
         F = np.array([f for f, _ in points], dtype=float)
         CV = np.array([cv for _, cv in points])
         for row in range(len(points)):
@@ -376,7 +373,7 @@ class TestBestFront:
     def test_feasible_case_is_distinct_front_zero(self, points):
         f = np.array([f for f, _ in points] + [[3, 3]], dtype=float)
         cv = np.array([cv for _, cv in points] + [0.0])
-        front0 = non_dominated_sort(f, cv, constrained=True)[0].tolist()
+        front0 = non_dominated_sort(f, cv)[0].tolist()
         assert best_front(f, cv).tolist() == first_occurrences(front0, f)
 
     @settings(max_examples=150, deadline=None)

@@ -20,8 +20,8 @@ from pearlkit.problems import get_problem
 
 tracer = Tracer().install()
 cfg = GAConfig(lambda_=8, budget=8 + 3 * 8)
-run_nsga2(get_problem("ctp1"), cfg, constrained=True)
-run_nsga3(get_problem("c2dtlz2"), cfg, constrained=True)
+run_nsga2(get_problem("ctp1"), cfg)
+run_nsga3(get_problem("c2dtlz2"), cfg)
 generation = tracer.layers.index("nsga.generation")
 spans = sum(1 for span in tracer.spans if span[0] == generation)
 assert spans == 6, spans

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -319,6 +320,27 @@ class TestSpecChecks:
     def test_degenerate_box_accepted(self):
         problem = ProblemSpec("point", 2, 2, lambda x: x, lower=np.ones(2), upper=np.ones(2))
         assert evaluate(problem, np.ones(2))[0].tolist() == [1.0, 1.0]
+
+    def test_box_cannot_be_reassigned(self):
+        # before, assigning a new lower skipped every box check and evaluate
+        # kept testing points against the old box
+        problem = ProblemSpec("boxed", 2, 2, lambda x: x.copy())
+        for name in ("lower", "upper", "nadir"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(problem, name, np.full(2, 0.5))
+        assert problem.lower.tolist() == [0.0, 0.0] and problem.upper.tolist() == [1.0, 1.0]
+        assert evaluate(problem, [0.1, 0.1])[0].tolist() == [0.1, 0.1]
+        with pytest.raises(ValueError, match="read-only"):
+            problem.nadir[0] = 0.0
+
+    def test_replace_checks_the_new_spec(self):
+        problem = ProblemSpec("boxed", 2, 2, lambda x: x.copy())
+        with pytest.raises(ValueError, match="boxed: the box needs lower <= upper"):
+            dataclasses.replace(problem, lower=np.full(2, 2.0))
+        moved = dataclasses.replace(problem, lower=np.full(2, 0.5))
+        assert evaluate(moved, [0.6, 0.6])[0].tolist() == [0.6, 0.6]
+        with pytest.raises(ValueError, match="outside the box"):
+            evaluate(moved, [0.1, 0.1])
 
     def test_default_nadir_has_one_entry_per_objective(self):
         # before, a two-objective spec got [3, 3, 3] and hypervolume failed at

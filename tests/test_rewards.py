@@ -266,13 +266,13 @@ class TestCurriculumConstrained:
         assert rewards[~feasible].max() < rewards[feasible].min()
 
     def test_rank2_infeasible_vs_feasible_archive(self):
-        engine = PearlNds(kappa=4, ranker="crowding", constrained=True)
+        engine = PearlNds(kappa=4, ranker="crowding")
         _, (_, out) = score_all(engine, [(5, 5), (1, 1)], [[0.0], [0.4]])
         assert out.reward == -4.0
         assert not out.archived
 
     def test_rank2_tracks_least_violating_before_feasibility(self):
-        engine = PearlNds(kappa=4, ranker="crowding", constrained=True)
+        engine = PearlNds(kappa=4, ranker="crowding")
         log, outs = score_all(engine, [(0, 0), (1, 1)], [[0.9], [0.5]])
         assert [out.reward for out in outs] == [0.0, 0.0]
         assert engine.archive.rows().tolist() == [1]

@@ -187,7 +187,7 @@ class TestStackedRollout:
 
     ENGINES = {
         "rank": lambda: [CurriculumConstrained(PearlNds(kappa=8, ranker="crowding")),
-                         PearlNds(kappa=8, ranker="niching", n_obj=3, constrained=True),
+                         PearlNds(kappa=8, ranker="niching", n_obj=3),
                          PearlEpsilon(kappa=8)],
         "envelope": lambda: [PearlEnvelope(n_obj=3, n_rays=2),
                              PearlEnvelope(n_obj=3, n_rays=2, lambda_=0.0, alpha=3.0),
@@ -392,7 +392,7 @@ class TestTrain:
     def test_update_round_count_and_budget(self):
         cfg = TrainerConfig(n_steps=8, ncores=2, budget=100, hidden=8, seed=1)
         result = train(get_problem("ctp1"),
-                       lambda: PearlNds(kappa=8, ranker="crowding", constrained=True),
+                       lambda: PearlNds(kappa=8, ranker="crowding"),
                        cfg)
         # 100 // 16 = 6 rounds of 16 evaluations
         assert len(result.log) == 96
