@@ -37,7 +37,7 @@ from .indicators import (
 )
 from .pareto import non_dominated_mask
 from .problems import ProblemSpec, get_problem, reference_front
-from .rewards import CurriculumConstrained, PearlEnvelope, PearlEpsilon, PearlNds
+from .rewards import CurriculumConstrained, PearlEnvelope, PearlEpsilon, PearlNds, _positive_int
 from .trainer import RunResult, TrainerConfig, train
 
 OUTPUT_ROOT_ENV = "PEARLKIT_OUTPUT_ROOT"
@@ -135,13 +135,18 @@ def load_config(source) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"key {unknown[0]!r} is not a config key "
                           f"(known: {sorted(_CONFIG_KEYS)})")
+    # checked here as well as by TrainerConfig, which NSGA-only configs never build
+    batch = {}
+    for key in ("n_steps", "ncores"):
+        try:
+            batch[key] = _positive_int(key, raw.get(key, getattr(TrainerConfig, key)))
+        except ValueError as err:
+            raise ConfigError(f"key {key!r}: {err}") from None
     config = ExperimentConfig(
         version=CONFIG_VERSION, problems=[str(p) for p in problems],
         algorithms=algorithms, budget=int(budget),
         seeds=seeds, output_dir=str(output_dir),
-        n_steps=raw.get("n_steps", TrainerConfig.n_steps),
-        ncores=raw.get("ncores", TrainerConfig.ncores),
-        raw=raw,
+        raw=raw, **batch,
     )
     for spec in algorithms:
         for problem in config.problems:

@@ -16,6 +16,7 @@ the population may shrink.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -103,7 +104,9 @@ def _variation(parents: np.ndarray, cfg: GAConfig, problem: ProblemSpec,
     uniform = np.empty((n, n_x))
     normal = np.empty((n, n_x))
     for k in range(n):
-        pairs[k] = rng.integers(0, len(parents), size=2)
+        # two scalar draws: the values and generator state of one size=2 draw
+        pairs[k, 0] = rng.integers(0, len(parents))
+        pairs[k, 1] = rng.integers(0, len(parents))
         if rng.random() < cfg.cxpb:
             crossed[k] = True
             rng.random(out=uniform[k])
@@ -167,32 +170,39 @@ def _survivors_nsga3(F: np.ndarray, cv: np.ndarray, n: int,
     return chosen, sizes
 
 
-_TAKEN = np.iinfo(np.intp).max  # a niche count no untaken candidate reaches
-
-
 def _niche_picks(F: np.ndarray, chosen: np.ndarray, last: np.ndarray, need: int,
                  dirs: ReferenceDirectionSet) -> np.ndarray:
     """Positions of the ``need`` members of the front ``last`` (``need <
     len(last)``) that best fill the niches the positions ``chosen`` leave
-    least filled, in the order they are picked."""
+    least filled, in the order they are picked.
+
+    Each pick is the best-first candidate (closest to its direction) among
+    the untaken ones of the least-filled niches; a tie in niche count goes to
+    the candidate earliest in best-first order.  Each niche's candidates wait
+    in best-first order, and a heap holds one entry per niche that still has
+    one: the niche's count and the best-first position of its next
+    candidate.  A pick changes only its own niche's count and next
+    candidate, so every other entry stays valid.
+    """
     start = len(chosen)
     objs = F[np.concatenate([chosen, last])]
     niche, dist = associate(minmax_normalize(objs, objs.min(axis=0), objs.max(axis=0)), dirs)
     counts = np.bincount(niche[:start], minlength=len(dirs.directions))
 
-    # deterministic niche filling: each pick is the best-first candidate
-    # (closest to its direction) among the untaken ones of the least-filled
-    # niches
     candidates = best_first(objs[start:], dist[start:])
-    niches = niche[start:][candidates]
-    taken = np.zeros(len(candidates), dtype=bool)
+    niches = niche[start:][candidates].tolist()
+    waiting: dict[int, list[int]] = {}
+    for pos in range(len(niches) - 1, -1, -1):
+        waiting.setdefault(niches[pos], []).append(pos)  # best first at the end
+    heap = [(int(counts[k]), queue.pop(), k) for k, queue in waiting.items()]
+    heapq.heapify(heap)
     picks = np.empty(need, dtype=np.intp)
-    for k in range(need):
-        pick = np.argmin(np.where(taken, _TAKEN, counts[niches]))
-        taken[pick] = True
-        counts[niches[pick]] += 1
-        picks[k] = candidates[pick]
-    return last[picks]
+    for i in range(need):
+        count, pos, k = heapq.heappop(heap)
+        picks[i] = pos
+        if waiting[k]:
+            heapq.heappush(heap, (count + 1, waiting[k].pop(), k))
+    return last[candidates[picks]]
 
 
 def _offspring(pop: np.ndarray, sizes: Optional[list[int]], log: EvaluationLog,

@@ -8,9 +8,10 @@ al., IEEE TEC 2002): a feasible point (violation ``cv == 0``) beats an
 infeasible one, the lower violation wins between two infeasible points, and
 plain dominance on the objectives decides between two feasible ones.  When
 every violation is 0, as on an unconstrained problem, it is plain
-dominance.  ``_dominance`` is its array form for the sort, and
-``ParetoArchive`` compares one candidate against all its members in a
-single broadcast.
+dominance.  ``_dominance`` is its array form for the sort: a boolean matrix
+over one set, its plain part read off a single "no worse everywhere" matrix
+and its transpose.  ``ParetoArchive`` compares one candidate against all its
+members in a single broadcast.
 """
 
 from __future__ import annotations
@@ -26,16 +27,22 @@ FEASIBILITY_TOL = 1e-12
 _BLOCK = 128  # rows per block of the sweep in ``non_dominated_mask``
 
 
-def _dominance(a_f: np.ndarray, a_cv: np.ndarray, b_f: np.ndarray,
-               b_cv: np.ndarray) -> np.ndarray:
-    """D[i, j] is True when point i of ``a`` dominates point j of ``b``,
-    feasibility first as set out in the module docstring."""
-    plain = (np.all(a_f[:, None, :] <= b_f[None, :, :], axis=2)
-             & np.any(a_f[:, None, :] < b_f[None, :, :], axis=2))
-    a_feas = (a_cv == 0.0)[:, None]
-    b_feas = (b_cv == 0.0)[None, :]
-    lower_cv = a_cv[:, None] < b_cv[None, :]
-    return np.where(a_feas & b_feas, plain, a_feas | (~b_feas & lower_cv))
+def _dominance(f: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """D[i, j] is True when row i of ``f`` (violation ``cv[i]``) dominates
+    row j, feasibility first as set out in the module docstring.
+
+    Plain dominance comes from one boolean matrix: ``le[i, j]`` is True when
+    row i is no worse than row j in every objective, reduced over the first
+    axis of the transposed rows, and i dominates j when ``le[i, j]`` holds
+    and ``le[j, i]`` does not.
+    """
+    t = np.ascontiguousarray(f.T)
+    le = (t[:, :, None] <= t[:, None, :]).all(axis=0)
+    plain = le & ~le.T
+    feas = cv == 0.0
+    lower_cv = cv[:, None] < cv[None, :]
+    return np.where(feas[:, None] & feas[None, :], plain,
+                    feas[:, None] | (~feas[None, :] & lower_cv))
 
 
 def non_dominated_sort(f: np.ndarray, cv: np.ndarray) -> list[np.ndarray]:
@@ -48,7 +55,7 @@ def non_dominated_sort(f: np.ndarray, cv: np.ndarray) -> list[np.ndarray]:
     """
     if len(f) == 0:
         raise ValueError("cannot sort an empty population")
-    d = _dominance(f, cv, f, cv)
+    d = _dominance(f, cv)
     dominated_count = d.sum(axis=0)
     fronts: list[np.ndarray] = []
     remaining = np.ones(len(f), dtype=bool)

@@ -20,6 +20,7 @@ rewards: a run reports the front of its whole evaluation log.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -70,8 +71,15 @@ class TrainerConfig:
     def validate(self):
         for key in ("n_steps", "ncores", "epochs", "minibatches", "hidden"):
             _positive_int(key, getattr(self, key))
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"not {self.learning_rate!r}")
+        for key in ("entropy_coef", "value_coef"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be nonnegative and finite, "
+                                 f"not {getattr(self, key)!r}")
+        if self.init_log_std is not None and not math.isfinite(self.init_log_std):
+            raise ValueError(f"init_log_std must be finite, not {self.init_log_std!r}")
         if not self.clip_ratio >= 0:
             raise ValueError("clip_ratio must be nonnegative")
         if self.budget < self.batch_size():

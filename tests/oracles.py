@@ -396,6 +396,29 @@ def nsga3_survivors_scalar(f, cv, n, dirs):
     return chosen
 
 
+def niche_picks_scalar(F, chosen, last, need, dirs):
+    """NSGA-III niche picks with one ``argmin`` per pick: among the untaken
+    candidates in best-first order, the first of the least-filled niches;
+    taken candidates are masked with a count no untaken one reaches."""
+    from pearlkit.density import associate, best_first, minmax_normalize
+
+    taken_count = np.iinfo(np.intp).max
+    start = len(chosen)
+    objs = F[np.concatenate([chosen, last])]
+    niche, dist = associate(minmax_normalize(objs, objs.min(axis=0), objs.max(axis=0)), dirs)
+    counts = np.bincount(niche[:start], minlength=len(dirs.directions))
+    candidates = best_first(objs[start:], dist[start:])
+    niches = niche[start:][candidates]
+    taken = np.zeros(len(candidates), dtype=bool)
+    picks = np.empty(need, dtype=np.intp)
+    for k in range(need):
+        pick = np.argmin(np.where(taken, taken_count, counts[niches]))
+        taken[pick] = True
+        counts[niches[pick]] += 1
+        picks[k] = candidates[pick]
+    return last[picks]
+
+
 def variation_scalar(parents, cfg, problem, rng):
     """NSGA offspring one at a time: parent ``i``, blended with parent ``j``
     with probability ``cxpb``, mutated with probability ``mutpb`` and

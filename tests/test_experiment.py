@@ -187,10 +187,33 @@ class TestConfig:
         ({"algorithms": [{"name": "pearl-nds", "hidden": True}]}, "hidden"),
         ({"n_steps": 8.7}, "n_steps"),
         ({"ncores": True}, "ncores"),
+        # before, these loaded: the first two skipped every minibatch and
+        # halved the learning rate to nothing, and a NaN init_log_std
+        # stopped the run with FloatingPointError
+        ({"algorithms": [{"name": "pearl-nds", "value_coef": float("nan")}]}, "value_coef"),
+        ({"algorithms": [{"name": "pearl-nds", "entropy_coef": float("inf")}]}, "entropy_coef"),
+        ({"algorithms": [{"name": "pearl-e", "learning_rate": float("inf")}]}, "learning_rate"),
+        ({"algorithms": [{"name": "pearl-nds", "init_log_std": float("nan")}]}, "init_log_std"),
+        ({"algorithms": [{"name": "pearl-nds", "init_log_std": float("-inf")}]}, "init_log_std"),
+        ({"algorithms": [{"name": "pearl-nds", "entropy_coef": -0.01}]}, "entropy_coef"),
+        ({"algorithms": [{"name": "c-pearl", "value_coef": -0.5}]}, "value_coef"),
     ])
     def test_trainer_settings_validated_at_load(self, tmp_path, overrides, key):
         path, _ = small_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"n_steps": 8.7}, "n_steps"),
+        ({"ncores": True}, "ncores"),
+        ({"n_steps": 0}, "n_steps"),
+        ({"ncores": "2"}, "ncores"),
+    ])
+    def test_batch_sizes_checked_without_a_trainer_entry(self, tmp_path, overrides, key):
+        # before, an NSGA-only config loaded these unchanged
+        path, _ = small_config(tmp_path, algorithms=[{"name": "nsga2", "lambda_": 8}],
+                               **overrides)
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
             load_config(path)
 
     @pytest.mark.parametrize("seeds", [[0, 0.9, True], [0.9], [True], [-1], ["0"], [0, 1, 0]])

@@ -2,10 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pearlkit.density import das_dennis
+from pearlkit.density import ReferenceDirectionSet, das_dennis
 from pearlkit.nsga import (
     GAConfig,
+    _niche_picks,
     _survivors_nsga3,
     _variation,
     nsga2_step,
@@ -20,8 +23,8 @@ from pearlkit.pareto import non_dominated_sort
 from pearlkit.rewards import PearlNds
 from pearlkit.trainer import EvaluationLog, TrainerConfig, train
 
-from oracles import (brute_force_dominates, brute_force_front_indices, non_dominated_mask_scalar,
-                     variation_scalar)
+from oracles import (brute_force_dominates, brute_force_front_indices, niche_picks_scalar,
+                     non_dominated_mask_scalar, variation_scalar)
 from rows import table_problem
 
 
@@ -168,6 +171,83 @@ class TestVariation:
             # the generator ends in the same state
             assert block.bit_generator.state == loop.bit_generator.state
             assert block.random() == loop.random()
+
+
+class TestParentDraws:
+    """``_variation`` draws each parent pair as two scalar ``integers`` calls;
+    they give the values of one ``size=2`` call and leave the generator in
+    the same state, so the offspring stream is the per-offspring loop's."""
+
+    # 2**31 + 1 and 2**32 - 1 reject about half the 32-bit words drawn;
+    # 2**32 + 5 and 2**62 + 3 take the 64-bit path
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32,
+                                   2**32 + 5, 2**62 + 3])
+    def test_two_scalar_draws_match_one_pair_draw(self, n):
+        pair, scalar = np.random.default_rng(5), np.random.default_rng(5)
+        for k in range(500):
+            i, j = pair.integers(0, n, size=2)
+            assert (int(i), int(j)) == (int(scalar.integers(0, n)), int(scalar.integers(0, n)))
+            assert pair.bit_generator.state == scalar.bit_generator.state
+            if k % 2:  # interleaved with other draws, as in _variation
+                assert pair.random() == scalar.random()
+
+
+@st.composite
+def niche_cases(draw):
+    """``(F, chosen, last, need, dirs)`` for ``_niche_picks`` with ties in
+    niche count and distance made common.
+
+    ``own-niche``: two objectives on the lattice points of ``das_dennis(2,
+    p)``, all of them present so the rows normalize to themselves, each
+    candidate on its own direction.  ``equal-counts``: the same lattice,
+    every direction filled equally by the chosen rows, twin candidates.
+    ``one-niche``: a single direction.  ``grid``: rows from a small grid
+    with twins.  ``need`` is often ``len(last) - 1``.
+    """
+    kind = draw(st.sampled_from(["own-niche", "equal-counts", "one-niche", "grid"]))
+    if kind in ("own-niche", "equal-counts"):
+        p = draw(st.integers(2, 6))
+        dirs = das_dennis(2, p)
+        if kind == "own-niche":
+            ks = draw(st.permutations(range(p + 1)))
+            cut = draw(st.integers(0, p - 1))
+            chosen_ks, last_ks = ks[:cut], ks[cut:]
+            chosen_ks = chosen_ks + draw(st.lists(st.sampled_from(ks), max_size=4))
+        else:
+            chosen_ks = list(range(p + 1)) * draw(st.integers(0, 2))
+            last_ks = draw(st.lists(st.integers(0, p), min_size=2, max_size=12))
+            if not chosen_ks:
+                last_ks = [0, p] + last_ks
+        F = np.array([(k / p, 1.0 - k / p) for k in chosen_ks + last_ks])
+        n_chosen = len(chosen_ks)
+    else:
+        m = draw(st.integers(2, 3))
+        n = draw(st.integers(2, 14))
+        rows = draw(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+                                      min_size=m, max_size=m), min_size=2, max_size=n))
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))  # twin rows
+        F = np.array(rows)
+        dirs = (ReferenceDirectionSet(np.full((1, m), 1.0 / m), 1) if kind == "one-niche"
+                else das_dennis(m, draw(st.integers(1, 4))))
+        n_chosen = draw(st.integers(0, len(F) - 2))
+    order = np.array(draw(st.permutations(range(len(F)))), dtype=np.intp)
+    chosen, last = order[:n_chosen], order[n_chosen:]
+    F = F[np.argsort(order)]  # row order[i] of F is case row i
+    need = draw(st.one_of(st.just(len(last) - 1), st.integers(1, len(last) - 1)))
+    return F, chosen, last, need, dirs
+
+
+class TestNichePicks:
+    @settings(max_examples=400, deadline=None)
+    @given(case=niche_cases())
+    def test_matches_per_pick_argmin_loop(self, case):
+        F, chosen, last, need, dirs = case
+        before = (F.copy(), chosen.copy(), last.copy())
+        picks = _niche_picks(F, chosen, last, need, dirs)
+        assert picks.tolist() == niche_picks_scalar(F, chosen, last, need, dirs).tolist()
+        assert len(set(picks.tolist())) == need and set(picks.tolist()) <= set(last.tolist())
+        for array, copy in zip((F, chosen, last), before):
+            assert np.array_equal(array, copy)
 
 
 class TestNsga3:

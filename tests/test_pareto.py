@@ -7,6 +7,7 @@ from pearlkit.density import crowding_rank
 from pearlkit.pareto import (
     FEASIBILITY_TOL,
     ParetoArchive,
+    _dominance,
     best_front,
     non_dominated_mask,
     non_dominated_sort,
@@ -105,6 +106,35 @@ class TestConstrainedDominates:
         for _ in range(200):
             a, b = rng.normal(size=(2, 3))
             assert constrained_dominates(a, 0.0, b, 0.0) == brute_force_dominates(a, b)
+
+
+class TestDominanceMatrix:
+    """``_dominance`` decides every ordered pair as the scalar
+    feasibility-first relation does."""
+
+    OBJECTIVES = np.array([0.0, -0.0, 0.5, 1.0, -2.0, np.inf, -np.inf])
+    VIOLATIONS = np.array([0.0, -0.0, 0.25, 1.0, np.inf])
+
+    def test_matches_scalar_relation_on_every_pair(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 14)), int(rng.integers(1, 5))
+            f = rng.choice(self.OBJECTIVES, (n, m))
+            twins = rng.integers(0, n, int(rng.integers(0, 4)))
+            f = np.vstack([f, f[twins]])
+            cv = rng.choice(self.VIOLATIONS, len(f))
+            d = _dominance(f, cv)
+            assert d.dtype == bool and d.shape == (len(f), len(f))
+            want = [[constrained_dominates_scalar(f[i], cv[i], f[j], cv[j])
+                     for j in range(len(f))] for i in range(len(f))]
+            assert d.tolist() == want
+
+    def test_signed_zeros_tie_and_infinities_order(self):
+        f = np.array([[0.0, np.inf], [-0.0, np.inf], [0.0, 1.0], [-np.inf, 1.0]])
+        d = _dominance(f, np.zeros(4))
+        assert not d[0, 1] and not d[1, 0]  # twins up to the sign of zero
+        assert d[2, 0] and d[2, 1] and d[3, 2] and d[3, 0]
+        assert not d.diagonal().any()
 
 
 def as_lists(fronts):
