@@ -30,8 +30,9 @@ print("uniform rays:\n", np.round(flat, 3))
 print("concentrated rays:\n", np.round(peaked, 3))
 
 # Engines score evaluations where a run keeps them: in the rows of its
-# EvaluationLog.  log.evaluate fills the next row, engine.score(log, row)
-# reads it, and a rank engine's archive keeps the rows of the members it
+# EvaluationLog.  log.evaluate fills the next rows from a block of points
+# (one row each) and returns those that succeeded, engine.score(log, row)
+# reads a row, and a rank engine's archive keeps the rows of the members it
 # admits.
 # Here the two costs of a point x of the unit square are 4 * x.
 costs = ProblemSpec("costs", n_x=2, n_obj=2, objectives=lambda x: 4.0 * x)
@@ -41,8 +42,7 @@ log = EvaluationLog(16, costs)
 def evaluated(f):
     """Evaluate the point whose costs are ``f`` into the next row of the log
     and return that row."""
-    row = len(log)
-    log.evaluate(costs, 0, np.asarray(f, dtype=float) / 4.0)
+    (row,) = log.evaluate(costs, 0, np.asarray([f], dtype=float) / 4.0)
     return row
 
 
@@ -71,8 +71,8 @@ for objectives in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5]):
 boxed = ProblemSpec("boxed-costs", n_x=2, n_obj=2, objectives=lambda x: 4.0 * x,
                     constraints=lambda x, f: x - 0.5, n_constraints=2)
 boxed_log = EvaluationLog(2, boxed)
-boxed_log.evaluate(boxed, 0, np.array([1.0, 0.7]))  # g = (0.5, 0.2)
-boxed_log.evaluate(boxed, 0, np.array([0.4, 0.3]))  # g = (-0.1, -0.2)
+# g = (0.5, 0.2) in row 0 and (-0.1, -0.2) in row 1
+boxed_log.evaluate(boxed, 0, np.array([[1.0, 0.7], [0.4, 0.3]]))
 constrained = CurriculumConstrained(PearlNds(kappa=64, ranker="crowding"))
 print("\ninfeasible reward:", constrained.score(boxed_log, 0).reward)    # -(0.29) - 64
 print("feasible reward:", constrained.score(boxed_log, 1).reward)

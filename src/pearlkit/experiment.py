@@ -154,6 +154,9 @@ def load_config(source) -> ExperimentConfig:
                 _, make_engine = _cell_run(config, spec, get_problem(problem), config.seeds[0])
                 if make_engine:
                     make_engine()
+                if spec.name == "pearl-e" and get_problem(problem).n_constraints:
+                    raise ValueError("pearl-e ignores constraints; on a constrained problem "
+                                     "use c-pearl with inner: pearl-e")
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"{spec.name} entry {spec.label!r} on {problem}: {err}") from None
     return config

@@ -6,12 +6,13 @@ probability ``mutpb``, both clamped to the box.  Survivor selection merges
 parents and offspring, sorts by non-domination (feasibility first, as
 everywhere in the package), and resolves the last partial front by
 crowding (NSGA-II) or reference-direction niching (NSGA-III).  The
-population is an array of rows of the run's ``EvaluationLog``, and the
-selection steps work on the log's objective and violation rows.  The
-reported front is the log rows of the non-dominated set of every evaluation
-ever made, not just the final population.  A failed evaluation is logged
-with NaN objectives and left out of the population, as in the trainer, so
-the population may shrink.
+population is an array of rows of the run's ``EvaluationLog``, which
+evaluates each generation's offspring as one block; the selection steps
+work on the log's objective and violation rows.  The reported front is the
+log rows of the non-dominated set of every evaluation ever made, not just
+the final population.  A failed evaluation is logged with NaN objectives
+and left out of the population, as in the trainer, so the population may
+shrink.
 """
 
 from __future__ import annotations
@@ -206,35 +207,34 @@ def _niche_picks(F: np.ndarray, chosen: np.ndarray, last: np.ndarray, need: int,
 
 
 def _offspring(pop: np.ndarray, sizes: Optional[list[int]], log: EvaluationLog,
-               cfg: GAConfig, problem: ProblemSpec, rng: np.random.Generator,
-               evaluate) -> np.ndarray:
+               cfg: GAConfig, problem: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
     """The log rows of one generation's offspring that evaluated successfully."""
     order = _selection_order(log.F[pop], log.cv[pop], sizes)
-    return evaluate(_variation(log.X[pop[order[: cfg.mu]]], cfg, problem, rng))
+    return log.evaluate(problem, 0, _variation(log.X[pop[order[: cfg.mu]]], cfg, problem, rng))
 
 
 def nsga2_step(pop: np.ndarray, log: EvaluationLog, cfg: GAConfig, problem: ProblemSpec,
-               rng: np.random.Generator, evaluate,
+               rng: np.random.Generator,
                sizes: Optional[list[int]] = None) -> tuple[np.ndarray, list[int]]:
     """One generation: ES variation, merge with parents, crowded selection.
 
-    ``pop`` and the returned population are rows of ``log``; ``evaluate(X)``
-    records each row of ``X`` in ``log`` and returns the rows that
-    succeeded.  ``sizes`` are the lengths of ``pop``'s front blocks as the
-    previous step returned them (None sorts ``pop``).  Returns the new
-    population and the lengths of its front blocks.
+    ``pop`` and the returned population are rows of ``log``; the offspring
+    are evaluated into ``log`` as one block (``log.evaluate``), and those
+    that succeed join the pool.  ``sizes`` are the lengths of ``pop``'s
+    front blocks as the previous step returned them (None sorts ``pop``).
+    Returns the new population and the lengths of its front blocks.
     """
-    pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, problem, rng, evaluate)])
+    pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, problem, rng)])
     chosen, sizes = _survivors_nsga2(log.F[pool], log.cv[pool], cfg.pop_size)
     return pool[chosen], sizes
 
 
 def nsga3_step(pop: np.ndarray, log: EvaluationLog, cfg: GAConfig, problem: ProblemSpec,
-               rng: np.random.Generator, evaluate, dirs: ReferenceDirectionSet,
+               rng: np.random.Generator, dirs: ReferenceDirectionSet,
                sizes: Optional[list[int]] = None) -> tuple[np.ndarray, list[int]]:
     """One generation: ES variation, merge with parents, niching selection;
     arguments and result as in ``nsga2_step``."""
-    pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, problem, rng, evaluate)])
+    pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, problem, rng)])
     chosen, sizes = _survivors_nsga3(log.F[pool], log.cv[pool], cfg.pop_size, dirs)
     return pool[chosen], sizes
 
@@ -252,17 +252,13 @@ def _run(problem: ProblemSpec, cfg: GAConfig, step) -> RunResult:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     generations = (cfg.budget - cfg.pop_size) // cfg.lambda_
     log = EvaluationLog(cfg.pop_size + generations * cfg.lambda_, problem)
-
-    def evaluate(X: np.ndarray) -> np.ndarray:
-        first = len(log)
-        return first + np.flatnonzero([log.evaluate(problem, 0, x) for x in X])
-
     # only the initial population is sorted for parent selection; each step
     # returns the front blocks its survivor selection found
-    pop = evaluate(rng.uniform(problem.lower, problem.upper, (cfg.pop_size, problem.n_x)))
+    pop = log.evaluate(problem, 0, rng.uniform(problem.lower, problem.upper,
+                                               (cfg.pop_size, problem.n_x)))
     sizes = None
     for _ in range(generations):
-        pop, sizes = step(pop, log, cfg, problem, rng, evaluate, sizes=sizes)
+        pop, sizes = step(pop, log, cfg, problem, rng, sizes=sizes)
 
     return RunResult(front=log.front(), log=log, wall_time=time.perf_counter() - start)
 

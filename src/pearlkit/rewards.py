@@ -317,19 +317,16 @@ class PearlNds(_RankedEngine):
     def __init__(self, kappa: int = KAPPA, ranker: str = "crowding",
                  n_obj: Optional[int] = None):
         super().__init__(kappa)
+        # bound once: the instance attribute stands in for ``_ranker``
         if ranker == "crowding":
-            self._rank_fn = crowding_rank
+            self._ranker = crowding_rank
         elif ranker == "niching":
             if n_obj is None:
                 raise ValueError("niching needs n_obj")
             dirs = das_dennis(n_obj, default_divisions(n_obj, kappa))
-            self._rank_fn = partial(niching_rank, dirs=dirs)
+            self._ranker = partial(niching_rank, dirs=dirs)
         else:
             raise ValueError(f"unknown ranker: {ranker!r}")
-        self.ranker_name = ranker
-
-    def _ranker(self, objs: np.ndarray) -> DensityRank:
-        return self._rank_fn(objs)
 
 
 class CurriculumConstrained:

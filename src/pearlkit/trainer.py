@@ -10,17 +10,19 @@ Everything runs in float64 numpy so that gradients can be checked against
 finite differences exactly.
 
 Workers are independent-state objects: each owns its reward engine (and
-the engine's archive, if it keeps one) and its RNG stream.  They are
-stepped inside the rollout loop (problem evaluation is pure, so this
-matches the fork-join model without the process overhead) and parameters
-are published to them immutably between batches.  The archives only shape
-rewards: a run reports the front of its whole evaluation log.
+the engine's archive, if it keeps one) and its RNG stream.  A rollout
+evaluates the whole batch in one block and then scores each row with its
+worker's engine (problem evaluation is pure, so this matches the fork-join
+model without the process overhead); parameters are published to the
+workers immutably between batches.  The archives only shape rewards: a run
+reports the front of its whole evaluation log.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -71,17 +73,19 @@ class TrainerConfig:
     def validate(self):
         for key in ("n_steps", "ncores", "epochs", "minibatches", "hidden"):
             _positive_int(key, getattr(self, key))
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, "
-                             f"not {self.learning_rate!r}")
-        for key in ("entropy_coef", "value_coef"):
-            if not 0 <= getattr(self, key) < math.inf:
-                raise ValueError(f"{key} must be nonnegative and finite, "
-                                 f"not {getattr(self, key)!r}")
-        if self.init_log_std is not None and not math.isfinite(self.init_log_std):
-            raise ValueError(f"init_log_std must be finite, not {self.init_log_std!r}")
-        if not self.clip_ratio >= 0:
-            raise ValueError("clip_ratio must be nonnegative")
+        # each value is typed before it is compared, so a string names its key
+        checks = [("learning_rate", lambda v: 0 < v < math.inf, "positive and finite"),
+                  ("entropy_coef", lambda v: 0 <= v < math.inf, "nonnegative and finite"),
+                  ("value_coef", lambda v: 0 <= v < math.inf, "nonnegative and finite"),
+                  ("clip_ratio", lambda v: v >= 0, "nonnegative")]
+        if self.init_log_std is not None:
+            checks.append(("init_log_std", math.isfinite, "finite"))
+        for key, holds, wanted in checks:
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{key} must be a real number, not {value!r}")
+            if not holds(value):
+                raise ValueError(f"{key} must be {wanted}, not {value!r}")
         if self.budget < self.batch_size():
             raise ValueError("budget must cover at least one batch of evaluations")
         return self
@@ -221,9 +225,9 @@ class EvaluationLog:
     Row ``i`` is step ``i``: the ``worker`` that made it, decision vector
     ``X``, objectives ``F``, constraint values ``G`` and violation ``cv``
     (NaN when the evaluation failed), and the ``reward`` paid (NaN until the
-    trainer pays one; NSGA pays none).  ``evaluate`` fills the next row and
-    is the one place a run evaluates its problem.  Rows from ``len(log)`` on
-    are not filled yet.
+    trainer pays one; NSGA pays none).  ``evaluate`` fills the next rows
+    from a block of points and is the one place a run evaluates its
+    problem.  Rows from ``len(log)`` on are not filled yet.
     """
 
     def __init__(self, n_rows: int, problem: ProblemSpec):
@@ -238,35 +242,36 @@ class EvaluationLog:
     def __len__(self) -> int:
         return self._n
 
-    def evaluate(self, problem: ProblemSpec, worker: int, x: np.ndarray) -> bool:
-        """Evaluate ``problem`` at ``x`` for ``worker`` into the next row and
-        return whether the evaluation succeeded.
+    def evaluate(self, problem: ProblemSpec, worker: int | np.ndarray,
+                 X: np.ndarray) -> np.ndarray:
+        """Evaluate ``problem`` at each row of the ``(n, n_x)`` block ``X``
+        into the next ``n`` rows for ``worker`` (one index, or one per row)
+        and return the rows whose evaluation succeeded, ascending.
 
         Trainer and NSGA share this failure policy: an evaluation that
         raises (a non-finite objective among the causes) is logged with a
         warning, its row holds NaN objectives, constraints and violation,
         and it is otherwise skipped.  A ``ProblemSpecError`` is a
-        misdeclared problem and propagates, leaving the row unfilled.
+        misdeclared problem and propagates: the rows before it stay filled
+        and counted, and ``len(log)`` ends before its row.
         """
-        i = self._n
-        try:
-            # the module-level name, looked up per call, so that a wrapper
-            # installed on it sees every evaluation
-            f, g = evaluate(problem, x)
-        except ProblemSpecError:
-            raise
-        except Exception:  # noqa: BLE001 - flagged, never aborts the run
-            logger.warning("evaluation of %s failed at step %d", problem.name, i,
-                           exc_info=True)
-            self.F[i] = self.G[i] = self.cv[i] = np.nan
-            ok = False
-        else:
-            self.F[i], self.G[i], self.cv[i] = f, g, constraint_violation(g)
-            ok = True
-        self.worker[i] = worker
-        self.X[i] = x
-        self._n = i + 1
-        return ok
+        first, end = self._n, self._n + len(X)
+        self.worker[first:end], self.X[first:end] = worker, X
+        for i in range(first, end):
+            try:
+                # the module-level name, looked up per call, so that a
+                # wrapper installed on it sees every evaluation
+                f, g = evaluate(problem, self.X[i])
+            except ProblemSpecError:
+                raise
+            except Exception:  # noqa: BLE001 - flagged, never aborts the run
+                logger.warning("evaluation of %s failed at step %d", problem.name, i,
+                               exc_info=True)
+                self.F[i] = self.G[i] = self.cv[i] = np.nan
+            else:
+                self.F[i], self.G[i], self.cv[i] = f, g, constraint_violation(g)
+            self._n = i + 1
+        return first + np.flatnonzero(~np.isnan(self.cv[first:end]))
 
     def front(self) -> np.ndarray:
         """The rows a run reports as its front: ``best_front`` over the rows
@@ -373,7 +378,8 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
 
     Each worker draws its rays, latents and action noise from its own
     stream, in worker order; one policy and one value pass then cover the
-    whole batch, and its rows are evaluated and scored in worker order.
+    whole batch, one ``log.evaluate`` call evaluates it, and the rows that
+    succeeded are scored in row order, each by the engine of its worker.
     Squashed actions map linearly onto the problem's box.
 
     A failed problem evaluation never aborts the batch: it is flagged in the
@@ -395,11 +401,8 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
     z = mean + np.exp(log_std) * np.concatenate(noise)
     points = problem.lower + (problem.upper - problem.lower) * squash(z)
     scales = np.repeat([float(w.engine.reward_scale) for w in workers], n)
-    for worker, xs in zip(workers, points.reshape(len(workers), n, -1)):
-        for x in xs:
-            row = len(log)
-            if log.evaluate(problem, worker.index, x):
-                log.reward[row] = worker.engine.score(log, row).reward
+    for row in log.evaluate(problem, np.repeat([w.index for w in workers], n), points).tolist():
+        log.reward[row] = workers[(row - first) // n].engine.score(log, row).reward
     raw = log.reward[first:len(log)]  # a view: the fix-up below rewrites the log
     bad = ~np.isfinite(raw)  # failed evaluations still hold NaN
     raw[bad] = np.minimum(-scales[bad], raw[~bad].min(initial=np.inf))

@@ -98,8 +98,7 @@ def rollout_per_worker(policy, workers, problem, cfg, log):
         std = np.exp(log_std)
         z = mean + std * worker.rng.standard_normal((n, policy.act_dim))
         for x in problem.lower + (problem.upper - problem.lower) * squash(z):
-            row = len(log)
-            if log.evaluate(problem, worker.index, x):
+            for row in log.evaluate(problem, worker.index, x[None, :]):
                 log.reward[row] = worker.engine.score(log, row).reward
         parts.append((obs, z, gaussian_log_prob(z, mean, log_std), policy.value(obs),
                       np.full(n, float(worker.engine.reward_scale))))

@@ -31,6 +31,6 @@ def table_log(F, G=None, workers=None) -> EvaluationLog:
     ``i`` by worker ``workers[i]`` (0 by default)."""
     problem = table_problem(F, G)
     log = EvaluationLog(len(F), problem)
-    for i in range(len(F)):
-        log.evaluate(problem, 0 if workers is None else workers[i], np.array([float(i)]))
+    points = np.arange(len(F), dtype=float)[:, None]
+    log.evaluate(problem, 0 if workers is None else workers, points)
     return log

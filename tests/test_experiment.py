@@ -203,6 +203,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["learning_rate", "clip_ratio", "entropy_coef",
+                                     "value_coef", "init_log_std"])
+    def test_trainer_float_setting_given_as_string_names_its_key(self, tmp_path, key):
+        # before, the comparison raised first: "'<' not supported between
+        # instances of 'int' and 'str'"
+        path, _ = small_config(tmp_path, algorithms=[{"name": "pearl-nds", key: "0.1"}])
+        with pytest.raises(ConfigError, match=f"{key} must be a real number, not '0.1'"):
+            load_config(path)
+
+    def test_pearl_e_on_a_constrained_problem_points_to_c_pearl(self, tmp_path):
+        # PearlEnvelope scores objectives only, so it would train blind to ctp1's constraints
+        path, _ = small_config(tmp_path, algorithms=[{"name": "pearl-e"}])
+        with pytest.raises(ConfigError, match="pearl-e.*on ctp1.*c-pearl with inner: pearl-e"):
+            load_config(path)
+        path, _ = small_config(tmp_path, problems=["dtlz2", "c2dtlz2"],
+                               algorithms=[{"name": "pearl-e"}])
+        with pytest.raises(ConfigError, match="on c2dtlz2"):
+            load_config(path)
+        path, _ = small_config(tmp_path, problems=["dtlz2", "c2dtlz2"],
+                               algorithms=[{"name": "c-pearl", "inner": "pearl-e", "M": 1.0}])
+        load_config(path)
+        path, _ = small_config(tmp_path, problems="dtlz2", algorithms=[{"name": "pearl-e"}])
+        load_config(path)
+
     @pytest.mark.parametrize("overrides,key", [
         ({"n_steps": 8.7}, "n_steps"),
         ({"ncores": True}, "ncores"),

@@ -29,41 +29,34 @@ from rows import table_problem
 
 
 def logged(problem):
-    """An evaluation log of ``problem`` and an ``evaluate(X) -> rows`` that
-    evaluates each row of ``X`` into it and returns the rows that succeeded,
-    as ``run_nsga2`` does."""
-    log = EvaluationLog(4096, problem)
-
-    def evaluate(X):
-        first = len(log)
-        return first + np.flatnonzero([log.evaluate(problem, 0, x) for x in X])
-
-    return log, evaluate
+    """An evaluation log of ``problem`` with room for every test's rows."""
+    return EvaluationLog(4096, problem)
 
 
 def initial_population(problem, n, seed=0):
-    """A log, its ``evaluate`` and the rows of ``n`` uniform random points."""
-    log, evaluate = logged(problem)
+    """A log and the rows of ``n`` uniform random points evaluated into it."""
+    log = logged(problem)
     rng = np.random.default_rng(seed)
-    return log, evaluate, evaluate(rng.uniform(problem.lower, problem.upper, (n, problem.n_x)))
+    return log, log.evaluate(problem, 0, rng.uniform(problem.lower, problem.upper,
+                                                     (n, problem.n_x)))
 
 
 class TestSteps:
     def test_population_size_preserved(self):
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=16, budget=10_000)
-        log, evaluate, pop = initial_population(problem, 16)
+        log, pop = initial_population(problem, 16)
         rng = np.random.default_rng(1)
-        nxt, _ = nsga2_step(pop, log, cfg, problem, rng, evaluate)
+        nxt, _ = nsga2_step(pop, log, cfg, problem, rng)
         assert len(nxt) == 16
         assert len(log) == 32 and set(nxt.tolist()) <= set(range(32))
 
     def test_no_variation_degenerate(self):
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=8, mutpb=0.0, cxpb=0.0)
-        log, evaluate, pop = initial_population(problem, 8, seed=2)
+        log, pop = initial_population(problem, 8, seed=2)
         rng = np.random.default_rng(2)
-        nxt, _ = nsga2_step(pop, log, cfg, problem, rng, evaluate)
+        nxt, _ = nsga2_step(pop, log, cfg, problem, rng)
         # offspring are copies; survivors must come from the original set
         originals = {tuple(x) for x in log.X[pop].tolist()}
         assert {tuple(x) for x in log.X[nxt].tolist()} <= originals
@@ -71,11 +64,11 @@ class TestSteps:
     def test_offspring_stay_in_box(self):
         problem = get_problem("ctp1")
         cfg = GAConfig(lambda_=32, mutpb=1.0, cxpb=1.0)
-        log, evaluate, pop = initial_population(problem, 32, seed=3)
+        log, pop = initial_population(problem, 32, seed=3)
         rng = np.random.default_rng(3)
         sizes = None
         for _ in range(5):
-            pop, sizes = nsga2_step(pop, log, cfg, problem, rng, evaluate, sizes)
+            pop, sizes = nsga2_step(pop, log, cfg, problem, rng, sizes)
         assert len(log) == 32 * 6
         assert np.all(log.X[:len(log)] >= problem.lower - 1e-12)
         assert np.all(log.X[:len(log)] <= problem.upper + 1e-12)
@@ -83,9 +76,9 @@ class TestSteps:
     def test_survivor_front_zero_matches_brute_force(self):
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=10)
-        log, evaluate, pop = initial_population(problem, 10, seed=4)
+        log, pop = initial_population(problem, 10, seed=4)
         rng = np.random.default_rng(4)
-        nxt, _ = nsga2_step(pop, log, cfg, problem, rng, evaluate)
+        nxt, _ = nsga2_step(pop, log, cfg, problem, rng)
         # the merged pool is every row of the log
         expected = brute_force_front_indices(log.F[:len(log)], brute_force_dominates)
         if len(expected) <= cfg.pop_size:
@@ -98,20 +91,20 @@ class TestSteps:
         G = [[0.5], [0.6], [-1.0], [0.7]]
         problem = table_problem(F, G)
         cfg = GAConfig(lambda_=4, mutpb=0.0, cxpb=0.0)
-        log, evaluate = logged(problem)
-        pop = evaluate(np.arange(4.0)[:, None])
-        nxt, _ = nsga2_step(pop, log, cfg, problem, np.random.default_rng(0), evaluate)
+        log = logged(problem)
+        pop = log.evaluate(problem, 0, np.arange(4.0)[:, None])
+        nxt, _ = nsga2_step(pop, log, cfg, problem, np.random.default_rng(0))
         assert log.cv[nxt[0]] == 0.0
 
     def test_elitism_no_regression(self):
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=12)
-        log, evaluate, pop = initial_population(problem, 12, seed=5)
+        log, pop = initial_population(problem, 12, seed=5)
         rng = np.random.default_rng(5)
         sizes = None
         for _ in range(10):
             before = log.F[pop]
-            pop, sizes = nsga2_step(pop, log, cfg, problem, rng, evaluate, sizes)
+            pop, sizes = nsga2_step(pop, log, cfg, problem, rng, sizes)
             # some survivor is non-dominated by the previous population
             assert any(not any(brute_force_dominates(o, f) for o in before) for f in log.F[pop])
 
@@ -123,14 +116,14 @@ class TestSteps:
         cfg = GAConfig(lambda_=8, pop_size=16, budget=10_000)
         dirs = das_dennis(3, 4)
         for step in (nsga2_step, nsga3_step):
-            log, evaluate, pop = initial_population(problem, 16, seed=7)
+            log, pop = initial_population(problem, 16, seed=7)
             rng = np.random.default_rng(7)
             sizes = None
             for generation in range(15):
                 if generation == 1:
                     assert len(pop) < 16
                 extra = (dirs,) if step is nsga3_step else ()
-                pop, sizes = step(pop, log, cfg, problem, rng, evaluate, *extra,
+                pop, sizes = step(pop, log, cfg, problem, rng, *extra,
                                   sizes=sizes)
                 fresh = non_dominated_sort(log.F[pop], log.cv[pop])
                 ends = np.cumsum(sizes)
@@ -261,8 +254,8 @@ class TestNsga3:
         dirs = das_dennis(3, 4)
         steps = []
         for spec in (problem, slack):
-            log, evaluate, pop = initial_population(spec, 12, seed=6)
-            rows, _ = nsga3_step(pop, log, cfg, spec, np.random.default_rng(9), evaluate, dirs)
+            log, pop = initial_population(spec, 12, seed=6)
+            rows, _ = nsga3_step(pop, log, cfg, spec, np.random.default_rng(9), dirs)
             steps.append(log.F[rows].tolist())
         assert steps[0] == steps[1]
 
@@ -341,12 +334,12 @@ class TestRuns:
         problem = get_problem("c2dtlz2")
         cfg = GAConfig(lambda_=12, budget=2000, seed=3)
         rng = np.random.default_rng(3)
-        log, evaluate, pop = initial_population(problem, 12, seed=3)
+        log, pop = initial_population(problem, 12, seed=3)
         dirs = das_dennis(3, 4)
         seen_feasible = bool((log.cv[pop] == 0).any())
         sizes = None
         for _ in range(40):
-            pop, sizes = nsga3_step(pop, log, cfg, problem, rng, evaluate, dirs, sizes)
+            pop, sizes = nsga3_step(pop, log, cfg, problem, rng, dirs, sizes)
             feasible = bool((log.cv[pop] == 0).any())
             if seen_feasible:
                 assert feasible

@@ -8,7 +8,7 @@ import pearlkit.trainer as trainer_module
 from pearlkit import problems
 from pearlkit.experiment import _ENGINES, run_experiment
 from pearlkit.pareto import FEASIBILITY_TOL
-from pearlkit.problems import get_problem
+from pearlkit.problems import ProblemSpec, ProblemSpecError, get_problem
 from pearlkit.rewards import CurriculumConstrained, PearlEnvelope, PearlEpsilon, PearlNds
 from pearlkit.trainer import (
     LOG_STD_MIN,
@@ -30,7 +30,7 @@ from oracles import (
     log_front_scalar,
     rollout_per_worker,
 )
-from rows import table_log
+from rows import table_log, table_problem
 
 
 def toy_batch(rng, obs_dim, act_dim, n):
@@ -511,3 +511,39 @@ class TestEvaluationLog:
     def test_reward_is_nan_until_paid(self):
         log = table_log([[1.0, 2.0], [2.0, 1.0]])
         assert np.isnan(log.reward).all()
+
+    def test_failure_mid_block_is_flagged_and_skipped(self):
+        # row 1 returns a non-finite objective: a failed evaluation
+        problem = table_problem([[1.0, 2.0], [np.inf, 1.0], [2.0, 1.0], [3.0, 0.0]])
+        log = EvaluationLog(6, problem)
+        log.evaluate(problem, 0, [[0.0]])
+        rows = log.evaluate(problem, 0, np.arange(1.0, 4.0)[:, None])
+        assert rows.tolist() == [2, 3] and len(log) == 4
+        assert np.isnan(log.F[1]).all() and np.isnan(log.cv[1])
+        assert log.F[2:4].tolist() == [[2.0, 1.0], [3.0, 0.0]]
+        assert log.X[:4, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_worker_per_row_is_recorded(self):
+        problem = table_problem(np.ones((4, 2)))
+        log = EvaluationLog(4, problem)
+        log.evaluate(problem, [3, 1, 4, 1], np.arange(4.0)[:, None])
+        assert log.worker.tolist() == [3, 1, 4, 1]
+
+    def test_spec_error_mid_block_keeps_the_rows_before_it(self):
+        # the point x = 2 returns one objective of the two declared
+        problem = ProblemSpec("short-at-2", 1, 2, lambda x: np.ones(1 if x[0] == 2 else 2),
+                              lower=np.zeros(1), upper=np.full(1, 3.0))
+        log = EvaluationLog(5, problem)
+        log.evaluate(problem, 7, [[3.0]])
+        with pytest.raises(ProblemSpecError, match="short-at-2"):
+            log.evaluate(problem, [5, 6, 8, 9], np.arange(4.0)[:, None])
+        assert len(log) == 3
+        assert log.worker[:3].tolist() == [7, 5, 6]
+        assert log.F[:3].tolist() == [[1.0, 1.0]] * 3
+
+    def test_empty_block_fills_nothing(self):
+        problem = table_problem(np.ones((2, 2)))
+        log = EvaluationLog(2, problem)
+        rows = log.evaluate(problem, 0, np.empty((0, 1)))
+        assert rows.tolist() == [] and len(log) == 0
+        assert log.evaluate(problem, 0, [[1.0]]).tolist() == [0]
