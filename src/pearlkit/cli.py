@@ -6,7 +6,17 @@ import argparse
 import sys
 
 from . import experiment
+from .pareto import _positive_int
 from .problems import get_problem, reference_front
+
+
+def _positive_count(text: str) -> int:
+    """An option value that must be a positive integer; argparse exits 2
+    with a message naming the option when it is not one."""
+    try:
+        return _positive_int("value", int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -20,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to the experiment JSON file")
     run.add_argument("--force", action="store_true",
                      help="overwrite an existing output directory")
-    run.add_argument("--parallel-cells", type=int, default=1, metavar="N",
+    run.add_argument("--parallel-cells", type=_positive_count, default=1, metavar="N",
                      help="run up to N independent cells concurrently")
 
     cmp_ = sub.add_parser("compare", help="statistical comparison across run outputs")

@@ -42,15 +42,23 @@ class DensityRank:
     scores: np.ndarray
 
 
-def best_first(f: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+def row_keys(f: np.ndarray) -> tuple:
+    """The columns of ``f`` as ``np.lexsort`` keys, last column first, so
+    that they order the rows lexicographically: the final tie-break of
+    ``best_first``."""
+    return tuple(f.T[::-1])
+
+
+def best_first(f: np.ndarray, *keys: np.ndarray, rows: tuple | None = None) -> np.ndarray:
     """Indices of the rows of ``f`` in best-first order: the one tie-break
     rule of every rank.
 
     Rows sort ascending by ``keys[0]``, ties by ``keys[1]`` and so on, then
     lexicographically on the rows of ``f``, then by index (the sort is
-    stable).  Negate a key to prefer larger values.
+    stable).  Negate a key to prefer larger values.  A caller that sorts one
+    ``f`` many times passes ``rows=row_keys(f)`` built once.
     """
-    return np.lexsort(tuple(f.T[::-1]) + keys[::-1])
+    return np.lexsort((row_keys(f) if rows is None else rows) + keys[::-1])
 
 
 def minmax_normalize(f: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -70,17 +78,18 @@ def crowding_rank(front) -> DensityRank:
     objective vector, so the order is a pure function of the set.
     """
     f = np.atleast_2d(np.asarray(front, dtype=float))
-    n, m = f.shape
-    if n == 0:
+    if len(f) == 0:
         raise ValueError("crowding_rank needs a non-empty front")
-    dist = np.zeros(n)
-    for j in range(m):
-        idx = best_first(f, f[:, j])
-        dist[idx[[0, -1]]] = math.inf
-        span = f[idx[-1], j] - f[idx[0], j]
+    rows = row_keys(f)
+    dist = np.zeros(len(f))
+    for col in f.T:
+        idx = best_first(f, col, rows=rows)
+        s = col[idx]
+        dist[idx[0]] = dist[idx[-1]] = math.inf
+        span = s[-1] - s[0]
         if span > 0:  # boundary points stay infinite: inf + finite is inf
-            dist[idx[1:-1]] += (f[idx[2:], j] - f[idx[:-2], j]) / span
-    return DensityRank(order=best_first(f, -dist, f.sum(axis=1)), scores=dist)
+            dist[idx[1:-1]] += (s[2:] - s[:-2]) / span
+    return DensityRank(order=best_first(f, -dist, f.sum(axis=1), rows=rows), scores=dist)
 
 
 def associate(normalized: np.ndarray, dirs: ReferenceDirectionSet):

@@ -35,9 +35,9 @@ from .indicators import (
     read_metric_csv,
     write_metric_csv,
 )
-from .pareto import non_dominated_mask
+from .pareto import _positive_int, non_dominated_mask
 from .problems import ProblemSpec, get_problem, reference_front
-from .rewards import CurriculumConstrained, PearlEnvelope, PearlEpsilon, PearlNds, _positive_int
+from .rewards import CurriculumConstrained, PearlEnvelope, PearlEpsilon, PearlNds
 from .trainer import RunResult, TrainerConfig, train
 
 OUTPUT_ROOT_ENV = "PEARLKIT_OUTPUT_ROOT"
@@ -350,7 +350,10 @@ def run_experiment(source, force: bool = False, parallel_cells: int = 1) -> Path
     Refuses to overwrite an existing completed experiment unless ``force``.
     A failing cell leaves a FAILED marker with the traceback and does not
     stop the remaining cells; the experiment then raises at the end.
+    ``parallel_cells`` must be a positive integer; it is checked before
+    anything is written.
     """
+    parallel_cells = _positive_int("parallel_cells", parallel_cells)
     config = load_config(source)
     out = resolve_output_dir(config.output_dir)
     if (out / "metrics.csv").exists() and not force:

@@ -27,9 +27,8 @@ import numpy as np
 
 from .density import (ReferenceDirectionSet, associate, best_first, crowding_rank, das_dennis,
                       default_divisions, minmax_normalize)
-from .pareto import non_dominated_sort
+from .pareto import _positive_int, non_dominated_sort
 from .problems import ProblemSpec
-from .rewards import _positive_int
 from .trainer import EvaluationLog, RunResult
 
 

@@ -10,12 +10,14 @@ plain dominance on the objectives decides between two feasible ones.  When
 every violation is 0, as on an unconstrained problem, it is plain
 dominance.  ``_dominance`` is its array form for the sort: a boolean matrix
 over one set, its plain part read off a single "no worse everywhere" matrix
-and its transpose.  ``ParetoArchive`` compares one candidate against all its
-members in a single broadcast.
+and its transpose.  ``ParetoArchive`` decides most candidates from the one
+violation its members share, and compares the rest against all its members
+in a single broadcast.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -25,6 +27,14 @@ import numpy as np
 FEASIBILITY_TOL = 1e-12
 
 _BLOCK = 128  # rows per block of the sweep in ``non_dominated_mask``
+
+
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is a positive integer (a
+    float or a bool is not, even when it equals one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, not {value!r}")
+    return int(value)
 
 
 def _dominance(f: np.ndarray, cv: np.ndarray) -> np.ndarray:
@@ -116,10 +126,18 @@ class ParetoArchive:
     """Bounded buffer of mutually non-dominated solutions.
 
     The archive is the per-worker memory used by the rank-based reward
-    engines, which insert with a ranker and a fixed capacity.
+    engines, which insert with a ranker and a fixed capacity (a positive
+    integer, checked when the archive is built).
     ``capacity=None`` with ``add`` gives an unbounded, unranked archive.
     Dominance is feasibility first, so a feasible point displaces every
     infeasible member and infeasible points are ordered by violation alone.
+    The members are therefore in one of two states: all feasible, or all
+    infeasible at one shared violation.  A candidate is first compared with
+    that violation: a larger one is rejected at the cost of one scalar
+    comparison, and a smaller one evicts every member.  Only a candidate of
+    the same violation meets the members' objectives, in one broadcast
+    comparison and one reduction for a reject (a feasible candidate: is some
+    member no worse everywhere; an infeasible one: is some member its twin).
 
     Members are evaluation-log rows.  Entry ``i < len(archive)`` of ``_row``
     names the row of member ``i``, and row ``i`` of ``_f`` and entry ``i`` of
@@ -130,9 +148,7 @@ class ParetoArchive:
     """
 
     def __init__(self, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be a positive integer or None")
-        self.capacity = capacity
+        self.capacity = None if capacity is None else _positive_int("capacity", capacity)
         self._n = 0
         self._f = np.empty((0, 0))
         self._cv = np.empty(0)
@@ -157,35 +173,39 @@ class ParetoArchive:
         self._f, self._cv, self._row = f, cv, row
 
     def _admit(self, f: np.ndarray, cv: float, row: int) -> bool:
-        """Append the point of objectives ``f`` and violation ``cv``, logged
-        at ``row``, after dropping the members it dominates.
+        """Append the point of objectives ``f`` and violation ``cv`` (not
+        NaN), logged at ``row``, after dropping the members it dominates.
 
         The point is rejected (False, archive untouched) when a member
         dominates it, or when it duplicates the objectives of a member it
-        does not itself beat (clone flooding guard).  One comparison of the
-        point against all members decides both.
+        does not itself beat (clone flooding guard).  The members share one
+        violation, so the point is compared with that one first; only a
+        point of the same violation is compared with the members' objectives.
         """
         n = self._n
         if n == len(self._f):
             self._grow(len(f))
-        mf, mcv, mrow = self._f[:n], self._cv[:n], self._row[:n]
-        le = (mf <= f).all(axis=1)  # dominates the point, or is its twin
-        ge = (mf >= f).all(axis=1)  # dominated by the point, or is its twin
-        if cv > 0:
-            # only the violation orders infeasible points; a twin of equal
-            # violation is a duplicate
-            reject = (mcv < cv) | ((mcv == cv) & le & ge)
-            evict = mcv > cv
-        else:
-            feasible = mcv == 0.0
-            reject = feasible & le
-            evict = ~feasible | ge
-        if reject.any():
-            return False
-        if evict.any():
-            keep = ~evict
-            n = int(keep.sum())
-            self._f[:n], self._cv[:n], self._row[:n] = mf[keep], mcv[keep], mrow[keep]
+        if n:
+            held = self._cv[0]
+            if cv > held:  # a member of lower violation dominates the point
+                return False
+            if cv < held:  # the point dominates every member
+                n = 0
+            elif cv == 0.0:
+                mf = self._f[:n]
+                if (mf <= f).all(axis=1).any():  # a member dominates it, or is its twin
+                    return False
+                evict = (mf >= f).all(axis=1)
+                if evict.any():
+                    keep = ~evict
+                    n = int(keep.sum())
+                    self._f[:n], self._cv[:n], self._row[:n] = (
+                        mf[keep], self._cv[:self._n][keep], self._row[:self._n][keep])
+            elif (self._f[:n] == f).all(axis=1).any():
+                # only the violation orders infeasible points: a twin of
+                # equal violation is a duplicate, and no other member is
+                # dominated by the point or dominates it
+                return False
         self._f[n], self._cv[n], self._row[n] = f, cv, row
         self._n = n + 1
         return True
@@ -215,7 +235,7 @@ class ParetoArchive:
             return None
         n = self._n
         order = np.asarray(ranker(self._f[:n]).order, dtype=int)
-        pos = int(np.flatnonzero(order == n - 1)[0])
+        pos = order.tolist().index(n - 1)
         kept = order[: self.capacity]
         self._n = len(kept)
         self._f[:self._n], self._cv[:self._n], self._row[:self._n] = (

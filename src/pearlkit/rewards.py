@@ -23,7 +23,6 @@ Every engine is single-owner state: one instance per rollout worker.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Optional
@@ -32,7 +31,7 @@ import numpy as np
 
 from .density import (DensityRank, best_first, crowding_rank, das_dennis, default_divisions,
                       minmax_normalize, niching_rank)
-from .pareto import FEASIBILITY_TOL, ParetoArchive
+from .pareto import FEASIBILITY_TOL, ParetoArchive, _positive_int
 
 if TYPE_CHECKING:
     from .trainer import EvaluationLog
@@ -177,14 +176,6 @@ class RunningBounds:
         if self.lo is None:
             return np.zeros_like(np.asarray(v, dtype=float))
         return minmax_normalize(v, self.lo, self.hi)
-
-
-def _positive_int(name: str, value) -> int:
-    """``value`` as an int; ValueError unless it is a positive integer (a
-    float or a bool is not, even when it equals one)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, not {value!r}")
-    return int(value)
 
 
 @dataclass

@@ -29,9 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .pareto import best_front
+from .pareto import _positive_int, best_front
 from .problems import ProblemSpec, ProblemSpecError, evaluate
-from .rewards import _positive_int, constraint_violation
+from .rewards import constraint_violation
 
 logger = logging.getLogger(__name__)
 

@@ -125,7 +125,9 @@ class OracleArchive:
     feasibility first (``constrained_dominates_scalar``).
 
     ``add`` and ``insert`` take and return what the library's methods take
-    and return, and leave the members in the same order.
+    and return, and leave the members in the same order, except that the
+    ranker of ``insert`` is a scalar oracle returning ``(order, scores)``,
+    such as ``crowding_rank_scalar``.
     """
 
     def __init__(self, capacity=None):
@@ -165,7 +167,7 @@ class OracleArchive:
     def insert(self, f, cv, row, ranker):
         if not self._admit(f, cv, row):
             return None
-        order = [int(i) for i in ranker(np.array([m.f for m in self.members])).order]
+        order = [int(i) for i in ranker([m.f for m in self.members])[0]]
         pos = order.index(len(self.members) - 1)
         self.members = [self.members[i] for i in order][: self.capacity]
         return pos
@@ -283,6 +285,28 @@ def crowding_rank_scalar(front):
     dist = crowding_distances_direct(f)
     order = sorted(range(len(f)), key=lambda i: (-dist[i], float(np.sum(f[i])), f[i]))
     return np.asarray(order, dtype=int), np.asarray(dist)
+
+
+def crowding_rank_loop(front):
+    """``density.crowding_rank`` as it was before its row keys were built once
+    and each sorted column taken once: a fancy index per boundary, per span
+    and per gap.  Returns ``(order, distances)``; the reference for the bytes
+    of both, including NaN gaps from non-finite spans.
+    """
+
+    def best_first(f, *keys):
+        return np.lexsort(tuple(f.T[::-1]) + keys[::-1])
+
+    f = np.atleast_2d(np.asarray(front, dtype=float))
+    n, m = f.shape
+    dist = np.zeros(n)
+    for j in range(m):
+        idx = best_first(f, f[:, j])
+        dist[idx[[0, -1]]] = math.inf
+        span = f[idx[-1], j] - f[idx[0], j]
+        if span > 0:
+            dist[idx[1:-1]] += (f[idx[2:], j] - f[idx[:-2], j]) / span
+    return best_first(f, -dist, f.sum(axis=1)), dist
 
 
 def minmax_scalar(row, lo, hi):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pearlkit.density import (
     crowding_rank,
@@ -9,8 +11,73 @@ from pearlkit.density import (
     default_divisions,
     niching_rank,
 )
+from pearlkit.problems import evaluate, get_problem
 
-from oracles import crowding_distances_direct
+from oracles import crowding_distances_direct, crowding_rank_loop
+
+_DTLZ2 = get_problem("dtlz2")
+
+
+@st.composite
+def edge_fronts(draw):
+    """dtlz2 objectives of points on and near the box edge: a coordinate of
+    0 gives an objective of exactly 0, shared by many rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 70))
+    x = rng.random((n, _DTLZ2.n_x))
+    edge = rng.random(x.shape) < draw(st.sampled_from([0.1, 0.3, 0.6]))
+    x[edge] = rng.choice([0.0, 1.0], size=int(edge.sum()))
+    return np.array([evaluate(_DTLZ2, row)[0] for row in x])
+
+
+@st.composite
+def repeated_fronts(draw):
+    """Rows drawn from a few distinct rows, as in an NSGA front, so that only
+    the index decides between equal rows."""
+    m = draw(st.integers(2, 4))
+    row = st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)
+    distinct = draw(st.lists(row, min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
+    return np.array([distinct[i] for i in picks], dtype=float)
+
+
+@st.composite
+def non_finite_fronts(draw):
+    """Rows with infinite and NaN objectives, whose spans are infinite or NaN
+    and whose gaps are NaN."""
+    m = draw(st.integers(2, 4))
+    value = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, 0.0, 1.0]),
+                      st.floats(-1e300, 1e300))
+    rows = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=1, max_size=30))
+    return np.array(rows, dtype=float)
+
+
+def assert_matches_loop(f):
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf give NaN
+        rank = crowding_rank(f)
+        order, dist = crowding_rank_loop(f)
+    assert rank.order.dtype == order.dtype and rank.order.tobytes() == order.tobytes()
+    assert rank.scores.tobytes() == dist.tobytes()
+
+
+class TestCrowdingMatchesLoop:
+    """``crowding_rank`` gives the order and distance bytes of the loop it
+    replaced (``oracles.crowding_rank_loop``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=edge_fronts())
+    def test_exact_zero_ties(self, f):
+        assert_matches_loop(f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=repeated_fronts())
+    def test_duplicate_rows(self, f):
+        assert_matches_loop(f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=non_finite_fronts())
+    def test_non_finite_spans(self, f):
+        assert_matches_loop(f)
 
 
 class TestCrowdingRank:

@@ -312,6 +312,14 @@ class TestRun:
         assert (cell / "evaluations.csv").read_bytes() == first
         assert (cell / "front.csv").read_bytes() == first_front
 
+    # only values that start no process: a valid large count would start that many
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
+    def test_parallel_cells_checked_before_anything_is_written(self, tmp_path, count):
+        path, _ = small_config(tmp_path)
+        with pytest.raises(ValueError, match="parallel_cells must be a positive integer"):
+            run_experiment(path, parallel_cells=count)
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_cells_match_sequential_bytes(self, tmp_path):
         path, config = small_config(tmp_path, algorithms=[
             {"name": "pearl-nds", "ranker": "crowding", "kappa": 8},
@@ -596,6 +604,15 @@ class TestCli:
         path, _ = small_config(tmp_path, problems="nope")
         assert cli_main(["run", str(path)]) == 2
         assert "problems" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-1", "2.5", "True"])
+    def test_bad_parallel_cells_exit_code(self, tmp_path, capsys, count):
+        path, _ = small_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["run", str(path), "--parallel-cells", count])
+        assert exit_.value.code == 2
+        assert "--parallel-cells" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_ref_front(self, capsys):
         assert cli_main(["ref-front", "dtlz2", "-n", "10"]) == 0

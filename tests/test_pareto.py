@@ -19,9 +19,17 @@ from oracles import (
     brute_force_dominates,
     brute_force_front_indices,
     constrained_dominates_scalar,
+    crowding_rank_scalar,
     non_dominated_mask_scalar,
 )
 from rows import table_log
+
+
+def assert_two_states(archive, oracle):
+    """The members are all feasible, or all infeasible at one violation, in
+    the archive and in the oracle alike."""
+    assert len(set(archive._cv[:len(archive)].tolist())) <= 1
+    assert len({m.cv for m in oracle.members}) <= 1
 
 
 def pt(*f):
@@ -313,6 +321,32 @@ class TestParetoArchive:
         assert rank == 0
         assert archive.rows().tolist() == [2]
 
+    @pytest.mark.parametrize("capacity", [2.5, True, "3", 0, -1])
+    def test_capacity_checked_when_built(self, capacity):
+        with pytest.raises(ValueError, match="capacity must be a positive integer"):
+            ParetoArchive(capacity=capacity)
+
+    def test_integral_capacity_kept_as_int(self):
+        assert ParetoArchive(capacity=np.int64(3)).capacity == 3
+        assert type(ParetoArchive(capacity=np.int64(3)).capacity) is int
+        assert ParetoArchive(capacity=None).capacity is None
+
+    def test_lower_violation_evicts_every_member(self):
+        archive = ParetoArchive(capacity=4)
+        archive.insert(pt(0, 2), 0.5, 0, crowding_rank)
+        archive.insert(pt(2, 0), 0.5, 1, crowding_rank)
+        assert archive.insert(pt(3, 3), 0.7, 2, crowding_rank) is None
+        assert archive.insert(pt(3, 3), 0.2, 3, crowding_rank) == 0
+        assert archive.rows().tolist() == [3]
+
+    def test_infeasible_twin_of_equal_violation_rejected(self):
+        archive = ParetoArchive(capacity=4)
+        archive.insert(pt(1, 2), 0.5, 0, crowding_rank)
+        assert archive.insert(pt(1, 2), 0.5, 1, crowding_rank) is None
+        # not a twin: kept beside the member, which it neither beats nor loses to
+        assert archive.insert(pt(0, 0), 0.5, 2, crowding_rank) is not None
+        assert sorted(archive.rows().tolist()) == [0, 2]
+
     def test_feasible_duplicate_replaces_infeasible_twin(self):
         archive = ParetoArchive(capacity=4)
         archive.insert(pt(1, 2), 0.3, 0, crowding_rank)
@@ -342,8 +376,9 @@ class TestArchiveMatchesOracle:
                 assert archive.add(f, cv, row) == oracle.add(f, cv, row)
             else:
                 assert (archive.insert(f, cv, row, crowding_rank)
-                        == oracle.insert(f, cv, row, crowding_rank))
+                        == oracle.insert(f, cv, row, crowding_rank_scalar))
             assert archive.rows().tolist() == oracle.rows()
+            assert_two_states(archive, oracle)
 
             members = oracle.members
             if capacity is not None:
@@ -351,8 +386,6 @@ class TestArchiveMatchesOracle:
             for a in members:
                 for b in members:
                     assert a is b or not oracle.rel(a, b)
-            if any(m.cv == 0 for m in members):
-                assert all(m.cv == 0 for m in members)
 
 
 # Three objectives on a 0..6 grid and a few violation levels.  A run opens
@@ -386,9 +419,10 @@ class TestArchiveArraysMatchOracle:
                 assert archive.add(F[row], CV[row], row) == oracle.add(F[row], CV[row], row)
             else:
                 assert (archive.insert(F[row], CV[row], row, crowding_rank)
-                        == oracle.insert(F[row], CV[row], row, crowding_rank))
+                        == oracle.insert(F[row], CV[row], row, crowding_rank_scalar))
             rows = archive.rows()
             assert rows.tolist() == oracle.rows()
+            assert_two_states(archive, oracle)
 
             objs = archive.objectives()
             np.testing.assert_array_equal(objs, F[rows])
