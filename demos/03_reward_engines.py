@@ -42,7 +42,7 @@ log = EvaluationLog(16, costs)
 def evaluated(f):
     """Evaluate the point whose costs are ``f`` into the next row of the log
     and return that row."""
-    (row,) = log.evaluate(costs, 0, np.asarray([f], dtype=float) / 4.0)
+    (row,) = log.evaluate(0, np.asarray([f], dtype=float) / 4.0)
     return row
 
 
@@ -72,7 +72,7 @@ boxed = ProblemSpec("boxed-costs", n_x=2, n_obj=2, objectives=lambda x: 4.0 * x,
                     constraints=lambda x, f: x - 0.5, n_constraints=2)
 boxed_log = EvaluationLog(2, boxed)
 # g = (0.5, 0.2) in row 0 and (-0.1, -0.2) in row 1
-boxed_log.evaluate(boxed, 0, np.array([[1.0, 0.7], [0.4, 0.3]]))
+boxed_log.evaluate(0, np.array([[1.0, 0.7], [0.4, 0.3]]))
 constrained = CurriculumConstrained(PearlNds(kappa=64, ranker="crowding"))
 print("\ninfeasible reward:", constrained.score(boxed_log, 0).reward)    # -(0.29) - 64
 print("feasible reward:", constrained.score(boxed_log, 1).reward)

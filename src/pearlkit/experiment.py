@@ -44,6 +44,8 @@ OUTPUT_ROOT_ENV = "PEARLKIT_OUTPUT_ROOT"
 CONFIG_VERSION = 1
 _CONFIG_KEYS = {"version", "problems", "algorithms", "budget", "seeds", "output_dir",
                 "n_steps", "ncores"}
+# set once at the top level for every cell (a cell's seed comes from 'seeds')
+_TOP_LEVEL_ONLY = {"budget", "seed", "n_steps", "ncores"}
 
 
 class ConfigError(ValueError):
@@ -112,6 +114,10 @@ def load_config(source) -> ExperimentConfig:
             raise ConfigError(
                 f"key 'algorithms': unknown variant {name!r} (known: {sorted(ALGORITHMS)})")
         params = {k: v for k, v in entry.items() if k not in ("name", "label")}
+        shared = sorted(params.keys() & _TOP_LEVEL_ONLY)
+        if shared:
+            raise ConfigError(f"key {shared[0]!r} is not a {name} entry key: budget, seeds, "
+                              "n_steps and ncores are set at the top level")
         algorithms.append(AlgorithmSpec(name=name, params=params,
                                         label=entry.get("label", "")))
     labels = [a.label for a in algorithms]
@@ -167,8 +173,7 @@ def load_config(source) -> ExperimentConfig:
 # it names, which holds the default and the validity check.
 # ---------------------------------------------------------------------------
 
-_TRAINER_KEYS = ({f.name for f in fields(TrainerConfig)}
-                 - {"n_steps", "ncores", "budget", "seed"})
+_TRAINER_KEYS = {f.name for f in fields(TrainerConfig)} - _TOP_LEVEL_ONLY
 
 
 def _pearl_e_engine(problem: ProblemSpec, params: dict):

@@ -6,13 +6,14 @@ probability ``mutpb``, both clamped to the box.  Survivor selection merges
 parents and offspring, sorts by non-domination (feasibility first, as
 everywhere in the package), and resolves the last partial front by
 crowding (NSGA-II) or reference-direction niching (NSGA-III).  The
-population is an array of rows of the run's ``EvaluationLog``, which
-evaluates each generation's offspring as one block; the selection steps
-work on the log's objective and violation rows.  The reported front is the
-log rows of the non-dominated set of every evaluation ever made, not just
-the final population.  A failed evaluation is logged with NaN objectives
-and left out of the population, as in the trainer, so the population may
-shrink.
+population is an array of rows of the run's ``EvaluationLog``, which holds
+the run's problem and evaluates each generation's offspring as one block;
+the selection steps work on the log's objective and violation rows.  From
+the initial sort on, the population lies in front blocks, best first, so
+parent selection never sorts.  The reported front is the log rows of the
+non-dominated set of every evaluation ever made, not just the final
+population.  A failed evaluation is logged with NaN objectives and left out
+of the population, as in the trainer, so the population may shrink.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .density import (ReferenceDirectionSet, associate, best_first, crowding_rank, das_dennis,
                       default_divisions, minmax_normalize)
-from .pareto import _positive_int, non_dominated_sort
+from .pareto import _positive_int, _real, non_dominated_sort
 from .problems import ProblemSpec
 from .trainer import EvaluationLog, RunResult
 
@@ -52,8 +53,8 @@ class GAConfig:
     def validate(self):
         for key in ("lambda_", "mu", "pop_size"):
             _positive_int(key, getattr(self, key))
-        if not (0.0 <= self.mutpb <= 1.0 and 0.0 <= self.cxpb <= 1.0):
-            raise ValueError("mutpb and cxpb must lie in [0, 1]")
+        for key in ("mutpb", "cxpb"):
+            _real(key, getattr(self, key), "in [0, 1]")
         if self.mu > self.lambda_:
             raise ValueError("mu must not exceed lambda_")
         if self.pop_size < 2:
@@ -63,21 +64,14 @@ class GAConfig:
         return self
 
 
-def _selection_order(F: np.ndarray, cv: np.ndarray,
-                     sizes: Optional[list[int]] = None) -> np.ndarray:
+def _selection_order(F: np.ndarray, sizes: list[int]) -> np.ndarray:
     """Positions of the rows ``F`` ordered best-first: by front, then density
-    inside each front.
-
-    ``sizes`` are the lengths of the rows' fronts when the rows already lie
-    in front blocks, best first, as survivor selection leaves them; the rows
-    are sorted when it is None.
+    inside each front.  The rows lie in front blocks, best first, of the
+    lengths ``sizes``, as the initial sort and survivor selection leave them.
     """
-    if sizes is None:
-        fronts = non_dominated_sort(F, cv)
-    else:
-        ends = np.cumsum(sizes).tolist()
-        fronts = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
-    return np.concatenate([front[crowding_rank(F[front]).order] for front in fronts])
+    ends = np.cumsum(sizes).tolist()
+    return np.concatenate([end - size + crowding_rank(F[end - size:end]).order
+                           for size, end in zip(sizes, ends)])
 
 
 BLEND_ALPHA = 0.5  # blend crossover draws gamma from [-alpha, 1 + alpha]
@@ -205,35 +199,35 @@ def _niche_picks(F: np.ndarray, chosen: np.ndarray, last: np.ndarray, need: int,
     return last[candidates[picks]]
 
 
-def _offspring(pop: np.ndarray, sizes: Optional[list[int]], log: EvaluationLog,
-               cfg: GAConfig, problem: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
+def _offspring(pop: np.ndarray, sizes: list[int], log: EvaluationLog, cfg: GAConfig,
+               rng: np.random.Generator) -> np.ndarray:
     """The log rows of one generation's offspring that evaluated successfully."""
-    order = _selection_order(log.F[pop], log.cv[pop], sizes)
-    return log.evaluate(problem, 0, _variation(log.X[pop[order[: cfg.mu]]], cfg, problem, rng))
+    order = _selection_order(log.F[pop], sizes)
+    return log.evaluate(0, _variation(log.X[pop[order[: cfg.mu]]], cfg, log.problem, rng))
 
 
-def nsga2_step(pop: np.ndarray, log: EvaluationLog, cfg: GAConfig, problem: ProblemSpec,
-               rng: np.random.Generator,
-               sizes: Optional[list[int]] = None) -> tuple[np.ndarray, list[int]]:
+def nsga2_step(pop: np.ndarray, sizes: list[int], log: EvaluationLog, cfg: GAConfig,
+               rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
     """One generation: ES variation, merge with parents, crowded selection.
 
     ``pop`` and the returned population are rows of ``log``; the offspring
     are evaluated into ``log`` as one block (``log.evaluate``), and those
-    that succeed join the pool.  ``sizes`` are the lengths of ``pop``'s
-    front blocks as the previous step returned them (None sorts ``pop``).
-    Returns the new population and the lengths of its front blocks.
+    that succeed join the pool.  ``pop`` lies in front blocks, best first,
+    of the lengths ``sizes``, as ``_run``'s initial sort or the previous
+    step left it.  Returns the new population and the lengths of its front
+    blocks.
     """
-    pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, problem, rng)])
+    pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, rng)])
     chosen, sizes = _survivors_nsga2(log.F[pool], log.cv[pool], cfg.pop_size)
     return pool[chosen], sizes
 
 
-def nsga3_step(pop: np.ndarray, log: EvaluationLog, cfg: GAConfig, problem: ProblemSpec,
-               rng: np.random.Generator, dirs: ReferenceDirectionSet,
-               sizes: Optional[list[int]] = None) -> tuple[np.ndarray, list[int]]:
+def nsga3_step(pop: np.ndarray, sizes: list[int], log: EvaluationLog, cfg: GAConfig,
+               rng: np.random.Generator,
+               dirs: ReferenceDirectionSet) -> tuple[np.ndarray, list[int]]:
     """One generation: ES variation, merge with parents, niching selection;
     arguments and result as in ``nsga2_step``."""
-    pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, problem, rng)])
+    pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, rng)])
     chosen, sizes = _survivors_nsga3(log.F[pool], log.cv[pool], cfg.pop_size, dirs)
     return pool[chosen], sizes
 
@@ -251,13 +245,13 @@ def _run(problem: ProblemSpec, cfg: GAConfig, step) -> RunResult:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     generations = (cfg.budget - cfg.pop_size) // cfg.lambda_
     log = EvaluationLog(cfg.pop_size + generations * cfg.lambda_, problem)
-    # only the initial population is sorted for parent selection; each step
-    # returns the front blocks its survivor selection found
-    pop = log.evaluate(problem, 0, rng.uniform(problem.lower, problem.upper,
-                                               (cfg.pop_size, problem.n_x)))
-    sizes = None
+    pop = log.evaluate(0, rng.uniform(problem.lower, problem.upper, (cfg.pop_size, problem.n_x)))
+    # the one sort for parent selection: it puts the initial population in
+    # front blocks, and each step returns the blocks its survivor selection found
+    chosen, sizes, _ = _fill_fronts(log.F[pop], log.cv[pop], len(pop))
+    pop = pop[chosen]
     for _ in range(generations):
-        pop, sizes = step(pop, log, cfg, problem, rng, sizes=sizes)
+        pop, sizes = step(pop, sizes, log, cfg, rng)
 
     return RunResult(front=log.front(), log=log, wall_time=time.perf_counter() - start)
 

@@ -17,6 +17,7 @@ in a single broadcast.
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Optional
 
@@ -35,6 +36,27 @@ def _positive_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be a positive integer, not {value!r}")
     return int(value)
+
+
+# the rules a real setting may be held to, each named as its error states it
+_REAL_RULES = {
+    "positive and finite": lambda v: 0 < v < math.inf,
+    "nonnegative and finite": lambda v: 0 <= v < math.inf,
+    "nonnegative": lambda v: v >= 0,
+    "finite": math.isfinite,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+}
+
+
+def _real(name: str, value, rule: str) -> float:
+    """``value`` as a float; ValueError unless it is a real number (a bool
+    or a string is not) that is ``rule``, a key of ``_REAL_RULES``.  The
+    type is checked before the rule, so a string names its key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    if not _REAL_RULES[rule](value):
+        raise ValueError(f"{name} must be {rule}, not {value!r}")
+    return float(value)
 
 
 def _dominance(f: np.ndarray, cv: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .density import (DensityRank, best_first, crowding_rank, das_dennis, default_divisions,
                       minmax_normalize, niching_rank)
-from .pareto import FEASIBILITY_TOL, ParetoArchive, _positive_int
+from .pareto import FEASIBILITY_TOL, ParetoArchive, _positive_int, _real
 
 if TYPE_CHECKING:
     from .trainer import EvaluationLog
@@ -208,7 +208,9 @@ class PearlEnvelope:
 
     def __init__(self, n_obj: int, alpha=1.0, lambda_: float = 1.0,
                  uniformity: str = "cos", normalized_obj: bool = False, n_rays: int = 1):
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+        # one concentration for every objective, or one per objective
+        alpha = np.array([_real("alpha", a, "positive and finite")
+                          for a in (alpha if np.ndim(alpha) else [alpha])])
         if alpha.size == 1:
             alpha = np.full(n_obj, float(alpha[0]))
         if alpha.size != n_obj:
@@ -217,7 +219,7 @@ class PearlEnvelope:
             raise ValueError(f"unknown uniformity kind: {uniformity!r}")
         self.n_obj = n_obj
         self.alpha = alpha
-        self.lambda_ = float(lambda_)
+        self.lambda_ = _real("lambda", lambda_, "finite")
         self.uniformity = uniformity
         self.normalized_obj = normalized_obj
         self.n_rays = _positive_int("n_rays", n_rays)
@@ -283,9 +285,7 @@ class PearlEpsilon(_RankedEngine):
 
     def __init__(self, kappa: int = KAPPA, nu: float = 0.05):
         super().__init__(kappa)
-        if nu <= 0:
-            raise ValueError("nu must be positive")
-        self.nu = float(nu)
+        self.nu = _real("nu", nu, "positive and finite")
         self.bounds = RunningBounds()
 
     def _ranker(self, objs: np.ndarray) -> DensityRank:
@@ -336,10 +336,8 @@ class CurriculumConstrained:
         if M is None:
             if not hasattr(inner, "kappa"):
                 raise ValueError("M must be given explicitly for this inner engine")
-            M = float(inner.kappa)
-        if M < 0:
-            raise ValueError("M must be nonnegative")
-        self.M = float(M)
+            M = inner.kappa
+        self.M = _real("M", M, "nonnegative and finite")
         if gammas is not None:
             gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
             if gammas.ndim != 1 or not np.all(np.isfinite(gammas) & (gammas > 0)):

@@ -21,15 +21,13 @@ reports the front of its whole evaluation log.
 from __future__ import annotations
 
 import logging
-import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .pareto import _positive_int, best_front
+from .pareto import _positive_int, _real, best_front
 from .problems import ProblemSpec, ProblemSpecError, evaluate
 from .rewards import constraint_violation
 
@@ -73,19 +71,12 @@ class TrainerConfig:
     def validate(self):
         for key in ("n_steps", "ncores", "epochs", "minibatches", "hidden"):
             _positive_int(key, getattr(self, key))
-        # each value is typed before it is compared, so a string names its key
-        checks = [("learning_rate", lambda v: 0 < v < math.inf, "positive and finite"),
-                  ("entropy_coef", lambda v: 0 <= v < math.inf, "nonnegative and finite"),
-                  ("value_coef", lambda v: 0 <= v < math.inf, "nonnegative and finite"),
-                  ("clip_ratio", lambda v: v >= 0, "nonnegative")]
+        rules = {"learning_rate": "positive and finite", "entropy_coef": "nonnegative and finite",
+                 "value_coef": "nonnegative and finite", "clip_ratio": "nonnegative"}
         if self.init_log_std is not None:
-            checks.append(("init_log_std", math.isfinite, "finite"))
-        for key, holds, wanted in checks:
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{key} must be a real number, not {value!r}")
-            if not holds(value):
-                raise ValueError(f"{key} must be {wanted}, not {value!r}")
+            rules["init_log_std"] = "finite"
+        for key, rule in rules.items():
+            _real(key, getattr(self, key), rule)
         if self.budget < self.batch_size():
             raise ValueError("budget must cover at least one batch of evaluations")
         return self
@@ -220,7 +211,8 @@ class RolloutBatch:
 
 
 class EvaluationLog:
-    """Every evaluation of a run, in arrays preallocated to its row count.
+    """Every evaluation of a run of ``problem``, in arrays preallocated to
+    its row count.
 
     Row ``i`` is step ``i``: the ``worker`` that made it, decision vector
     ``X``, objectives ``F``, constraint values ``G`` and violation ``cv``
@@ -231,6 +223,7 @@ class EvaluationLog:
     """
 
     def __init__(self, n_rows: int, problem: ProblemSpec):
+        self.problem = problem
         self.worker = np.zeros(n_rows, dtype=np.int64)
         self.X = np.empty((n_rows, problem.n_x))
         self.F = np.empty((n_rows, problem.n_obj))
@@ -242,9 +235,8 @@ class EvaluationLog:
     def __len__(self) -> int:
         return self._n
 
-    def evaluate(self, problem: ProblemSpec, worker: int | np.ndarray,
-                 X: np.ndarray) -> np.ndarray:
-        """Evaluate ``problem`` at each row of the ``(n, n_x)`` block ``X``
+    def evaluate(self, worker: int | np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Evaluate the log's problem at each row of the ``(n, n_x)`` block ``X``
         into the next ``n`` rows for ``worker`` (one index, or one per row)
         and return the rows whose evaluation succeeded, ascending.
 
@@ -261,11 +253,11 @@ class EvaluationLog:
             try:
                 # the module-level name, looked up per call, so that a
                 # wrapper installed on it sees every evaluation
-                f, g = evaluate(problem, self.X[i])
+                f, g = evaluate(self.problem, self.X[i])
             except ProblemSpecError:
                 raise
             except Exception:  # noqa: BLE001 - flagged, never aborts the run
-                logger.warning("evaluation of %s failed at step %d", problem.name, i,
+                logger.warning("evaluation of %s failed at step %d", self.problem.name, i,
                                exc_info=True)
                 self.F[i] = self.G[i] = self.cv[i] = np.nan
             else:
@@ -371,10 +363,10 @@ def _worker_observations(worker: Worker, n: int, latent_dim: int) -> np.ndarray:
     return np.hstack([latent, np.repeat(suffix[None, :], n, axis=0)])
 
 
-def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
-            cfg: TrainerConfig, log: EvaluationLog) -> RolloutBatch:
+def rollout(policy: PolicyState, workers: list[Worker], cfg: TrainerConfig,
+            log: EvaluationLog) -> RolloutBatch:
     """Collect one batch: every worker draws n_steps actions and scores them,
-    recording one row per evaluation in ``log``.
+    recording one row per evaluation of the log's problem in ``log``.
 
     Each worker draws its rays, latents and action noise from its own
     stream, in worker order; one policy and one value pass then cover the
@@ -391,6 +383,7 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
     """
     n = cfg.n_steps
     first = len(log)
+    problem = log.problem
     obs, noise = [], []
     for worker in workers:
         worker.engine.resample(worker.rng)
@@ -401,7 +394,7 @@ def rollout(policy: PolicyState, workers: list[Worker], problem: ProblemSpec,
     z = mean + np.exp(log_std) * np.concatenate(noise)
     points = problem.lower + (problem.upper - problem.lower) * squash(z)
     scales = np.repeat([float(w.engine.reward_scale) for w in workers], n)
-    for row in log.evaluate(problem, np.repeat([w.index for w in workers], n), points).tolist():
+    for row in log.evaluate(np.repeat([w.index for w in workers], n), points).tolist():
         log.reward[row] = workers[(row - first) // n].engine.score(log, row).reward
     raw = log.reward[first:len(log)]  # a view: the fix-up below rewrites the log
     bad = ~np.isfinite(raw)  # failed evaluations still hold NaN
@@ -471,6 +464,6 @@ def train(problem: ProblemSpec, engine_factory: Callable[[], object],
     n_updates = cfg.budget // cfg.batch_size()
     log = EvaluationLog(n_updates * cfg.batch_size(), problem)
     for _ in range(n_updates):
-        batch = rollout(policy, workers, problem, cfg, log)
+        batch = rollout(policy, workers, cfg, log)
         update(policy, batch, cfg, shuffle_rng)
     return RunResult(front=log.front(), log=log, wall_time=time.perf_counter() - start)

@@ -81,7 +81,7 @@ def log_front_scalar(F, cv):
     return front
 
 
-def rollout_per_worker(policy, workers, problem, cfg, log):
+def rollout_per_worker(policy, workers, cfg, log):
     """Reference for ``trainer.rollout``: one policy and one value pass per
     worker, each worker evaluated and scored before the next one draws.
     A failed evaluation or a non-finite reward is paid, row by row, the
@@ -90,6 +90,7 @@ def rollout_per_worker(policy, workers, problem, cfg, log):
 
     n = cfg.n_steps
     first = len(log)
+    problem = log.problem
     parts = []
     for worker in workers:
         worker.engine.resample(worker.rng)
@@ -98,7 +99,7 @@ def rollout_per_worker(policy, workers, problem, cfg, log):
         std = np.exp(log_std)
         z = mean + std * worker.rng.standard_normal((n, policy.act_dim))
         for x in problem.lower + (problem.upper - problem.lower) * squash(z):
-            for row in log.evaluate(problem, worker.index, x[None, :]):
+            for row in log.evaluate(worker.index, x[None, :]):
                 log.reward[row] = worker.engine.score(log, row).reward
         parts.append((obs, z, gaussian_log_prob(z, mean, log_std), policy.value(obs),
                       np.full(n, float(worker.engine.reward_scale))))
@@ -440,6 +441,18 @@ def niche_picks_scalar(F, chosen, last, need, dirs):
         counts[niches[pick]] += 1
         picks[k] = candidates[pick]
     return last[picks]
+
+
+def selection_order_sorted(F, cv):
+    """Reference for ``nsga._selection_order``: the rows ``F`` (violations
+    ``cv``) sorted afresh into fronts, then ordered by crowding inside each
+    front, as parent selection did before every population was carried in
+    front blocks."""
+    from pearlkit.density import crowding_rank
+    from pearlkit.pareto import non_dominated_sort
+
+    return np.concatenate([front[crowding_rank(F[front]).order]
+                           for front in non_dominated_sort(F, cv)])
 
 
 def variation_scalar(parents, cfg, problem, rng):

@@ -32,5 +32,5 @@ def table_log(F, G=None, workers=None) -> EvaluationLog:
     problem = table_problem(F, G)
     log = EvaluationLog(len(F), problem)
     points = np.arange(len(F), dtype=float)[:, None]
-    log.evaluate(problem, 0 if workers is None else workers, points)
+    log.evaluate(0 if workers is None else workers, points)
     return log

@@ -203,6 +203,38 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(path)
 
+    @pytest.mark.parametrize("problem,entry,key", [
+        # before, these loaded: a bad alpha then failed every cell with
+        # "Dirichlet concentration entries must be positive", a NaN lambda
+        # trained on NaN rewards, a NaN nu ranked on NaN fitness, a NaN M
+        # paid every infeasible sample as a failure, and mutpb true ran as 1
+        ("dtlz2", {"name": "pearl-e", "alpha": -1}, "alpha"),
+        ("dtlz2", {"name": "pearl-e", "alpha": 0}, "alpha"),
+        ("dtlz2", {"name": "pearl-e", "alpha": float("nan")}, "alpha"),
+        ("dtlz2", {"name": "pearl-e", "alpha": [1.0, 0.0, 1.0]}, "alpha"),
+        ("dtlz2", {"name": "pearl-e", "lambda": float("nan")}, "lambda"),
+        ("ctp1", {"name": "pearl-eps", "nu": float("nan")}, "nu"),
+        ("ctp1", {"name": "c-pearl", "M": float("nan")}, "M"),
+        ("ctp1", {"name": "nsga2", "mutpb": True}, "mutpb"),
+        # before, these failed with "'<' not supported ...", naming no key
+        ("ctp1", {"name": "pearl-eps", "nu": "0.1"}, "nu"),
+        ("ctp1", {"name": "c-pearl", "M": "3"}, "M"),
+        ("ctp1", {"name": "nsga2", "mutpb": "0.3"}, "mutpb"),
+    ])
+    def test_engine_and_ga_reals_validated_at_load(self, tmp_path, problem, entry, key):
+        path, _ = small_config(tmp_path, problems=problem, algorithms=[entry])
+        with pytest.raises(ConfigError, match=rf"{entry['name']}.*: {key} must be"):
+            load_config(path)
+
+    @pytest.mark.parametrize("name", ["nsga2", "nsga3", "pearl-nds"])
+    @pytest.mark.parametrize("key", ["seed", "budget"])
+    def test_top_level_keys_rejected_in_an_entry(self, tmp_path, name, key):
+        # before, an NSGA entry failed with "GAConfig() got multiple values
+        # for keyword argument 'seed'"
+        path, _ = small_config(tmp_path, algorithms=[{"name": name, key: 1}])
+        with pytest.raises(ConfigError, match=f"key '{key}' is not a {name} entry key"):
+            load_config(path)
+
     @pytest.mark.parametrize("key", ["learning_rate", "clip_ratio", "entropy_coef",
                                      "value_coef", "init_log_std"])
     def test_trainer_float_setting_given_as_string_names_its_key(self, tmp_path, key):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from pearlkit.density import ReferenceDirectionSet, das_dennis
 from pearlkit.nsga import (
     GAConfig,
+    _fill_fronts,
     _niche_picks,
+    _run,
     _survivors_nsga3,
     _variation,
     nsga2_step,
@@ -33,30 +35,38 @@ def logged(problem):
     return EvaluationLog(4096, problem)
 
 
+def front_blocks(log, rows):
+    """The log rows ``rows`` in front blocks, best first, and the lengths of
+    the blocks, as ``_run`` hands its initial population to the first step."""
+    chosen, sizes, _ = _fill_fronts(log.F[rows], log.cv[rows], len(rows))
+    return rows[chosen], sizes
+
+
 def initial_population(problem, n, seed=0):
-    """A log and the rows of ``n`` uniform random points evaluated into it."""
+    """A log, and the rows of ``n`` uniform random points evaluated into it
+    in front blocks with the blocks' lengths."""
     log = logged(problem)
     rng = np.random.default_rng(seed)
-    return log, log.evaluate(problem, 0, rng.uniform(problem.lower, problem.upper,
-                                                     (n, problem.n_x)))
+    rows = log.evaluate(0, rng.uniform(problem.lower, problem.upper, (n, problem.n_x)))
+    return (log, *front_blocks(log, rows))
 
 
 class TestSteps:
     def test_population_size_preserved(self):
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=16, budget=10_000)
-        log, pop = initial_population(problem, 16)
+        log, pop, sizes = initial_population(problem, 16)
         rng = np.random.default_rng(1)
-        nxt, _ = nsga2_step(pop, log, cfg, problem, rng)
+        nxt, _ = nsga2_step(pop, sizes, log, cfg, rng)
         assert len(nxt) == 16
         assert len(log) == 32 and set(nxt.tolist()) <= set(range(32))
 
     def test_no_variation_degenerate(self):
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=8, mutpb=0.0, cxpb=0.0)
-        log, pop = initial_population(problem, 8, seed=2)
+        log, pop, sizes = initial_population(problem, 8, seed=2)
         rng = np.random.default_rng(2)
-        nxt, _ = nsga2_step(pop, log, cfg, problem, rng)
+        nxt, _ = nsga2_step(pop, sizes, log, cfg, rng)
         # offspring are copies; survivors must come from the original set
         originals = {tuple(x) for x in log.X[pop].tolist()}
         assert {tuple(x) for x in log.X[nxt].tolist()} <= originals
@@ -64,11 +74,10 @@ class TestSteps:
     def test_offspring_stay_in_box(self):
         problem = get_problem("ctp1")
         cfg = GAConfig(lambda_=32, mutpb=1.0, cxpb=1.0)
-        log, pop = initial_population(problem, 32, seed=3)
+        log, pop, sizes = initial_population(problem, 32, seed=3)
         rng = np.random.default_rng(3)
-        sizes = None
         for _ in range(5):
-            pop, sizes = nsga2_step(pop, log, cfg, problem, rng, sizes)
+            pop, sizes = nsga2_step(pop, sizes, log, cfg, rng)
         assert len(log) == 32 * 6
         assert np.all(log.X[:len(log)] >= problem.lower - 1e-12)
         assert np.all(log.X[:len(log)] <= problem.upper + 1e-12)
@@ -76,9 +85,9 @@ class TestSteps:
     def test_survivor_front_zero_matches_brute_force(self):
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=10)
-        log, pop = initial_population(problem, 10, seed=4)
+        log, pop, sizes = initial_population(problem, 10, seed=4)
         rng = np.random.default_rng(4)
-        nxt, _ = nsga2_step(pop, log, cfg, problem, rng)
+        nxt, _ = nsga2_step(pop, sizes, log, cfg, rng)
         # the merged pool is every row of the log
         expected = brute_force_front_indices(log.F[:len(log)], brute_force_dominates)
         if len(expected) <= cfg.pop_size:
@@ -92,19 +101,18 @@ class TestSteps:
         problem = table_problem(F, G)
         cfg = GAConfig(lambda_=4, mutpb=0.0, cxpb=0.0)
         log = logged(problem)
-        pop = log.evaluate(problem, 0, np.arange(4.0)[:, None])
-        nxt, _ = nsga2_step(pop, log, cfg, problem, np.random.default_rng(0))
+        pop, sizes = front_blocks(log, log.evaluate(0, np.arange(4.0)[:, None]))
+        nxt, _ = nsga2_step(pop, sizes, log, cfg, np.random.default_rng(0))
         assert log.cv[nxt[0]] == 0.0
 
     def test_elitism_no_regression(self):
         problem = get_problem("dtlz2")
         cfg = GAConfig(lambda_=12)
-        log, pop = initial_population(problem, 12, seed=5)
+        log, pop, sizes = initial_population(problem, 12, seed=5)
         rng = np.random.default_rng(5)
-        sizes = None
         for _ in range(10):
             before = log.F[pop]
-            pop, sizes = nsga2_step(pop, log, cfg, problem, rng, sizes)
+            pop, sizes = nsga2_step(pop, sizes, log, cfg, rng)
             # some survivor is non-dominated by the previous population
             assert any(not any(brute_force_dominates(o, f) for o in before) for f in log.F[pop])
 
@@ -116,19 +124,38 @@ class TestSteps:
         cfg = GAConfig(lambda_=8, pop_size=16, budget=10_000)
         dirs = das_dennis(3, 4)
         for step in (nsga2_step, nsga3_step):
-            log, pop = initial_population(problem, 16, seed=7)
+            log, pop, sizes = initial_population(problem, 16, seed=7)
             rng = np.random.default_rng(7)
-            sizes = None
             for generation in range(15):
                 if generation == 1:
                     assert len(pop) < 16
                 extra = (dirs,) if step is nsga3_step else ()
-                pop, sizes = step(pop, log, cfg, problem, rng, *extra,
-                                  sizes=sizes)
+                pop, sizes = step(pop, sizes, log, cfg, rng, *extra)
                 fresh = non_dominated_sort(log.F[pop], log.cv[pop])
                 ends = np.cumsum(sizes)
                 assert [front.tolist() for front in fresh] == [
                     list(range(end - size, end)) for size, end in zip(sizes, ends)]
+
+    def test_run_hands_its_first_step_the_initial_population_in_front_blocks(self):
+        problem = get_problem("ctp1")
+        cfg = GAConfig(lambda_=16, budget=48, seed=3)
+        first = []
+
+        def step(pop, sizes, log, cfg, rng):
+            if not first:
+                first.append((pop.copy(), list(sizes), len(log)))
+            return nsga2_step(pop, sizes, log, cfg, rng)
+
+        log = _run(problem, cfg, step).log
+        pop, sizes, logged_rows = first[0]
+        # every row of the initial population, and nothing else, is in a block
+        assert logged_rows == cfg.pop_size and sum(sizes) == len(pop)
+        assert sorted(pop.tolist()) == list(range(cfg.pop_size))
+        assert len(sizes) > 1
+        fresh = non_dominated_sort(log.F[pop], log.cv[pop])
+        ends = np.cumsum(sizes)
+        assert [front.tolist() for front in fresh] == [
+            list(range(end - size, end)) for size, end in zip(sizes, ends)]
 
 
 class TestVariation:
@@ -254,8 +281,8 @@ class TestNsga3:
         dirs = das_dennis(3, 4)
         steps = []
         for spec in (problem, slack):
-            log, pop = initial_population(spec, 12, seed=6)
-            rows, _ = nsga3_step(pop, log, cfg, spec, np.random.default_rng(9), dirs)
+            log, pop, sizes = initial_population(spec, 12, seed=6)
+            rows, _ = nsga3_step(pop, sizes, log, cfg, np.random.default_rng(9), dirs)
             steps.append(log.F[rows].tolist())
         assert steps[0] == steps[1]
 
@@ -334,12 +361,11 @@ class TestRuns:
         problem = get_problem("c2dtlz2")
         cfg = GAConfig(lambda_=12, budget=2000, seed=3)
         rng = np.random.default_rng(3)
-        log, pop = initial_population(problem, 12, seed=3)
+        log, pop, sizes = initial_population(problem, 12, seed=3)
         dirs = das_dennis(3, 4)
         seen_feasible = bool((log.cv[pop] == 0).any())
-        sizes = None
         for _ in range(40):
-            pop, sizes = nsga3_step(pop, log, cfg, problem, rng, dirs, sizes)
+            pop, sizes = nsga3_step(pop, sizes, log, cfg, rng, dirs)
             feasible = bool((log.cv[pop] == 0).any())
             if seen_feasible:
                 assert feasible

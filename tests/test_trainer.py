@@ -111,7 +111,7 @@ class TestRollout:
         policy = PolicyState(obs_dim=12, act_dim=12, cfg=cfg,
                              rng=np.random.default_rng(0), init_log_std=-0.75)
         log = EvaluationLog(cfg.batch_size(), problem)
-        batch = rollout(policy, workers, problem, cfg, log)
+        batch = rollout(policy, workers, cfg, log)
         assert len(batch.rewards) == 256
         assert batch.observations.shape == (256, 12)
         assert np.all((log.X >= 0) & (log.X <= 1))
@@ -137,7 +137,7 @@ class TestRollout:
 
         monkeypatch.setattr(trainer_module, "evaluate", exploding_evaluate)
         log = EvaluationLog(4, problem)
-        batch = rollout(policy, workers, problem, cfg, log=log)
+        batch = rollout(policy, workers, cfg, log=log)
         assert len(batch.rewards) == len(log) == 4
         assert log.reward[1] == -8.0  # full archive penalty
         assert np.isnan(log.F[1]).all() and np.isnan(log.cv[1])
@@ -153,7 +153,7 @@ class TestRollout:
                              rng=np.random.default_rng(0), init_log_std=-0.75)
         monkeypatch.setattr(trainer_module, "squash", lambda z: np.full_like(z, np.nan))
         log = EvaluationLog(3, problem)
-        batch = rollout(policy, workers, problem, cfg, log=log)
+        batch = rollout(policy, workers, cfg, log=log)
         assert log.reward.tolist() == [-8.0, -8.0, -8.0]
         assert batch.rewards.tolist() == [-1.0, -1.0, -1.0]
         assert np.isnan(log.F).all()
@@ -169,8 +169,8 @@ class TestRollout:
         ]
         policy = PolicyState(obs_dim=15, act_dim=12, cfg=cfg,
                              rng=np.random.default_rng(0), init_log_std=-0.75)
-        first = rollout(policy, workers, problem, cfg, EvaluationLog(16, problem))
-        second = rollout(policy, workers, problem, cfg, EvaluationLog(16, problem))
+        first = rollout(policy, workers, cfg, EvaluationLog(16, problem))
+        second = rollout(policy, workers, cfg, EvaluationLog(16, problem))
         for batch in (first, second):
             rays = batch.observations[:, 12:].reshape(2, 8, 3)
             for w in range(2):
@@ -208,7 +208,7 @@ class TestStackedRollout:
             workers = [Worker(i, engine, np.random.Generator(np.random.PCG64(streams[i])))
                        for i, engine in enumerate(self.ENGINES[engines]())]
             log = EvaluationLog(3 * cfg.batch_size(), problem)
-            batches = [collect(policy, workers, problem, cfg, log) for _ in range(3)]
+            batches = [collect(policy, workers, cfg, log) for _ in range(3)]
             runs.append((batches, log, [w.rng.bit_generator.state for w in workers]))
         (batches, log, states), (ref_batches, ref_log, ref_states) = runs
         assert np.isnan(log.cv).any()
@@ -516,8 +516,8 @@ class TestEvaluationLog:
         # row 1 returns a non-finite objective: a failed evaluation
         problem = table_problem([[1.0, 2.0], [np.inf, 1.0], [2.0, 1.0], [3.0, 0.0]])
         log = EvaluationLog(6, problem)
-        log.evaluate(problem, 0, [[0.0]])
-        rows = log.evaluate(problem, 0, np.arange(1.0, 4.0)[:, None])
+        log.evaluate(0, [[0.0]])
+        rows = log.evaluate(0, np.arange(1.0, 4.0)[:, None])
         assert rows.tolist() == [2, 3] and len(log) == 4
         assert np.isnan(log.F[1]).all() and np.isnan(log.cv[1])
         assert log.F[2:4].tolist() == [[2.0, 1.0], [3.0, 0.0]]
@@ -526,7 +526,7 @@ class TestEvaluationLog:
     def test_worker_per_row_is_recorded(self):
         problem = table_problem(np.ones((4, 2)))
         log = EvaluationLog(4, problem)
-        log.evaluate(problem, [3, 1, 4, 1], np.arange(4.0)[:, None])
+        log.evaluate([3, 1, 4, 1], np.arange(4.0)[:, None])
         assert log.worker.tolist() == [3, 1, 4, 1]
 
     def test_spec_error_mid_block_keeps_the_rows_before_it(self):
@@ -534,9 +534,9 @@ class TestEvaluationLog:
         problem = ProblemSpec("short-at-2", 1, 2, lambda x: np.ones(1 if x[0] == 2 else 2),
                               lower=np.zeros(1), upper=np.full(1, 3.0))
         log = EvaluationLog(5, problem)
-        log.evaluate(problem, 7, [[3.0]])
+        log.evaluate(7, [[3.0]])
         with pytest.raises(ProblemSpecError, match="short-at-2"):
-            log.evaluate(problem, [5, 6, 8, 9], np.arange(4.0)[:, None])
+            log.evaluate([5, 6, 8, 9], np.arange(4.0)[:, None])
         assert len(log) == 3
         assert log.worker[:3].tolist() == [7, 5, 6]
         assert log.F[:3].tolist() == [[1.0, 1.0]] * 3
@@ -544,6 +544,6 @@ class TestEvaluationLog:
     def test_empty_block_fills_nothing(self):
         problem = table_problem(np.ones((2, 2)))
         log = EvaluationLog(2, problem)
-        rows = log.evaluate(problem, 0, np.empty((0, 1)))
+        rows = log.evaluate(0, np.empty((0, 1)))
         assert rows.tolist() == [] and len(log) == 0
-        assert log.evaluate(problem, 0, [[1.0]]).tolist() == [0]
+        assert log.evaluate(0, [[1.0]]).tolist() == [0]
