@@ -25,8 +25,8 @@ print("best-first order:", ranked.order)   # boundaries first, crowded pair last
 
 # Reference directions: all lattice points k/p on the simplex.
 dirs = das_dennis(3, 2)
-print("\nDas-Dennis directions (F=3, p=2):\n", dirs.directions)
-print("count = binomial(F+p-1, p):", len(dirs.directions))
+print("\nDas-Dennis directions (F=3, p=2):\n", dirs)
+print("count = binomial(F+p-1, p):", len(dirs))
 
 # For an archive of capacity kappa, pick the smallest lattice with at
 # least one direction per slot.

@@ -16,7 +16,6 @@ from .pareto import (
 )
 from .density import (
     DensityRank,
-    ReferenceDirectionSet,
     crowding_rank,
     das_dennis,
     default_divisions,
@@ -57,7 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FEASIBILITY_TOL", "ParetoArchive", "best_front",
     "non_dominated_mask", "non_dominated_sort",
-    "DensityRank", "ReferenceDirectionSet", "crowding_rank", "das_dennis",
+    "DensityRank", "crowding_rank", "das_dennis",
     "default_divisions", "niching_rank",
     "CurriculumConstrained", "PearlEnvelope", "PearlEpsilon", "PearlNds",
     "RewardOutcome", "constraint_violation", "pearl_e_reward",

@@ -17,19 +17,6 @@ import numpy as np
 
 
 @dataclass
-class ReferenceDirectionSet:
-    """Unit-simplex directions used for niching.
-
-    ``directions`` has one row per direction; every row is nonnegative and
-    sums to 1.  ``divisions`` is the lattice resolution: the row count equals
-    binomial(F + divisions - 1, divisions).
-    """
-
-    directions: np.ndarray
-    divisions: int
-
-
-@dataclass
 class DensityRank:
     """Result of a density ranking.
 
@@ -92,15 +79,16 @@ def crowding_rank(front) -> DensityRank:
     return DensityRank(order=best_first(f, -dist, f.sum(axis=1), rows=rows), scores=dist)
 
 
-def associate(normalized: np.ndarray, dirs: ReferenceDirectionSet):
-    """Associate normalized points to their closest reference direction.
+def associate(normalized: np.ndarray, dirs: np.ndarray):
+    """Associate normalized points to their closest reference direction
+    (``dirs`` holds one direction per row).
 
     Returns ``(niche_index, perpendicular_distance)`` per point.  Distance is
     measured from the point to the ray through the origin along each
     direction; ties in the argmin resolve to the lowest direction index.
     """
     p = np.atleast_2d(np.asarray(normalized, dtype=float))
-    d = np.asarray(dirs.directions, dtype=float)
+    d = np.asarray(dirs, dtype=float)
     unit = d / np.linalg.norm(d, axis=1, keepdims=True)
     proj = p @ unit.T
     sq = np.sum(p * p, axis=1, keepdims=True) - proj**2
@@ -109,7 +97,7 @@ def associate(normalized: np.ndarray, dirs: ReferenceDirectionSet):
     return niche, dist[np.arange(len(p)), niche]
 
 
-def niching_rank(front, dirs: ReferenceDirectionSet) -> DensityRank:
+def niching_rank(front, dirs: np.ndarray) -> DensityRank:
     """Rank a mutually non-dominated set by niche occupancy, best first.
 
     Objectives are normalized to [0, 1] by the front's own componentwise
@@ -122,12 +110,15 @@ def niching_rank(front, dirs: ReferenceDirectionSet) -> DensityRank:
     if len(f) == 0:
         raise ValueError("niching_rank needs a non-empty front")
     niche, dist = associate(minmax_normalize(f, f.min(axis=0), f.max(axis=0)), dirs)
-    counts = np.bincount(niche, minlength=len(dirs.directions))
+    counts = np.bincount(niche, minlength=len(dirs))
     return DensityRank(order=best_first(f, counts[niche], dist), scores=dist)
 
 
-def das_dennis(n_obj: int, divisions: int) -> ReferenceDirectionSet:
-    """Systematic simplex-lattice directions: coordinates k_i / p, sum k_i = p."""
+def das_dennis(n_obj: int, divisions: int) -> np.ndarray:
+    """Systematic simplex-lattice directions: coordinates k_i / p, sum k_i = p.
+
+    Returns one row per direction: binomial(F + p - 1, p) rows, each
+    nonnegative and summing to 1."""
     if n_obj < 2:
         raise ValueError("need at least 2 objectives")
     if divisions < 1:
@@ -142,8 +133,7 @@ def das_dennis(n_obj: int, divisions: int) -> ReferenceDirectionSet:
             recurse(prefix + [k], remaining - 1, left - k)
 
     recurse([], n_obj, divisions)
-    directions = np.asarray(rows, dtype=float) / divisions
-    return ReferenceDirectionSet(directions=directions, divisions=divisions)
+    return np.asarray(rows, dtype=float) / divisions
 
 
 def default_divisions(n_obj: int, min_count: int) -> int:

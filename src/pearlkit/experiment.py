@@ -157,12 +157,7 @@ def load_config(source) -> ExperimentConfig:
     for spec in algorithms:
         for problem in config.problems:
             try:
-                _, make_engine = _cell_run(config, spec, get_problem(problem), config.seeds[0])
-                if make_engine:
-                    make_engine()
-                if spec.name == "pearl-e" and get_problem(problem).n_constraints:
-                    raise ValueError("pearl-e ignores constraints; on a constrained problem "
-                                     "use c-pearl with inner: pearl-e")
+                _cell_run(config, spec, get_problem(problem), config.seeds[0])
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"{spec.name} entry {spec.label!r} on {problem}: {err}") from None
     return config
@@ -222,18 +217,22 @@ ALGORITHMS = (*_ENGINES, *_NSGA_RUNS)
 
 def _cell_run(config: ExperimentConfig, spec: AlgorithmSpec, problem: ProblemSpec,
               seed: int):
-    """Build and validate one cell's settings from its config entry.  Returns
-    the call that runs the cell and the engine factory it trains with (None
-    for NSGA).  Neither draws RNG nor writes anything."""
+    """Check every setting of one cell's config entry, building one engine to
+    do so, and return the call that runs the cell.  Draws no RNG and writes
+    nothing."""
     params = dict(spec.params)
     if spec.name in _NSGA_RUNS:
         ga = nsga.GAConfig(budget=config.budget, seed=seed, **params).validate()
-        return (lambda: _NSGA_RUNS[spec.name](problem, ga)), None
+        return partial(_NSGA_RUNS[spec.name], problem, ga)
     trainer = {key: params.pop(key) for key in _TRAINER_KEYS & params.keys()}
     cfg = TrainerConfig(n_steps=config.n_steps, ncores=config.ncores, budget=config.budget,
                         seed=seed, **trainer).validate()
     make_engine = partial(_ENGINES[spec.name], problem, params)
-    return (lambda: train(problem, make_engine, cfg)), make_engine
+    make_engine()
+    if spec.name == "pearl-e" and problem.n_constraints:
+        raise ValueError("pearl-e ignores constraints; on a constrained problem "
+                         "use c-pearl with inner: pearl-e")
+    return partial(train, problem, make_engine, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +246,10 @@ def _fmt(value: float) -> str:
 _CSV_CHUNK_ROWS = 1024  # bounds the Python floats alive while writing
 
 
-def write_evaluations_csv(result: RunResult, problem: ProblemSpec, path: Path):
+def write_evaluations_csv(result: RunResult, path: Path):
     """One line per log row, each value as ``repr(float)``, written a chunk
     of rows at a time; the bytes are those ``csv.writer`` would write."""
-    log = result.log
+    log, problem = result.log, result.log.problem
     header = (["step", "worker"]
               + [f"x{i + 1}" for i in range(problem.n_x)]
               + [f"f{i + 1}" for i in range(problem.n_obj)]
@@ -268,10 +267,10 @@ def write_evaluations_csv(result: RunResult, problem: ProblemSpec, path: Path):
                                              log.worker[rows].tolist(), values))
 
 
-def write_front_csv(result: RunResult, problem: ProblemSpec, path: Path):
+def write_front_csv(result: RunResult, path: Path):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([f"f{i + 1}" for i in range(problem.n_obj)])
+        writer.writerow([f"f{i + 1}" for i in range(result.log.problem.n_obj)])
         for f in result.log.F[result.front].tolist():
             writer.writerow([_fmt(v) for v in f])
 
@@ -294,18 +293,18 @@ def _load_feasible_front(front_path: Path) -> np.ndarray:
     return front if summary["feasible_front_size"] else front[:0]
 
 
-def _cell_metrics(run_id: str, label: str, problem: ProblemSpec,
-                  result: RunResult) -> MetricReport:
+def _cell_metrics(run_id: str, label: str, result: RunResult) -> MetricReport:
     # an infeasible set is no front: it scores hv 0 and no distances
-    log = result.log
+    log, problem = result.log, result.log.problem
     front = log.F[result.front[log.cv[result.front] == 0]]
     hv = hypervolume(front, problem.nadir) if len(front) else 0.0
+    gd_v = igd_v = eps_v = float("nan")
     try:
         ref = reference_front(problem, 1000)
-        gd_v, igd_v = gd(front, ref), igd(front, ref)
-        eps_v = additive_epsilon(front, ref)
-    except (FileNotFoundError, ValueError):
-        gd_v = igd_v = eps_v = float("nan")
+    except FileNotFoundError:  # no reference front is registered
+        ref = None
+    if ref is not None and len(front):
+        gd_v, igd_v, eps_v = gd(front, ref), igd(front, ref), additive_epsilon(front, ref)
     return MetricReport(
         run_id=run_id, algorithm=label, problem=problem.name,
         hv=hv, gd=gd_v, igd=igd_v, eps=eps_v,
@@ -314,14 +313,13 @@ def _cell_metrics(run_id: str, label: str, problem: ProblemSpec,
 
 def _run_cell(config: ExperimentConfig, spec: AlgorithmSpec, problem_name: str,
               seed: int, cell_dir: Path) -> MetricReport:
-    problem = get_problem(problem_name)
-    run, _ = _cell_run(config, spec, problem, seed)
-    result = run()
+    result = _cell_run(config, spec, get_problem(problem_name), seed)()
+    problem = result.log.problem
     cell_dir.mkdir(parents=True, exist_ok=True)
-    write_evaluations_csv(result, problem, cell_dir / "evaluations.csv")
-    write_front_csv(result, problem, cell_dir / "front.csv")
+    write_evaluations_csv(result, cell_dir / "evaluations.csv")
+    write_front_csv(result, cell_dir / "front.csv")
     run_id = f"{spec.label}-{problem.name}-seed{seed}"
-    report = _cell_metrics(run_id, spec.label, problem, result)
+    report = _cell_metrics(run_id, spec.label, result)
     summary = {
         "run_id": run_id,
         "algorithm": spec.label,
@@ -374,7 +372,7 @@ def run_experiment(source, force: bool = False, parallel_cells: int = 1) -> Path
              for problem in config.problems
              for seed in config.seeds]
 
-    task = _CellTask(config, out)
+    task = partial(_cell_task, config, out)
     reports, failures = [], []
     if parallel_cells > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -393,22 +391,17 @@ def run_experiment(source, force: bool = False, parallel_cells: int = 1) -> Path
     return out
 
 
-class _CellTask:
-    """Cell executor; picklable, so --parallel-cells can ship it to workers."""
-
-    def __init__(self, config: ExperimentConfig, out: Path):
-        self.config = config
-        self.out = out
-
-    def __call__(self, cell):
-        spec, problem, seed = cell
-        cell_dir = self.out / spec.label / problem / f"seed{seed}"
-        try:
-            return _run_cell(self.config, spec, problem, seed, cell_dir), None
-        except Exception as err:  # noqa: BLE001
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            (cell_dir / "FAILED").write_text(traceback.format_exc())
-            return None, (cell, err)
+def _cell_task(config: ExperimentConfig, out: Path, cell):
+    """Run one cell, or leave a FAILED marker with the traceback.  Bound by
+    ``partial`` it pickles, so --parallel-cells can ship it to workers."""
+    spec, problem, seed = cell
+    cell_dir = out / spec.label / problem / f"seed{seed}"
+    try:
+        return _run_cell(config, spec, problem, seed, cell_dir), None
+    except Exception as err:  # noqa: BLE001
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        (cell_dir / "FAILED").write_text(traceback.format_exc())
+        return None, (cell, err)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .density import (ReferenceDirectionSet, associate, best_first, crowding_rank, das_dennis,
-                      default_divisions, minmax_normalize)
+from .density import (associate, best_first, crowding_rank, das_dennis, default_divisions,
+                      minmax_normalize)
 from .pareto import _positive_int, _real, non_dominated_sort
 from .problems import ProblemSpec
 from .trainer import EvaluationLog, RunResult
@@ -153,7 +153,7 @@ def _survivors_nsga2(F: np.ndarray, cv: np.ndarray, n: int) -> tuple[np.ndarray,
 
 
 def _survivors_nsga3(F: np.ndarray, cv: np.ndarray, n: int,
-                     dirs: ReferenceDirectionSet) -> tuple[np.ndarray, list[int]]:
+                     dirs: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """As ``_survivors_nsga2``, with the first front that does not fit cut
     down by niching on the reference directions ``dirs``."""
     chosen, sizes, last = _fill_fronts(F, cv, n)
@@ -165,7 +165,7 @@ def _survivors_nsga3(F: np.ndarray, cv: np.ndarray, n: int,
 
 
 def _niche_picks(F: np.ndarray, chosen: np.ndarray, last: np.ndarray, need: int,
-                 dirs: ReferenceDirectionSet) -> np.ndarray:
+                 dirs: np.ndarray) -> np.ndarray:
     """Positions of the ``need`` members of the front ``last`` (``need <
     len(last)``) that best fill the niches the positions ``chosen`` leave
     least filled, in the order they are picked.
@@ -181,7 +181,7 @@ def _niche_picks(F: np.ndarray, chosen: np.ndarray, last: np.ndarray, need: int,
     start = len(chosen)
     objs = F[np.concatenate([chosen, last])]
     niche, dist = associate(minmax_normalize(objs, objs.min(axis=0), objs.max(axis=0)), dirs)
-    counts = np.bincount(niche[:start], minlength=len(dirs.directions))
+    counts = np.bincount(niche[:start], minlength=len(dirs))
 
     candidates = best_first(objs[start:], dist[start:])
     niches = niche[start:][candidates].tolist()
@@ -224,7 +224,7 @@ def nsga2_step(pop: np.ndarray, sizes: list[int], log: EvaluationLog, cfg: GACon
 
 def nsga3_step(pop: np.ndarray, sizes: list[int], log: EvaluationLog, cfg: GAConfig,
                rng: np.random.Generator,
-               dirs: ReferenceDirectionSet) -> tuple[np.ndarray, list[int]]:
+               dirs: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """One generation: ES variation, merge with parents, niching selection;
     arguments and result as in ``nsga2_step``."""
     pool = np.concatenate([pop, _offspring(pop, sizes, log, cfg, rng)])
@@ -261,7 +261,7 @@ def run_nsga2(problem: ProblemSpec, cfg: GAConfig) -> RunResult:
 
 
 def run_nsga3(problem: ProblemSpec, cfg: GAConfig,
-              dirs: Optional[ReferenceDirectionSet] = None) -> RunResult:
+              dirs: Optional[np.ndarray] = None) -> RunResult:
     if dirs is None:
         dirs = das_dennis(problem.n_obj, default_divisions(problem.n_obj, cfg.pop_size))
     return _run(problem, cfg, partial(nsga3_step, dirs=dirs))

@@ -296,7 +296,7 @@ def sphere_front(n_points: int, n_obj: int = 3) -> np.ndarray:
     from .density import das_dennis, default_divisions
 
     p = default_divisions(n_obj, n_points)
-    dirs = das_dennis(n_obj, p).directions
+    dirs = das_dennis(n_obj, p)
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     return _subsample(dirs / norms, n_points)
 

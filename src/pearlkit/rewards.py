@@ -68,8 +68,8 @@ def sample_preferences(alpha, count: int, rng: np.random.Generator) -> np.ndarra
     and sums to 1.
     """
     a = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if np.any(a <= 0):
-        raise ValueError("Dirichlet concentration entries must be positive")
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise ValueError("Dirichlet concentration entries must be positive and finite")
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
@@ -239,8 +239,8 @@ class PearlEnvelope:
         if self.rays is None:
             raise RuntimeError("resample() must run before scoring")
         r = -log.F[row]  # a cost becomes a reward
-        self.bounds.update(r)
-        if self.normalized_obj:
+        if self.normalized_obj:  # nothing else reads the bounds
+            self.bounds.update(r)
             r = self.bounds.normalize(r)
         reward = pearl_e_reward(r, self.rays, self.lambda_, self.uniformity)
         return RewardOutcome(reward=reward, archived=False)

@@ -329,7 +329,7 @@ def niching_rank_scalar(front, dirs):
     lo, hi = f.min(axis=0), f.max(axis=0)
     normalized = np.vstack([minmax_scalar(row, lo, hi) for row in f])
     niche, dist = associate(normalized, dirs)
-    counts = [0] * len(dirs.directions)
+    counts = [0] * len(dirs)
     for k in niche:
         counts[k] += 1
     order = sorted(range(len(f)), key=lambda i: (counts[niche[i]], dist[i], tuple(f[i])))
@@ -403,7 +403,7 @@ def nsga3_survivors_scalar(f, cv, n, dirs):
     lo, hi = objs.min(axis=0), objs.max(axis=0)
     normalized = np.vstack([minmax_scalar(row, lo, hi) for row in objs])
     niche, dist = associate(normalized, dirs)
-    counts = [0] * len(dirs.directions)
+    counts = [0] * len(dirs)
     for k in niche[: len(chosen)]:
         counts[k] += 1
     available = list(range(len(chosen), len(considered)))
@@ -430,7 +430,7 @@ def niche_picks_scalar(F, chosen, last, need, dirs):
     start = len(chosen)
     objs = F[np.concatenate([chosen, last])]
     niche, dist = associate(minmax_normalize(objs, objs.min(axis=0), objs.max(axis=0)), dirs)
-    counts = np.bincount(niche[:start], minlength=len(dirs.directions))
+    counts = np.bincount(niche[:start], minlength=len(dirs))
     candidates = best_first(objs[start:], dist[start:])
     niches = niche[start:][candidates]
     taken = np.zeros(len(candidates), dtype=bool)
@@ -592,9 +592,11 @@ def ctp_constraint_scalar(f1, f2, theta, a, b, c, d, e):
     return rhs - lhs
 
 
-def write_evaluations_csv_scalar(log, problem, path):
+def write_evaluations_csv_scalar(log, path):
     """Scalar reference for ``write_evaluations_csv``: one ``csv.writer``
     row per step, each value formatted on its own as ``repr(float(v))``."""
+    problem = log.problem
+
     def fmt(value):
         return repr(float(value))
 

@@ -170,7 +170,7 @@ class TestNichingRank:
     def test_niche_counts_sum_to_front_size(self):
         rng = np.random.default_rng(31)
         dirs = das_dennis(3, 3)
-        unit = dirs.directions / np.linalg.norm(dirs.directions, axis=1, keepdims=True)
+        unit = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
         for _ in range(50):
             n = int(rng.integers(1, 15))
             front = rng.random((n, 3))
@@ -197,25 +197,25 @@ class TestNichingRank:
 
 class TestDasDennis:
     def test_simplex_corners(self):
-        dirs = das_dennis(3, 1).directions
+        dirs = das_dennis(3, 1)
         expect = {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
         assert {tuple(d) for d in dirs} == expect
 
     def test_midpoint_lattice(self):
-        dirs = das_dennis(2, 2).directions
+        dirs = das_dennis(2, 2)
         expect = {(1.0, 0.0), (0.5, 0.5), (0.0, 1.0)}
         assert {tuple(d) for d in dirs} == expect
 
     def test_three_objectives_two_divisions(self):
-        assert len(das_dennis(3, 2).directions) == 6
+        assert len(das_dennis(3, 2)) == 6
 
     def test_counts_match_binomial(self):
         for f in range(2, 6):
             for p in range(1, 7):
-                assert len(das_dennis(f, p).directions) == math.comb(f + p - 1, p)
+                assert len(das_dennis(f, p)) == math.comb(f + p - 1, p)
 
     def test_rows_sum_to_one(self):
-        dirs = das_dennis(4, 5).directions
+        dirs = das_dennis(4, 5)
         assert np.allclose(dirs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(dirs >= 0)
 

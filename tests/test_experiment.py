@@ -377,10 +377,10 @@ class TestRun:
 
         original = exp._cell_metrics
 
-        def flaky(run_id, label, problem, result):
+        def flaky(run_id, label, result):
             if run_id.endswith("seed1"):
                 raise RuntimeError("synthetic cell failure")
-            return original(run_id, label, problem, result)
+            return original(run_id, label, result)
 
         monkeypatch.setattr(exp, "_cell_metrics", flaky)
         with pytest.raises(RuntimeError, match="seed1"):
@@ -429,6 +429,32 @@ class TestRun:
             assert summary["front_size"] > 0
             assert summary["feasible_front_size"] == 0
 
+    def test_no_registered_reference_front_scores_no_distances(self, tmp_path, monkeypatch):
+        import pearlkit.experiment as exp
+
+        no_front = dataclasses.replace(get_problem("dtlz2"), name="no-front", front=None)
+        monkeypatch.setattr(exp, "get_problem", lambda name: no_front)
+        path, _ = small_config(tmp_path, problems="no-front", seeds=[0],
+                               algorithms=[{"name": "nsga2", "lambda_": 8}])
+        (report,) = read_metric_csv(run_experiment(path) / "metrics.csv")
+        assert report.hv > 0.0
+        assert np.isnan([report.gd, report.igd, report.eps]).all()
+
+    def test_reference_front_of_wrong_width_fails_the_cell(self, tmp_path, monkeypatch):
+        # a spec error, not a missing reference front to score NaN
+        import pearlkit.experiment as exp
+
+        bad_front = dataclasses.replace(get_problem("dtlz2"), name="bad-front",
+                                        front=lambda n: np.zeros((n, 2)))
+        monkeypatch.setattr(exp, "get_problem", lambda name: bad_front)
+        path, _ = small_config(tmp_path, problems="bad-front", seeds=[0],
+                               algorithms=[{"name": "nsga2", "lambda_": 8}])
+        with pytest.raises(RuntimeError, match="1 cell"):
+            run_experiment(path)
+        failed = tmp_path / "out" / "nsga2" / "bad-front" / "seed0" / "FAILED"
+        assert "dimensions differ" in failed.read_text()
+        assert not (tmp_path / "out" / "nsga2" / "bad-front" / "seed0" / "summary.json").exists()
+
     def test_cell_metrics_carry_no_cardinality_columns(self, tmp_path):
         path, _ = small_config(tmp_path, seeds=[0])
         out = run_experiment(path)
@@ -458,9 +484,9 @@ class TestEvaluationsCsv:
         return dataclasses.replace(problem, name="flaky-c2dtlz2", objectives=objectives)
 
     @staticmethod
-    def assert_matches_oracle(result, problem, tmp_path):
-        write_evaluations_csv(result, problem, tmp_path / "bulk.csv")
-        write_evaluations_csv_scalar(result.log, problem, tmp_path / "oracle.csv")
+    def assert_matches_oracle(result, tmp_path):
+        write_evaluations_csv(result, tmp_path / "bulk.csv")
+        write_evaluations_csv_scalar(result.log, tmp_path / "oracle.csv")
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_trainer_log_with_failures_matches_scalar_writer(self, tmp_path):
@@ -471,7 +497,7 @@ class TestEvaluationsCsv:
         assert failed.any() and not failed.all()
         # some failure was paid below -kappa by the batch fix-up
         assert (result.log.reward[failed] < -8.0).any()
-        self.assert_matches_oracle(result, problem, tmp_path)
+        self.assert_matches_oracle(result, tmp_path)
 
     def test_nsga_log_with_failures_matches_scalar_writer(self, tmp_path):
         problem = self.flaky_c2dtlz2()
@@ -479,7 +505,7 @@ class TestEvaluationsCsv:
         result = run_nsga2(problem, GAConfig(lambda_=16, budget=1100, seed=1))
         assert len(result.log) == 1088
         assert np.isnan(result.log.F).all(axis=1).any()
-        self.assert_matches_oracle(result, problem, tmp_path)
+        self.assert_matches_oracle(result, tmp_path)
 
 
 class TestCompare:

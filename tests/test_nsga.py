@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pearlkit.density import ReferenceDirectionSet, das_dennis
+from pearlkit.density import das_dennis
 from pearlkit.nsga import (
     GAConfig,
     _fill_fronts,
@@ -247,7 +247,7 @@ def niche_cases(draw):
                                       min_size=m, max_size=m), min_size=2, max_size=n))
         rows += draw(st.lists(st.sampled_from(rows), max_size=4))  # twin rows
         F = np.array(rows)
-        dirs = (ReferenceDirectionSet(np.full((1, m), 1.0 / m), 1) if kind == "one-niche"
+        dirs = (np.full((1, m), 1.0 / m) if kind == "one-niche"
                 else das_dennis(m, draw(st.integers(1, 4))))
         n_chosen = draw(st.integers(0, len(F) - 2))
     order = np.array(draw(st.permutations(range(len(F)))), dtype=np.intp)

@@ -53,6 +53,12 @@ class TestSamplePreferences:
         with pytest.raises(ValueError):
             sample_preferences((1.0, 0.0), 4, np.random.default_rng(3))
 
+    @pytest.mark.parametrize("alpha", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0)])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # NaN drew all-NaN rays and inf drew [nan, 0, 0] rows
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_preferences(alpha, 2, np.random.default_rng(3))
+
 
 class TestEnvelopeReward:
     def test_linear_scalarization_when_lambda_zero(self):
