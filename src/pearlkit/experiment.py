@@ -97,11 +97,13 @@ def load_config(source) -> ExperimentConfig:
     problems = _as_list(raw.get("problems") or [])
     if not problems:
         raise ConfigError("key 'problems' is required")
-    for name in problems:
-        try:
-            get_problem(name)
-        except KeyError as err:
-            raise ConfigError(f"key 'problems': {err.args[0]}") from None
+    try:
+        # cells, FAILED names and metrics.csv all use the registered name
+        problems = [get_problem(name).name for name in problems]
+    except KeyError as err:
+        raise ConfigError(f"key 'problems': {err.args[0]}") from None
+    if len(set(problems)) != len(problems):
+        raise ConfigError(f"key 'problems' names a problem twice: {problems}")
     algo_raw = _as_list(raw.get("algorithms") or [])
     if not algo_raw:
         raise ConfigError("key 'algorithms' is required")
@@ -124,9 +126,10 @@ def load_config(source) -> ExperimentConfig:
     if len(set(labels)) != len(labels):
         raise ConfigError("key 'algorithms': labels must be unique "
                           "(set 'label' explicitly)")
-    budget = raw.get("budget")
-    if not isinstance(budget, int) or budget <= 0:
-        raise ConfigError("key 'budget' must be a positive integer")
+    try:
+        budget = _positive_int("budget", raw.get("budget"))
+    except ValueError as err:
+        raise ConfigError(f"key 'budget': {err}") from None
     seeds = raw.get("seeds")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("key 'seeds' must be a non-empty list")
@@ -149,8 +152,8 @@ def load_config(source) -> ExperimentConfig:
         except ValueError as err:
             raise ConfigError(f"key {key!r}: {err}") from None
     config = ExperimentConfig(
-        version=CONFIG_VERSION, problems=[str(p) for p in problems],
-        algorithms=algorithms, budget=int(budget),
+        version=CONFIG_VERSION, problems=problems,
+        algorithms=algorithms, budget=budget,
         seeds=seeds, output_dir=str(output_dir),
         raw=raw, **batch,
     )
@@ -432,67 +435,51 @@ def compare(run_dirs, alpha: float = 0.05) -> list[ComparisonResult]:
     are recomputed against the combined per-seed reference front built from
     the stored front files (no problem re-evaluation), where a front
     with no feasible member counts as empty.  Statistics run on the
-    hypervolume matrix when at least two seeds are shared.
+    hypervolume matrix when at least two seeds are shared.  A (problem,
+    label, seed) cell found twice across ``run_dirs`` is an error.
     """
-    run_dirs = [Path(d) for d in run_dirs]
-    reports = []
-    for d in run_dirs:
-        metrics = d / "metrics.csv"
+    cells: dict = {}  # (problem, label, seed) -> (hv, front.csv path)
+    for run_dir in map(Path, run_dirs):
+        metrics = run_dir / "metrics.csv"
         if not metrics.exists():
-            raise FileNotFoundError(f"{d} has no metrics.csv")
-        reports.extend(read_metric_csv(metrics))
-
-    by_problem: dict = {}
-    front_dir: dict = {}
-    for d in run_dirs:
-        for front_path in d.glob("*/*/seed*/front.csv"):
-            label, problem, seed_name = front_path.parts[-4:-1]
-            front_dir[(label, problem, int(seed_name.removeprefix("seed")))] = front_path
-    for report in reports:
-        by_problem.setdefault(report.problem, []).append(report)
+            raise FileNotFoundError(f"{run_dir} has no metrics.csv")
+        for r in read_metric_csv(metrics):
+            seed = _seed_of(r.run_id)
+            key = (r.problem, r.algorithm, seed)
+            path = run_dir / r.algorithm / r.problem / f"seed{seed}" / "front.csv"
+            if key in cells:
+                raise ValueError(f"cell {r.run_id} is found twice: {cells[key][1]} and {path}")
+            cells[key] = (r.hv, path)
 
     results = []
-    for problem_name, rows in sorted(by_problem.items()):
-        algorithms = sorted({r.algorithm for r in rows})
+    for problem_name in sorted({problem for problem, _, _ in cells}):
+        keys = [(a, s) for problem, a, s in cells if problem == problem_name]
+        algorithms = sorted({a for a, _ in keys})
+        shared = sorted({s for _, s in keys})
         if len(algorithms) < 2:
             raise ValueError(
                 f"problem {problem_name}: need at least 2 algorithms to compare")
-        seeds_by_algo = {
-            a: {_seed_of(r.run_id) for r in rows if r.algorithm == a}
-            for a in algorithms
-        }
-        shared = sorted(set.intersection(*seeds_by_algo.values()))
-        missing = [
-            f"{a}:seed{s}"
-            for a in algorithms
-            for s in sorted(set.union(*seeds_by_algo.values()) - seeds_by_algo[a])
-        ]
+        missing = [f"{a}:seed{s}" for a in algorithms for s in shared
+                   if (problem_name, a, s) not in cells]
         if missing:
             raise ValueError(
                 f"problem {problem_name}: mismatched seed sets; missing cells: "
                 + ", ".join(missing))
 
-        hv = {(r.algorithm, _seed_of(r.run_id)): r.hv for r in rows}
         per_algo_metrics: dict = {a: {m: [] for m in ("hv", "gd", "igd", "eps", "i_c", "c_metric")}
                                   for a in algorithms}
         for seed in shared:
-            fronts = {}
-            for a in algorithms:
-                path = front_dir.get((a, problem_name, seed))
-                if path is None:
-                    raise FileNotFoundError(
-                        f"missing front.csv for {a}/{problem_name}/seed{seed}")
-                fronts[a] = _load_feasible_front(path)
+            fronts = {a: _load_feasible_front(cells[(problem_name, a, seed)][1])
+                      for a in algorithms}
             pool = np.vstack(list(fronts.values()))
             combined = pool[non_dominated_mask(pool)]
             cardinality = cardinality_metrics(fronts)
             for a in algorithms:
                 front = fronts[a]
-                per_algo_metrics[a]["hv"].append(hv[(a, seed)])
-                per_algo_metrics[a]["gd"].append(gd(front, combined) if len(front) else np.nan)
-                per_algo_metrics[a]["igd"].append(igd(front, combined) if len(front) else np.nan)
-                per_algo_metrics[a]["eps"].append(
-                    additive_epsilon(front, combined) if len(front) else np.nan)
+                per_algo_metrics[a]["hv"].append(cells[(problem_name, a, seed)][0])
+                for metric, indicator in (("gd", gd), ("igd", igd), ("eps", additive_epsilon)):
+                    per_algo_metrics[a][metric].append(
+                        indicator(front, combined) if len(front) else np.nan)
                 i_c, c_m = cardinality[a]
                 per_algo_metrics[a]["i_c"].append(i_c)
                 per_algo_metrics[a]["c_metric"].append(c_m)
@@ -502,7 +489,7 @@ def compare(run_dirs, alpha: float = 0.05) -> list[ComparisonResult]:
                 for m, v in per_algo_metrics[a].items()}
             for a in algorithms
         }
-        hv_matrix = np.array([[hv[(a, s)] for a in algorithms] for s in shared])
+        hv_matrix = np.array([per_algo_metrics[a]["hv"] for a in algorithms]).T
         warnings = []
         fr = nem = None
         if len(shared) >= 2:

@@ -245,6 +245,7 @@ class MetricReport:
 
 
 METRIC_FIELDS = ["run_id", "algorithm", "problem", "hv", "gd", "igd", "eps"]
+_TEXT_FIELDS, _VALUE_FIELDS = METRIC_FIELDS[:3], METRIC_FIELDS[3:]
 
 
 def write_metric_csv(reports, path):
@@ -252,22 +253,13 @@ def write_metric_csv(reports, path):
         writer = csv.writer(handle)
         writer.writerow(METRIC_FIELDS)
         for report in reports:
-            writer.writerow([
-                report.run_id, report.algorithm, report.problem,
-                repr(float(report.hv)), repr(float(report.gd)),
-                repr(float(report.igd)), repr(float(report.eps)),
-            ])
+            writer.writerow([getattr(report, name) for name in _TEXT_FIELDS]
+                            + [repr(float(getattr(report, name))) for name in _VALUE_FIELDS])
 
 
 def read_metric_csv(path) -> list[MetricReport]:
     with open(path, newline="") as handle:
         rows = list(csv.DictReader(handle))
-    return [
-        MetricReport(
-            run_id=row["run_id"], algorithm=row["algorithm"], problem=row["problem"],
-            hv=float(row["hv"]), gd=float(row["gd"]), igd=float(row["igd"]),
-            eps=float(row["eps"]),
-        )
-        for row in rows
-    ]
-
+    return [MetricReport(**{name: row[name] for name in _TEXT_FIELDS},
+                         **{name: float(row[name]) for name in _VALUE_FIELDS})
+            for row in rows]

@@ -71,6 +71,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seeds"):
             load_config(path)
 
+    def test_budget_true_is_rejected_under_its_key(self, tmp_path):
+        # a bool is an int, so true passed the top-level check before and
+        # failed later under an entry's name
+        path, _ = small_config(tmp_path, budget=True)
+        with pytest.raises(ConfigError, match="key 'budget'"):
+            load_config(path)
+
+    def test_repeated_problem_rejected(self, tmp_path):
+        # two spellings of one registered problem would write the same cells
+        path, _ = small_config(tmp_path, problems=["ctp1", "CTP1"])
+        with pytest.raises(ConfigError, match="key 'problems' names a problem twice"):
+            load_config(path)
+
     @pytest.mark.parametrize("key", ["problems", "algorithms"])
     def test_only_the_plural_keys_are_read(self, tmp_path, key):
         path, config = small_config(tmp_path)
@@ -627,6 +640,32 @@ class TestCompare:
         summary_path.write_text(json.dumps(summary))
         with pytest.raises(ValueError, match=re.escape(str(summary_path))):
             compare([out])
+
+    def test_problem_alias_compares_under_the_registered_name(self, tmp_path):
+        path, _ = small_config(tmp_path, problems="CTP-1", seeds=[0, 1], algorithms=[
+            {"name": "pearl-nds", "kappa": 8}, {"name": "nsga2", "lambda_": 8}])
+        out = run_experiment(path)
+        assert sorted(p.name for p in out.glob("*/*")) == ["ctp1", "ctp1"]
+        assert json.loads((out / "config.json").read_text())["problems"] == "CTP-1"
+        res = compare([out])[0]
+        assert (res.problem, res.seeds) == ("ctp1", [0, 1])
+
+    def test_label_in_two_runs_is_rejected(self, tmp_path):
+        # before, the second run's nsga2 hypervolumes silently replaced the first's
+        runs = []
+        for lambda_ in (8, 16):
+            (tmp_path / str(lambda_)).mkdir()
+            path, _ = small_config(tmp_path / str(lambda_), seeds=[0], algorithms=[
+                {"name": "pearl-nds", "kappa": 8, "label": f"pearl-{lambda_}"},
+                {"name": "nsga2", "lambda_": lambda_}])
+            runs.append(run_experiment(path))
+        with pytest.raises(ValueError, match="cell nsga2-ctp1-seed0 is found twice"):
+            compare(runs)
+
+    def test_same_run_twice_is_rejected(self, tmp_path):
+        out = self.run_two_algorithms(tmp_path, seeds=(0,))
+        with pytest.raises(ValueError, match="cell pearl-nds-crowding-ctp1-seed0 is found twice"):
+            compare([out, out])
 
     def test_mismatched_seeds_error_lists_missing_cells(self, tmp_path):
         out_a = self.run_two_algorithms(tmp_path, seeds=(0, 1))

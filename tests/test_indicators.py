@@ -254,6 +254,9 @@ class TestMetricCsv:
         write_metric_csv(reports, path)
         back = read_metric_csv(path)
         assert back == reports
+        assert path.read_bytes().splitlines(keepends=True)[:2] == [
+            b"run_id,algorithm,problem,hv,gd,igd,eps\r\n",
+            b"a-p-seed0,a,p,26.5,0.01,0.02,0.1\r\n"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
