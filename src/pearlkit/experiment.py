@@ -97,6 +97,9 @@ def load_config(source) -> ExperimentConfig:
     problems = _as_list(raw.get("problems") or [])
     if not problems:
         raise ConfigError("key 'problems' is required")
+    for name in problems:
+        if not isinstance(name, str):
+            raise ConfigError(f"key 'problems': a problem name is a string, not {name!r}")
     try:
         # cells, FAILED names and metrics.csv all use the registered name
         problems = [get_problem(name).name for name in problems]

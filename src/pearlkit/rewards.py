@@ -39,26 +39,28 @@ if TYPE_CHECKING:
 KAPPA = 64  # default archive size of the rank engines
 
 
-def constraint_violation(values, weights=None) -> float:
+def constraint_violation(values, weights=None) -> float | np.ndarray:
     """Weighted squared distance from the feasible region.
 
     The entries are raw ``g(x) <= 0`` constraint values and contribute
     ``max(0, g_i)**2``, weighted by ``weights`` (default 1).  Violations
     below FEASIBILITY_TOL count as satisfied, so the result is 0 exactly for
-    feasible inputs.
+    feasible inputs.  ``values`` is one row, which gives a float, or an
+    ``(n, m)`` block, which gives the ``n`` row violations as an array: the
+    same expression reduced along the last axis, so each equals its row's
+    own call bit for bit.
     """
     v = np.atleast_1d(np.asarray(values, dtype=float))
-    if v.size == 0:
-        return 0.0
-    excess = np.where(v > FEASIBILITY_TOL, v, 0.0)
-    if weights is None:  # unit weights: multiplying by 1.0 is exact
-        return float(np.add.reduce(excess**2))
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if w.shape != v.shape:
-        raise ValueError("weights must match the constraint vector length")
-    if np.any(w <= 0):
-        raise ValueError("constraint weights must be strictly positive")
-    return float(np.add.reduce(w * excess**2))
+    squares = np.where(v > FEASIBILITY_TOL, v, 0.0) ** 2
+    if weights is not None:  # None is unit weights: multiplying by 1.0 is exact
+        w = np.atleast_1d(np.asarray(weights, dtype=float))
+        if w.shape != v.shape[-1:]:
+            raise ValueError("weights must match the constraint vector length")
+        if np.any(w <= 0):
+            raise ValueError("constraint weights must be strictly positive")
+        squares = w * squares
+    total = np.add.reduce(squares, axis=-1)
+    return float(total) if v.ndim == 1 else total
 
 
 def sample_preferences(alpha, count: int, rng: np.random.Generator) -> np.ndarray:

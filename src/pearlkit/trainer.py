@@ -245,25 +245,34 @@ class EvaluationLog:
         warning, its row holds NaN objectives, constraints and violation,
         and it is otherwise skipped.  A ``ProblemSpecError`` is a
         misdeclared problem and propagates: the rows before it stay filled
-        and counted, and ``len(log)`` ends before its row.
+        and counted, and ``len(log)`` ends before its row.  One block
+        ``constraint_violation`` call fills ``cv`` for the succeeded rows
+        when the loop ends, by a ``ProblemSpecError`` too; it equals one
+        call per row bit for bit.
         """
         first, end = self._n, self._n + len(X)
         self.worker[first:end], self.X[first:end] = worker, X
-        for i in range(first, end):
-            try:
-                # the module-level name, looked up per call, so that a
-                # wrapper installed on it sees every evaluation
-                f, g = evaluate(self.problem, self.X[i])
-            except ProblemSpecError:
-                raise
-            except Exception:  # noqa: BLE001 - flagged, never aborts the run
-                logger.warning("evaluation of %s failed at step %d", self.problem.name, i,
-                               exc_info=True)
-                self.F[i] = self.G[i] = self.cv[i] = np.nan
-            else:
-                self.F[i], self.G[i], self.cv[i] = f, g, constraint_violation(g)
-            self._n = i + 1
-        return first + np.flatnonzero(~np.isnan(self.cv[first:end]))
+        succeeded = []
+        try:
+            for i in range(first, end):
+                try:
+                    # the module-level name, looked up per call, so that a
+                    # wrapper installed on it sees every evaluation
+                    f, g = evaluate(self.problem, self.X[i])
+                except ProblemSpecError:
+                    raise
+                except Exception:  # noqa: BLE001 - flagged, never aborts the run
+                    logger.warning("evaluation of %s failed at step %d", self.problem.name, i,
+                                   exc_info=True)
+                    self.F[i] = self.G[i] = self.cv[i] = np.nan
+                else:
+                    self.F[i], self.G[i] = f, g
+                    succeeded.append(i)
+                self._n = i + 1
+        finally:
+            rows = np.array(succeeded, dtype=np.intp)
+            self.cv[rows] = constraint_violation(self.G[rows])
+        return rows
 
     def front(self) -> np.ndarray:
         """The rows a run reports as its front: ``best_front`` over the rows

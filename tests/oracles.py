@@ -579,6 +579,17 @@ def c2dtlz2_constraint_scalar(f, r=0.5):
     return min(corner, center)
 
 
+def c2dtlz2_constraint_numpy(f, radius=0.5):
+    """The array form of ``problems.c2dtlz2_constraint``, its bitwise
+    reference: squares, sums and the corner minimum taken by numpy."""
+    f = np.asarray(f, dtype=float)
+    sq = f**2
+    total = float(np.add.reduce(sq))
+    corner = float(np.minimum.reduce((f - 1.0) ** 2 + (total - sq) - radius**2))
+    center = total - 2.0 * float(np.add.reduce(f)) / math.sqrt(f.size) + 1.0 - radius**2
+    return np.array([min(corner, center)])
+
+
 def c3dtlz4_constraint_scalar(f):
     total = sum(v * v for v in f)
     return [1.0 - fi * fi / 4.0 - (total - fi * fi) for fi in f]

@@ -84,6 +84,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="key 'problems' names a problem twice"):
             load_config(path)
 
+    @pytest.mark.parametrize("problems", [[5], [None], [{"a": 1}], ["dtlz2", 2.5], 5])
+    def test_non_string_problem_rejected_under_its_key(self, tmp_path, problems):
+        # get_problem calls name.lower(), so a non-string is caught before it
+        path, _ = small_config(tmp_path, problems=problems)
+        with pytest.raises(ConfigError, match="key 'problems': a problem name is a string"):
+            load_config(path)
+
     @pytest.mark.parametrize("key", ["problems", "algorithms"])
     def test_only_the_plural_keys_are_read(self, tmp_path, key):
         path, config = small_config(tmp_path)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from pearlkit.experiment import run_experiment
-from pearlkit.problems import PROBLEMS, evaluate
+from pearlkit.problems import PROBLEMS, evaluate, reference_front
 from pearlkit.rewards import constraint_violation
 
 CELLS = {
@@ -172,3 +172,19 @@ def test_problem_evaluation_digest(name):
         f, g = evaluate(problem, x)
         digest.update(f.tobytes() + g.tobytes() + np.float64(constraint_violation(g)).tobytes())
     assert digest.hexdigest() == PROBLEM_DIGESTS[name]
+
+
+# sha256 of the bytes of ``reference_front(c2dtlz2, n)``, which every c2dtlz2
+# cell's gd and igd read; computed before ``c2dtlz2_constraint``, which
+# picks the front's feasible candidates, moved to float arithmetic
+C2DTLZ2_FRONT_DIGESTS = {
+    100: "e09fda81e08773ae5711d0d68bfa4e371bf36bddde0b6da3eb26dc8fa34fc7a8",
+    1000: "42f1455594957445fb2487d6eed0e463b3a84e97318a68f78a5ee8f5ade56ae4",
+}
+
+
+@pytest.mark.parametrize("n", sorted(C2DTLZ2_FRONT_DIGESTS))
+def test_c2dtlz2_reference_front_digest(n):
+    front = reference_front(PROBLEMS["c2dtlz2"], n)
+    assert front.shape == (n, 3) and front.dtype == np.float64
+    assert hashlib.sha256(front.tobytes()).hexdigest() == C2DTLZ2_FRONT_DIGESTS[n]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from pearlkit.problems import (
     _CTP_PARAMS,
     ProblemSpec,
     ProblemSpecError,
+    c2dtlz2_constraint,
     ctp1_constraint,
     ctp1_objectives,
     ctp_constraint,
@@ -164,6 +166,20 @@ class TestAgainstIndependentOracles:
             assert f == pytest.approx(
                 oracles.dtlz2_scalar(x), abs=1e-9)
 
+    def test_c2dtlz2_constraint_equals_the_numpy_form_bit_for_bit(self):
+        # random objective rows around the feasible caps, every row of the
+        # box-edge levels, and c2dtlz2 evaluated at every point of the
+        # levels the golden points use
+        rng = np.random.default_rng(11)
+        levels = [0.0, 0.5, 1.0]
+        rows = list(rng.random((100_000, 3)) * 1.5)
+        rows += [np.array(row) for row in itertools.product(levels, repeat=3)]
+        rows += [dtlz2_objectives(np.array(x))
+                 for x in itertools.product(levels, repeat=7)]
+        for f in rows:
+            assert (c2dtlz2_constraint(f).tobytes()
+                    == oracles.c2dtlz2_constraint_numpy(f).tobytes()), f.tolist()
+
     def test_c3dtlz4_constraint_matches_oracle(self):
         problem = get_problem("c3-dtlz4")
         rng = np.random.default_rng(8)
@@ -242,8 +258,6 @@ class TestReferenceFronts:
 
     def test_c2dtlz2_front_feasible_sphere_points(self):
         front = reference_front(get_problem("c2dtlz2"), 100)
-        from pearlkit.problems import c2dtlz2_constraint
-
         assert np.allclose(np.sum(front**2, axis=1), 1.0, atol=1e-9)
         for row in front:
             assert float(c2dtlz2_constraint(row)[0]) <= 1e-12

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pearlkit.density import das_dennis, niching_rank
+from pearlkit.pareto import FEASIBILITY_TOL
 from pearlkit.rewards import (
     CurriculumConstrained,
     PearlEnvelope,
@@ -237,6 +238,24 @@ class TestConstraintViolation:
 
     def test_tolerance_boundary(self):
         assert constraint_violation([1e-13]) == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 17])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "random-weights"])
+    def test_block_equals_each_row_bit_for_bit(self, m, weighted):
+        rng = np.random.default_rng(m)
+        G = rng.standard_normal((2000, m)) * rng.choice([1e-13, 1e-6, 1.0, 1e3], (2000, 1))
+        special = np.array([np.inf, FEASIBILITY_TOL, -FEASIBILITY_TOL, -np.inf, 0.0, -1.0])
+        G[::7, 0] = special[np.arange(0, 2000, 7) % len(special)]
+        G[::5, -1] = FEASIBILITY_TOL
+        weights = rng.uniform(0.1, 10.0, m) if weighted else None
+        block = constraint_violation(G, weights=weights)
+        rows = np.array([constraint_violation(g, weights=weights) for g in G])
+        assert block.shape == (len(G),) and block.tobytes() == rows.tobytes()
+        assert np.isinf(block).any() and (block == 0).any()
+
+    def test_block_without_constraints_is_zeros(self):
+        assert constraint_violation(np.empty((5, 0))).tolist() == [0.0] * 5
+        assert constraint_violation(np.empty(0)) == 0.0
 
 
 class TestCurriculumConstrained:

@@ -9,7 +9,8 @@ from pearlkit import problems
 from pearlkit.experiment import _ENGINES, run_experiment
 from pearlkit.pareto import FEASIBILITY_TOL
 from pearlkit.problems import ProblemSpec, ProblemSpecError, get_problem
-from pearlkit.rewards import CurriculumConstrained, PearlEnvelope, PearlEpsilon, PearlNds
+from pearlkit.rewards import (CurriculumConstrained, PearlEnvelope, PearlEpsilon, PearlNds,
+                              constraint_violation)
 from pearlkit.trainer import (
     LOG_STD_MIN,
     EvaluationLog,
@@ -540,6 +541,30 @@ class TestEvaluationLog:
         assert len(log) == 3
         assert log.worker[:3].tolist() == [7, 5, 6]
         assert log.F[:3].tolist() == [[1.0, 1.0]] * 3
+
+    def test_spec_error_mid_block_leaves_the_rows_before_it_their_cv(self):
+        # x = 5 returns two constraint values of the one declared; the cv of
+        # the rows before it is filled although the block never finishes
+        G = [[0.25], [1.5], [np.nan], [-1.0], [np.inf], [1.0, 1.0]]
+        problem = ProblemSpec("long-g-at-5", 1, 2, lambda x: np.ones(2),
+                              constraints=lambda x, f: np.array(G[int(x[0])]), n_constraints=1,
+                              lower=np.zeros(1), upper=np.full(1, 5.0))
+        log = EvaluationLog(6, problem)
+        log.evaluate(0, [[0.0]])
+        first = len(log)
+        with pytest.raises(ProblemSpecError, match="long-g-at-5"):
+            log.evaluate(0, np.arange(1.0, 6.0)[:, None])
+        assert len(log) == first + 4
+        for row in (0, 1, 3, 4):
+            assert log.cv[row].tobytes() == np.float64(constraint_violation(G[row])).tobytes()
+        assert np.isnan(log.cv[2]) and np.isnan(log.G[2]).all()
+
+    def test_nan_constraint_fails_its_row_and_inf_is_valid(self):
+        log = EvaluationLog(3, table_problem(np.ones((3, 2)), [[np.nan], [np.inf], [0.5]]))
+        rows = log.evaluate(0, np.arange(3.0)[:, None])
+        assert rows.tolist() == [1, 2] and len(log) == 3
+        assert np.isnan(log.cv[0]) and np.isnan(log.F[0]).all()
+        assert log.cv[1:].tolist() == [np.inf, 0.25]
 
     def test_empty_block_fills_nothing(self):
         problem = table_problem(np.ones((2, 2)))
