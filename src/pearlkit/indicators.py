@@ -103,9 +103,12 @@ _DISTANCE_BLOCK = 32_768  # pair distances per block; bounds the temporaries
 
 
 def _nearest_distances(points: np.ndarray, targets: np.ndarray,
-                       chebyshev: bool = False) -> np.ndarray:
+                       chebyshev: bool = False, signed: bool = False) -> np.ndarray:
     """Distance from each row of ``points`` to its nearest row of ``targets``:
     Euclidean, or the largest coordinate difference when ``chebyshev``.
+    When ``signed``, the distance from ``p`` to ``t`` is the shift
+    ``max_k (t_k - p_k)``, the smallest that lets ``t`` weakly dominate
+    ``p``; it is negative when ``t`` dominates ``p`` with a margin.
 
     Rows are taken a block at a time and objectives one at a time, so the
     temporaries hold about ``_DISTANCE_BLOCK`` pair distances.  Squares are
@@ -115,7 +118,12 @@ def _nearest_distances(points: np.ndarray, targets: np.ndarray,
     """
     if points.shape[1] != targets.shape[1]:
         raise ValueError("point and target dimensions differ")
-    term, fold = (np.abs, np.maximum) if chebyshev else (np.square, np.add)
+    if signed:
+        # (-p) - (-t) is t - p bit for bit; -(p - t) would make a tie -0.0
+        points, targets = -points, -targets
+        term, fold = np.positive, np.maximum
+    else:
+        term, fold = (np.abs, np.maximum) if chebyshev else (np.square, np.add)
     rows = max(1, _DISTANCE_BLOCK // len(targets))
     acc = np.empty((min(rows, len(points)), len(targets)))
     diff = np.empty_like(acc)
@@ -128,7 +136,7 @@ def _nearest_distances(points: np.ndarray, targets: np.ndarray,
             term(np.subtract.outer(block[:, k], targets[:, k], out=d), out=d)
             fold(a, d, out=a)
         a.min(axis=1, out=nearest[start:start + len(block)])
-    return nearest if chebyshev else np.sqrt(nearest, out=nearest)
+    return nearest if chebyshev or signed else np.sqrt(nearest, out=nearest)
 
 
 def gd(front, reference) -> float:
@@ -155,10 +163,7 @@ def additive_epsilon(front, reference) -> float:
     z = np.atleast_2d(np.asarray(reference, dtype=float))
     if f.size == 0 or z.size == 0:
         raise ValueError("additive_epsilon needs non-empty sets")
-    shifts = f[:, None, 0] - z[None, :, 0]  # (front, ref), one objective at a time
-    for k in range(1, f.shape[1]):
-        np.maximum(shifts, f[:, None, k] - z[None, :, k], out=shifts)
-    return float(np.max(np.min(shifts, axis=0)))
+    return float(np.max(_nearest_distances(z, f, signed=True)))
 
 
 def cardinality_metrics(fronts_by_algorithm: Mapping[str, np.ndarray]):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional
@@ -73,9 +74,9 @@ class ProblemSpec:
         if self.nadir.shape != (self.n_obj,):
             raise ValueError(f"{self.name}: nadir needs shape ({self.n_obj},), "
                              f"not {self.nadir.shape}")
-        # the box with evaluate's slack, built once: the box is frozen
-        object.__setattr__(self, "_slack_lower", self.lower - 1e-9)
-        object.__setattr__(self, "_slack_upper", self.upper + 1e-9)
+        # the box with evaluate's slack, built once as floats: the box is frozen
+        object.__setattr__(self, "_slack_lower", (self.lower - 1e-9).tolist())
+        object.__setattr__(self, "_slack_upper", (self.upper + 1e-9).tolist())
 
 
 def _read_only(values) -> np.ndarray:
@@ -100,8 +101,10 @@ def evaluate(problem: ProblemSpec, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n_x,):
         raise ValueError(f"{problem.name} expects {problem.n_x} decision variables")
-    # a NaN coordinate fails the box test
-    if not np.logical_and.reduce((x >= problem._slack_lower) & (x <= problem._slack_upper)):
+    # a NaN coordinate fails the box test: every comparison with NaN is false
+    values = x.tolist()
+    if not (all(map(operator.le, problem._slack_lower, values))
+            and all(map(operator.le, values, problem._slack_upper))):
         raise ValueError(f"point outside the box of {problem.name}")
     f = np.asarray(problem.objectives(x), dtype=float)
     if f.shape != (problem.n_obj,):
@@ -110,7 +113,9 @@ def evaluate(problem: ProblemSpec, x) -> tuple[np.ndarray, np.ndarray]:
     if problem.constraints is None:
         g = np.empty(0)
     else:
-        g = np.atleast_1d(np.asarray(problem.constraints(x, f), dtype=float))
+        g = np.asarray(problem.constraints(x, f), dtype=float)
+        if g.ndim == 0:  # one constraint, returned as a scalar
+            g = g.reshape(1)
         if g.shape != (problem.n_constraints,):
             raise ProblemSpecError(f"{problem.name} declares {problem.n_constraints} "
                                    f"constraints, got {g.size}")
@@ -154,64 +159,97 @@ def _subsample(points: np.ndarray, n: int) -> np.ndarray:
 # dtlz family (scalable sphere/curve/disconnected fronts), 3 objectives here.
 # ---------------------------------------------------------------------------
 
-def _hypersphere(angles: np.ndarray, scale: float) -> np.ndarray:
+def _reduce_sum(values: list) -> float:
+    """The sum ``np.add.reduce`` takes of a contiguous float64 row, bit for
+    bit, on Python floats.
+
+    numpy adds a row of fewer than 8 entries left to right.  Up to 128
+    entries it keeps eight interleaved partial sums, ``r[j]`` over entries
+    ``j, j + 8, j + 16, ...``, combines them as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds the
+    entries past the last multiple of 8 left to right.  A longer row is
+    split at half its length, rounded down to a multiple of 8, and each half
+    summed the same way.  Every sum starts from the identity ``0.0``, which
+    only turns an all ``-0.0`` row into ``0.0``, as numpy's does.
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _reduce_sum(values[:half]) + _reduce_sum(values[half:])
+    total, stop = 0.0, 0
+    if n >= 8:
+        r = values[:8]
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            r = list(map(operator.add, r, values[i:i + 8]))
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[stop:]:
+        total += v
+    return total
+
+
+def _hypersphere(angles: list, scale: float) -> np.ndarray:
     """``f[i] = scale * prod(cos(angles[:k])) * sin(angles[k])`` with
-    ``k = n_obj - 1 - i`` (no sine factor for ``i = 0``).  The cosine
-    prefix products are formed left to right, the order of ``np.prod``."""
-    cos = np.cos(angles).tolist()
-    sin = np.sin(angles).tolist()
-    prefix = [1.0]
-    for c in cos:
-        prefix.append(prefix[-1] * c)
-    m = len(cos)
-    return np.array([scale * prefix[m]]
-                    + [scale * prefix[k] * sin[k] for k in range(m - 1, -1, -1)])
+    ``k = n_obj - 1 - i`` (no sine factor for ``i = 0``).
+
+    The arithmetic runs on Python floats and equals the array form bit for
+    bit where ``math.cos``/``math.sin`` equal ``np.cos``/``np.sin`` (the
+    CI log prints whether they do): the cosine prefix is multiplied up left
+    to right, the order of ``np.prod``, and each objective multiplies
+    ``scale`` by its prefix before its sine.
+    """
+    f, prefix = [], 1.0
+    for angle in angles:
+        f.append(scale * prefix * math.sin(angle))
+        prefix *= math.cos(angle)
+    f.append(scale * prefix)
+    return np.array(f[::-1])
+
+
+def _distance_g(tail: list) -> float:
+    """The DTLZ2 distance ``sum((t - 0.5) ** 2)`` over the tail of ``x``;
+    ``(t - 0.5) * (t - 0.5)`` is the square numpy takes for ``** 2``."""
+    return _reduce_sum([(t - 0.5) * (t - 0.5) for t in tail])
 
 
 def dtlz2_objectives(x, n_obj=3):
-    x = np.asarray(x, dtype=float)
-    xp, xm = x[: n_obj - 1], x[n_obj - 1:]
-    g = float(np.add.reduce((xm - 0.5) ** 2))
-    return _hypersphere(xp * np.pi / 2, 1.0 + g)
+    values = np.asarray(x, dtype=float).tolist()
+    g = _distance_g(values[n_obj - 1:])
+    return _hypersphere([t * math.pi / 2 for t in values[: n_obj - 1]], 1.0 + g)
 
 
 def dtlz4_objectives(x, n_obj=3, alpha=100.0):
+    # ``**`` stays in numpy: Python's power differs from np.power on a few
+    # percent of values at this exponent
     x = np.asarray(x, dtype=float)
-    xp, xm = x[: n_obj - 1], x[n_obj - 1:]
-    g = float(np.add.reduce((xm - 0.5) ** 2))
-    return _hypersphere((xp ** alpha) * np.pi / 2, 1.0 + g)
+    g = _distance_g(x[n_obj - 1:].tolist())
+    return _hypersphere([t * math.pi / 2 for t in (x[: n_obj - 1] ** alpha).tolist()], 1.0 + g)
 
 
-def _dtlz5_angles(xp: np.ndarray, g: float) -> np.ndarray:
-    angles = np.empty_like(xp)
-    angles[0] = xp[0] * np.pi / 2
-    angles[1:] = np.pi / (4.0 * (1.0 + g)) * (1.0 + 2.0 * g * xp[1:])
-    return angles
+def _dtlz5_angles(xp: list, g: float) -> list:
+    scale, slope = math.pi / (4.0 * (1.0 + g)), 2.0 * g
+    return [xp[0] * math.pi / 2] + [scale * (1.0 + slope * t) for t in xp[1:]]
 
 
 def dtlz5_objectives(x, n_obj=3):
-    x = np.asarray(x, dtype=float)
-    xp, xm = x[: n_obj - 1], x[n_obj - 1:]
-    g = float(np.add.reduce((xm - 0.5) ** 2))
-    return _hypersphere(_dtlz5_angles(xp, g), 1.0 + g)
+    values = np.asarray(x, dtype=float).tolist()
+    g = _distance_g(values[n_obj - 1:])
+    return _hypersphere(_dtlz5_angles(values[: n_obj - 1], g), 1.0 + g)
 
 
 def dtlz6_objectives(x, n_obj=3):
+    # ``** 0.1`` stays in numpy, as in dtlz4
     x = np.asarray(x, dtype=float)
-    xp, xm = x[: n_obj - 1], x[n_obj - 1:]
-    g = float(np.add.reduce(xm ** 0.1))
-    return _hypersphere(_dtlz5_angles(xp, g), 1.0 + g)
+    g = _reduce_sum((x[n_obj - 1:] ** 0.1).tolist())
+    return _hypersphere(_dtlz5_angles(x[: n_obj - 1].tolist(), g), 1.0 + g)
 
 
 def dtlz7_objectives(x, n_obj=3):
-    x = np.asarray(x, dtype=float)
-    xp, xm = x[: n_obj - 1], x[n_obj - 1:]
-    g = 1.0 + 9.0 * (float(np.add.reduce(xm)) / xm.size)
-    f = np.empty(n_obj)
-    f[: n_obj - 1] = xp
-    h = n_obj - float(np.add.reduce(xp / (1.0 + g) * (1.0 + np.sin(3.0 * np.pi * xp))))
-    f[n_obj - 1] = (1.0 + g) * h
-    return f
+    values = np.asarray(x, dtype=float).tolist()
+    xp, xm = values[: n_obj - 1], values[n_obj - 1:]
+    g = 1.0 + 9.0 * (_reduce_sum(xm) / len(xm))
+    h = n_obj - _reduce_sum([t / (1.0 + g) * (1.0 + math.sin(3.0 * math.pi * t)) for t in xp])
+    return np.array(xp + [(1.0 + g) * h])
 
 
 def c2dtlz2_constraint(f: np.ndarray, radius: float = 0.5) -> np.ndarray:

@@ -45,13 +45,14 @@ def constraint_violation(values, weights=None) -> float | np.ndarray:
     The entries are raw ``g(x) <= 0`` constraint values and contribute
     ``max(0, g_i)**2``, weighted by ``weights`` (default 1).  Violations
     below FEASIBILITY_TOL count as satisfied, so the result is 0 exactly for
-    feasible inputs.  ``values`` is one row, which gives a float, or an
+    feasible inputs, and a NaN entry gives a NaN violation, never a
+    satisfied constraint.  ``values`` is one row, which gives a float, or an
     ``(n, m)`` block, which gives the ``n`` row violations as an array: the
     same expression reduced along the last axis, so each equals its row's
     own call bit for bit.
     """
     v = np.atleast_1d(np.asarray(values, dtype=float))
-    squares = np.where(v > FEASIBILITY_TOL, v, 0.0) ** 2
+    squares = np.where(v <= FEASIBILITY_TOL, 0.0, v) ** 2  # a NaN entry stays NaN
     if weights is not None:  # None is unit weights: multiplying by 1.0 is exact
         w = np.atleast_1d(np.asarray(weights, dtype=float))
         if w.shape != v.shape[-1:]:

@@ -197,6 +197,18 @@ def nearest_distances_scalar(points, targets, chebyshev=False):
     return np.array(nearest)
 
 
+def additive_epsilon_full(front, reference):
+    """Reference for ``indicators.additive_epsilon``: the whole
+    ``(front, reference)`` matrix of shifts ``max_i (a_i - z_i)``, one
+    objective at a time, then ``max_z min_a``."""
+    f = np.atleast_2d(np.asarray(front, dtype=float))
+    z = np.atleast_2d(np.asarray(reference, dtype=float))
+    shifts = f[:, None, 0] - z[None, :, 0]
+    for k in range(1, f.shape[1]):
+        np.maximum(shifts, f[:, None, k] - z[None, :, k], out=shifts)
+    return float(np.max(np.min(shifts, axis=0)))
+
+
 def monte_carlo_hypervolume(front, ref, n_samples, seed=0, chunk=2_000_000):
     """Monte-Carlo estimate of the dominated box-union volume (minimization).
 
@@ -588,6 +600,73 @@ def c2dtlz2_constraint_numpy(f, radius=0.5):
     corner = float(np.minimum.reduce((f - 1.0) ** 2 + (total - sq) - radius**2))
     center = total - 2.0 * float(np.add.reduce(f)) / math.sqrt(f.size) + 1.0 - radius**2
     return np.array([min(corner, center)])
+
+
+def _hypersphere_numpy(angles, scale):
+    cos = np.cos(angles).tolist()
+    sin = np.sin(angles).tolist()
+    prefix = [1.0]
+    for c in cos:
+        prefix.append(prefix[-1] * c)
+    m = len(cos)
+    return np.array([scale * prefix[m]]
+                    + [scale * prefix[k] * sin[k] for k in range(m - 1, -1, -1)])
+
+
+def _dtlz5_angles_numpy(xp, g):
+    angles = np.empty_like(xp)
+    angles[0] = xp[0] * np.pi / 2
+    angles[1:] = np.pi / (4.0 * (1.0 + g)) * (1.0 + 2.0 * g * xp[1:])
+    return angles
+
+
+def dtlz2_numpy(x, n_obj=3):
+    """The array forms of the ``problems.dtlz*_objectives``, their bitwise
+    references: sums by ``np.add.reduce``, angles and sines by numpy."""
+    x = np.asarray(x, dtype=float)
+    xp, xm = x[: n_obj - 1], x[n_obj - 1:]
+    g = float(np.add.reduce((xm - 0.5) ** 2))
+    return _hypersphere_numpy(xp * np.pi / 2, 1.0 + g)
+
+
+def dtlz4_numpy(x, n_obj=3, alpha=100.0):
+    x = np.asarray(x, dtype=float)
+    xp, xm = x[: n_obj - 1], x[n_obj - 1:]
+    g = float(np.add.reduce((xm - 0.5) ** 2))
+    return _hypersphere_numpy((xp ** alpha) * np.pi / 2, 1.0 + g)
+
+
+def dtlz5_numpy(x, n_obj=3):
+    x = np.asarray(x, dtype=float)
+    xp, xm = x[: n_obj - 1], x[n_obj - 1:]
+    g = float(np.add.reduce((xm - 0.5) ** 2))
+    return _hypersphere_numpy(_dtlz5_angles_numpy(xp, g), 1.0 + g)
+
+
+def dtlz6_numpy(x, n_obj=3):
+    x = np.asarray(x, dtype=float)
+    xp, xm = x[: n_obj - 1], x[n_obj - 1:]
+    g = float(np.add.reduce(xm ** 0.1))
+    return _hypersphere_numpy(_dtlz5_angles_numpy(xp, g), 1.0 + g)
+
+
+def dtlz7_numpy(x, n_obj=3):
+    x = np.asarray(x, dtype=float)
+    xp, xm = x[: n_obj - 1], x[n_obj - 1:]
+    g = 1.0 + 9.0 * (float(np.add.reduce(xm)) / xm.size)
+    f = np.empty(n_obj)
+    f[: n_obj - 1] = xp
+    h = n_obj - float(np.add.reduce(xp / (1.0 + g) * (1.0 + np.sin(3.0 * np.pi * xp))))
+    f[n_obj - 1] = (1.0 + g) * h
+    return f
+
+
+def in_box_numpy(problem, x):
+    """The array form of ``evaluate``'s box test, 1e-9 slack on each face;
+    a NaN coordinate fails it."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.logical_and.reduce((x >= problem.lower - 1e-9)
+                                      & (x <= problem.upper + 1e-9)))
 
 
 def c3dtlz4_constraint_scalar(f):

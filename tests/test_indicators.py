@@ -16,7 +16,7 @@ from pearlkit.indicators import (
 )
 from pearlkit.pareto import non_dominated_mask
 
-from oracles import monte_carlo_hypervolume, nearest_distances_scalar
+from oracles import additive_epsilon_full, monte_carlo_hypervolume, nearest_distances_scalar
 
 
 def random_min_front(rng, n_points, n_obj):
@@ -107,6 +107,36 @@ class TestDistances:
             if eps <= 0:
                 for z in ref:
                     assert any(np.all(a <= z + 1e-12) for a in front)
+
+
+    def test_epsilon_equals_the_full_matrix_form_bit_for_bit(self):
+        # random pairs of 1 to 60 points in 2 to 4 objectives; ties from
+        # shared rows and from a quarter grid, so a tie's shift is 0.0
+        rng = np.random.default_rng(19)
+        for trial in range(3000):
+            n_obj = int(rng.integers(2, 5))
+            front = rng.random((int(rng.integers(1, 61)), n_obj))
+            ref = rng.random((int(rng.integers(1, 61)), n_obj))
+            if trial % 3 == 0:
+                ref = np.vstack([ref, front[: int(rng.integers(1, len(front) + 1))]])
+            elif trial % 3 == 1:
+                front = np.vstack([front, ref])
+            if trial % 5 == 0:
+                front, ref = np.round(front * 4) / 4, np.round(ref * 4) / 4
+            want = additive_epsilon_full(front, ref)
+            assert (np.float64(additive_epsilon(front, ref)).tobytes()
+                    == np.float64(want).tobytes()), trial
+        front = rng.random((40, 3))
+        assert np.float64(additive_epsilon(front, front)).tobytes() == np.float64(0.0).tobytes()
+
+    def test_epsilon_spans_distance_blocks(self):
+        front, ref = distance_cases()[-1]
+        assert additive_epsilon(front, ref) == additive_epsilon_full(front, ref)
+        assert additive_epsilon(ref, front) == additive_epsilon_full(ref, front)
+
+    def test_epsilon_dimension_mismatch_is_usage_error(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            additive_epsilon(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 def distance_cases():

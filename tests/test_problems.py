@@ -11,6 +11,7 @@ from pearlkit.problems import (
     PROBLEMS,
     _CTP_PARAMS,
     ProblemSpec,
+    _reduce_sum,
     ProblemSpecError,
     c2dtlz2_constraint,
     ctp1_constraint,
@@ -205,6 +206,86 @@ class TestAgainstIndependentOracles:
 
         assert _CTP1_A == pytest.approx([0.858, 0.728], abs=5e-4)
         assert _CTP1_B == pytest.approx([0.541, 0.295], abs=5e-4)
+
+
+class TestFloatFormsEqualNumpy:
+    """The objective bodies and ``evaluate``'s box test run on Python floats;
+    each must equal the numpy form it replaced bit for bit (the array forms
+    live in oracles.py)."""
+
+    NUMPY_FORMS = {
+        "dtlz2": oracles.dtlz2_numpy,
+        "dtlz4": oracles.dtlz4_numpy,
+        "dtlz5": oracles.dtlz5_numpy,
+        "dtlz6": oracles.dtlz6_numpy,
+        "dtlz7": oracles.dtlz7_numpy,
+        "c2dtlz2": oracles.dtlz2_numpy,
+        "c3dtlz4": oracles.dtlz4_numpy,
+    }
+
+    def test_reduce_sum_equals_np_add_reduce(self):
+        # mixed signs and magnitudes from 1e-8 to 1e8 at every length from 0
+        # to 300: the left fold, the eight partial sums and the split
+        rng = np.random.default_rng(31)
+        for n in range(301):
+            rows = [rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n) for _ in range(20)]
+            rows += [np.full(n, -0.0), rng.choice([0.0, -0.0], n)]
+            for row in rows:
+                got = np.float64(_reduce_sum(row.tolist())).tobytes()
+                assert got == np.add.reduce(row).tobytes(), (n, row.tolist())
+
+    def test_math_sine_and_cosine_equal_numpy(self):
+        # the dtlz angles lie in [0, pi/2] and dtlz7's sine argument in
+        # [0, 3 pi]; a build whose np.sin or np.cos differs from libm's
+        # fails here before it fails a golden pin
+        rng = np.random.default_rng(32)
+        angles = np.concatenate([rng.uniform(0.0, 3.0 * np.pi, 1_000_000),
+                                 [0.0, -0.0, np.pi / 4, np.pi / 2, np.pi, 3.0 * np.pi]])
+        for name in ("sin", "cos"):
+            floats = np.array(list(map(getattr(math, name), angles.tolist())))
+            assert floats.tobytes() == getattr(np, name)(angles).tobytes(), name
+
+    @pytest.mark.parametrize("name", sorted(NUMPY_FORMS))
+    def test_objectives_equal_the_numpy_form_bit_for_bit(self, name):
+        # random points, points on the levels {0, 0.5, 1, -0.0}, and points
+        # mixing the two
+        problem = get_problem(name)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        n = 100_000 if name.startswith("dtlz") else 20_000
+        X = rng.random((n, problem.n_x))
+        levels = rng.choice([0.0, 0.5, 1.0, -0.0], (n // 5, problem.n_x))
+        X[: n // 5] = levels
+        mixed = rng.random((n // 5, problem.n_x)) < 0.5
+        X[n // 5: 2 * (n // 5)][mixed] = levels[mixed]
+        got = np.array([problem.objectives(x) for x in X])
+        want = np.array([self.NUMPY_FORMS[name](x) for x in X])
+        assert got.shape == want.shape == (n, problem.n_obj)
+        same = (got.view(np.int64) == want.view(np.int64)).all(axis=1)
+        assert same.all(), X[~same][:3].tolist()
+
+    def test_box_test_equals_the_numpy_form_at_the_slack(self):
+        # each face moved by exactly the 1e-9 slack, one float either side
+        # of it, and well inside and outside; NaN and infinities fail
+        problem = ProblemSpec("shifted", 3, 2, lambda x: x[:2],
+                              lower=np.array([-1.0, 2.0, 0.0]), upper=np.array([1.0, 3.0, 0.5]))
+        inside = np.array([0.0, 2.5, 0.25])
+        values = [np.nan, np.inf, -np.inf]
+        for face in problem.lower.tolist() + problem.upper.tolist():
+            for edge in (face - 1e-9, face + 1e-9):
+                values += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+            values += [face, face - 2e-9, face + 2e-9, face - 0.5e-9, face + 0.5e-9]
+        accepted = 0
+        for i in range(3):
+            for value in values:
+                x = inside.copy()
+                x[i] = value
+                if oracles.in_box_numpy(problem, x):
+                    evaluate(problem, x)
+                    accepted += 1
+                else:
+                    with pytest.raises(ValueError, match="outside the box of shifted"):
+                        evaluate(problem, x)
+        assert 0 < accepted < 3 * len(values)
 
 
 class TestReferenceFronts:

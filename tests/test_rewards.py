@@ -253,6 +253,16 @@ class TestConstraintViolation:
         assert block.shape == (len(G),) and block.tobytes() == rows.tobytes()
         assert np.isinf(block).any() and (block == 0).any()
 
+    def test_nan_entry_is_not_satisfied(self):
+        # a NaN constraint value is unknown, not satisfied: the row and the
+        # block forms give NaN for its row and keep the other rows' bits
+        assert math.isnan(constraint_violation([np.nan]))
+        assert math.isnan(constraint_violation([np.nan, 1.0], weights=[1.0, 2.0]))
+        G = np.array([[np.nan, 1.0], [0.5, -1.0], [-np.inf, np.nan]])
+        block = constraint_violation(G)
+        assert np.isnan(block[[0, 2]]).all()
+        assert block[1].tobytes() == np.float64(constraint_violation(G[1])).tobytes()
+
     def test_block_without_constraints_is_zeros(self):
         assert constraint_violation(np.empty((5, 0))).tolist() == [0.0] * 5
         assert constraint_violation(np.empty(0)) == 0.0
