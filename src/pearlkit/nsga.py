@@ -51,7 +51,7 @@ class GAConfig:
         self.pop_size = self.lambda_ if self.pop_size is None else self.pop_size
 
     def validate(self):
-        for key in ("lambda_", "mu", "pop_size"):
+        for key in ("budget", "lambda_", "mu", "pop_size"):
             _positive_int(key, getattr(self, key))
         for key in ("mutpb", "cxpb"):
             _real(key, getattr(self, key), "in [0, 1]")

@@ -5,9 +5,9 @@ action is the decision vector, and the reward comes from a per-worker
 engine that scores the evaluated objectives.  The policy is a small
 feed-forward network emitting a diagonal Gaussian that is mapped onto the
 unit box by a clipped linear map and from there linearly onto the problem's
-box; a separate network of the same shape provides the value baseline.
-Everything runs in float64 numpy so that gradients can be checked against
-finite differences exactly.
+box; a network of the same shape, stacked with it layer by layer so that
+one pass serves both, provides the value baseline.  Everything runs in
+float64 numpy so that gradients can be checked against finite differences.
 
 Workers are independent-state objects: each owns its reward engine (and
 the engine's archive, if it keeps one) and its RNG stream.  A rollout
@@ -69,7 +69,7 @@ class TrainerConfig:
         return self.n_steps * self.ncores
 
     def validate(self):
-        for key in ("n_steps", "ncores", "epochs", "minibatches", "hidden"):
+        for key in ("n_steps", "ncores", "budget", "epochs", "minibatches", "hidden"):
             _positive_int(key, getattr(self, key))
         rules = {"learning_rate": "positive and finite", "entropy_coef": "nonnegative and finite",
                  "value_coef": "nonnegative and finite", "clip_ratio": "nonnegative"}
@@ -85,10 +85,13 @@ class TrainerConfig:
 class PolicyState:
     """Network parameters plus optimizer moments and a step counter.
 
-    The parameters live in one float64 vector, ``flat``; the Adam moments
-    ``m`` and ``v`` and every gradient are vectors with the same layout.
-    ``params`` names the weight matrices and biases as reshaped views of
-    ``flat``, and ``views`` gives the same names for any such vector.
+    The parameters live in one float64 vector, ``flat``, as the blocks
+    ``W1 (2, obs_dim, h)``, ``b1 (2, 1, h)``, ``W2 (2, h, h)``, ``b2 (2, 1, h)``
+    (the two networks' hidden layers, 0 policy and 1 value), ``pW3``, ``pb3``,
+    ``log_std``, ``vW3`` and ``vb3``.  The Adam moments ``m`` and ``v`` and
+    every gradient share that layout.  ``blocks`` gives the blocks of such a
+    vector, ``views`` each network's weights and biases by name (``params``
+    for ``flat``).
     """
 
     def __init__(self, obs_dim: int, act_dim: int, cfg: TrainerConfig,
@@ -99,39 +102,62 @@ class PolicyState:
         def dense(n_in, n_out, scale=1.0):
             return rng.normal(0.0, scale / np.sqrt(n_in), size=(n_in, n_out))
 
-        arrays = {
-            "pW1": dense(obs_dim, h), "pb1": np.zeros(h),
-            "pW2": dense(h, h), "pb2": np.zeros(h),
-            "pW3": dense(h, act_dim, scale=0.01), "pb3": np.zeros(act_dim),
-            "log_std": np.full(act_dim, float(init_log_std)),
-            "vW1": dense(obs_dim, h), "vb1": np.zeros(h),
-            "vW2": dense(h, h), "vb2": np.zeros(h),
-            "vW3": dense(h, 1, scale=0.01), "vb3": np.zeros(1),
-        }
-        self._layout = []
-        start = 0
-        for key, value in arrays.items():
-            self._layout.append((key, slice(start, start + value.size), value.shape))
-            start += value.size
+        # drawn in the order pW1, pW2, pW3, vW1, vW2, vW3
+        pW1, pW2, pW3 = dense(obs_dim, h), dense(h, h), dense(h, act_dim, scale=0.01)
+        vW1, vW2, vW3 = dense(obs_dim, h), dense(h, h), dense(h, 1, scale=0.01)
+        arrays = {"W1": np.stack([pW1, vW1]), "b1": np.zeros((2, 1, h)),
+                  "W2": np.stack([pW2, vW2]), "b2": np.zeros((2, 1, h)),
+                  "pW3": pW3, "pb3": np.zeros(act_dim),
+                  "log_std": np.full(act_dim, float(init_log_std)), "vW3": vW3, "vb3": np.zeros(1)}
+        ends = np.cumsum([value.size for value in arrays.values()]).tolist()
+        self._layout = [(key, slice(end - value.size, end), value.shape)
+                        for (key, value), end in zip(arrays.items(), ends)]
         self.flat = np.concatenate([value.ravel() for value in arrays.values()])
         self.params = self.views(self.flat)
+        self._blocks = self.blocks(self.flat)
+        self._work = {}
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
         self.adam_steps = 0
         self.learning_rate = cfg.learning_rate
 
-    def views(self, flat: np.ndarray) -> dict:
-        """Named reshaped views of a vector laid out like ``self.flat``."""
+    def blocks(self, flat: np.ndarray) -> dict:
+        """The blocks of a vector laid out like ``self.flat``, as views."""
         return {key: flat[part].reshape(shape) for key, part, shape in self._layout}
+
+    def views(self, flat: np.ndarray) -> dict:
+        """Named views, per network, of a vector laid out like ``self.flat``."""
+        b = self.blocks(flat)
+        return {"pW1": b["W1"][0], "pb1": b["b1"][0, 0], "pW2": b["W2"][0], "pb2": b["b2"][0, 0],
+                "pW3": b["pW3"], "pb3": b["pb3"], "log_std": b["log_std"],
+                "vW1": b["W1"][1], "vb1": b["b1"][1, 0], "vW2": b["W2"][1], "vb2": b["b2"][1, 0],
+                "vW3": b["vW3"], "vb3": b["vb3"]}
+
+    def heads(self, obs: np.ndarray):
+        """One pass of both networks: the ``(2, B, h)`` hidden stacks (work arrays
+        the next pass over ``B`` rows overwrites, so no pass pages in fresh
+        memory), the action mean, the clamped log-std and the values."""
+        p = self._blocks
+        if len(obs) not in self._work:
+            self._work[len(obs)] = np.empty((2, 2, len(obs), p["W2"].shape[1]))
+        h1, h2 = self._work[len(obs)]
+        np.matmul(obs, p["W1"], out=h1)
+        h1 += p["b1"]
+        np.tanh(h1, out=h1)
+        np.matmul(h1, p["W2"], out=h2)
+        h2 += p["b2"]
+        np.tanh(h2, out=h2)
+        log_std = np.minimum(np.maximum(p["log_std"], LOG_STD_MIN), LOG_STD_MAX)
+        return (h1, h2, h2[0] @ p["pW3"] + p["pb3"], log_std,
+                (h2[1] @ p["vW3"] + p["vb3"])[:, 0])
 
     def policy_heads(self, obs: np.ndarray):
         """Action mean (pre-squash) and clamped per-dimension log-std."""
-        mean = forward(self.params, "p", obs)[2]
-        return mean, np.clip(self.params["log_std"], LOG_STD_MIN, LOG_STD_MAX)
+        return self.heads(obs)[2:4]
 
     def value(self, obs: np.ndarray) -> np.ndarray:
-        return forward(self.params, "v", obs)[2][:, 0]
+        return self.heads(obs)[4]
 
     def adam_step(self, grad: np.ndarray):
         """One Adam step on every parameter from the flat gradient ``grad``.
@@ -165,32 +191,9 @@ class PolicyState:
             raise FloatingPointError(f"non-finite parameter {key}")
 
 
-def forward(params: dict, prefix: str, obs: np.ndarray):
-    """The two-tanh-layer network whose weights start with ``prefix``
-    (``"p"`` policy, ``"v"`` value): hidden activations and linear output."""
-    h1 = np.tanh(obs @ params[prefix + "W1"] + params[prefix + "b1"])
-    h2 = np.tanh(h1 @ params[prefix + "W2"] + params[prefix + "b2"])
-    return h1, h2, h2 @ params[prefix + "W3"] + params[prefix + "b3"]
-
-
-def backward(params: dict, prefix: str, obs: np.ndarray, h1: np.ndarray, h2: np.ndarray,
-             d_out: np.ndarray, grads: dict):
-    """Write into the named gradient views ``grads`` the weight gradients of
-    ``forward(params, prefix, obs)`` (hidden activations ``h1``, ``h2``)
-    given the output gradient."""
-    grads[prefix + "W3"][...] = h2.T @ d_out
-    grads[prefix + "b3"][...] = d_out.sum(axis=0)
-    dh2 = d_out @ params[prefix + "W3"].T * (1.0 - h2**2)
-    grads[prefix + "W2"][...] = h1.T @ dh2
-    grads[prefix + "b2"][...] = dh2.sum(axis=0)
-    dh1 = dh2 @ params[prefix + "W2"].T * (1.0 - h1**2)
-    grads[prefix + "W1"][...] = obs.T @ dh1
-    grads[prefix + "b1"][...] = dh1.sum(axis=0)
-
-
 def gaussian_log_prob(z: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     std = np.exp(log_std)
-    return np.sum(-0.5 * ((z - mean) / std) ** 2 - log_std - _HALF_LOG_2PI, axis=1)
+    return np.add.reduce(-0.5 * ((z - mean) / std) ** 2 - log_std - _HALF_LOG_2PI, axis=1)
 
 
 def squash(z: np.ndarray) -> np.ndarray:
@@ -292,13 +295,13 @@ class RunResult:
     wall_time: float
 
 
+@dataclass
 class Worker:
     """One rollout worker: engine + RNG stream."""
 
-    def __init__(self, index: int, engine, rng: np.random.Generator):
-        self.index = index
-        self.engine = engine
-        self.rng = rng
+    index: int
+    engine: object
+    rng: np.random.Generator
 
 
 def loss_and_grad(policy: PolicyState, obs, z, gauss_logp_old, adv, returns,
@@ -310,66 +313,61 @@ def loss_and_grad(policy: PolicyState, obs, z, gauss_logp_old, adv, returns,
     jacobian is policy-independent given the action, so probability ratios
     are formed from the pre-squash Gaussian densities alone.
     """
-    p = policy.params
+    p = policy._blocks
     B = obs.shape[0]
-    grad = np.zeros(policy.flat.size)
-    grads = policy.views(grad)
-
-    h1, h2, mean = forward(p, "p", obs)
-    log_std = np.clip(p["log_std"], LOG_STD_MIN, LOG_STD_MAX)
+    grad = np.empty(policy.flat.size)
+    g = policy.blocks(grad)
+    h1, h2, mean, log_std, values = policy.heads(obs)
     inv_var = np.exp(-2.0 * log_std)
-
     delta = z - mean
     # the same expression rollout uses, so the on-policy ratio is exactly 1
-    logp = gaussian_log_prob(z, mean, log_std)
-    ratio = np.exp(logp - gauss_logp_old)
+    ratio = np.exp(gaussian_log_prob(z, mean, log_std) - gauss_logp_old)
+    lo, hi = 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio
     surr_raw = ratio * adv
-    clipped_ratio = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
-    surr_clip = clipped_ratio * adv
-    policy_loss = -float(np.mean(np.minimum(surr_raw, surr_clip)))
+    surr_clip = np.minimum(np.maximum(ratio, lo), hi) * adv
+    policy_loss = -float(np.add.reduce(np.minimum(surr_raw, surr_clip)) / B)
 
     # d policy_loss / d ratio; ties fall to the clipped branch so a zero
     # clip range yields an exactly zero gradient at the on-policy point
-    use_raw = surr_raw < surr_clip
-    inside = (ratio > 1.0 - cfg.clip_ratio) & (ratio < 1.0 + cfg.clip_ratio)
-    d_ratio = np.where(use_raw | inside, -adv / B, 0.0)
-    d_logp = d_ratio * ratio
-
-    d_mean = d_logp[:, None] * (delta * inv_var)
-    std_mask = (p["log_std"] > LOG_STD_MIN) & (p["log_std"] < LOG_STD_MAX)
-    d_log_std = np.sum(d_logp[:, None] * (delta**2 * inv_var - 1.0), axis=0)
+    use = (surr_raw < surr_clip) | ((ratio > lo) & (ratio < hi))
+    d_logp = (np.where(use, -adv / B, 0.0) * ratio)[:, None]
+    d_mean = delta * inv_var * d_logp
+    # (delta * delta) * inv_var, in that order
+    d_log_std = np.add.reduce((delta * delta * inv_var - 1.0) * d_logp, axis=0)
 
     # entropy bonus: H = sum_d (log_std_d + (1 + log 2 pi) / 2)
-    entropy = float(np.sum(log_std) + policy.act_dim * 0.5 * (1.0 + np.log(2 * np.pi)))
-    d_log_std -= cfg.entropy_coef
-    grads["log_std"][...] = np.where(std_mask, d_log_std, 0.0)
+    entropy = float(np.add.reduce(log_std) + policy.act_dim * 0.5 * (1.0 + np.log(2 * np.pi)))
+    std_mask = (p["log_std"] > LOG_STD_MIN) & (p["log_std"] < LOG_STD_MAX)
+    g["log_std"][...] = np.where(std_mask, d_log_std - cfg.entropy_coef, 0.0)
 
-    backward(p, "p", obs, h1, h2, d_mean, grads)
-
-    # value network
-    vh1, vh2, v_out = forward(p, "v", obs)
-    values = v_out[:, 0]
     err = values - returns
-    value_loss = float(np.mean(err**2))
-    dv = (2.0 * cfg.value_coef / B) * err
-    backward(p, "v", obs, vh1, vh2, dv[:, None], grads)
+    value_loss = float(np.add.reduce(err * err) / B)
+    dv = ((2.0 * cfg.value_coef / B) * err)[:, None]
+
+    # output layers, then both hidden layers at once
+    np.matmul(h2[0].T, d_mean, out=g["pW3"])
+    np.add.reduce(d_mean, axis=0, out=g["pb3"])
+    np.matmul(h2[1].T, dv, out=g["vW3"])
+    np.add.reduce(dv, axis=0, out=g["vb3"])
+    dh = np.empty_like(h2)
+    np.matmul(d_mean, p["pW3"].T, out=dh[0])
+    np.matmul(dv, p["vW3"].T, out=dh[1])
+    # 1 - h*h in place: fresh arrays of this size are slower to get
+    np.multiply(h2, h2, out=h2)
+    np.subtract(1.0, h2, out=h2)
+    dh *= h2
+    np.matmul(h1.transpose(0, 2, 1), dh, out=g["W2"])
+    np.add.reduce(dh, axis=1, keepdims=True, out=g["b2"])
+    dh = np.matmul(dh, p["W2"].transpose(0, 2, 1))
+    np.multiply(h1, h1, out=h1)
+    np.subtract(1.0, h1, out=h1)
+    dh *= h1
+    np.matmul(obs.T, dh, out=g["W1"])
+    np.add.reduce(dh, axis=1, keepdims=True, out=g["b1"])
 
     loss = policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
     info = {"policy_loss": policy_loss, "value_loss": value_loss, "entropy": entropy}
     return loss, grad, info
-
-
-def _worker_observations(worker: Worker, n: int, latent_dim: int) -> np.ndarray:
-    """Per-episode observations: fresh latents plus the engine's conditioning.
-
-    The engine suffix (preference rays, when the engine has them) is constant
-    within a batch; the latent part resamples every episode.
-    """
-    suffix = worker.engine.observation()
-    latent = worker.rng.uniform(0.0, 1.0, size=(n, latent_dim))
-    if suffix.size == 0:
-        return latent
-    return np.hstack([latent, np.repeat(suffix[None, :], n, axis=0)])
 
 
 def rollout(policy: PolicyState, workers: list[Worker], cfg: TrainerConfig,
@@ -378,7 +376,7 @@ def rollout(policy: PolicyState, workers: list[Worker], cfg: TrainerConfig,
     recording one row per evaluation of the log's problem in ``log``.
 
     Each worker draws its rays, latents and action noise from its own
-    stream, in worker order; one policy and one value pass then cover the
+    stream, in worker order; one pass of both networks then covers the
     whole batch, one ``log.evaluate`` call evaluates it, and the rows that
     succeeded are scored in row order, each by the engine of its worker.
     Squashed actions map linearly onto the problem's box.
@@ -396,10 +394,14 @@ def rollout(policy: PolicyState, workers: list[Worker], cfg: TrainerConfig,
     obs, noise = [], []
     for worker in workers:
         worker.engine.resample(worker.rng)
-        obs.append(_worker_observations(worker, n, problem.n_x))
+        # a fresh latent per episode, then the engine's conditioning (its
+        # preference rays, if it has them), constant within the batch
+        suffix = worker.engine.observation()
+        latent = worker.rng.uniform(0.0, 1.0, size=(n, problem.n_x))
+        obs.append(np.hstack([latent, np.broadcast_to(suffix, (n, suffix.size))]))
         noise.append(worker.rng.standard_normal((n, policy.act_dim)))
     obs = np.concatenate(obs)
-    mean, log_std = policy.policy_heads(obs)
+    _, _, mean, log_std, values = policy.heads(obs)
     z = mean + np.exp(log_std) * np.concatenate(noise)
     points = problem.lower + (problem.upper - problem.lower) * squash(z)
     scales = np.repeat([float(w.engine.reward_scale) for w in workers], n)
@@ -410,7 +412,7 @@ def rollout(policy: PolicyState, workers: list[Worker], cfg: TrainerConfig,
     raw[bad] = np.minimum(-scales[bad], raw[~bad].min(initial=np.inf))
     return RolloutBatch(observations=obs, pre_squash=z, rewards=raw / scales,
                         gauss_log_probs=gaussian_log_prob(z, mean, log_std),
-                        values=policy.value(obs))
+                        values=values)
 
 
 def update(policy: PolicyState, batch: RolloutBatch, cfg: TrainerConfig,
@@ -424,14 +426,15 @@ def update(policy: PolicyState, batch: RolloutBatch, cfg: TrainerConfig,
     returns = batch.rewards
     adv = returns - batch.values
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    # np.array_split's non-empty chunks: the first B % minibatches take one more row
+    each, extra = divmod(B, cfg.minibatches)
+    bounds = sorted({i * each + min(i, extra) for i in range(cfg.minibatches + 1)})
     for _ in range(cfg.epochs):
         perm = rng.permutation(B)
-        for chunk in np.array_split(perm, cfg.minibatches):
-            if len(chunk) == 0:
-                continue
-            loss, grad, _ = loss_and_grad(
-                policy, batch.observations[chunk], batch.pre_squash[chunk],
-                batch.gauss_log_probs[chunk], adv[chunk], returns[chunk], cfg)
+        arrays = [a[perm] for a in (batch.observations, batch.pre_squash,
+                                    batch.gauss_log_probs, adv, returns)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            loss, grad, _ = loss_and_grad(policy, *(a[lo:hi] for a in arrays), cfg=cfg)
             if not np.isfinite(loss):
                 policy.learning_rate *= 0.5
                 logger.warning("non-finite loss; skipping minibatch and halving "
@@ -456,11 +459,8 @@ def train(problem: ProblemSpec, engine_factory: Callable[[], object],
     streams = seed_seq.spawn(cfg.ncores + 2)
     init_rng = np.random.Generator(np.random.PCG64(streams[0]))
     shuffle_rng = np.random.Generator(np.random.PCG64(streams[1]))
-    workers = [
-        Worker(index=i, engine=engine_factory(),
-               rng=np.random.Generator(np.random.PCG64(streams[2 + i])))
-        for i in range(cfg.ncores)
-    ]
+    workers = [Worker(i, engine_factory(), np.random.Generator(np.random.PCG64(streams[2 + i])))
+               for i in range(cfg.ncores)]
     # ray-conditioned engines know their observation suffix only after the
     # first resample; probe with a throwaway stream
     probe = engine_factory()

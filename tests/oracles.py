@@ -86,7 +86,7 @@ def rollout_per_worker(policy, workers, cfg, log):
     worker, each worker evaluated and scored before the next one draws.
     A failed evaluation or a non-finite reward is paid, row by row, the
     lower of ``-reward_scale`` and the lowest finite reward of the batch."""
-    from pearlkit.trainer import RolloutBatch, _worker_observations, gaussian_log_prob, squash
+    from pearlkit.trainer import RolloutBatch, gaussian_log_prob, squash
 
     n = cfg.n_steps
     first = len(log)
@@ -94,7 +94,8 @@ def rollout_per_worker(policy, workers, cfg, log):
     parts = []
     for worker in workers:
         worker.engine.resample(worker.rng)
-        obs = _worker_observations(worker, n, problem.n_x)
+        latent = worker.rng.uniform(0.0, 1.0, size=(n, problem.n_x))
+        obs = np.hstack([latent, np.tile(worker.engine.observation(), (n, 1))])
         mean, log_std = policy.policy_heads(obs)
         std = np.exp(log_std)
         z = mean + std * worker.rng.standard_normal((n, policy.act_dim))
@@ -497,6 +498,93 @@ def adam_reference(params, m, v, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8)
         m_hat = m[key] / (1 - beta1**t)
         v_hat = v[key] / (1 - beta2**t)
         params[key] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def forward(params, prefix, obs):
+    """The two-tanh-layer network whose weights start with ``prefix``
+    (``"p"`` policy, ``"v"`` value), one network at a time: hidden
+    activations and linear output."""
+    h1 = np.tanh(obs @ params[prefix + "W1"] + params[prefix + "b1"])
+    h2 = np.tanh(h1 @ params[prefix + "W2"] + params[prefix + "b2"])
+    return h1, h2, h2 @ params[prefix + "W3"] + params[prefix + "b3"]
+
+
+def backward(params, prefix, obs, h1, h2, d_out, grads):
+    """Write into the named gradient views ``grads`` the weight gradients of
+    ``forward(params, prefix, obs)`` given the output gradient."""
+    grads[prefix + "W3"][...] = h2.T @ d_out
+    grads[prefix + "b3"][...] = d_out.sum(axis=0)
+    dh2 = d_out @ params[prefix + "W3"].T * (1.0 - h2**2)
+    grads[prefix + "W2"][...] = h1.T @ dh2
+    grads[prefix + "b2"][...] = dh2.sum(axis=0)
+    dh1 = dh2 @ params[prefix + "W2"].T * (1.0 - h1**2)
+    grads[prefix + "W1"][...] = obs.T @ dh1
+    grads[prefix + "b1"][...] = dh1.sum(axis=0)
+
+
+def loss_and_grad_per_network(policy, obs, z, gauss_logp_old, adv, returns, cfg):
+    """Reference for ``trainer.loss_and_grad``: separate forward and backward
+    passes of the policy and the value network over ``policy.params``, in
+    whole-array numpy expressions."""
+    from pearlkit.trainer import LOG_STD_MAX, LOG_STD_MIN, gaussian_log_prob
+
+    p = policy.params
+    B = obs.shape[0]
+    grad = np.zeros(policy.flat.size)
+    grads = policy.views(grad)
+
+    h1, h2, mean = forward(p, "p", obs)
+    log_std = np.clip(p["log_std"], LOG_STD_MIN, LOG_STD_MAX)
+    inv_var = np.exp(-2.0 * log_std)
+    delta = z - mean
+    logp = gaussian_log_prob(z, mean, log_std)
+    ratio = np.exp(logp - gauss_logp_old)
+    surr_raw = ratio * adv
+    surr_clip = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio) * adv
+    policy_loss = -float(np.mean(np.minimum(surr_raw, surr_clip)))
+
+    use_raw = surr_raw < surr_clip
+    inside = (ratio > 1.0 - cfg.clip_ratio) & (ratio < 1.0 + cfg.clip_ratio)
+    d_logp = np.where(use_raw | inside, -adv / B, 0.0) * ratio
+    d_mean = d_logp[:, None] * (delta * inv_var)
+    std_mask = (p["log_std"] > LOG_STD_MIN) & (p["log_std"] < LOG_STD_MAX)
+    d_log_std = np.sum(d_logp[:, None] * (delta**2 * inv_var - 1.0), axis=0)
+    entropy = float(np.sum(log_std) + policy.act_dim * 0.5 * (1.0 + np.log(2 * np.pi)))
+    d_log_std -= cfg.entropy_coef
+    grads["log_std"][...] = np.where(std_mask, d_log_std, 0.0)
+    backward(p, "p", obs, h1, h2, d_mean, grads)
+
+    vh1, vh2, v_out = forward(p, "v", obs)
+    err = v_out[:, 0] - returns
+    value_loss = float(np.mean(err**2))
+    dv = (2.0 * cfg.value_coef / B) * err
+    backward(p, "v", obs, vh1, vh2, dv[:, None], grads)
+
+    loss = policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
+    return loss, grad, {"policy_loss": policy_loss, "value_loss": value_loss, "entropy": entropy}
+
+
+def update_per_network(policy, batch, cfg, rng):
+    """Reference for ``trainer.update``: each minibatch fancy-indexed from the
+    batch by its ``np.array_split`` chunk of the epoch's permutation, its
+    gradient from ``loss_and_grad_per_network``."""
+    B = len(batch.rewards)
+    returns = batch.rewards
+    adv = returns - batch.values
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    for _ in range(cfg.epochs):
+        for chunk in np.array_split(rng.permutation(B), cfg.minibatches):
+            if len(chunk) == 0:
+                continue
+            loss, grad, _ = loss_and_grad_per_network(
+                policy, batch.observations[chunk], batch.pre_squash[chunk],
+                batch.gauss_log_probs[chunk], adv[chunk], returns[chunk], cfg)
+            if not np.isfinite(loss):
+                policy.learning_rate *= 0.5
+                continue
+            policy.adam_step(grad)
+    policy.check_finite()
+    return policy
 
 
 def finite_difference_gradient(fn, params, h=1e-6):

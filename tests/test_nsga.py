@@ -388,6 +388,11 @@ class TestRuns:
         with pytest.raises(ValueError, match="budget"):
             GAConfig(lambda_=8, budget=15).validate()
 
+    def test_float_budget_is_rejected(self):
+        # a float budget used to pass and then fail inside numpy's sizing
+        with pytest.raises(ValueError, match="budget must be a positive integer, not 96.0"):
+            run_nsga2(get_problem("dtlz2"), GAConfig(lambda_=8, budget=96.0))
+
     def test_mu_and_pop_size_default_to_lambda(self):
         cfg = GAConfig(lambda_=64)
         assert cfg.mu == cfg.pop_size == 64

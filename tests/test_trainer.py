@@ -12,9 +12,11 @@ from pearlkit.problems import ProblemSpec, ProblemSpecError, get_problem
 from pearlkit.rewards import (CurriculumConstrained, PearlEnvelope, PearlEpsilon, PearlNds,
                               constraint_violation)
 from pearlkit.trainer import (
+    LOG_STD_MAX,
     LOG_STD_MIN,
     EvaluationLog,
     PolicyState,
+    RolloutBatch,
     TrainerConfig,
     Worker,
     gaussian_log_prob,
@@ -28,8 +30,11 @@ from oracles import (
     adam_reference,
     brute_force_dominates,
     finite_difference_gradient,
+    forward,
     log_front_scalar,
+    loss_and_grad_per_network,
     rollout_per_worker,
+    update_per_network,
 )
 from rows import table_log, table_problem
 
@@ -316,6 +321,108 @@ class TestFailureReward:
         assert (lowest_valid >= highest_failed).all(), (lowest_valid, highest_failed)
 
 
+class TestStackedPass:
+    """The stacked pass of both networks equals the per-network forward and
+    backward passes of ``oracles.py`` bit for bit: losses, every gradient,
+    and parameters and Adam moments after several update rounds."""
+
+    SHAPES = [(15, 12, 64), (12, 12, 64), (5, 2, 6), (30, 30, 8)]
+
+    @staticmethod
+    def policy(obs_dim, act_dim, cfg):
+        policy = PolicyState(obs_dim=obs_dim, act_dim=act_dim, cfg=cfg,
+                             rng=np.random.default_rng(4), init_log_std=-0.75)
+        # one dimension pinned at each clamp bound, one beyond each
+        policy.params["log_std"][:4] = [LOG_STD_MIN, LOG_STD_MAX, LOG_STD_MIN - 1.0,
+                                        LOG_STD_MAX + 1.0][:act_dim]
+        return policy
+
+    @staticmethod
+    def off_policy_batch(policy, rng, n):
+        obs = rng.uniform(size=(n, policy.obs_dim))
+        mean, log_std = policy.policy_heads(obs)
+        z = mean + np.exp(log_std) * rng.normal(size=(n, policy.act_dim))
+        # ratios from about 0.5 to 2: on both sides of the clip range
+        logp_old = gaussian_log_prob(z, mean, log_std) + rng.uniform(-0.7, 0.7, size=n)
+        return obs, z, logp_old
+
+    def test_initial_parameters_follow_the_per_network_draw_order(self):
+        cfg = TrainerConfig(hidden=6)
+        policy = PolicyState(obs_dim=5, act_dim=2, cfg=cfg, rng=np.random.default_rng(3),
+                             init_log_std=-0.5)
+        rng = np.random.default_rng(3)
+        drawn = {}
+        for prefix in "pv":
+            for key, n_in, n_out, scale in (("W1", 5, 6, 1.0), ("W2", 6, 6, 1.0),
+                                            ("W3", 6, 2 if prefix == "p" else 1, 0.01)):
+                drawn[prefix + key] = rng.normal(0.0, scale / np.sqrt(n_in), size=(n_in, n_out))
+        assert list(policy.params) == ["pW1", "pb1", "pW2", "pb2", "pW3", "pb3", "log_std",
+                                       "vW1", "vb1", "vW2", "vb2", "vW3", "vb3"]
+        for key, value in policy.params.items():
+            assert np.shares_memory(value, policy.flat), key
+            expected = drawn.get(key)
+            if expected is None:
+                expected = np.full(2, -0.5) if key == "log_std" else np.zeros(value.shape)
+            assert value.tobytes() == expected.tobytes(), key
+        blocks = policy.blocks(policy.flat)
+        assert blocks["W1"].shape == (2, 5, 6) and blocks["b2"].shape == (2, 1, 6)
+        assert np.array_equal(blocks["W2"][1], drawn["vW2"])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_loss_and_grad_match_per_network_passes(self, shape):
+        cfg = TrainerConfig(hidden=shape[2])
+        policy = self.policy(*shape[:2], cfg)
+        rng = np.random.default_rng(sum(shape))
+        grads = []
+        for n in (64, 10, 3, 1):
+            obs, z, logp_old = self.off_policy_batch(policy, rng, n)
+            adv, returns = rng.normal(size=n), rng.normal(size=n)
+            loss, grad, info = loss_and_grad(policy, obs, z, logp_old, adv, returns, cfg)
+            ref_loss, ref_grad, ref_info = loss_and_grad_per_network(
+                policy, obs, z, logp_old, adv, returns, cfg)
+            assert loss == ref_loss and info == ref_info, n
+            assert grad.tobytes() == ref_grad.tobytes(), n
+            grads.append((grad, grad.copy()))
+        # every call returns a vector of its own
+        assert all(grad.tobytes() == kept.tobytes() for grad, kept in grads)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("n, minibatches", [(64, 4), (10, 4), (3, 4)])
+    def test_update_rounds_match_per_network_passes(self, shape, n, minibatches):
+        cfg = TrainerConfig(hidden=shape[2], minibatches=minibatches)
+        policy, ref = self.policy(*shape[:2], cfg), self.policy(*shape[:2], cfg)
+        rng = np.random.default_rng(n)
+        for round_ in range(5):
+            obs, z, logp_old = self.off_policy_batch(policy, rng, n)
+            batch = RolloutBatch(observations=obs, pre_squash=z, rewards=rng.normal(size=n),
+                                 gauss_log_probs=logp_old, values=policy.value(obs))
+            update(policy, batch, cfg, np.random.default_rng(round_))
+            update_per_network(ref, batch, cfg, np.random.default_rng(round_))
+            for name in ("flat", "m", "v"):
+                assert getattr(policy, name).tobytes() == getattr(ref, name).tobytes(), \
+                    (round_, name)
+        assert policy.adam_steps == ref.adam_steps == 5 * min(n, minibatches) * cfg.epochs
+
+    def test_rollout_heads_match_per_network_passes(self):
+        problem = get_problem("dtlz2")
+        cfg = TrainerConfig(n_steps=32, ncores=8, hidden=64)
+        policy = PolicyState(obs_dim=problem.n_x, act_dim=problem.n_x, cfg=cfg,
+                             rng=np.random.default_rng(0), init_log_std=-0.75)
+        workers = TestRollout().make_workers(8)
+        batch = rollout(policy, workers, cfg, EvaluationLog(cfg.batch_size(), problem))
+        obs = batch.observations
+        mean = forward(policy.params, "p", obs)[2]
+        values = forward(policy.params, "v", obs)[2][:, 0]
+        log_std = np.clip(policy.params["log_std"], LOG_STD_MIN, LOG_STD_MAX)
+        assert batch.values.tobytes() == values.tobytes()
+        assert batch.gauss_log_probs.tobytes() == \
+            gaussian_log_prob(batch.pre_squash, mean, log_std).tobytes()
+        heads_mean, heads_log_std = policy.policy_heads(obs)
+        assert heads_mean.tobytes() == mean.tobytes()
+        assert heads_log_std.tobytes() == log_std.tobytes()
+        assert policy.value(obs).tobytes() == values.tobytes()
+
+
 class TestUpdate:
     def test_value_head_converges_on_constant_reward(self):
         cfg = TrainerConfig(n_steps=8, ncores=2, hidden=16, learning_rate=1e-2,
@@ -388,6 +495,12 @@ class TestTrain:
     def test_budget_smaller_than_batch_is_usage_error(self):
         cfg = TrainerConfig(n_steps=32, ncores=8, budget=100)
         with pytest.raises(ValueError):
+            train(get_problem("dtlz2"), lambda: PearlNds(kappa=8), cfg)
+
+    def test_float_budget_is_rejected(self):
+        # a float budget used to pass and then fail inside numpy's sizing
+        cfg = TrainerConfig(n_steps=8, ncores=2, budget=512.0, hidden=8)
+        with pytest.raises(ValueError, match="budget must be a positive integer, not 512.0"):
             train(get_problem("dtlz2"), lambda: PearlNds(kappa=8), cfg)
 
     def test_update_round_count_and_budget(self):
