@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ref = sub.add_parser("ref-front", help="print a problem's reference front")
     ref.add_argument("problem")
-    ref.add_argument("-n", "--count", type=int, default=100)
+    ref.add_argument("-n", "--count", type=_positive_count, default=100)
     return parser
 
 

@@ -114,6 +114,8 @@ def load_config(source) -> ExperimentConfig:
     for entry in algo_raw:
         if isinstance(entry, str):
             entry = {"name": entry}
+        if not isinstance(entry, dict):
+            raise ConfigError(f"key 'algorithms': an entry is a name or an object, not {entry!r}")
         name = entry.get("name")
         if name not in ALGORITHMS:
             raise ConfigError(
@@ -123,8 +125,10 @@ def load_config(source) -> ExperimentConfig:
         if shared:
             raise ConfigError(f"key {shared[0]!r} is not a {name} entry key: budget, seeds, "
                               "n_steps and ncores are set at the top level")
-        algorithms.append(AlgorithmSpec(name=name, params=params,
-                                        label=entry.get("label", "")))
+        label = entry.get("label", "")
+        if not isinstance(label, str) or label in (".", "..") or any(c in label for c in "/\\\0"):
+            raise ConfigError(f"key 'label' must be one path component, not {label!r}")
+        algorithms.append(AlgorithmSpec(name=name, params=params, label=label))
     labels = [a.label for a in algorithms]
     if len(set(labels)) != len(labels):
         raise ConfigError("key 'algorithms': labels must be unique "
@@ -141,8 +145,8 @@ def load_config(source) -> ExperimentConfig:
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"key 'seeds' repeats a seed: {seeds}")
     output_dir = raw.get("output_dir")
-    if not output_dir:
-        raise ConfigError("key 'output_dir' is required")
+    if not output_dir or not isinstance(output_dir, str):
+        raise ConfigError(f"key 'output_dir' must be a non-empty string, not {output_dir!r}")
     unknown = sorted(raw.keys() - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"key {unknown[0]!r} is not a config key "
@@ -157,7 +161,7 @@ def load_config(source) -> ExperimentConfig:
     config = ExperimentConfig(
         version=CONFIG_VERSION, problems=problems,
         algorithms=algorithms, budget=budget,
-        seeds=seeds, output_dir=str(output_dir),
+        seeds=seeds, output_dir=output_dir,
         raw=raw, **batch,
     )
     for spec in algorithms:

@@ -85,35 +85,21 @@ def _variation(parents: np.ndarray, cfg: GAConfig, problem: ProblemSpec,
 
     Offspring ``k`` is parent ``i``, blended with parent ``j`` with
     probability ``cxpb`` and then given Gaussian noise with probability
-    ``mutpb``.  The draws are made one offspring at a time, each under its
-    condition; the blend, the noise and the clamp then run once over the
-    whole block.  Each is elementwise, so every value is the one a
-    per-offspring loop computes.
+    ``mutpb``, and clamped to the box.  Each draw is made once for the whole
+    block, in this order: the parent pairs ``(2, lambda_)``, the crossover
+    coins, the blend weights ``(lambda_, n_x)``, the mutation coins and the
+    standard-normal noise ``(lambda_, n_x)``.  Rows that are not crossed or
+    not mutated leave their draws unused.
     """
     n, n_x = cfg.lambda_, problem.n_x
-    sigma = SIGMA_FRACTION * (problem.upper - problem.lower)
-    pairs = np.empty((n, 2), dtype=np.intp)
-    crossed = np.zeros(n, dtype=bool)
-    mutated = np.zeros(n, dtype=bool)
-    uniform = np.empty((n, n_x))
-    normal = np.empty((n, n_x))
-    for k in range(n):
-        # two scalar draws: the values and generator state of one size=2 draw
-        pairs[k, 0] = rng.integers(0, len(parents))
-        pairs[k, 1] = rng.integers(0, len(parents))
-        if rng.random() < cfg.cxpb:
-            crossed[k] = True
-            rng.random(out=uniform[k])
-        if rng.random() < cfg.mutpb:
-            mutated[k] = True
-            # the draws of rng.normal(0.0, sigma), which is
-            # 0.0 + sigma * standard_normal() elementwise
-            rng.standard_normal(out=normal[k])
-    out = parents[pairs[:, 0]]
-    i, j = pairs[crossed].T
-    gamma = (1.0 + 2.0 * BLEND_ALPHA) * uniform[crossed] - BLEND_ALPHA
-    out[crossed] = (1.0 - gamma) * parents[i] + gamma * parents[j]
-    out[mutated] += 0.0 + sigma * normal[mutated]
+    i, j = rng.integers(0, len(parents), size=(2, n))
+    crossed = rng.random(n) < cfg.cxpb
+    gamma = (1.0 + 2.0 * BLEND_ALPHA) * rng.random((n, n_x)) - BLEND_ALPHA
+    mutated = rng.random(n) < cfg.mutpb
+    noise = SIGMA_FRACTION * (problem.upper - problem.lower) * rng.standard_normal((n, n_x))
+    out = parents[i]
+    out[crossed] = ((1.0 - gamma) * out + gamma * parents[j])[crossed]
+    out[mutated] += noise[mutated]
     return np.clip(out, problem.lower, problem.upper, out=out)
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .pareto import non_dominated_mask
+from .pareto import _positive_int, non_dominated_mask
 
 
 class ProblemSpecError(ValueError):
@@ -127,8 +127,7 @@ def evaluate(problem: ProblemSpec, x) -> tuple[np.ndarray, np.ndarray]:
 
 def reference_front(problem: ProblemSpec, n_points: int) -> np.ndarray:
     """Return ``n_points`` mutually non-dominated points of the true front."""
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
+    n_points = _positive_int("n_points", n_points)
     if problem.front is not None:
         return problem.front(n_points)
     if problem.front_file is not None:

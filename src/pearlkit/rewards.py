@@ -65,25 +65,16 @@ def constraint_violation(values, weights=None) -> float | np.ndarray:
 
 
 def sample_preferences(alpha, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` preference vectors from Dirichlet(alpha).
-
-    Sampling goes through normalized Gamma variates; each row is nonnegative
-    and sums to 1.
+    """Draw ``count`` preference vectors from Dirichlet(alpha), one per row,
+    with numpy's sampler: each row is nonnegative and sums to 1, and a small
+    ``alpha`` puts nearly all of a row's mass on one component.
     """
     a = np.atleast_1d(np.asarray(alpha, dtype=float))
     if not np.all(np.isfinite(a) & (a > 0)):
         raise ValueError("Dirichlet concentration entries must be positive and finite")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return np.empty((0, a.size))
-    gam = rng.gamma(shape=a, size=(count, a.size))
-    totals = gam.sum(axis=1, keepdims=True)
-    degenerate = totals[:, 0] <= 0.0
-    if np.any(degenerate):  # underflow for tiny alpha; fall back to uniform
-        gam[degenerate] = 1.0
-        totals = gam.sum(axis=1, keepdims=True)
-    return gam / totals
+    return rng.dirichlet(a, size=count)
 
 
 def cosine_uniformity(w: np.ndarray, r: np.ndarray) -> float:

@@ -471,20 +471,28 @@ def selection_order_sorted(F, cv):
 def variation_scalar(parents, cfg, problem, rng):
     """NSGA offspring one at a time: parent ``i``, blended with parent ``j``
     with probability ``cxpb``, mutated with probability ``mutpb`` and
-    clamped to the box, each offspring's draws made in turn."""
+    clamped to the box.  The draws are ``_variation``'s five block draws,
+    in its documented order: parent pairs, crossover coins, blend weights,
+    mutation coins, noise."""
     from pearlkit.nsga import BLEND_ALPHA, SIGMA_FRACTION
 
+    n, n_x = cfg.lambda_, problem.n_x
     lo, hi = problem.lower, problem.upper
     sigma = SIGMA_FRACTION * (hi - lo)
-    out = np.empty((cfg.lambda_, problem.n_x))
-    for k in range(cfg.lambda_):
-        i, j = rng.integers(0, len(parents), size=2)
+    pairs = rng.integers(0, len(parents), size=(2, n))
+    cross = rng.random(n)
+    weights = rng.random((n, n_x))
+    mutate = rng.random(n)
+    noise = rng.standard_normal((n, n_x))
+    out = np.empty((n, n_x))
+    for k in range(n):
+        i, j = pairs[:, k]
         child = parents[i]
-        if rng.random() < cfg.cxpb:
-            gamma = (1.0 + 2.0 * BLEND_ALPHA) * rng.random(problem.n_x) - BLEND_ALPHA
+        if cross[k] < cfg.cxpb:
+            gamma = (1.0 + 2.0 * BLEND_ALPHA) * weights[k] - BLEND_ALPHA
             child = (1.0 - gamma) * parents[i] + gamma * parents[j]
-        if rng.random() < cfg.mutpb:
-            child = child + rng.normal(0.0, sigma)
+        if mutate[k] < cfg.mutpb:
+            child = child + sigma * noise[k]
         out[k] = np.clip(child, lo, hi)
     return out
 

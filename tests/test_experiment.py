@@ -84,6 +84,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="key 'problems' names a problem twice"):
             load_config(path)
 
+    @pytest.mark.parametrize("algorithms", [[5], [None], [["nsga2"]], ["nsga2", 2.5], 5])
+    def test_non_object_algorithm_entry_rejected_under_its_key(self, tmp_path, algorithms):
+        # entry.get() raised AttributeError on anything but a string or an object
+        path, _ = small_config(tmp_path, algorithms=algorithms)
+        with pytest.raises(ConfigError, match="key 'algorithms': an entry is a name or an object"):
+            load_config(path)
+
+    @pytest.mark.parametrize("label", [5, None, ["a"], "..", ".", "a/b", "/abs", "a\\b", "a\0b"])
+    def test_label_outside_one_path_component_rejected(self, tmp_path, label):
+        # 5 and "a\0b" failed in run_experiment after config.json was
+        # written, and ".." put the cells outside the output directory
+        path, _ = small_config(tmp_path, algorithms=[{"name": "nsga2", "label": label}])
+        with pytest.raises(ConfigError, match="key 'label'"):
+            load_config(path)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("output_dir", [["a"], 5, {"a": 1}, True])
+    def test_non_string_output_dir_rejected(self, tmp_path, output_dir):
+        # ["a"] made a directory named "['a']"
+        path, _ = small_config(tmp_path, output_dir=output_dir)
+        with pytest.raises(ConfigError, match="key 'output_dir'"):
+            load_config(path)
+
     @pytest.mark.parametrize("problems", [[5], [None], [{"a": 1}], ["dtlz2", 2.5], 5])
     def test_non_string_problem_rejected_under_its_key(self, tmp_path, problems):
         # get_problem calls name.lower(), so a non-string is caught before it
@@ -717,6 +740,14 @@ class TestCli:
         assert exit_.value.code == 2
         assert "--parallel-cells" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_bad_ref_front_count_exit_code(self, capsys, count):
+        # -n 0 exited 1 from reference_front's ValueError
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["ref-front", "dtlz2", "-n", count])
+        assert exit_.value.code == 2
+        assert "--count" in capsys.readouterr().err
 
     def test_ref_front(self, capsys):
         assert cli_main(["ref-front", "dtlz2", "-n", "10"]) == 0

@@ -35,13 +35,13 @@ CELLS = {
         "dd7b0540d23738970905ce1622d2e1da8ee3c5c31f968fc341067840d16322b1"),
     "pearl-e-dtlz7": (
         {"name": "pearl-e"}, "dtlz7",
-        "6b5019aefde6faea086c805f9e2e1a0bba27f7202cb10b3b14d66847fb8d526f",
+        "66414a41cbcd536c39afa4df0f434c86c27e82ae9f2a699a1d8df3b8553c232d",
         "3931ffb990057b28c7d29a57118245f23f743e9846fec18ab3854a4e44b736f0"),
     # the only setting where the kl uniformity term is non-zero
     "pearl-e-kl-normalized-dtlz2": (
         {"name": "pearl-e", "uniformity": "kl", "normalized_obj": True}, "dtlz2",
-        "b0a917a47f4dd7d78d1c84f30854f77e7fd93ad46acc162c54c6ee9694732631",
-        "fccbb96f39fe1b858314ba35bfd6d36e765fb90a1a74852be2880bd5d853cfce"),
+        "aaf762d749dcaf125855026a9f12d2f0877e34e03ebca8ff12cfe572e2bd75cf",
+        "c507824f950698c5c9d33a31aa7d5dfcd9724d60ec64bf2b6d2daf239a3b3730"),
     "c-pearl-crowding2-c2dtlz2": (
         {"name": "c-pearl", "mode": "crowding2"}, "c2dtlz2",
         "53eef2f0135b93827076d1238a5a50612f37959f5f35c9a5d6e5441078747354",
@@ -52,16 +52,16 @@ CELLS = {
         "cd4bf9b6f21f1399777fbfca9333a906305dba02df9f150eeb23646b3f1e4b0b"),
     "nsga3-c2dtlz2": (
         {"name": "nsga3"}, "c2dtlz2",
-        "1d3d7a84d28deb49ddaffed6c55ab3fd62e3fcc4e588b106df53c7e2cdbc069d",
-        "f197f9005b35711c9909719c2bcd6ca15ad5e237f7cde42d9758b56d14c915d3"),
+        "f567366079e57b5a0e86c92f78d0cd63e0c5bbf7b4b31fcff3a7a7029eddc02f",
+        "69491ba2828e86243e98ec9342e82a3d8e17ce779b18f2d7d1159dd1199864af"),
     "nsga2-dtlz2": (
         {"name": "nsga2"}, "dtlz2",
-        "f80b8c9c1c0a972d4f4bfadb690f2944259686be641b2894ba0e17a7344fee41",
-        "65afbe93c9e480842c80c9500f57a9cf54e8b1571a86b800d64cd419d50b85f3"),
+        "690283655fa8dc5ad8b50c9f8b2a16a3adf0ed2ea99bab83e61373ef01db8ff0",
+        "fa48d07ed49a23d554e2962419c9677d6e6b6524516b79c4afa6cec6ccde411c"),
     "nsga2-ctp1": (
         {"name": "nsga2"}, "ctp1",
-        "01806787fcf9c67a9f73877f881d23d1793cc636cd506523cce8085e1c8fb5df",
-        "5cea22bd76f47687f0d4b6c522a51a182655e0f69b0b5c0cdc370b0a0bcd1c69"),
+        "fed63019b202b0150c75ec5ae55c60dc32c4b847edef70077cd0b5d4e5b8c42e",
+        "c019005839487c38ff066dea1aa063d3381a373f2a0a419b35b1406ecccccbff"),
 }
 
 # summary.json of each cell: front_size, feasible_front_size, n_evaluations
@@ -73,20 +73,20 @@ SUMMARIES = {
     "c-pearl-distance-cl-c2dtlz2": (81, 81, 512, {
         "hv": 25.390556578103393, "gd": 0.09729457407368064,
         "igd": 0.13015487133722806, "eps": 0.3684386412201383}),
-    "nsga2-ctp1": (82, 82, 512, {
-        "hv": 7.1146295698095345, "gd": 0.004177845925277397,
-        "igd": 0.029866431519619926, "eps": 0.04453081529278102}),
-    "nsga2-dtlz2": (60, 60, 512, {
-        "hv": 25.731822669652196, "gd": 0.330500942444935,
-        "igd": 0.27281019513718774, "eps": 0.37255854165648417}),
-    "nsga3-c2dtlz2": (91, 91, 512, {
-        "hv": 26.239227883761494, "gd": 0.06258304401688035,
-        "igd": 0.11027728591265276, "eps": 0.16034993486584134}),
+    "nsga2-ctp1": (73, 73, 512, {
+        "hv": 7.189166373198699, "gd": 0.0018949866892622777,
+        "igd": 0.017564051576289496, "eps": 0.03160661977359125}),
+    "nsga2-dtlz2": (58, 58, 512, {
+        "hv": 25.731418199560828, "gd": 0.3240371154964007,
+        "igd": 0.2828526025640952, "eps": 0.32345346703377886}),
+    "nsga3-c2dtlz2": (51, 51, 512, {
+        "hv": 26.15753131129749, "gd": 0.11799891939882338,
+        "igd": 0.14368357432430223, "eps": 0.20426743300596173}),
     "pearl-e-dtlz7": (18, 18, 512, {
         "hv": 0.0, "gd": 7.61876659426801,
         "igd": 6.9741404327959575, "eps": 8.95478915556402}),
     "pearl-e-kl-normalized-dtlz2": (63, 63, 512, {
-        "hv": 25.237457361833055, "gd": 0.4526677071264253,
+        "hv": 25.237457361833044, "gd": 0.4526677071264253,
         "igd": 0.33125941143191245, "eps": 0.42452183972088486}),
     "pearl-eps-dtlz2": (80, 80, 512, {
         "hv": 25.66280416124969, "gd": 0.26796764817821694,

@@ -159,8 +159,9 @@ class TestSteps:
 
 
 class TestVariation:
-    """The block form of ``_variation`` makes the per-offspring loop's draws
-    in its order, and so its offspring, bit for bit."""
+    """``_variation`` builds the per-offspring loop's offspring from the
+    same five block draws, bit for bit, and leaves the generator where the
+    loop leaves it."""
 
     # a box with negative, narrow and zero-width dimensions
     BOX = ProblemSpec("box5", 5, 2, lambda x: x[:2],
@@ -191,25 +192,6 @@ class TestVariation:
             # the generator ends in the same state
             assert block.bit_generator.state == loop.bit_generator.state
             assert block.random() == loop.random()
-
-
-class TestParentDraws:
-    """``_variation`` draws each parent pair as two scalar ``integers`` calls;
-    they give the values of one ``size=2`` call and leave the generator in
-    the same state, so the offspring stream is the per-offspring loop's."""
-
-    # 2**31 + 1 and 2**32 - 1 reject about half the 32-bit words drawn;
-    # 2**32 + 5 and 2**62 + 3 take the 64-bit path
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32,
-                                   2**32 + 5, 2**62 + 3])
-    def test_two_scalar_draws_match_one_pair_draw(self, n):
-        pair, scalar = np.random.default_rng(5), np.random.default_rng(5)
-        for k in range(500):
-            i, j = pair.integers(0, n, size=2)
-            assert (int(i), int(j)) == (int(scalar.integers(0, n)), int(scalar.integers(0, n)))
-            assert pair.bit_generator.state == scalar.bit_generator.state
-            if k % 2:  # interleaved with other draws, as in _variation
-                assert pair.random() == scalar.random()
 
 
 @st.composite

@@ -294,6 +294,12 @@ class TestReferenceFronts:
         assert len(front) == 200
         assert np.allclose(np.sum(front**2, axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, "10"])
+    def test_count_must_be_a_positive_integer(self, n):
+        # 2.5 raised TypeError and True was taken as 1
+        with pytest.raises(ValueError, match="n_points must be a positive integer"):
+            reference_front(get_problem("dtlz2"), n)
+
     def test_single_point_request(self):
         for name in PROBLEMS:
             front = reference_front(get_problem(name), 1)

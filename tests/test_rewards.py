@@ -46,6 +46,14 @@ class TestSamplePreferences:
         assert np.allclose(tight.var(axis=0), 200 / 27900, rtol=0.2)
         assert np.all(tight.var(axis=0) < wide.var(axis=0))
 
+    def test_tiny_alpha_draws_near_vertices(self):
+        # Gamma variates summed to 0 in 10.8% of these rows, which then fell
+        # back to the uniform ray, and the mean row maximum read 0.927
+        rays = sample_preferences((1e-3,) * 3, 20_000, np.random.default_rng(0))
+        assert np.all(np.isfinite(rays)) and np.allclose(rays.sum(axis=1), 1.0)
+        assert rays.max(axis=1).mean() >= 0.99
+        assert not np.any(np.all(rays == 1 / 3, axis=1))
+
     def test_zero_count(self):
         rays = sample_preferences((1, 1), 0, np.random.default_rng(2))
         assert rays.shape == (0, 2)
