@@ -123,17 +123,16 @@ def das_dennis(n_obj: int, divisions: int) -> np.ndarray:
         raise ValueError("need at least 2 objectives")
     if divisions < 1:
         raise ValueError("divisions must be >= 1")
-    rows: list[list[float]] = []
-
-    def recurse(prefix: list[int], remaining: int, left: int):
-        if remaining == 1:
-            rows.append(prefix + [left])
-            return
-        for k in range(left + 1):
-            recurse(prefix + [k], remaining - 1, left - k)
-
-    recurse([], n_obj, divisions)
-    return np.asarray(rows, dtype=float) / divisions
+    # the counts k_1..k_{m-1} in lexicographic order, one column at a time:
+    # each row left with r units spawns the rows k = 0..r in turn
+    counts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([divisions])
+    for _ in range(n_obj - 1):
+        spawn = left + 1
+        k = np.arange(spawn.sum()) - np.repeat(np.cumsum(spawn) - spawn, spawn)
+        counts = np.column_stack([np.repeat(counts, spawn, axis=0), k])
+        left = np.repeat(left, spawn) - k
+    return np.column_stack([counts, left]) / divisions
 
 
 def default_divisions(n_obj: int, min_count: int) -> int:

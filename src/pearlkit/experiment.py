@@ -92,8 +92,10 @@ def load_config(source) -> ExperimentConfig:
             raw = json.load(handle)
     else:
         raw = dict(source)
-    if raw.get("version") != CONFIG_VERSION:
-        raise ConfigError(f"key 'version' must equal {CONFIG_VERSION}")
+    version = raw.get("version")
+    # true and 1.0 equal 1, but neither is an integer version
+    if isinstance(version, bool) or not isinstance(version, int) or version != CONFIG_VERSION:
+        raise ConfigError(f"key 'version' must be the integer {CONFIG_VERSION}, not {version!r}")
     problems = _as_list(raw.get("problems") or [])
     if not problems:
         raise ConfigError("key 'problems' is required")

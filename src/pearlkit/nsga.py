@@ -107,8 +107,9 @@ def _fill_fronts(F: np.ndarray, cv: np.ndarray,
                  n: int) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Positions of the whole fronts that fit into ``n`` slots, best first,
     the lengths of those fronts, and the positions of the first front that
-    does not fit (empty when every front fits)."""
-    fronts = non_dominated_sort(F, cv)
+    does not fit (empty when the whole fronts fill the slots or hold every
+    row).  The sort stops at that front: no later one is read."""
+    fronts = non_dominated_sort(F, cv, stop=n)
     sizes, taken = [], 0
     for front in fronts:
         if taken + len(front) > n:

@@ -77,26 +77,52 @@ def _dominance(f: np.ndarray, cv: np.ndarray) -> np.ndarray:
                     feas[:, None] | (~feas[None, :] & lower_cv))
 
 
-def non_dominated_sort(f: np.ndarray, cv: np.ndarray) -> list[np.ndarray]:
+def non_dominated_sort(f: np.ndarray, cv: np.ndarray,
+                       stop: Optional[int] = None) -> list[np.ndarray]:
     """Sort objective rows ``f`` with violations ``cv`` into non-domination
     fronts: arrays of ascending row indices, best front first.
 
     Front 0 holds the rows dominated by nobody; each later front is
     non-dominated once earlier fronts are removed.  Every row appears in
-    exactly one front.
+    exactly one front.  With ``stop`` (a positive integer) the peel ends once
+    ``min(stop, len(f))`` rows are placed: the fronts are those of the full
+    sort up to and including the first that brings the rows placed to
+    ``stop``, or all of them when ``f`` has fewer rows.
     """
     if len(f) == 0:
         raise ValueError("cannot sort an empty population")
+    goal = len(f) if stop is None else min(_positive_int("stop", stop), len(f))
     d = _dominance(f, cv)
     dominated_count = d.sum(axis=0)
     fronts: list[np.ndarray] = []
     remaining = np.ones(len(f), dtype=bool)
-    while remaining.any():
+    placed = 0
+    while True:
         current = np.flatnonzero(remaining & (dominated_count == 0))
         fronts.append(current)
+        placed += len(current)
+        if placed >= goal:
+            return fronts
         remaining[current] = False
         dominated_count -= d[current].sum(axis=0)
-    return fronts
+
+
+def _first_occurrences(pts: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row of the 2-D float
+    array ``pts``, the rows in lexicographic order: the indices
+    ``np.unique(pts, axis=0, return_index=True)`` gives.
+
+    One stable sort puts each group of equal rows (``-0.0`` equals ``0.0``)
+    together, its first occurrence first; a row starts a group where it
+    differs from the row before it in some column.
+    """
+    order = np.lexsort(pts.T[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for column in pts.T:
+        ranked = column[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    return order[starts]
 
 
 def non_dominated_mask(points: np.ndarray) -> np.ndarray:
@@ -110,14 +136,14 @@ def non_dominated_mask(points: np.ndarray) -> np.ndarray:
     the rows kept so far and, through the strict upper triangle, with itself.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-D array")
-    rows, first = np.unique(pts, axis=0, return_index=True)
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise ValueError("points must be a 2-D array of at least one column")
+    first = _first_occurrences(pts)
     # one row per column, so that comparisons reduce over the (fast) first axis
-    tail = np.ascontiguousarray(rows[:, 1:].T)
-    keep = np.zeros(len(rows), dtype=bool)
+    tail = np.ascontiguousarray(pts[first, 1:].T)
+    keep = np.zeros(len(first), dtype=bool)
     later = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), k=1)
-    for start in range(0, len(rows), _BLOCK):
+    for start in range(0, len(first), _BLOCK):
         block = tail[:, start:start + _BLOCK]
         n = block.shape[1]
         kept = tail[:, :start][:, keep[:start]]

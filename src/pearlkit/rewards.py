@@ -215,6 +215,8 @@ class PearlEnvelope:
         self.alpha = alpha
         self.lambda_ = _real("lambda", lambda_, "finite")
         self.uniformity = uniformity
+        if not isinstance(normalized_obj, bool):  # "false" would be truthy
+            raise ValueError(f"normalized_obj must be a bool, not {normalized_obj!r}")
         self.normalized_obj = normalized_obj
         self.n_rays = _positive_int("n_rays", n_rays)
         self.rays: Optional[np.ndarray] = None
@@ -332,10 +334,9 @@ class CurriculumConstrained:
                 raise ValueError("M must be given explicitly for this inner engine")
             M = inner.kappa
         self.M = _real("M", M, "nonnegative and finite")
-        if gammas is not None:
-            gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
-            if gammas.ndim != 1 or not np.all(np.isfinite(gammas) & (gammas > 0)):
-                raise ValueError(f"gammas must be positive finite weights, not {gammas.tolist()}")
+        if gammas is not None:  # one weight, or one per constraint
+            gammas = np.array([_real("gammas", g, "positive and finite")
+                               for g in (gammas if np.ndim(gammas) else [gammas])])
         self.gammas = gammas
         self.reward_scale = (
             float(inner.reward_scale) if inner.reward_scale != 1.0 else max(1.0, self.M)

@@ -62,6 +62,13 @@ def non_dominated_mask_scalar(points):
     return mask
 
 
+def unique_rows(points):
+    """The distinct rows of ``points`` in lexicographic order and the index
+    of each one's first occurrence, from ``np.unique(axis=0,
+    return_index=True)``: the reference for ``pareto._first_occurrences``."""
+    return np.unique(np.asarray(points, dtype=float), axis=0, return_index=True)
+
+
 def log_front_scalar(F, cv):
     """Scalar reference for ``EvaluationLog.front``: the rows whose ``cv`` is
     not NaN; of them the feasible ones, or when none is feasible those of
@@ -321,6 +328,23 @@ def crowding_rank_loop(front):
         if span > 0:
             dist[idx[1:-1]] += (f[idx[2:], j] - f[idx[:-2], j]) / span
     return best_first(f, -dist, f.sum(axis=1)), dist
+
+
+def das_dennis_recursive(n_obj, divisions):
+    """``density.das_dennis`` by recursion over the counts: each prefix
+    ``k_1..k_i`` takes ``k_{i+1} = 0..left`` in turn, the last count is what
+    is left, and every row is divided by ``divisions``."""
+    rows = []
+
+    def recurse(prefix, remaining, left):
+        if remaining == 1:
+            rows.append(prefix + [left])
+            return
+        for k in range(left + 1):
+            recurse(prefix + [k], remaining - 1, left - k)
+
+    recurse([], n_obj, divisions)
+    return np.asarray(rows, dtype=float) / divisions
 
 
 def minmax_scalar(row, lo, hi):

@@ -13,7 +13,7 @@ from pearlkit.density import (
 )
 from pearlkit.problems import evaluate, get_problem
 
-from oracles import crowding_distances_direct, crowding_rank_loop
+from oracles import crowding_distances_direct, crowding_rank_loop, das_dennis_recursive
 
 _DTLZ2 = get_problem("dtlz2")
 
@@ -218,6 +218,15 @@ class TestDasDennis:
         dirs = das_dennis(4, 5)
         assert np.allclose(dirs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(dirs >= 0)
+
+    @pytest.mark.parametrize("n_obj,divisions", [
+        *((m, p) for m in (2, 3, 4) for p in range(1, 13)),
+        (3, 88),  # the grid of sphere_front(4000)
+    ])
+    def test_equals_the_recursion_byte_for_byte(self, n_obj, divisions):
+        got, expected = das_dennis(n_obj, divisions), das_dennis_recursive(n_obj, divisions)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
     def test_default_divisions(self):
         for f in (2, 3, 4):

@@ -63,6 +63,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="version"):
             load_config(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_must_be_an_integer(self, tmp_path, version):
+        # true and 1.0 equal 1, and loaded as version 1 before
+        path, _ = small_config(tmp_path, version=version)
+        with pytest.raises(ConfigError, match="key 'version'"):
+            load_config(path)
+
     def test_budget_and_seeds_validated(self, tmp_path):
         path, _ = small_config(tmp_path, budget=-1)
         with pytest.raises(ConfigError, match="budget"):
@@ -324,13 +331,21 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize("gammas", [[1.0, 2.0], [], [-1.0], [0.0], [float("inf")],
-                                        [float("nan")]])
+                                        [float("nan")], [True], True, ["2.0"]])
     def test_c_pearl_gammas_checked_at_load(self, tmp_path, gammas):
         # c2dtlz2 has one constraint; before, each of these loaded and then
-        # failed every cell
+        # failed every cell, and [true], true and ["2.0"] loaded as weights
         path, _ = small_config(tmp_path, problems="c2dtlz2", algorithms=[
             {"name": "c-pearl", "gammas": gammas}])
         with pytest.raises(ConfigError, match="c-pearl.*gammas"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_pearl_e_normalized_obj_must_be_a_bool(self, tmp_path, value):
+        # before, it was read by truthiness: "false" switched normalization on
+        path, _ = small_config(tmp_path, problems="dtlz2", algorithms=[
+            {"name": "pearl-e", "normalized_obj": value}])
+        with pytest.raises(ConfigError, match="pearl-e.*normalized_obj"):
             load_config(path)
 
     def test_zero_clip_ratio_and_one_weight_per_constraint_load(self, tmp_path):

@@ -5,12 +5,15 @@ objective vectors and constant columns turn up often; fronts of one and two
 points are included.
 """
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pearlkit.density import crowding_rank, das_dennis, niching_rank
-from pearlkit.nsga import _selection_order, _survivors_nsga2, _survivors_nsga3
+from pearlkit.nsga import _fill_fronts, _selection_order, _survivors_nsga2, _survivors_nsga3
 from pearlkit.pareto import non_dominated_sort
 from pearlkit.rewards import PearlEpsilon
 
@@ -105,3 +108,74 @@ class TestCarriedFronts:
             assert [front.tolist() for front in fresh] == blocks
             assert np.array_equal(_selection_order(f[chosen], sizes),
                                   selection_order_sorted(f[chosen], cv[chosen]))
+
+
+class _Hung(BaseException):
+    """Raised by ``_time_limit``; not an Exception, so hypothesis reports it
+    at once instead of rerunning the hung example to shrink it."""
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Fail the block with ``_Hung`` when it runs longer than ``seconds``: a
+    peel that never reaches its stop count loops forever."""
+    def hung(signum, frame):
+        raise _Hung(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def stopped_sort(f, cv, stop):
+    with _time_limit(10):
+        return [front.tolist() for front in non_dominated_sort(f, cv, stop)]
+
+
+class TestStoppedSort:
+    """``non_dominated_sort(f, cv, stop)`` peels the full sort's fronts up to
+    and including the first that brings the rows placed to ``stop``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=fronts(min_size=1, max_size=20),
+           cv=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=24, max_size=24),
+           twins=st.integers(0, 4), stop=st.integers(1, 30))
+    def test_a_prefix_of_the_full_sort(self, f, cv, twins, stop):
+        f = np.vstack([f, f[:twins]])
+        cv = np.array(cv[: len(f)])
+        full = [front.tolist() for front in non_dominated_sort(f, cv)]
+        placed = np.cumsum([len(front) for front in full])
+        reached = int(np.searchsorted(placed, stop))  # first front with placed >= stop
+        assert stopped_sort(f, cv, stop) == full[:reached + 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=fronts(min_size=1, max_size=20),
+           cv=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=20, max_size=20),
+           extra=st.integers(0, 40))
+    def test_a_stop_at_or_past_the_rows_is_the_full_sort(self, f, cv, extra):
+        # a pool holds fewer rows than n after failed offspring
+        cv = np.array(cv[: len(f)])
+        full = [front.tolist() for front in non_dominated_sort(f, cv)]
+        assert stopped_sort(f, cv, len(f) + extra) == full
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=fronts(min_size=1, max_size=20),
+           cv=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=20, max_size=20),
+           n=st.integers(1, 27))
+    def test_fill_fronts_reads_the_full_sort(self, f, cv, n):
+        # whole fronts while they fit, then the first that does not, unless
+        # the whole fronts fill all n slots
+        cv = np.array(cv[: len(f)])
+        full = non_dominated_sort(f, cv)
+        placed = np.cumsum([len(front) for front in full])
+        whole = int(np.searchsorted(placed, n, side="right"))
+        taken = int(placed[whole - 1]) if whole else 0
+        last = full[whole].tolist() if whole < len(full) and taken < n else []
+        with _time_limit(10):
+            chosen, sizes, got_last = _fill_fronts(f, cv, n)
+        assert chosen.tolist() == [i for front in full[:whole] for i in front.tolist()]
+        assert sizes == [len(front) for front in full[:whole]]
+        assert got_last.tolist() == last

@@ -8,6 +8,7 @@ from pearlkit.pareto import (
     FEASIBILITY_TOL,
     ParetoArchive,
     _dominance,
+    _first_occurrences,
     best_front,
     non_dominated_mask,
     non_dominated_sort,
@@ -21,6 +22,7 @@ from oracles import (
     constrained_dominates_scalar,
     crowding_rank_scalar,
     non_dominated_mask_scalar,
+    unique_rows,
 )
 from rows import table_log
 
@@ -220,6 +222,49 @@ def first_occurrences(indices, rows):
 _grid_rows = st.integers(1, 4).flatmap(lambda m: st.lists(
     st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0]), min_size=m, max_size=m),
     max_size=300).map(lambda rows: np.array(rows, dtype=float).reshape(-1, m)))
+
+
+# Rows on the quarter grid of [0, 1], with zeros of either sign: one row, or
+# up to 200 rows of 2 to 4 columns, with many duplicates
+_quarter_rows = st.tuples(st.integers(1, 200), st.integers(2, 4)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0]),
+                 min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0],
+    ).map(lambda rows: np.array(rows, dtype=float)))
+
+
+class TestFirstOccurrences:
+    """``_first_occurrences`` gives what ``np.unique(axis=0,
+    return_index=True)`` gives: the same rows, sign bits included, and the
+    same first indices."""
+
+    def check(self, pts):
+        rows, first = unique_rows(pts)
+        got = _first_occurrences(pts)
+        assert got.dtype == first.dtype and got.tobytes() == first.tobytes()
+        assert pts[got].tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("row", [[0.0], [-0.0, 1.0], [0.25, -0.0, 0.0, 1.0]])
+    def test_one_row(self, row):
+        self.check(np.array([row]))
+
+    def test_signed_zeros_are_one_value_first_sign_kept(self):
+        pts = np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [0.0, 1.0]])
+        self.check(pts)
+        assert _first_occurrences(pts).tolist() == [2, 0]
+        assert np.signbit(pts[_first_occurrences(pts)]).tolist() == [[False, True],
+                                                                    [True, False]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(pts=_quarter_rows)
+    def test_quarter_grid_duplicates(self, pts):
+        self.check(pts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pts=_quarter_rows, copies=st.integers(2, 4))
+    def test_every_row_repeated(self, pts, copies):
+        self.check(np.vstack([pts] * copies))
 
 
 class TestNonDominatedMask:
