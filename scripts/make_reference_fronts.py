@@ -23,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from pearlkit.pareto import non_dominated_mask
 from pearlkit.problems import (
     _CTP_PARAMS,
+    _subsample,
     ctp1_constraint,
     ctp_constraint,
     dtlz6_objectives,
@@ -40,13 +41,6 @@ def write_front(path: Path, front: np.ndarray):
         for row in front:
             writer.writerow([repr(float(v)) for v in row])
     print(f"wrote {path} ({len(front)} points)")
-
-
-def subsample(points: np.ndarray, n: int) -> np.ndarray:
-    if len(points) <= n:
-        return points
-    idx = np.unique(np.round(np.linspace(0, len(points) - 1, n)).astype(int))
-    return points[idx]
 
 
 def dtlz6_front() -> np.ndarray:
@@ -75,7 +69,7 @@ def dtlz7_front() -> np.ndarray:
         np.abs(front[:, 0] - 0.2) + np.abs(front[:, 1] - 0.2))], atol=1e-6)
     front = front[non_dominated_mask(front)]
     order = np.lexsort(front.T[::-1])
-    return subsample(front[order], N_STORE)
+    return _subsample(front[order], N_STORE)
 
 
 def ctp_front(constraint, f2_bounds, n_columns=2000) -> np.ndarray:
@@ -110,7 +104,7 @@ def ctp_front(constraint, f2_bounds, n_columns=2000) -> np.ndarray:
     front = np.asarray(rows)
     front = front[non_dominated_mask(front)]
     order = np.argsort(front[:, 0])
-    return subsample(front[order], N_STORE)
+    return _subsample(front[order], N_STORE)
 
 
 def main():

@@ -35,7 +35,7 @@ from .indicators import (
     read_metric_csv,
     write_metric_csv,
 )
-from .pareto import _positive_int, non_dominated_mask
+from .pareto import _positive_int, _real, non_dominated_mask
 from .problems import ProblemSpec, get_problem, reference_front
 from .rewards import CurriculumConstrained, PearlEnvelope, PearlEpsilon, PearlNds
 from .trainer import RunResult, TrainerConfig, train
@@ -447,6 +447,7 @@ def compare(run_dirs, alpha: float = 0.05) -> list[ComparisonResult]:
     hypervolume matrix when at least two seeds are shared.  A (problem,
     label, seed) cell found twice across ``run_dirs`` is an error.
     """
+    _real("alpha", alpha, "in (0, 1)")  # checked before any file is read
     cells: dict = {}  # (problem, label, seed) -> (hv, front.csv path)
     for run_dir in map(Path, run_dirs):
         metrics = run_dir / "metrics.csv"

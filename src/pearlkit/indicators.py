@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .density import best_first
-from .pareto import non_dominated_mask
+from .pareto import _first_occurrences, non_dominated_mask
 
 
 def hypervolume(front, ref) -> float:
@@ -208,7 +208,8 @@ def entropy_select(front, k: int) -> np.ndarray:
     f = np.atleast_2d(np.asarray(front, dtype=float))
     if k < 1:
         raise ValueError("k must be >= 1")
-    distinct, first_index = np.unique(f, axis=0, return_index=True)
+    first_index = _first_occurrences(f)
+    distinct = f[first_index]
     m, n_obj = distinct.shape
     if m < k:
         raise ValueError(f"need at least {k} distinct solutions, have {m}")

@@ -45,6 +45,7 @@ _REAL_RULES = {
     "nonnegative": lambda v: v >= 0,
     "finite": math.isfinite,
     "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in (0, 1)": lambda v: 0 < v < 1,
 }
 
 

@@ -111,6 +111,14 @@ def kl_uniformity(w: np.ndarray, r: np.ndarray) -> float:
 _UNIFORMITY = {"cos": cosine_uniformity, "kl": kl_uniformity}
 
 
+def _uniformity_term(kind):
+    """The uniformity function named ``kind``; ValueError naming
+    ``uniformity`` unless ``kind`` is ``"cos"`` or ``"kl"``."""
+    if not isinstance(kind, str) or kind not in _UNIFORMITY:  # a list is unhashable
+        raise ValueError(f"uniformity must be 'cos' or 'kl', not {kind!r}")
+    return _UNIFORMITY[kind]
+
+
 def pearl_e_reward(r, rays, lambda_: float, uniformity: str = "cos") -> float:
     """Envelope reward: best scalarization over the active preference rays.
 
@@ -120,10 +128,7 @@ def pearl_e_reward(r, rays, lambda_: float, uniformity: str = "cos") -> float:
     rays = np.atleast_2d(np.asarray(rays, dtype=float))
     if rays.shape[0] == 0:
         raise ValueError("need at least one preference ray")
-    try:
-        u = _UNIFORMITY[uniformity]
-    except KeyError:
-        raise ValueError(f"unknown uniformity kind: {uniformity!r}") from None
+    u = _uniformity_term(uniformity)
     r = np.asarray(r, dtype=float)
     best = -math.inf
     for w in rays:
@@ -209,8 +214,7 @@ class PearlEnvelope:
             alpha = np.full(n_obj, float(alpha[0]))
         if alpha.size != n_obj:
             raise ValueError("alpha length must match the objective count")
-        if uniformity not in _UNIFORMITY:
-            raise ValueError(f"unknown uniformity kind: {uniformity!r}")
+        _uniformity_term(uniformity)
         self.n_obj = n_obj
         self.alpha = alpha
         self.lambda_ = _real("lambda", lambda_, "finite")

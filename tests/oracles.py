@@ -69,6 +69,19 @@ def unique_rows(points):
     return np.unique(np.asarray(points, dtype=float), axis=0, return_index=True)
 
 
+# Demsar (JMLR 7, 2006), Table 5: the Nemenyi critical values q_alpha for
+# k = 2..10 treatments, studentized-range quantiles over infinite degrees of
+# freedom divided by sqrt(2), so that CD = q_alpha * sqrt(k (k+1) / (6 n)).
+DEMSAR_Q = {
+    0.05: [1.960, 2.343, 2.569, 2.728, 2.850, 2.949, 3.031, 3.102, 3.164],
+    0.10: [1.645, 2.052, 2.291, 2.460, 2.589, 2.693, 2.780, 2.855, 2.920],
+}
+# The table divides three-decimal quantiles by sqrt(2) and rounds again, so an
+# entry may carry both roundings' error: k = 3 and k = 7 at 0.05 sit 7.0e-4
+# and 6.8e-4 from the exact value, and each is what that procedure gives.
+DEMSAR_Q_TOL = 5e-4 * (1.0 + 1.0 / math.sqrt(2.0))
+
+
 def log_front_scalar(F, cv):
     """Scalar reference for ``EvaluationLog.front``: the rows whose ``cv`` is
     not NaN; of them the feasible ones, or when none is feasible those of

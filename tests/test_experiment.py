@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ from pearlkit.cli import main as cli_main
 from pearlkit.experiment import (
     _ENGINES,
     ConfigError,
+    _cell_run,
     compare,
     load_config,
     load_front_csv,
@@ -45,6 +47,60 @@ def small_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path, config
+
+
+# Odd JSON values for the config probe, and every key they are put at: the
+# top-level keys and each variant's parameters as README's "Algorithm
+# variants" documents them, with a problem that variant runs on.
+_ODD_VALUES = [None, True, False, 0, -1, 2.5, math.nan, math.inf, -math.inf, "", [], {}, [[1]]]
+_TOP_LEVEL_KEYS = ["version", "problems", "algorithms", "budget", "seeds", "output_dir",
+                   "n_steps", "ncores"]
+_TRAINER_PARAMS = ["learning_rate", "clip_ratio", "entropy_coef", "value_coef", "epochs",
+                   "minibatches", "hidden", "init_log_std"]
+_GA_PARAMS = ["lambda_", "mu", "pop_size", "mutpb", "cxpb"]
+_VARIANT_PARAMS = {
+    "pearl-e": ("dtlz2", ["alpha", "lambda", "uniformity", "normalized_obj", "n_rays",
+                          *_TRAINER_PARAMS]),
+    "pearl-eps": ("dtlz2", ["kappa", "nu", *_TRAINER_PARAMS]),
+    "pearl-nds": ("dtlz2", ["kappa", "ranker", *_TRAINER_PARAMS]),
+    "c-pearl": ("c2dtlz2", ["mode", "M", "gammas", "inner", "kappa", "ranker",
+                            *_TRAINER_PARAMS]),
+    "nsga2": ("c2dtlz2", _GA_PARAMS),
+    "nsga3": ("dtlz2", _GA_PARAMS),
+}
+# The odd values that load, by (key, repr(value)), each with the setting it
+# documents; every other odd value must raise a ConfigError naming its key.
+_ODD_VALUES_THAT_LOAD = {
+    ("alpha", "2.5"): [2.5, 2.5, 2.5],  # one concentration for each objective
+    ("lambda", "0"): 0.0, ("lambda", "-1"): -1.0, ("lambda", "2.5"): 2.5,
+    ("normalized_obj", "True"): True, ("normalized_obj", "False"): False,
+    ("nu", "2.5"): 2.5,
+    ("M", "None"): 64.0,  # the inner engine's kappa
+    ("M", "0"): 0.0, ("M", "2.5"): 2.5,
+    ("gammas", "None"): None,  # unit weights
+    ("gammas", "2.5"): [2.5],  # the weight of c2dtlz2's one constraint
+    ("learning_rate", "2.5"): 2.5,
+    ("clip_ratio", "0"): 0.0, ("clip_ratio", "2.5"): 2.5, ("clip_ratio", "inf"): math.inf,
+    ("entropy_coef", "0"): 0.0, ("entropy_coef", "2.5"): 2.5,
+    ("value_coef", "0"): 0.0, ("value_coef", "2.5"): 2.5,
+    ("init_log_std", "None"): None,  # the engine's default width
+    ("init_log_std", "0"): 0.0, ("init_log_std", "-1"): -1.0, ("init_log_std", "2.5"): 2.5,
+    ("mu", "None"): 32, ("pop_size", "None"): 32,  # lambda_
+    ("mutpb", "0"): 0.0, ("cxpb", "0"): 0.0,
+}
+_RAISES = object()
+
+
+def _loaded_setting(config, key):
+    """The value a loaded one-entry config's cell reads for the entry's
+    ``key``: from its GAConfig, its TrainerConfig or its engine."""
+    spec = config.algorithms[0]
+    run = _cell_run(config, spec, get_problem(config.problems[0]), config.seeds[0])
+    if spec.name in ("nsga2", "nsga3"):
+        return getattr(run.args[1], key)
+    if key in _TRAINER_PARAMS:
+        return getattr(run.args[2], key)
+    return getattr(run.args[1](), "lambda_" if key == "lambda" else key)
 
 
 class TestConfig:
@@ -353,6 +409,30 @@ class TestConfig:
             {"name": "c-pearl", "gammas": [2.0], "clip_ratio": 0.0}])
         load_config(path)
 
+    @pytest.mark.parametrize("name,key", [(None, key) for key in _TOP_LEVEL_KEYS] + [
+        (name, key) for name, (_, keys) in _VARIANT_PARAMS.items() for key in keys])
+    def test_odd_json_values_load_as_documented_or_name_their_key(self, name, key):
+        # name None puts the value at a top-level key, else at a parameter
+        # of that variant's entry
+        wrong = []
+        for value in _ODD_VALUES:
+            problem = _VARIANT_PARAMS[name][0] if name else "dtlz2"
+            config = {"version": 1, "problems": [problem], "algorithms": [{"name": name or "nsga2"}],
+                      "budget": 64, "n_steps": 8, "ncores": 2, "seeds": [0], "output_dir": "out"}
+            (config["algorithms"][0] if name else config)[key] = value
+            expected = _ODD_VALUES_THAT_LOAD.get((key, repr(value)), _RAISES) if name else _RAISES
+            try:
+                got = _loaded_setting(load_config(config), key)
+            except ConfigError as err:
+                if expected is not _RAISES or not re.search(rf"(?<!\w){re.escape(key)}(?!\w)",
+                                                            str(err)):
+                    wrong.append(f"{value!r}: {err}")
+                continue
+            if expected is _RAISES or not (got is None if expected is None
+                                           else np.array_equal(got, expected)):
+                wrong.append(f"{value!r} loaded as {got!r}")
+        assert not wrong, wrong
+
     def test_readme_example_loads(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         (example,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
@@ -633,6 +713,16 @@ class TestCompare:
         assert res.friedman.p_value == 1.0
         assert not res.nemenyi.significant.any()
 
+    def test_any_alpha_and_eleven_algorithms(self, tmp_path):
+        # before, alpha 0.01 and an 11th algorithm were outside the table
+        path, _ = small_config(tmp_path, problems="dtlz2", algorithms=[
+            {"name": "nsga2", "lambda_": 8, "mutpb": i / 10, "label": f"m{i}"}
+            for i in range(11)])
+        res = compare([run_experiment(path)], alpha=0.01)[0]
+        assert res.nemenyi.p_values.shape == (11, 11)
+        assert res.nemenyi.alpha == 0.01
+        assert np.array_equal(res.nemenyi.significant, res.nemenyi.p_values < 0.01)
+
     def test_single_seed_skips_statistics_with_warning(self, tmp_path):
         out = self.run_two_algorithms(tmp_path, seeds=(0,))
         res = compare([out])[0]
@@ -786,6 +876,17 @@ class TestCli:
             "compare", str(tmp_path / "out"), "--alpha", "0.1",
             "-o", str(tmp_path / "cmp")]) == 0
         assert (tmp_path / "cmp" / "comparison_ctp1.csv").exists()
+
+
+    def test_compare_alpha_outside_the_open_unit_interval_exits_1(self, tmp_path, capsys):
+        path, _ = small_config(tmp_path, algorithms=["nsga2", "nsga3"])
+        assert cli_main(["run", str(path)]) == 0
+        capsys.readouterr()
+        for alpha in ("0", "1.5", "nan"):
+            assert cli_main(["compare", str(tmp_path / "out"), "--alpha", alpha,
+                             "-o", str(tmp_path / "cmp")]) == 1
+            assert "alpha must be in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
 
 
 NO_SCIPY_SCRIPT = """

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pearlkit import indicators
 from pearlkit.indicators import (
     _DISTANCE_BLOCK,
     MetricReport,
@@ -16,7 +17,12 @@ from pearlkit.indicators import (
 )
 from pearlkit.pareto import non_dominated_mask
 
-from oracles import additive_epsilon_full, monte_carlo_hypervolume, nearest_distances_scalar
+from oracles import (
+    additive_epsilon_full,
+    monte_carlo_hypervolume,
+    nearest_distances_scalar,
+    unique_rows,
+)
 
 
 def random_min_front(rng, n_points, n_obj):
@@ -272,6 +278,17 @@ class TestEntropySelect:
         front = np.array([[-1.0, 2.0], [0.0, 1.0], [1.0, 0.0]])
         picked = entropy_select(front, 2)
         assert len(picked) == 2
+
+    def test_indices_as_from_np_unique_rows(self, monkeypatch):
+        # duplicate rows and signed zeros: the picks equal those made from the
+        # distinct rows and first indices of np.unique(axis=0, return_index=True)
+        rng = np.random.default_rng(29)
+        fronts = [rng.choice([-0.0, 0.0, 0.5, 1.0, -1.0], size=(int(rng.integers(3, 40)), 3))
+                  for _ in range(200)]
+        fronts = [f for f in fronts if len(unique_rows(f)[1]) >= 3]
+        got = [entropy_select(f, 3).tolist() for f in fronts]
+        monkeypatch.setattr(indicators, "_first_occurrences", lambda pts: unique_rows(pts)[1])
+        assert got == [entropy_select(f, 3).tolist() for f in fronts]
 
 
 class TestMetricCsv:

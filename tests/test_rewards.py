@@ -106,6 +106,14 @@ class TestEnvelopeReward:
         with pytest.raises(ValueError):
             pearl_e_reward((1, 1), np.empty((0, 2)), 0.0)
 
+    @pytest.mark.parametrize("kind", [[], {}, [["cos"]], None, 0, "cosine", "KL"])
+    def test_uniformity_other_than_cos_or_kl_names_the_setting(self, kind):
+        # before, a list or an object failed with "unhashable type", naming nothing
+        with pytest.raises(ValueError, match="uniformity must be 'cos' or 'kl'"):
+            PearlEnvelope(n_obj=2, uniformity=kind)
+        with pytest.raises(ValueError, match="uniformity must be 'cos' or 'kl'"):
+            pearl_e_reward((1, 1), [(0.5, 0.5)], 1.0, kind)
+
 
 class TestUniformityTerms:
     def test_kl_nonpositive_and_zero_only_at_uniform(self):

@@ -1,14 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from pearlkit.stats import (
-    critical_difference,
-    friedman,
-    nemenyi,
-    studentized_range_sf,
-    write_significance_csv,
-)
+from pearlkit.stats import critical_difference, friedman, nemenyi, write_significance_csv
+
+from oracles import DEMSAR_Q, DEMSAR_Q_TOL
+
+
+def gap_design(k, n, m):
+    """n blocks ranking k treatments 0 < 1 < ... < k-1, except that from block
+    ``m`` on treatments 0 and 1 tie: their mean-rank gap is m / n."""
+    values = np.tile(np.arange(k, dtype=float), (n, 1))
+    values[m:, 1] = 0.0
+    return values
 
 
 class TestFriedman:
@@ -94,39 +100,71 @@ class TestNemenyi:
         assert np.allclose(np.diag(result.p_values), 1.0)
 
     def test_critical_difference_table_values(self):
-        assert critical_difference(3, 20, 0.05) == pytest.approx(
-            2.343 * np.sqrt(12 / 120.0))
-        assert critical_difference(2, 10, 0.10) == pytest.approx(
-            1.645 * np.sqrt(6 / 60.0))
+        # Demsar's table is the independent reference, to its own precision
+        for alpha, row in DEMSAR_Q.items():
+            for k, q_table in enumerate(row, start=2):
+                for n in (5, 20):
+                    q = critical_difference(k, n, alpha) / np.sqrt(k * (k + 1) / (6.0 * n))
+                    assert abs(q - q_table) <= DEMSAR_Q_TOL, (alpha, k, n)
+
+    def test_any_k_and_alpha_in_the_open_unit_interval(self):
+        assert critical_difference(11, 10, 0.05) > critical_difference(10, 10, 0.05)
+        assert critical_difference(3, 10, 0.01) > critical_difference(3, 10, 0.05)
+        result = nemenyi(gap_design(11, 6, 0), alpha=0.01)
+        assert result.p_values.shape == (11, 11)
+        assert np.array_equal(result.significant, result.p_values < 0.01)
+
+    @pytest.mark.parametrize("alpha", [0, 1, 0.0, 1.0, -0.5, 1.5, math.nan, math.inf, True,
+                                       "0.05", None])
+    def test_alpha_outside_the_open_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            critical_difference(3, 10, alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            nemenyi(gap_design(3, 10, 5), alpha=alpha)
+
+    def test_fewer_than_two_treatments_rejected(self):
         with pytest.raises(ValueError):
-            critical_difference(11, 10, 0.05)
+            critical_difference(1, 10, 0.05)
         with pytest.raises(ValueError):
-            critical_difference(3, 10, 0.01)
+            nemenyi(np.ones((10, 1)), alpha=0.05)
 
     def test_interpolated_alpha_between_tabulated_levels(self):
         mid = critical_difference(3, 20, 0.075)
         assert critical_difference(3, 20, 0.05) > mid > critical_difference(3, 20, 0.10)
 
     def test_p_values_consistent_with_table_quantiles(self):
-        # the exact tail probability at a tabulated quantile recovers alpha
-        for alpha in (0.05, 0.10):
-            for k in (2, 3, 5, 10):
-                from pearlkit.stats import _Q_TABLE
-
-                q = _Q_TABLE[alpha][k - 2]
-                assert studentized_range_sf(q * np.sqrt(2.0), k) == pytest.approx(
-                    alpha, abs=2e-3)
+        # the mean-rank gaps nearest the table's critical difference, just
+        # outside its precision, have p > alpha below it and p < alpha above
+        n = 200  # every critical difference of the table is then below 1
+        for alpha, row in DEMSAR_Q.items():
+            for k, q_table in enumerate(row, start=2):
+                scale = np.sqrt(k * (k + 1) / (6.0 * n))
+                below = math.floor((q_table - DEMSAR_Q_TOL) * scale * n)
+                above = math.ceil((q_table + DEMSAR_Q_TOL) * scale * n)
+                p_below, p_above = (nemenyi(gap_design(k, n, m), alpha=alpha).p_values[0, 1]
+                                    for m in (below, above))
+                assert p_below > alpha > p_above, (alpha, k)
 
     def test_flags_match_p_threshold(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             values = rng.normal(size=(10, 3)) + np.array([0.0, 0.4, 1.0])
             result = nemenyi(values, alpha=0.05)
-            for i in range(3):
-                for j in range(3):
-                    if i != j and abs(result.p_values[i, j] - 0.05) > 5e-3:
-                        assert result.significant[i, j] == (
-                            result.p_values[i, j] < 0.05)
+            assert np.array_equal(result.significant, result.p_values < 0.05)
+
+    def test_gap_just_inside_alpha_is_flagged(self):
+        # p = 0.04997; the interpolated table left this pair unflagged
+        result = nemenyi(gap_design(5, 43, 40), alpha=0.05)
+        assert result.p_values[0, 1] < 0.05
+        assert result.significant[0, 1] and result.significant[1, 0]
+        assert np.array_equal(result.significant, result.p_values < 0.05)
+
+    def test_gap_just_outside_alpha_is_not_flagged(self):
+        # p = 0.05004; the interpolated table flagged this pair
+        result = nemenyi(gap_design(3, 118, 36), alpha=0.05)
+        assert result.p_values[0, 1] > 0.05
+        assert not result.significant[0, 1] and not result.significant[1, 0]
+        assert np.array_equal(result.significant, result.p_values < 0.05)
 
 
 class TestSignificanceCsv:
